@@ -5,7 +5,6 @@ from .exact import (
     ExactDensityMatrix,
     ExactMatrix,
     GaussianRational,
-    Rational,
     ShapeError,
     block_diag,
     gr,

@@ -1,9 +1,10 @@
 """Command-line frontend: reproducible runs with JSON (and DOT) reports.
 
 Exit code protocol: 0 found/ok, 10 exhausted within the bound, 11 freeness
-collision, 12 cross-check mismatch, 2 error.  Every report embeds the full
-resolved configuration and input hashes; reruns with an identical
-configuration are byte-identical apart from the timing field.
+collision, 12 cross-check mismatch, 2 error (bad input, I/O, arithmetic,
+runtime or memory failure, reported as an `error:` line on stderr).  Every
+report embeds the full resolved configuration and input hashes; reruns with
+an identical configuration are byte-identical apart from the timing field.
 """
 
 from __future__ import annotations
@@ -93,16 +94,13 @@ def _target_state(selector: str, source: ExactDensityMatrix) -> ExactDensityMatr
 
 def _cmd_verify_free(args):
     pair = _build_pair(args)
-    report = freeness_scan(
-        pair, args.max_len, node_budget=args.budget, workers=args.workers
-    )
+    report = freeness_scan(pair, args.max_len, node_budget=args.budget)
     config = {
         "subcommand": "verify-free",
         "rotation": _rotation_config(args),
         "max_len": args.max_len,
         "force": bool(args.force),
         "budget": args.budget,
-        "workers": args.workers,
     }
     code = EXIT_OK if report.is_empty else EXIT_COLLISION
     return code, config, {}, report.to_json_dict(), {}
@@ -110,15 +108,12 @@ def _cmd_verify_free(args):
 
 def _cmd_solve_pcp(args):
     inst, hashes = _load_instance(args)
-    outcome = pcp.solve_bounded(
-        inst, args.depth, node_budget=args.budget, workers=args.workers
-    )
+    outcome = pcp.solve_bounded(inst, args.depth, node_budget=args.budget)
     config = {
         "subcommand": "solve-pcp",
         "instance": args.instance,
         "depth": args.depth,
         "budget": args.budget,
-        "workers": args.workers,
     }
     code = EXIT_OK if outcome.status == pcp.FOUND else EXIT_EXHAUSTED
     return code, config, hashes, outcome.to_json_dict(), {}
@@ -144,11 +139,9 @@ def _cmd_membership(args):
         inst, _build_pair(args), rat_from_str(args.damping)
     )
     result = reduction.membership_search(
-        gens, args.depth, mode=args.mode, node_budget=args.budget, workers=args.workers
+        gens, args.depth, mode=args.mode, node_budget=args.budget
     )
-    oracle = pcp.solve_bounded(
-        inst, max(1, args.depth // 2), node_budget=args.budget, workers=args.workers
-    )
+    oracle = pcp.solve_bounded(inst, max(1, args.depth // 2), node_budget=args.budget)
     agree = (result.status == reduction.FOUND) == (oracle.status == pcp.FOUND)
     config = {
         "subcommand": "membership",
@@ -158,7 +151,6 @@ def _cmd_membership(args):
         "depth": args.depth,
         "mode": args.mode,
         "budget": args.budget,
-        "workers": args.workers,
     }
     outcome = {
         "membership": result.to_json_dict(),
@@ -182,11 +174,7 @@ def _cmd_reach(args):
     source = _seed_state(getattr(args, "from_state"))
     target = _target_state(args.to, source)
     graph = resourcegraph.explore(
-        gens.channels(),
-        [source],
-        args.depth,
-        node_budget=args.budget,
-        workers=args.workers,
+        gens.channels(), [source], args.depth, node_budget=args.budget
     )
     outcome_obj = resourcegraph.reach(graph, source, target)
     config = {
@@ -198,7 +186,6 @@ def _cmd_reach(args):
         "from": getattr(args, "from_state"),
         "to": args.to,
         "budget": args.budget,
-        "workers": args.workers,
     }
     outcome = {
         "reach": outcome_obj.to_json_dict(),
@@ -215,11 +202,7 @@ def _cmd_reach(args):
 
 def _cmd_monotones(args):
     hashes = {}
-    config = {
-        "subcommand": "monotones",
-        "budget": args.budget,
-        "workers": args.workers,
-    }
+    config = {"subcommand": "monotones", "budget": args.budget}
     if args.graph == "demo":
         graph = resourcegraph.demo_graph()
         config["graph"] = "demo"
@@ -232,11 +215,7 @@ def _cmd_monotones(args):
         )
         seed = _seed_state(args.seed)
         graph = resourcegraph.explore(
-            gens.channels(),
-            [seed],
-            args.depth,
-            node_budget=args.budget,
-            workers=args.workers,
+            gens.channels(), [seed], args.depth, node_budget=args.budget
         )
         config.update(
             {
@@ -293,7 +272,6 @@ def _cmd_diff(args):
         "target_damping": rat_to_str(target_damping),
         "depth": args.depth,
         "budget": args.budget,
-        "workers": args.workers,
     }
     code = EXIT_OK if outcome_obj.status == reduction.DISTINCT else EXIT_EXHAUSTED
     return code, config, hashes, outcome_obj.to_json_dict(), {}
@@ -307,8 +285,9 @@ def _add_rotation_args(p):
 
 
 def _add_common_args(p, budget=200_000):
-    p.add_argument("--budget", type=int, default=budget, help="node budget")
-    p.add_argument("--workers", type=int, default=1, help="worker count")
+    """--budget (omitted when budget is None) and --out."""
+    if budget is not None:
+        p.add_argument("--budget", type=int, default=budget, help="node budget")
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 
@@ -340,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     _add_rotation_args(p)
     p.add_argument("--damping", default="1/2")
-    _add_common_args(p)
+    _add_common_args(p, budget=None)
     p.set_defaults(handler=_cmd_compile)
 
     p = sub.add_parser(
@@ -397,8 +376,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, config, hashes, outcome, extra = args.handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, ArithmeticError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
     report = {
         "config": config,

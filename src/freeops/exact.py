@@ -19,8 +19,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
-Rational = Fraction
-
 EntryLike = Union["GaussianRational", Fraction, int]
 
 
@@ -566,14 +564,6 @@ class ExactMatrix:
             )
             return f"ExactMatrix({self.rows}x{self.cols}: {body})"
         return f"ExactMatrix({self.rows}x{self.cols}, digest={self.digest()[:8]})"
-
-
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b
-
-
-def dagger(a: ExactMatrix) -> ExactMatrix:
-    return a.dagger()
 
 
 def block_diag(*blocks: ExactMatrix) -> ExactMatrix:

@@ -1,21 +1,30 @@
-"""Exact SU(2) rotation pairs, binary-word encodings, and freeness scanning.
+"""Exact SU(2) rotation pairs, binary-word encodings, freeness scanning,
+and the quaternion kernel that every compiled-semigroup search runs on.
 
 A pair of rotations by a rational-cosine angle about orthogonal axes
 generates a free semigroup; this module constructs such pairs with all
 entries in Q(i), maps binary words to products, and stress-tests the
 freeness claim by exhaustive collision scanning up to a word-length bound.
+
+The kernel stores [[alpha, beta], [-conj(beta), conj(alpha)]] as the
+integer quaternion (Re alpha, Im alpha, Re beta, Im beta), a block-diagonal
+matrix of such blocks as its quaternions side by side over one denominator.
+The only scalars in SU(2) x SU(2) are +-I, so equality up to a global phase
+reduces to equality up to sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Tuple
 
-from .exact import ExactMatrix, GaussianRational, rat_to_str
-from .util import parallel_map
+from .exact import ExactMatrix, GaussianRational, block_diag, rat_to_str
 
 Axis = Tuple[Fraction, Fraction, Fraction]
+# Integer numerators, four per 2x2 block, then one positive denominator.
+Quaternions = Tuple[int, ...]
 
 # Angles whose rational cosine is known not to yield a free semigroup.
 EXCLUDED_COSINES = frozenset(
@@ -131,6 +140,89 @@ def encode_word(pair: FreePair, bits: str) -> ExactMatrix:
     return result
 
 
+def _reduced(nums: list, den: int) -> Quaternions:
+    """Divide out the common gcd, like ExactMatrix's canonical form."""
+    g = gcd(den, *nums)
+    if g > 1:
+        nums = [v // g for v in nums]
+        den //= g
+    return (*nums, den)
+
+
+def quaternion_matrix(q: Quaternions) -> ExactMatrix:
+    """The block-diagonal matrix that a quaternion tuple stands for."""
+    den = q[-1]
+    blocks = []
+    for k in range(0, len(q) - 1, 4):
+        alpha = GaussianRational(Fraction(q[k], den), Fraction(q[k + 1], den))
+        beta = GaussianRational(Fraction(q[k + 2], den), Fraction(q[k + 3], den))
+        rows = [[alpha, beta], [-beta.conjugate(), alpha.conjugate()]]
+        blocks.append(ExactMatrix.from_rows(rows))
+    return block_diag(*blocks)
+
+
+def to_quaternions(m: ExactMatrix) -> Quaternions:
+    """Quaternion tuple of a block-diagonal matrix of 2x2 quaternion blocks.
+
+    Raises ValueError for a matrix of any other form.
+    """
+    if m.rows != m.cols or m.rows % 2:
+        raise ValueError("quaternion form needs a square matrix of even size")
+    parts = []
+    for k in range(0, m.rows, 2):
+        alpha, beta = m.entry(k, k), m.entry(k, k + 1)
+        parts += (alpha.re, alpha.im, beta.re, beta.im)
+    den = lcm(*(p.denominator for p in parts))
+    q = _reduced([p.numerator * (den // p.denominator) for p in parts], den)
+    if quaternion_matrix(q) != m:
+        raise ValueError("matrix is not block-diagonal in quaternion form")
+    return q
+
+
+def q_identity(blocks: int) -> Quaternions:
+    """The identity on the given number of 2x2 blocks."""
+    return (1, 0, 0, 0) * blocks + (1,)
+
+
+def q_mul(x: Quaternions, y: Quaternions) -> Quaternions:
+    """Blockwise product: 16 integer multiplies per quaternion.
+
+    (alpha1, beta1)(alpha2, beta2) =
+    (alpha1 alpha2 - beta1 conj(beta2), alpha1 beta2 + beta1 conj(alpha2)).
+    """
+    nums = []
+    for k in range(0, len(x) - 1, 4):
+        a1, b1, c1, d1 = x[k : k + 4]
+        a2, b2, c2, d2 = y[k : k + 4]
+        nums += (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+    return _reduced(nums, x[-1] * y[-1])
+
+
+def q_adjoint(x: Quaternions) -> Quaternions:
+    """Conjugate transpose: conjugate every quaternion."""
+    return tuple(-v if k % 4 else v for k, v in enumerate(x[:-1])) + x[-1:]
+
+
+def q_is_scalar(x: Quaternions) -> bool:
+    """Whether the matrix is c * I: every quaternion real and all equal."""
+    return x[:-1] == (x[0], 0, 0, 0) * ((len(x) - 1) // 4)
+
+
+def q_phase_key(x: Quaternions) -> Quaternions:
+    """Sign-normalised form: the first nonzero numerator made positive.
+
+    For unitaries in SU(2) x SU(2), equal keys mean equal up to a global
+    phase, exactly as equal phase-canonical forms do.
+    """
+    lead = next(v for v in x if v)  # at worst the positive denominator
+    return x if lead > 0 else tuple(-v for v in x[:-1]) + x[-1:]
+
+
 @dataclass(frozen=True, slots=True)
 class CollisionReport:
     """Outcome of an exhaustive word scan up to a length bound."""
@@ -161,7 +253,6 @@ def freeness_scan(
     pair: FreePair,
     max_len: int,
     node_budget: int = 1_000_000,
-    workers: int = 1,
 ) -> CollisionReport:
     """Evaluate every nonempty binary word of length <= max_len.
 
@@ -172,38 +263,35 @@ def freeness_scan(
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    gens = (("0", pair.a), ("1", pair.b))
-
-    def expand(item):
-        word, matrix = item
-        return [(word + bit, matrix @ g) for bit, g in gens]
-
+    gens = (("0", to_quaternions(pair.a)), ("1", to_quaternions(pair.b)))
     seen = {}
     collisions = []
     scalar_words = []
     count = 0
     truncated = False
-    level = [("", ExactMatrix.identity(2))]
+    level = [("", q_identity(1))]
     for _ in range(max_len):
-        if truncated:
-            break
         next_level = []
-        for children in parallel_map(expand, level, workers):
-            for word, matrix in children:
+        for word, q in level:
+            for bit, g in gens:
                 if count >= node_budget:
                     truncated = True
                     break
                 count += 1
-                if matrix.is_scalar():
-                    scalar_words.append(word)
-                prev = seen.get(matrix)
+                child = q_mul(q, g)
+                child_word = word + bit
+                if q_is_scalar(child):
+                    scalar_words.append(child_word)
+                prev = seen.get(child)
                 if prev is None:
-                    seen[matrix] = word
+                    seen[child] = child_word
                 else:
-                    collisions.append((prev, word))
-                next_level.append((word, matrix))
+                    collisions.append((prev, child_word))
+                next_level.append((child_word, child))
             if truncated:
                 break
+        if truncated:
+            break
         level = next_level
     return CollisionReport(
         scanned_max_len=max_len,

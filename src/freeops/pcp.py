@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .util import parallel_map
-
 TileWord = Tuple[int, ...]
 
 
@@ -145,7 +143,6 @@ def solve_bounded(
     inst: PCPInstance,
     max_depth: int,
     node_budget: int = 200_000,
-    workers: int = 1,
 ) -> SearchOutcome:
     """Breadth-first search for a shortest solution of at most max_depth tiles.
 
@@ -161,14 +158,6 @@ def solve_bounded(
                 " trivial solution"
             )
     tiles = list(enumerate(inst.tiles, start=1))
-
-    def expand(item):
-        (sign, over), word = item
-        out = []
-        for idx, (top, bottom) in tiles:
-            out.append((_step(sign, over, top, bottom), word + (idx,)))
-        return out
-
     visited = {(0, "")}
     frontier = [((0, ""), ())]
     expanded = 0
@@ -176,9 +165,11 @@ def solve_bounded(
     depth_done = 0
     for depth in range(1, max_depth + 1):
         next_frontier = []
-        for children in parallel_map(expand, frontier, workers):
-            expanded += len(children)
-            for result, word in children:
+        for (sign, over), parent in frontier:
+            expanded += len(tiles)
+            for idx, (top, bottom) in tiles:
+                result = _step(sign, over, top, bottom)
+                word = parent + (idx,)
                 if result == "solved":
                     return SearchOutcome(FOUND, word, depth, expanded)
                 if result is not None and result not in visited:

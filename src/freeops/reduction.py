@@ -7,6 +7,10 @@ product can only collapse to a scalar when the index bookkeeping telescopes
 and the two encoded words agree.  Wrapping the unitaries in depolarising
 channels with exact damping turns word search into membership search for
 the channel semigroup.
+
+Every compiled unitary lies in SU(2) x SU(2), so the searches multiply
+integer quaternion pairs (see freerot), where phase equivalence is equality
+up to sign; ExactMatrix work is left to the values a report prints.
 """
 
 from __future__ import annotations
@@ -25,9 +29,17 @@ from .exact import (
     block_diag,
     rat_to_str,
 )
-from .freerot import FreePair, encode_word
+from .freerot import (
+    FreePair,
+    encode_word,
+    q_adjoint,
+    q_identity,
+    q_is_scalar,
+    q_mul,
+    q_phase_key,
+    to_quaternions,
+)
 from .pcp import PCPInstance, TileWord
-from .util import parallel_map
 
 FOUND = "found"
 EXHAUSTED = "exhausted_to_depth"
@@ -198,7 +210,9 @@ def phase_canonical(m: ExactMatrix) -> ExactMatrix:
 
     Two unitaries are equal up to a global phase exactly when their
     canonical forms coincide; dividing by the entry itself (rather than
-    its phase) keeps everything inside Q(i).
+    its phase) keeps everything inside Q(i).  The searches compare sign
+    keys of quaternion pairs instead; this form only fixes the bytes of
+    the reported unitary digest.
     """
     for z in m.entries():
         if z:
@@ -288,56 +302,55 @@ def _found_outcome(
 
 
 def _generic_search(
-    gens: GeneratorSet, max_depth: int, node_budget: int, workers: int
+    gens: GeneratorSet, max_depth: int, node_budget: int
 ) -> MembershipOutcome:
     """Shortest scalar word over all 2k generators.
 
     Meet-in-the-middle over exact products: u ++ v multiplies to a scalar
-    exactly when the phase-canonical form of v's product equals that of
-    the adjoint of u's product.  Levels are deduplicated on the exact
-    product with the first (lexicographically least) word retained, so the
-    result matches a breadth-first scan over all words: the witness is the
-    shortest scalar word, lexicographically least among equals.
+    exactly when the phase key of v's product equals that of the adjoint
+    of u's product.  Levels are deduplicated on the exact product with the
+    first (lexicographically least) word retained, so the result matches a
+    breadth-first scan over all words: the witness is the shortest scalar
+    word, lexicographically least among equals.
     """
-    letters = [(ch.word[0], ch.unitary, ch.damping) for ch in gens.channels()]
-    ident = ExactMatrix.identity(4)
+    letters = [
+        (ch.word[0], to_quaternions(ch.unitary), ch.damping) for ch in gens.channels()
+    ]
+    ident = q_identity(2)
     levels = [{ident: ((), Fraction(1))}]
-    canon_levels = [{phase_canonical(ident): ((), Fraction(1))}]
+    canon_levels = [{q_phase_key(ident): ((), Fraction(1))}]
     expanded = 0
     truncated = False
     checked = 0
 
-    def expand(item):
-        matrix, (word, damp) = item
-        return [(matrix @ u, word + (lab,), damp * d) for lab, u, d in letters]
-
     half = (max_depth + 1) // 2
     for j in range(1, half + 1):
         new_level = {}
-        for children in parallel_map(expand, list(levels[j - 1].items()), workers):
-            if truncated:
-                break
-            for mat, word, damp in children:
+        for q, (word, damp) in levels[j - 1].items():
+            for lab, u, d in letters:
                 if expanded >= node_budget:
                     truncated = True
                     break
                 expanded += 1
-                if mat not in new_level:
-                    new_level[mat] = (word, damp)
+                child = q_mul(q, u)
+                if child not in new_level:
+                    new_level[child] = (word + (lab,), damp * d)
+            if truncated:
+                break
         if truncated:
             break
         canon = {}
-        for mat, payload in new_level.items():
-            c = phase_canonical(mat)
-            if c not in canon:
-                canon[c] = payload
+        for q, payload in new_level.items():
+            key = q_phase_key(q)
+            if key not in canon:
+                canon[key] = payload
         levels.append(new_level)
         canon_levels.append(canon)
         for m, back in ((2 * j - 1, j - 1), (2 * j, j)):
             if not 1 <= m <= max_depth:
                 continue
-            for mat, (word, damp) in levels[j].items():
-                hit = canon_levels[back].get(phase_canonical(mat.dagger()))
+            for q, (word, damp) in levels[j].items():
+                hit = canon_levels[back].get(q_phase_key(q_adjoint(q)))
                 if hit is not None:
                     back_word, back_damp = hit
                     return _found_outcome(
@@ -358,7 +371,7 @@ def _generic_search(
 
 
 def _structured_search(
-    gens: GeneratorSet, max_depth: int, node_budget: int, workers: int
+    gens: GeneratorSet, max_depth: int, node_budget: int
 ) -> MembershipOutcome:
     """Search only sandwich words G_{an}..G_{a1} H_{a1}..H_{an}.
 
@@ -367,48 +380,43 @@ def _structured_search(
     blocks telescope identically, so a scalar can only be the identity and
     certifies a matching tile word.
     """
-    k = gens.instance.size
     tile_bound = max_depth // 2
     expanded = 0
     truncated = False
-    ident = ExactMatrix.identity(4)
+    ident = q_identity(2)
     visited = {ident}
     frontier = [(ident, ())]
     pairs = [
-        (i, gens.g_gens[i - 1], gens.h_gens[i - 1]) for i in range(1, k + 1)
+        (i, to_quaternions(g.unitary), to_quaternions(h.unitary), g.damping * h.damping)
+        for i, (g, h) in enumerate(zip(gens.g_gens, gens.h_gens), start=1)
     ]
-
-    def expand(item):
-        matrix, word = item
-        return [
-            (g.unitary @ matrix @ h.unitary, word + (i,), g.damping * h.damping)
-            for i, g, h in pairs
-        ]
 
     damping_of: Dict[TileWord, Fraction] = {(): Fraction(1)}
     depth_done = 0
     for n in range(1, tile_bound + 1):
         next_frontier = []
-        for children in parallel_map(expand, frontier, workers):
-            if truncated:
-                break
-            for mat, word, step_damp in children:
+        for q, parent in frontier:
+            for i, g, h, step_damp in pairs:
                 if expanded >= node_budget:
                     truncated = True
                     break
                 expanded += 1
-                damping = damping_of[word[:-1]] * step_damp
-                if mat.is_scalar():
+                child = q_mul(q_mul(g, q), h)
+                word = parent + (i,)
+                damping = damping_of[parent] * step_damp
+                if q_is_scalar(child):
                     witness = tuple(f"G{i}" for i in reversed(word)) + tuple(
                         f"H{i}" for i in word
                     )
                     return _found_outcome(
                         gens, "structured", witness, damping, 2 * n, expanded
                     )
-                if mat not in visited:
-                    visited.add(mat)
+                if child not in visited:
+                    visited.add(child)
                     damping_of[word] = damping
-                    next_frontier.append((mat, word))
+                    next_frontier.append((child, word))
+            if truncated:
+                break
         if truncated:
             break
         depth_done = n
@@ -433,7 +441,6 @@ def membership_search(
     max_depth: int,
     mode: str = "generic",
     node_budget: int = 500_000,
-    workers: int = 1,
 ) -> MembershipOutcome:
     """Semi-decide whether the depolarising target lies in the generated
     semigroup, by hunting for a nonempty generator word whose unitary part
@@ -442,9 +449,9 @@ def membership_search(
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     if mode == "generic":
-        return _generic_search(gens, max_depth, node_budget, workers)
+        return _generic_search(gens, max_depth, node_budget)
     if mode == "structured":
-        return _structured_search(gens, max_depth, node_budget, workers)
+        return _structured_search(gens, max_depth, node_budget)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -471,37 +478,34 @@ class DiffOutcome:
 def _closure(
     channels: Sequence[ChannelElement], max_depth: int, node_budget: int
 ):
-    """All canonical channel forms (phase-canonical unitary, damping)
-    reachable by words of length <= max_depth, with shortest word kept."""
+    """All canonical channel forms (phase key of the unitary, damping)
+    reachable by words of length <= max_depth, with shortest word kept.
+
+    Returns the forms, the expansion count, whether the budget cut the
+    search, and the deepest level that was fully enumerated."""
     if not channels:
         raise ValueError("need at least one channel")
-    dim = channels[0].dim
-    ident = ExactMatrix.identity(dim)
-    elems = {(phase_canonical(ident), Fraction(1)): ((), 0)}
+    letters = [(to_quaternions(ch.unitary), ch.label, ch.damping) for ch in channels]
+    ident = q_identity(channels[0].dim // 2)
+    elems = {(q_phase_key(ident), Fraction(1)): ((), 0)}
     frontier = [(ident, (), Fraction(1))]
     expanded = 0
-    truncated = False
     for depth in range(1, max_depth + 1):
         nxt = []
-        for mat, word, damp in frontier:
-            if truncated:
-                break
-            for ch in channels:
+        for q, word, damp in frontier:
+            for u, label, d in letters:
                 if expanded >= node_budget:
-                    truncated = True
-                    break
+                    return elems, expanded, True, depth - 1
                 expanded += 1
-                m2 = mat @ ch.unitary
-                w2 = word + (ch.label,)
-                d2 = damp * ch.damping
-                key = (phase_canonical(m2), d2)
+                child = q_mul(q, u)
+                child_damp = damp * d
+                key = (q_phase_key(child), child_damp)
                 if key not in elems:
-                    elems[key] = (w2, depth)
-                    nxt.append((m2, w2, d2))
-        if truncated:
-            break
+                    child_word = word + (label,)
+                    elems[key] = (child_word, depth)
+                    nxt.append((child, child_word, child_damp))
         frontier = nxt
-    return elems, expanded, truncated
+    return elems, expanded, False, max_depth
 
 
 def theory_diff(
@@ -516,10 +520,12 @@ def theory_diff(
     in the other set's bounded closure.  A generator absent from a fully
     enumerated closure witnesses bounded distinctness; if every generator is
     realized both ways the sets are indistinguishable up to the depth bound.
-    No outcome ever claims unconditional equality.
+    No outcome ever claims unconditional equality.  When a budget cuts a
+    closure short, depth_reached is the deepest level both closures
+    completed.
     """
-    e1, n1, t1 = _closure(f1, max_depth, node_budget)
-    e2, n2, t2 = _closure(f2, max_depth, node_budget)
+    e1, n1, t1, done1 = _closure(f1, max_depth, node_budget)
+    e2, n2, t2, done2 = _closure(f2, max_depth, node_budget)
     matches: Dict[str, dict] = {}
     witness = None
     for side, own, other_elems, other_truncated in (
@@ -527,7 +533,7 @@ def theory_diff(
         (1, f1, e2, t2),
     ):
         for ch in own:
-            key = (phase_canonical(ch.unitary), ch.damping)
+            key = (q_phase_key(to_quaternions(ch.unitary)), ch.damping)
             hit = other_elems.get(key)
             if hit is not None:
                 word, depth = hit
@@ -547,7 +553,7 @@ def theory_diff(
         status=status,
         witness=witness,
         matches=matches,
-        depth_reached=max_depth,
+        depth_reached=min(done1, done2),
         nodes_expanded=n1 + n2,
         truncated=t1 or t2,
     )

@@ -22,7 +22,6 @@ from .exact import (
     rat_to_str,
 )
 from .reduction import choi
-from .util import parallel_map
 
 
 class NotCPTPError(ValueError):
@@ -166,7 +165,6 @@ def explore(
     seeds: Sequence[ExactDensityMatrix],
     max_depth: int,
     node_budget: int = 100_000,
-    workers: int = 1,
 ) -> ReachGraph:
     """Breadth-first closure of the seeds under the channels.
 
@@ -200,23 +198,16 @@ def explore(
     edges = []
     edge_seen = set()
     truncated = False
-
-    def expand(item):
-        _, state = item
-        return [
-            (ch.label, ExactDensityMatrix(ch.apply_to_matrix(state.mat)))
-            for ch in channels
-        ]
-
     for _ in range(max_depth):
         if truncated or not frontier:
             break
         next_frontier = []
-        children_lists = parallel_map(expand, frontier, workers)
-        for (nid, _), children in zip(frontier, children_lists):
+        for nid, state in frontier:
             if truncated:
                 break
-            for label, out in children:
+            for ch in channels:
+                label = ch.label
+                out = ExactDensityMatrix(ch.apply_to_matrix(state.mat))
                 oid = out.digest()
                 existing = nodes.get(oid)
                 if existing is not None:

@@ -1,24 +1,9 @@
-"""Small shared helpers: deterministic parallel mapping and canonical JSON."""
+"""Small shared helpers: canonical JSON and hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-
-
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """Map preserving input order.
-
-    With workers > 1 the work is spread over a thread pool; results are
-    collected in input order, so callers that merge sequentially get
-    identical output for every worker count.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def canonical_json(data) -> str:

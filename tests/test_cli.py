@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from freeops import cli
 from freeops import reduction
 
@@ -27,9 +29,6 @@ def load(path):
 def normalized(report: dict) -> str:
     trimmed = dict(report)
     trimmed.pop("wall_time_s", None)
-    config = dict(trimmed.get("config", {}))
-    config.pop("workers", None)
-    trimmed["config"] = config
     return json.dumps(trimmed, sort_keys=True)
 
 
@@ -114,6 +113,18 @@ def test_compile_bundle(tmp_path):
     assert bundle["rotation"]["cos"] == "3/5"
 
 
+def test_ignored_flags_rejected(tmp_path):
+    inst = write_instance(tmp_path, "0|100\n")
+    for argv in (
+        ["compile", "--instance", inst, "--budget", "5"],
+        ["solve-pcp", "--instance", inst, "--depth", "2", "--workers", "2"],
+        ["diff", "--instance", inst, "--depth", "2", "--workers", "2"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+
+
 # --- membership --------------------------------------------------------------------------
 
 
@@ -162,12 +173,34 @@ def test_membership_degenerate_tile_errors(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [
+        ArithmeticError("inexact division"),
+        RuntimeError("digest collision"),
+        MemoryError(),
+    ],
+)
+def test_internal_failures_exit_2(monkeypatch, capsys, exc):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_monotones", failing)
+    code = run(["monotones", "--graph", "demo"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.strip() != "error:"
+    assert "Traceback" not in captured.err
+
+
 def test_membership_mismatch_alarm(tmp_path, monkeypatch):
     # force a fake Found against an unsolvable oracle: the wiring must trip
     inst = write_instance(tmp_path, IMPOSSIBLE)
     real = reduction.membership_search
 
-    def fake(gens, depth, mode="generic", node_budget=0, workers=1):
+    def fake(gens, depth, mode="generic", node_budget=0):
         out = real(gens, 2, mode=mode)
         return reduction.MembershipOutcome(
             status=reduction.FOUND,
@@ -308,9 +341,14 @@ def test_diff_unsolvable_distinct(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the child must import the same package as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     inst = write_instance(tmp_path, TRIVIAL)
     proc = subprocess.run(
         [
@@ -325,6 +363,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outcome"]["witness"] == [1]
@@ -344,22 +383,13 @@ def test_reports_byte_identical_across_runs(tmp_path):
 
 
 def test_reports_identical_across_worker_counts(tmp_path):
+    # runs are single-threaded; repeated solve-pcp reports must agree
     inst = write_instance(tmp_path, CLASSIC)
     texts = []
-    for workers in ("1", "2", "8"):
-        out = tmp_path / f"w{workers}.json"
+    for i in range(3):
+        out = tmp_path / f"run{i}.json"
         code = run(
-            [
-                "solve-pcp",
-                "--instance",
-                inst,
-                "--depth",
-                "6",
-                "--workers",
-                workers,
-                "--out",
-                str(out),
-            ]
+            ["solve-pcp", "--instance", inst, "--depth", "6", "--out", str(out)]
         )
         assert code == 0
         texts.append(normalized(load(out)))

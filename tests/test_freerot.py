@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeops.exact import ExactMatrix, gr
+from corpus import CORPUS
+from freeops.exact import ExactMatrix, block_diag, gr
 from freeops.freerot import (
     AxisError,
     FreenessError,
@@ -15,9 +16,17 @@ from freeops.freerot import (
     encode_word,
     freeness_scan,
     make_free_pair,
+    q_adjoint,
+    q_identity,
+    q_is_scalar,
+    q_mul,
+    q_phase_key,
+    quaternion_matrix,
     rotation_matrix,
     standard_params,
+    to_quaternions,
 )
+from freeops.reduction import compile_generators, phase_canonical
 
 PAIR = make_free_pair(standard_params())
 
@@ -195,9 +204,9 @@ def test_scan_budget_truncation():
 
 
 def test_scan_worker_counts_agree():
-    base = freeness_scan(PAIR, 8, workers=1)
-    for workers in (2, 8):
-        assert freeness_scan(PAIR, 8, workers=workers) == base
+    # the scan is single-threaded; repeat runs must agree exactly
+    runs = [freeness_scan(PAIR, 8) for _ in range(3)]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_report_json_shape():
@@ -207,3 +216,78 @@ def test_report_json_shape():
     assert data["word_count"] == 6
     assert {"word_a": "01", "word_b": "10"} in data["collisions"]
     assert data["truncated"] is False
+
+
+# --- quaternion kernel -------------------------------------------------------------
+
+
+def _letter_sets():
+    """Letter sets for random words: the free pair, and each corpus
+    instance's compiled unitaries plus their adjoints and diag(I, -I), so
+    that words can cancel and blocks can disagree in sign."""
+    sets = [[PAIR.a, PAIR.b, PAIR.a.dagger(), PAIR.b.dagger()]]
+    flip = block_diag(ExactMatrix.identity(2), ExactMatrix.identity(2).scale(-1))
+    for entry in CORPUS:
+        gens = compile_generators(entry.instance, PAIR, Fraction(1, 2))
+        units = [ch.unitary for ch in gens.channels()]
+        sets.append(units + [u.dagger() for u in units] + [flip])
+    return sets
+
+
+LETTER_SETS = _letter_sets()
+
+
+def _word_product(letters, word):
+    """(ExactMatrix product, quaternion product) of a word over letters."""
+    m = ExactMatrix.identity(letters[0].rows)
+    q = q_identity(letters[0].rows // 2)
+    for i in word:
+        m = m @ letters[i]
+        q = q_mul(q, to_quaternions(letters[i]))
+    return m, q
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_quaternion_kernel_matches_matrix_oracle(data):
+    letters = data.draw(st.sampled_from(LETTER_SETS))
+    index = st.integers(0, len(letters) - 1)
+    mu, qu = _word_product(letters, data.draw(st.lists(index, max_size=6)))
+    mv, qv = _word_product(letters, data.draw(st.lists(index, max_size=6)))
+    assert to_quaternions(mu) == qu
+    assert quaternion_matrix(qu) == mu
+    assert quaternion_matrix(q_mul(qu, qv)) == mu @ mv
+    assert quaternion_matrix(q_adjoint(qu)) == mu.dagger()
+    for q, m in ((qu, mu), (q_mul(qu, q_adjoint(qv)), mu @ mv.dagger())):
+        assert q_is_scalar(q) == m.is_scalar()
+    minus_one = tuple(-v for v in q_identity(len(qu) // 4)[:-1]) + (1,)
+    neg = q_mul(qu, minus_one)
+    assert quaternion_matrix(neg) == mu.scale(-1)
+    for qa, ma, qb, mb in ((qu, mu, qv, mv), (qu, mu, neg, mu.scale(-1))):
+        same_key = q_phase_key(qa) == q_phase_key(qb)
+        assert same_key == (phase_canonical(ma) == phase_canonical(mb))
+
+
+def test_quaternion_scalar_needs_equal_real_blocks():
+    for q, scalar in (
+        ((1, 0, 0, 0, 1, 0, 0, 0, 1), True),
+        ((-3, 0, 0, 0, -3, 0, 0, 0, 5), True),
+        ((1, 0, 0, 0, -1, 0, 0, 0, 1), False),
+        ((0, 1, 0, 0, 0, 1, 0, 0, 1), False),
+    ):
+        assert q_is_scalar(q) is scalar
+        assert quaternion_matrix(q).is_scalar() is scalar
+
+
+def test_to_quaternions_rejects_other_forms():
+    swap = ExactMatrix.from_rows(
+        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    )
+    for m in (
+        ExactMatrix.diagonal([gr(0, 1), gr(1)]),  # unitary, not in SU(2)
+        swap,  # unitary, not block-diagonal
+        ExactMatrix.identity(3),
+        ExactMatrix.zeros(2, 4),
+    ):
+        with pytest.raises(ValueError):
+            to_quaternions(m)

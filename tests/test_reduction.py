@@ -1,5 +1,6 @@
 """Generator compilation, channel algebra, membership search, and diffing."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -273,11 +274,54 @@ def test_membership_budget_truncation():
 
 
 def test_membership_worker_counts_agree():
+    # the searches are single-threaded; repeat runs must agree exactly
     gens = compiled("01|0\n1|11")
     for mode in ("generic", "structured"):
-        base = membership_search(gens, 4, mode=mode, workers=1)
-        for workers in (2, 8):
-            assert membership_search(gens, 4, mode=mode, workers=workers) == base
+        runs = [membership_search(gens, 4, mode=mode) for _ in range(3)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def _bfs_scalar_word(gens, max_depth):
+    """Oracle: the first scalar word in length-then-lexicographic order over
+    the generator list, by plain BFS over ExactMatrix products."""
+    letters = [(ch.word[0], ch.unitary) for ch in gens.channels()]
+    level = [((), ExactMatrix.identity(4))]
+    for _ in range(max_depth):
+        level = [(w + (lab,), m @ u) for w, m in level for lab, u in letters]
+        for word, m in level:
+            if m.is_scalar():
+                return word
+    return None
+
+
+def test_generic_witness_matches_bruteforce_bfs():
+    depth = 5
+    for entry in CORPUS:
+        if entry.size > 3:
+            continue
+        gens = compile_generators(entry.instance, PAIR, HALF)
+        expected = _bfs_scalar_word(gens, depth)
+        out = membership_search(gens, depth, mode="generic")
+        if expected is None:
+            assert out.status == EXHAUSTED, entry.name
+        else:
+            assert out.status == FOUND, entry.name
+            assert out.witness == expected, entry.name
+            assert out.depth_reached == len(expected)
+
+
+def test_searches_reject_unitaries_outside_quaternion_form():
+    swap = ExactMatrix.from_rows(
+        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    )
+    channel = ChannelElement(swap, HALF, ("S",))
+    with pytest.raises(ValueError):
+        theory_diff([channel], [channel], 2)
+    gens = compiled("0|0")
+    bad = dataclasses.replace(gens, h_gens=(channel,))
+    for mode in ("generic", "structured"):
+        with pytest.raises(ValueError):
+            membership_search(bad, 2, mode=mode)
 
 
 def test_witness_channel_acts_like_target():
@@ -369,6 +413,22 @@ def test_diff_solvable_realizes_target():
     for lab in realized["realized_by"]:
         product = product @ by_label[lab]
     assert product.is_scalar()
+
+
+def test_diff_truncated_reports_completed_depth():
+    gens = compiled("0|1")
+    f1 = gens.channels()
+    f2 = f1 + (labeled(make_target(Fraction(1, 4)), "PSI"),)
+    full = theory_diff(f1, f2, 4)
+    assert not full.truncated and full.depth_reached == 4
+    # f1 (2 letters) completes depth 2 within 7 expansions (2 + 4) but f2
+    # (3 letters) only depth 1 (3, then its second level is cut)
+    out = theory_diff(f1, f2, 4, node_budget=7)
+    assert out.truncated
+    assert out.depth_reached == 1
+    assert out.nodes_expanded == 14
+    # a budget that only cuts level 1 of both closures completes nothing
+    assert theory_diff(f1, f2, 4, node_budget=1).depth_reached == 0
 
 
 def test_diff_statuses_never_claim_equality():

@@ -132,12 +132,11 @@ def test_explore_budget_truncation():
 
 
 def test_explore_worker_counts_agree():
+    # exploration is single-threaded; repeat runs must agree exactly
     gens = compile_generators(parse_instance("0|0"), PAIR, HALF)
     seed = ExactDensityMatrix.basis_state(4, 2)
-    base = explore(gens.channels(), [seed], 3, workers=1)
-    for workers in (2, 8):
-        again = explore(gens.channels(), [seed], 3, workers=workers)
-        assert again == base
+    runs = [explore(gens.channels(), [seed], 3) for _ in range(3)]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 # --- reach queries -----------------------------------------------------------------
