@@ -207,8 +207,6 @@ def _cmd_monotones(args):
         graph = resourcegraph.demo_graph()
         config["graph"] = "demo"
     else:
-        if not args.instance:
-            raise ValueError("monotones needs --graph demo or --instance FILE")
         inst, hashes = _load_instance(args)
         gens = reduction.compile_generators(
             inst, _build_pair(args), rat_from_str(args.damping)
@@ -347,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "monotones", help="quotient a graph and build the monotone family"
     )
-    p.add_argument("--graph", default=None, help="'demo' for the built-in fixture")
-    p.add_argument("--instance", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", choices=("demo",), help="the built-in fixture")
+    source.add_argument("--instance")
     _add_rotation_args(p)
     p.add_argument("--damping", default="1/2")
     p.add_argument("--depth", type=int, default=3)
@@ -376,22 +375,22 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, config, hashes, outcome, extra = args.handler(args)
+        report = {
+            "config": config,
+            "input_hashes": hashes,
+            "outcome": outcome,
+            "wall_time_s": round(time.perf_counter() - start, 6),
+        }
+        if args.out:
+            with open(args.out, "w") as fp:
+                canonical_json(report, fp)
+        else:
+            canonical_json(report, sys.stdout)
+        for path, content in extra.items():
+            Path(path).write_text(content)
     except (ValueError, OSError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
-    report = {
-        "config": config,
-        "input_hashes": hashes,
-        "outcome": outcome,
-        "wall_time_s": round(time.perf_counter() - start, 6),
-    }
-    text = canonical_json(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    for path, content in extra.items():
-        Path(path).write_text(content)
     return code
 
 

@@ -1,15 +1,18 @@
 """State-level reachability: graphs, quotient DAGs, and complete monotones.
 
 A finite set of exact channels acting on exact states generates a
-transition graph.  Collapsing mutually reachable states (cycles) gives an
-acyclic quotient; assigning each base class the reciprocal longest-path
-monotone, value 2 off the reachable region, yields a family that is
-compatible with every edge and reproduces the reachability partial order
-exactly on the explored graph.
+transition graph whose edges all have unit length.  Collapsing mutually
+reachable states (cycles) gives an acyclic quotient.  Each base class gets
+the longest-path monotone: a table of integer longest distances from the
+base (-1 off its reachable region), read as the value 1/(l+1) at distance
+l and 2 off the region.  The family of all such tables is compatible with
+every edge and reproduces the reachability partial order exactly on the
+explored graph.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,18 +69,12 @@ class KrausChannel:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))
 
 
-_CPTP_CACHE: dict = {}
-
-
 def certify_cptp(channel) -> ExactMatrix:
     """Choi certification: positive semidefinite and trace preserving.
 
     Returns the Choi operator; raises NotCPTPError with it as witness
-    otherwise.  Results are cached per channel object value.
+    otherwise.
     """
-    cached = _CPTP_CACHE.get(channel)
-    if cached is not None:
-        return cached
     j = choi(channel)
     if not j.is_hermitian():
         raise NotCPTPError("Choi operator is not Hermitian", channel.label, j)
@@ -88,7 +85,6 @@ def certify_cptp(channel) -> ExactMatrix:
     d = channel.dim
     if j.partial_trace_first(d, d) != ExactMatrix.identity(d):
         raise NotCPTPError("map is not trace preserving", channel.label, j)
-    _CPTP_CACHE[channel] = j
     return j
 
 
@@ -97,12 +93,12 @@ class ReachGraph:
     """Bounded closure of seed states under a finite channel set.
 
     Nodes are keyed by state digest (synthetic graphs may carry None
-    states); every edge has unit length, kept rational so weighted graphs
-    stay expressible.
+    states).  An edge is (source, target, channel label); every edge has
+    unit length, which the JSON export prints as "1".
     """
 
     nodes: Dict[str, Optional[ExactDensityMatrix]]
-    edges: Tuple[Tuple[str, str, str, Fraction], ...]
+    edges: Tuple[Tuple[str, str, str], ...]
     seeds: Tuple[str, ...]
     depth_bound: int
     truncated: bool = False
@@ -121,14 +117,14 @@ class ReachGraph:
                 raise ValueError(f"edge ({u}, {v}) references unknown node")
         return cls(
             nodes={n: None for n in node_ids},
-            edges=tuple((u, v, lab, Fraction(1)) for u, v, lab in edges),
+            edges=tuple(edges),
             seeds=tuple(seeds),
             depth_bound=depth_bound,
         )
 
     def adjacency(self) -> Dict[str, List[Tuple[str, str]]]:
         adj: Dict[str, List[Tuple[str, str]]] = {n: [] for n in self.nodes}
-        for u, v, lab, _ in self.edges:
+        for u, v, lab in self.edges:
             adj[u].append((lab, v))
         for n in adj:
             adj[n].sort()
@@ -140,10 +136,7 @@ class ReachGraph:
                 nid: (state.to_json_dict() if state is not None else None)
                 for nid, state in sorted(self.nodes.items())
             },
-            "edges": [
-                [u, v, lab, rat_to_str(ln)]
-                for u, v, lab, ln in sorted(self.edges)
-            ],
+            "edges": [[u, v, lab, "1"] for u, v, lab in sorted(self.edges)],
             "seeds": list(self.seeds),
             "depth_bound": self.depth_bound,
             "truncated": self.truncated,
@@ -154,7 +147,7 @@ class ReachGraph:
         for nid in sorted(self.nodes):
             shape = "doubleoctagon" if nid in self.seeds else "ellipse"
             lines.append(f'  "{nid}" [label="{nid[:8]}" shape={shape}];')
-        for u, v, lab, _ in sorted(self.edges):
+        for u, v, lab in sorted(self.edges):
             lines.append(f'  "{u}" -> "{v}" [label="{lab}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -195,8 +188,7 @@ def explore(
         if nid not in nodes:
             nodes[nid] = s
             frontier.append((nid, s))
-    edges = []
-    edge_seen = set()
+    edges: Dict[Tuple[str, str, str], None] = {}  # insertion-ordered set
     truncated = False
     for _ in range(max_depth):
         if truncated or not frontier:
@@ -206,7 +198,6 @@ def explore(
             if truncated:
                 break
             for ch in channels:
-                label = ch.label
                 out = ExactDensityMatrix(ch.apply_to_matrix(state.mat))
                 oid = out.digest()
                 existing = nodes.get(oid)
@@ -219,10 +210,7 @@ def explore(
                         break
                     nodes[oid] = out
                     next_frontier.append((oid, out))
-                key = (nid, oid, label)
-                if key not in edge_seen:
-                    edge_seen.add(key)
-                    edges.append((nid, oid, label, Fraction(1)))
+                edges[(nid, oid, ch.label)] = None
         frontier = next_frontier
     return ReachGraph(
         nodes=dict(nodes),
@@ -339,11 +327,15 @@ def _tarjan_scc(nodes: Sequence[str], adj: Dict[str, List[str]]) -> List[List[st
 
 @dataclass(frozen=True, slots=True)
 class QuotientDAG:
-    """Strongly-connected components of a reach graph; acyclic by collapse."""
+    """Strongly-connected components of a reach graph; acyclic by collapse.
+
+    Edges are the sorted distinct (u, v) class pairs with u != v; like the
+    graph's edges they have unit length.
+    """
 
     classes: Tuple[Tuple[str, ...], ...]
     class_of: Dict[str, int]
-    edges: Tuple[Tuple[int, int, Fraction], ...]
+    edges: Tuple[Tuple[int, int], ...]
 
     @property
     def size(self) -> int:
@@ -352,24 +344,28 @@ class QuotientDAG:
     def representative(self, idx: int) -> str:
         return self.classes[idx][0]
 
-    def topological_order(self) -> List[int]:
-        """Deterministic Kahn order; raises ValueError on a cycle."""
-        indeg = [0] * self.size
+    def successors(self) -> List[List[int]]:
         out: List[List[int]] = [[] for _ in range(self.size)]
-        for u, v, _ in self.edges:
+        for u, v in self.edges:
             out[u].append(v)
+        return out
+
+    def topological_order(self) -> List[int]:
+        """Kahn order, smallest ready class first; raises ValueError on a
+        cycle."""
+        indeg = [0] * self.size
+        for _, v in self.edges:
             indeg[v] += 1
-        ready = sorted(i for i in range(self.size) if indeg[i] == 0)
+        out = self.successors()
+        ready = [i for i in range(self.size) if indeg[i] == 0]  # ascending: a heap
         order = []
         while ready:
-            u = ready.pop(0)
+            u = heapq.heappop(ready)
             order.append(u)
-            fresh = []
             for v in out[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
-                    fresh.append(v)
-            ready = sorted(ready + fresh)
+                    heapq.heappush(ready, v)
         if len(order) != self.size:
             raise ValueError("quotient graph contains a cycle")
         return order
@@ -381,8 +377,8 @@ class QuotientDAG:
                 for i, members in enumerate(self.classes)
             },
             "edges": [
-                [self.representative(u), self.representative(v), rat_to_str(ln)]
-                for u, v, ln in self.edges
+                [self.representative(u), self.representative(v), "1"]
+                for u, v in self.edges
             ],
         }
 
@@ -394,7 +390,7 @@ class QuotientDAG:
             for m in members:
                 lines.append(f'    "{m}" [label="{m[:8]}"];')
             lines.append("  }")
-        for u, v, _ in self.edges:
+        for u, v in self.edges:
             lines.append(
                 f'  "{self.representative(u)}" -> "{self.representative(v)}"'
                 f" [ltail=cluster_{u} lhead=cluster_{v}];"
@@ -408,7 +404,7 @@ def quotient(g: ReachGraph) -> QuotientDAG:
     when each is reachable from the other."""
     nodes = sorted(g.nodes)
     adj: Dict[str, List[str]] = {n: [] for n in nodes}
-    for u, v, _, _ in g.edges:
+    for u, v, _ in g.edges:
         adj[u].append(v)
     for n in adj:
         adj[n] = sorted(set(adj[n]))
@@ -418,18 +414,11 @@ def quotient(g: ReachGraph) -> QuotientDAG:
     for i, comp in enumerate(sccs):
         for n in comp:
             class_of[n] = i
-    lengths: Dict[Tuple[int, int], Fraction] = {}
-    for u, v, _, ln in g.edges:
-        cu, cv = class_of[u], class_of[v]
-        if cu == cv:
-            continue
-        prev = lengths.get((cu, cv))
-        if prev is None or ln > prev:
-            lengths[(cu, cv)] = ln
+    class_edges = {(class_of[u], class_of[v]) for u, v, _ in g.edges}
     q = QuotientDAG(
         classes=tuple(tuple(c) for c in sccs),
         class_of=class_of,
-        edges=tuple((u, v, lengths[(u, v)]) for u, v in sorted(lengths)),
+        edges=tuple(sorted((u, v) for u, v in class_edges if u != v)),
     )
     q.topological_order()  # collapse guarantees acyclicity; fail loudly if not
     return q
@@ -438,46 +427,55 @@ def quotient(g: ReachGraph) -> QuotientDAG:
 UNREACHABLE_VALUE = Fraction(2)
 
 
+def _distance_value(d: int) -> Fraction:
+    return Fraction(1, d + 1) if d >= 0 else UNREACHABLE_VALUE
+
+
 @dataclass(frozen=True, slots=True)
 class MonotoneTable:
-    """Values of the base class's monotone on every quotient class."""
+    """The base class's monotone as integer longest distances, one per
+    quotient class: dist[c] is the longest path length from the base to c,
+    or -1 when the base cannot reach c.  A larger distance means a smaller
+    value."""
 
     base: int
-    values: Dict[int, Fraction]
+    dist: Tuple[int, ...]
+
+    def value(self, c: int) -> Fraction:
+        """1/(l+1) at longest distance l, UNREACHABLE_VALUE off the region."""
+        return _distance_value(self.dist[c])
 
     def to_json_dict(self, q: QuotientDAG) -> dict:
+        # One string per distinct distance, shared by every class at it.
+        text = {d: rat_to_str(_distance_value(d)) for d in set(self.dist)}
         return {
             "base": q.representative(self.base),
             "values": {
-                q.representative(c): rat_to_str(v)
-                for c, v in sorted(self.values.items())
+                q.representative(c): text[d] for c, d in enumerate(self.dist)
             },
         }
+
+
+def _longest_distances(
+    base: int, order: Sequence[int], out: Sequence[Sequence[int]]
+) -> MonotoneTable:
+    """Relax unit edges along a topological order, starting from the base."""
+    dist = [-1] * len(order)
+    dist[base] = 0
+    for u in order:
+        du = dist[u]
+        if du < 0:
+            continue
+        for v in out[u]:
+            if du + 1 > dist[v]:
+                dist[v] = du + 1
+    return MonotoneTable(base=base, dist=tuple(dist))
 
 
 def monotone(q: QuotientDAG, base: int) -> MonotoneTable:
     """Longest-path monotone: 1/(l+1) on classes at longest distance l from
     the base, 2 on classes the base cannot reach."""
-    order = q.topological_order()
-    out: List[List[Tuple[int, Fraction]]] = [[] for _ in range(q.size)]
-    for u, v, ln in q.edges:
-        out[u].append((v, ln))
-    dist: Dict[int, Fraction] = {base: Fraction(0)}
-    for u in order:
-        du = dist.get(u)
-        if du is None:
-            continue
-        for v, ln in out[u]:
-            cand = du + ln
-            if v not in dist or cand > dist[v]:
-                dist[v] = cand
-    values = {}
-    for c in range(q.size):
-        if c in dist:
-            values[c] = Fraction(1) / (dist[c] + 1)
-        else:
-            values[c] = UNREACHABLE_VALUE
-    return MonotoneTable(base=base, values=values)
+    return _longest_distances(base, q.topological_order(), q.successors())
 
 
 @dataclass(frozen=True, slots=True)
@@ -494,8 +492,11 @@ class MonotoneFamily:
 
 
 def monotone_family(q: QuotientDAG) -> MonotoneFamily:
+    order = q.topological_order()
+    out = q.successors()
     return MonotoneFamily(
-        quotient=q, tables=tuple(monotone(q, c) for c in range(q.size))
+        quotient=q,
+        tables=tuple(_longest_distances(c, order, out) for c in range(q.size)),
     )
 
 
@@ -509,20 +510,21 @@ class CheckResult:
 
 
 def check_compatible(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
-    """Every table must be non-increasing along every edge of the graph."""
+    """Every table must be non-increasing along every edge of the graph,
+    that is, its distance must not drop along an edge."""
     class_of = family.quotient.class_of
-    for u, v, lab, _ in g.edges:
+    for u, v, lab in g.edges:
         cu = class_of[u]
         cv = class_of[v]
         for table in family.tables:
-            if table.values[cv] > table.values[cu]:
+            if table.dist[cv] < table.dist[cu]:
                 return CheckResult(
                     False,
                     {
                         "edge": [u, v, lab],
                         "base": family.quotient.representative(table.base),
-                        "value_from": rat_to_str(table.values[cu]),
-                        "value_to": rat_to_str(table.values[cv]),
+                        "value_from": rat_to_str(table.value(cu)),
+                        "value_to": rat_to_str(table.value(cv)),
                     },
                 )
     return CheckResult(True)
@@ -532,7 +534,7 @@ def _closure_bitsets(q: QuotientDAG) -> List[int]:
     """Reflexive-transitive closure over the class DAG, matrix style."""
     n = q.size
     reach_bits = [1 << i for i in range(n)]
-    for u, v, _ in q.edges:
+    for u, v in q.edges:
         reach_bits[u] |= 1 << v
     for k in range(n):
         mask = 1 << k
@@ -548,17 +550,17 @@ def check_complete(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
     reachability comes from an independent transitive-closure oracle."""
     q = family.quotient
     closure = _closure_bitsets(q)
-    by_base = {t.base: t for t in family.tables}
-    tables = family.tables
+    by_base = {t.base: t.dist for t in family.tables}
+    tables = [t.dist for t in family.tables]
     for r in range(q.size):
         own = by_base.get(r)
         for s in range(q.size):
             dominated = True
-            if own is not None and own.values[s] > own.values[r]:
+            if own is not None and own[s] < own[r]:
                 dominated = False
             else:
-                for t in tables:
-                    if t.values[s] > t.values[r]:
+                for dist in tables:
+                    if dist[s] < dist[r]:
                         dominated = False
                         break
             reachable = bool(closure[r] & (1 << s))

@@ -6,9 +6,12 @@ import hashlib
 import json
 
 
-def canonical_json(data) -> str:
-    """Stable JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def canonical_json(data, fp) -> None:
+    """Write stable JSON text to the stream fp: sorted keys, fixed
+    separators, trailing newline.  Streaming keeps large reports from being
+    built as one string."""
+    json.dump(data, fp, indent=2, sort_keys=True)
+    fp.write("\n")
 
 
 def sha256_hex(data: bytes) -> str:

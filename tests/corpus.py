@@ -308,7 +308,7 @@ def random_digraph(rng: random.Random, n_nodes: int, n_edges: int) -> ReachGraph
 
 def bfs_reachable(graph: ReachGraph, start: str) -> set:
     adj = {}
-    for u, v, _, _ in graph.edges:
+    for u, v, _ in graph.edges:
         adj.setdefault(u, []).append(v)
     seen = {start}
     stack = [start]

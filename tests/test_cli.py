@@ -311,7 +311,39 @@ def test_monotones_explored_instance(tmp_path):
 
 
 def test_monotones_requires_source():
-    assert run(["monotones"]) == 2
+    with pytest.raises(SystemExit) as err:
+        run(["monotones"])
+    assert err.value.code == 2
+
+
+def test_monotones_graph_validation(tmp_path):
+    inst = write_instance(tmp_path, TRIVIAL)
+    for argv in (
+        ["monotones", "--graph", "foo", "--instance", inst],
+        ["monotones", "--graph", "demo", "--instance", inst, "--depth", "9"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+
+
+def test_unwritable_report_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code = run(["verify-free", "--max-len", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_unwritable_dot_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    dot = tmp_path / "missing" / "q.dot"
+    code = run(["monotones", "--graph", "demo", "--out", str(out), "--dot", str(dot)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # --- diff ------------------------------------------------------------------------------------
