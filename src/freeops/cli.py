@@ -31,6 +31,16 @@ EXIT_EXHAUSTED = 10
 EXIT_COLLISION = 11
 EXIT_MISMATCH = 12
 
+ROTATION_DEFAULTS = {"cos": "3/5", "sin": "4/5", "axis_a": "0,0,1", "axis_b": "1,0,0"}
+# Options that only `monotones --instance` reads, with their defaults; they
+# default to None on the parser so that `--graph demo` can reject them.
+MONOTONES_INSTANCE_DEFAULTS = {
+    **ROTATION_DEFAULTS,
+    "damping": "1/2",
+    "depth": 3,
+    "seed": "basis:0",
+}
+
 
 def _parse_axis(text: str):
     parts = text.split(",")
@@ -204,9 +214,19 @@ def _cmd_monotones(args):
     hashes = {}
     config = {"subcommand": "monotones", "budget": args.budget}
     if args.graph == "demo":
+        given = [
+            "--" + name.replace("_", "-")
+            for name in MONOTONES_INSTANCE_DEFAULTS
+            if getattr(args, name) is not None
+        ]
+        if given:
+            raise ValueError(f"--graph demo does not take {', '.join(given)}")
         graph = resourcegraph.demo_graph()
         config["graph"] = "demo"
     else:
+        for name, default in MONOTONES_INSTANCE_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         inst, hashes = _load_instance(args)
         gens = reduction.compile_generators(
             inst, _build_pair(args), rat_from_str(args.damping)
@@ -275,11 +295,11 @@ def _cmd_diff(args):
     return code, config, hashes, outcome_obj.to_json_dict(), {}
 
 
-def _add_rotation_args(p):
-    p.add_argument("--cos", default="3/5", help="rational cosine of the angle")
-    p.add_argument("--sin", default="4/5", help="rational sine of the angle")
-    p.add_argument("--axis-a", default="0,0,1", help="first rotation axis")
-    p.add_argument("--axis-b", default="1,0,0", help="second rotation axis")
+def _add_rotation_args(p, defaults=ROTATION_DEFAULTS):
+    p.add_argument("--cos", default=defaults.get("cos"), help="rational cosine of the angle")
+    p.add_argument("--sin", default=defaults.get("sin"), help="rational sine of the angle")
+    p.add_argument("--axis-a", default=defaults.get("axis_a"), help="first rotation axis")
+    p.add_argument("--axis-b", default=defaults.get("axis_b"), help="second rotation axis")
 
 
 def _add_common_args(p, budget=200_000):
@@ -348,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", choices=("demo",), help="the built-in fixture")
     source.add_argument("--instance")
-    _add_rotation_args(p)
-    p.add_argument("--damping", default="1/2")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", default="basis:0")
+    _add_rotation_args(p, defaults={})
+    p.add_argument("--damping")
+    p.add_argument("--depth", type=int)
+    p.add_argument("--seed")
     p.add_argument("--dot", default=None, help="write the quotient as DOT here")
     _add_common_args(p, budget=100_000)
     p.set_defaults(handler=_cmd_monotones)

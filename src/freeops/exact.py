@@ -6,8 +6,11 @@ anywhere in this package.
 
 A matrix keeps its entries as Gaussian-integer numerators over a single
 positive denominator with gcd(numerators, denominator) = 1.  That canonical
-form makes structural equality exact and lets the positive-semidefinite test
-run entirely over plain integers.
+form makes structural equality exact and lets the hot operations run on
+plain integers: the positive-semidefinite test is a fraction-free (Bareiss)
+symmetric-pivot elimination of the numerator matrix, O(n^3) with exact
+divisions, and a depolarising channel step (`depolarised`) builds its
+result over one common denominator with a single gcd normalisation.
 """
 
 from __future__ import annotations
@@ -360,6 +363,29 @@ class ExactMatrix:
             result = result @ self
         return result
 
+    def depolarised(self, u: "ExactMatrix", damping: Fraction) -> "ExactMatrix":
+        """damping * u @ self @ u.dagger() + (1 - damping) * trace(self)/n * I.
+
+        Accepts any square operator, Hermitian or not.  Everything runs on
+        integer numerators over one common denominator, normalised once.
+        """
+        n = self.rows
+        if self.cols != n or u.rows != n or u.cols != n:
+            raise ShapeError("operator and unitary must be square of one size")
+        a = damping.numerator
+        b = damping.denominator
+        t = _matmul_int(n, n, n, u._num, self._num)
+        nums = [a * n * v for v in _matmul_int(n, n, n, t, u.dagger()._num)]
+        if a != b:
+            # The real parts of the diagonal sit 2n + 2 apart in _num.
+            w = (b - a) * u._den * u._den
+            tr = w * sum(self._num[0 :: 2 * n + 2])
+            ti = w * sum(self._num[1 :: 2 * n + 2])
+            for k in range(0, 2 * n * n, 2 * n + 2):
+                nums[k] += tr
+                nums[k + 1] += ti
+        return ExactMatrix._raw(n, n, nums, b * n * self._den * u._den * u._den)
+
     def trace(self) -> GaussianRational:
         if self.rows != self.cols:
             raise ShapeError("trace requires a square matrix")
@@ -498,22 +524,57 @@ class ExactMatrix:
     def is_psd(self) -> bool:
         """Exact positive-semidefiniteness for Hermitian matrices.
 
-        Uses the weak sign-alternation of the characteristic polynomial:
-        with all eigenvalues real, det(x*I - M) has coefficient of x^k of
-        sign (-1)^(n-k) (or zero) exactly when no eigenvalue is negative.
-        The test runs on the integer numerator matrix; the positive common
-        denominator only rescales the spectrum.
+        Fraction-free symmetric-pivot elimination (Bareiss 1968) on the
+        Gaussian-integer numerator matrix; the positive common denominator
+        only rescales the spectrum.  Each step takes the first positive
+        remaining diagonal entry p as pivot and updates the remainder by
+        x <- (p*x - a*b) / prev, where prev is the previous pivot (1 at the
+        start).  Every entry then stays a Gaussian-integer minor, and the
+        remainder is prev times the Schur complement of the pivots taken so
+        far, whose leading block is positive definite.  So a negative
+        remaining diagonal entry means the matrix is not PSD, and when every
+        remaining diagonal entry is zero the matrix is PSD exactly when the
+        whole remainder is zero.  O(n^3) integer operations.
         """
         if self.rows != self.cols:
             raise ShapeError("is_psd requires a square matrix")
         if not self.is_hermitian():
             raise ValueError("is_psd requires a Hermitian matrix")
         n = self.rows
-        for k, (cr, ci) in enumerate(self._int_char_poly()):
-            if ci != 0:
-                raise ArithmeticError("Hermitian matrix with complex char poly")
-            if cr != 0 and (cr > 0) != ((n - k) % 2 == 0):
-                return False
+        num = self._num
+        re = [list(num[2 * i * n : 2 * (i + 1) * n : 2]) for i in range(n)]
+        im = [list(num[2 * i * n + 1 : 2 * (i + 1) * n : 2]) for i in range(n)]
+        rest = list(range(n))
+        prev = 1
+        while rest:
+            k = -1
+            for i in rest:
+                d = re[i][i]
+                if d < 0:
+                    return False
+                if d > 0 and k < 0:
+                    k = i
+            if k < 0:
+                return not any(re[i][j] or im[i][j] for i in rest for j in rest)
+            rest.remove(k)
+            p = re[k][k]
+            kre = re[k]
+            kim = im[k]
+            for i in rest:
+                ire = re[i]
+                iim = im[i]
+                ar = ire[k]
+                ai = iim[k]
+                for j in rest:
+                    br = kre[j]
+                    bi = kim[j]
+                    xr, rr = divmod(p * ire[j] - ar * br + ai * bi, prev)
+                    xi, ri = divmod(p * iim[j] - ar * bi - ai * br, prev)
+                    if rr or ri:
+                        raise ArithmeticError("inexact division in Bareiss elimination")
+                    ire[j] = xr
+                    iim[j] = xi
+            prev = p
         return True
 
     # -- identity, hashing, serialization --------------------------------------

@@ -83,12 +83,7 @@ class ChannelElement:
         """Linear action on an arbitrary operator (not only states)."""
         if m.rows != self.dim or m.cols != self.dim:
             raise ShapeError("operator dimension does not match the channel")
-        u = self.unitary
-        rotated = (u @ m @ u.dagger()).scale(self.damping)
-        mix = ExactMatrix.identity(self.dim).scale(
-            m.trace() * GaussianRational((1 - self.damping) / self.dim)
-        )
-        return rotated + mix
+        return m.depolarised(self.unitary, self.damping)
 
     def apply(self, state: ExactDensityMatrix) -> ExactDensityMatrix:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))

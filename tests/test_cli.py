@@ -327,6 +327,40 @@ def test_monotones_graph_validation(tmp_path):
         assert err.value.code == 2
 
 
+def test_monotones_demo_rejects_instance_options(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for extra in (
+        ["--depth", "9", "--seed", "maxmixed", "--damping", "1/3"],
+        ["--depth", "3"],
+        ["--seed", "basis:0"],
+        ["--damping", "1/2"],
+        ["--cos", "3/5"],
+        ["--sin", "4/5"],
+        ["--axis-a", "0,0,1"],
+        ["--axis-b", "1,0,0"],
+    ):
+        code = run(["monotones", "--graph", "demo", "--out", str(out)] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --graph demo does not take")
+        assert extra[0] in err
+        assert not out.exists()
+
+
+def test_monotones_instance_options_default(tmp_path):
+    inst = write_instance(tmp_path, TRIVIAL)
+    implicit = tmp_path / "implicit.json"
+    explicit = tmp_path / "explicit.json"
+    assert run(["monotones", "--instance", inst, "--out", str(implicit)]) == 0
+    flags = [
+        "--depth", "3", "--seed", "basis:0", "--damping", "1/2", "--cos", "3/5",
+        "--sin", "4/5", "--axis-a", "0,0,1", "--axis-b", "1,0,0",
+    ]
+    assert run(["monotones", "--instance", inst, "--out", str(explicit)] + flags) == 0
+    assert normalized(load(implicit)) == normalized(load(explicit))
+    assert load(implicit)["config"]["depth"] == 3
+
+
 def test_unwritable_report_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     code = run(["verify-free", "--max-len", "2", "--out", str(out)])

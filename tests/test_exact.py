@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import (
+    CORPUS,
     charpoly_by_expansion,
     random_density,
+    random_exact_unitary,
     random_hermitian_with_spectrum,
     sturm_is_psd,
 )
@@ -24,6 +26,8 @@ from freeops.exact import (
     rat_from_str,
     rat_to_str,
 )
+from freeops.freerot import make_free_pair, standard_params
+from freeops.reduction import ChannelElement, choi, compile_generators, make_target
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=97)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -176,6 +180,108 @@ def test_psd_agrees_with_sturm_oracle():
         expected = all(e >= 0 for e in eigs)
         assert m.is_psd() == expected
         assert sturm_is_psd(m) == expected
+
+
+def small_gaussian(rng):
+    return GaussianRational(
+        Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+        Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+    )
+
+
+def random_psd_candidate(rng, n, kind):
+    """A Hermitian n x n matrix of one of five shapes: rank-deficient Gram
+    matrices (rank 0..n), Gram matrices shifted by a small multiple of the
+    identity, unitary conjugates of a spectrum with forced zeros, Gram
+    matrices with one diagonal entry zeroed, and arbitrary Hermitian
+    matrices (also used for the spectrum shape at n = 1, which has no
+    plane rotations)."""
+    if kind in ("gram", "shifted", "zero_diagonal"):
+        rank = rng.randint(0, n)
+        if rank == 0:
+            m = ExactMatrix.zeros(n, n)
+        else:
+            x = ExactMatrix(n, rank, [small_gaussian(rng) for _ in range(n * rank)])
+            m = x @ x.dagger()
+        if kind == "shifted":
+            m = m + ExactMatrix.identity(n).scale(Fraction(rng.randint(-2, 2), 4))
+        if kind == "zero_diagonal":
+            i = rng.randrange(n)
+            m = m - ExactMatrix.diagonal([m.entry(i, i) if j == i else 0 for j in range(n)])
+        return m
+    if kind == "spectrum" and n > 1:
+        eigs = [Fraction(rng.randint(-1, 3), rng.randint(1, 3)) for _ in range(n)]
+        eigs[rng.randrange(n)] = Fraction(0)
+        u = random_exact_unitary(rng, n)
+        return u @ ExactMatrix.diagonal(eigs) @ u.dagger()
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = GaussianRational(Fraction(rng.randint(-1, 3), rng.randint(1, 2)))
+        for j in range(i + 1, n):
+            z = small_gaussian(rng)
+            entries[i][j] = z
+            entries[j][i] = z.conjugate()
+    return ExactMatrix.from_rows(entries)
+
+
+def test_psd_agrees_with_sturm_oracle_on_singular_and_sparse_matrices():
+    rng = random.Random(4128)
+    seen = {True: 0, False: 0}
+    kinds = ("gram", "shifted", "zero_diagonal", "spectrum", "hermitian")
+    for trial in range(600):
+        n = 1 + trial % 6
+        kind = kinds[(trial // 6) % len(kinds)]
+        m = random_psd_candidate(rng, n, kind)
+        expected = sturm_is_psd(m)
+        assert m.is_psd() == expected, (kind, m)
+        seen[expected] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_psd_zero_pivot_cases():
+    z, one, i = gr(0), gr(1), gr(0, 1)
+    cases = [
+        ([[z]], True),
+        ([[z, one], [one, z]], False),  # zero diagonal, nonzero off-diagonal
+        ([[z, i], [-i, z]], False),  # the same with an imaginary off-diagonal
+        ([[one, z, z], [z, z, i], [z, -i, z]], False),
+        ([[one, one], [one, z]], False),
+        ([[z, z], [z, one]], True),
+        ([[one, one], [one, one]], True),  # rank 1
+        ([[one, i, z], [-i, one, z], [z, z, z]], True),  # rank 1 with a zero row
+        ([[z, z, i], [z, one, z], [-i, z, one]], False),
+        ([[gr(2), gr(1, 1), z], [gr(1, -1), one, z], [z, z, z]], True),  # singular
+    ]
+    for rows, expected in cases:
+        m = ExactMatrix.from_rows(rows)
+        assert m.is_psd() == expected, rows
+        assert sturm_is_psd(m) == expected, rows
+
+
+def test_psd_agrees_with_sturm_oracle_on_choi_operators():
+    pair = make_free_pair(standard_params())
+    entries = [e for e in CORPUS if e.name in ("classic3", "classic_minus", "pad_left")]
+    channels = [ChannelElement.identity_element(4), make_target(Fraction(1, 3))]
+    for entry in entries:
+        channels.extend(compile_generators(entry.instance, pair, Fraction(1, 2)).channels())
+    for ch in channels:
+        j = choi(ch)
+        assert j.rows == 16
+        assert j.is_psd()
+        assert sturm_is_psd(j)
+
+    class Transpose:
+        """The transpose map: positive and trace preserving, not CP."""
+
+        dim = 4
+
+        def apply_to_matrix(self, m):
+            return ExactMatrix(4, 4, [m.entry(c, r) for r in range(4) for c in range(4)])
+
+    j = choi(Transpose())
+    assert j.is_hermitian()
+    assert not j.is_psd()
+    assert not sturm_is_psd(j)
 
 
 def test_charpoly_matches_expansion_oracle():

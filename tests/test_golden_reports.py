@@ -1,9 +1,11 @@
 """Byte pins of report outcomes and DOT files, and a brute-force check of
 the monotone distances.
 
-The hashes were taken from the reports before the state layer moved to
-unit edges and integer distances; any change to them is a change to the
-report format, not a refactor.
+The first three hashes were taken from the reports before the state layer
+moved to unit edges and integer distances, the rank-1 `reach` pin before
+the PSD test moved from the characteristic polynomial to Bareiss
+elimination; any change to them is a change to the report format, not a
+refactor.
 """
 
 import hashlib
@@ -39,6 +41,13 @@ PINS = {
         10,
         "1cc409a13addbc15dd019c85abf30a76b05ae42e45caaecf76c55e3e80038d13",
         "ec2ae4e69b79f150694f7cad1ea73afffdfbd4833240d972305ddfc42a550f22",
+    ),
+    # The rank-1 seed ends its PSD test on an all-zero remainder.
+    "reach-classic3-depth4-basis0": (
+        ["reach", "--instance", "@", "--depth", "4", "--from", "basis:0", "--to", "target:1/4"],
+        0,
+        "c803d2927f5e7a0b30039b98e008f6e55c352074175b0615b8d7a3a98ebf3197",
+        "db547f80f19c841de9ba5409e2cfcf7d46696eb4e70abb00cb0ff5cbfc693693",
     ),
 }
 

@@ -10,6 +10,7 @@ from corpus import CORPUS, random_density
 from freeops.exact import (
     ExactDensityMatrix,
     ExactMatrix,
+    GaussianRational,
     ShapeError,
     block_diag,
     gr,
@@ -137,6 +138,47 @@ def test_apply_identity_channel():
     rng = random.Random(7)
     rho = random_density(rng)
     assert ChannelElement.identity_element(4).apply(rho) == rho
+
+
+def reference_apply(ch, m):
+    """The channel formula spelled out in ExactMatrix operations."""
+    mix = ExactMatrix.identity(ch.dim).scale(
+        m.trace() * GaussianRational((1 - ch.damping) / ch.dim)
+    )
+    return (ch.unitary @ m @ ch.unitary.dagger()).scale(ch.damping) + mix
+
+
+def test_apply_to_matrix_matches_reference_formula():
+    rng = random.Random(2105)
+    gens = compiled("1|101\n10|00\n011|11")
+    channels = list(gens.channels()) + [
+        ChannelElement.identity_element(4),
+        make_target(Fraction(1, 3)),
+        compose(gens.h_gens[0], gens.g_gens[2]),
+    ]
+
+    def entry():
+        return gr(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        )
+
+    operators = [random_density(rng).mat for _ in range(5)]
+    for _ in range(20):  # arbitrary, in general non-Hermitian, complex trace
+        operators.append(ExactMatrix(4, 4, [entry() for _ in range(16)]))
+    for _ in range(5):  # zero trace
+        m = ExactMatrix(4, 4, [entry() for _ in range(16)])
+        operators.append(m - ExactMatrix.identity(4).scale(m.trace() * gr(Fraction(1, 4))))
+    operators.append(ExactMatrix.zeros(4, 4))
+    assert any(m.trace().im != 0 for m in operators)
+    assert sum(m.trace() == gr(0) for m in operators) >= 6
+    for ch in channels:
+        for m in operators:
+            assert ch.apply_to_matrix(m) == reference_apply(ch, m)
+        for i in range(4):  # the operators choi feeds in
+            for j in range(4):
+                e = ExactMatrix(4, 4, [int(k == 4 * i + j) for k in range(16)])
+                assert ch.apply_to_matrix(e) == reference_apply(ch, e)
 
 
 def test_apply_dimension_checked():
