@@ -32,14 +32,11 @@ EXIT_COLLISION = 11
 EXIT_MISMATCH = 12
 
 ROTATION_DEFAULTS = {"cos": "3/5", "sin": "4/5", "axis_a": "0,0,1", "axis_b": "1,0,0"}
+# The rotation flags and --damping of every subcommand that compiles an instance.
+INSTANCE_DEFAULTS = {**ROTATION_DEFAULTS, "damping": "1/2"}
 # Options that only `monotones --instance` reads, with their defaults; they
 # default to None on the parser so that `--graph demo` can reject them.
-MONOTONES_INSTANCE_DEFAULTS = {
-    **ROTATION_DEFAULTS,
-    "damping": "1/2",
-    "depth": 3,
-    "seed": "basis:0",
-}
+MONOTONES_INSTANCE_DEFAULTS = {**INSTANCE_DEFAULTS, "depth": 3, "seed": "basis:0"}
 
 
 def _parse_axis(text: str):
@@ -71,15 +68,29 @@ def _build_pair(args) -> FreePair:
     return make_free_pair(params)
 
 
-def _rotation_config(args) -> dict:
-    params = _rotation_params(args)
-    return params.to_json_dict()
-
-
 def _load_instance(args):
     text = Path(args.instance).read_text()
     inst = pcp.parse_instance(text)
     return inst, {"instance": sha256_hex(text.encode())}
+
+
+def _compiled(args):
+    """Load the instance, build the pair and compile the generators.
+
+    Returns the generators, the config entries that every subcommand
+    compiling an instance shares, and the input hashes.
+    """
+    inst, hashes = _load_instance(args)
+    pair = _build_pair(args)
+    damping = rat_from_str(args.damping)
+    gens = reduction.compile_generators(inst, pair, damping)
+    config = {
+        "subcommand": args.command,
+        "instance": args.instance,
+        "rotation": pair.params.to_json_dict(),
+        "damping": rat_to_str(damping),
+    }
+    return gens, config, hashes
 
 
 def _seed_state(selector: str) -> ExactDensityMatrix:
@@ -107,7 +118,7 @@ def _cmd_verify_free(args):
     report = freeness_scan(pair, args.max_len, node_budget=args.budget)
     config = {
         "subcommand": "verify-free",
-        "rotation": _rotation_config(args),
+        "rotation": pair.params.to_json_dict(),
         "max_len": args.max_len,
         "force": bool(args.force),
         "budget": args.budget,
@@ -130,38 +141,20 @@ def _cmd_solve_pcp(args):
 
 
 def _cmd_compile(args):
-    inst, hashes = _load_instance(args)
-    gens = reduction.compile_generators(
-        inst, _build_pair(args), rat_from_str(args.damping)
-    )
-    config = {
-        "subcommand": "compile",
-        "instance": args.instance,
-        "rotation": _rotation_config(args),
-        "damping": rat_to_str(rat_from_str(args.damping)),
-    }
+    gens, config, hashes = _compiled(args)
     return EXIT_OK, config, hashes, gens.to_json_dict(), {}
 
 
 def _cmd_membership(args):
-    inst, hashes = _load_instance(args)
-    gens = reduction.compile_generators(
-        inst, _build_pair(args), rat_from_str(args.damping)
-    )
+    gens, config, hashes = _compiled(args)
     result = reduction.membership_search(
         gens, args.depth, mode=args.mode, node_budget=args.budget
     )
-    oracle = pcp.solve_bounded(inst, max(1, args.depth // 2), node_budget=args.budget)
+    oracle = pcp.solve_bounded(
+        gens.instance, max(1, args.depth // 2), node_budget=args.budget
+    )
     agree = (result.status == reduction.FOUND) == (oracle.status == pcp.FOUND)
-    config = {
-        "subcommand": "membership",
-        "instance": args.instance,
-        "rotation": _rotation_config(args),
-        "damping": rat_to_str(rat_from_str(args.damping)),
-        "depth": args.depth,
-        "mode": args.mode,
-        "budget": args.budget,
-    }
+    config.update({"depth": args.depth, "mode": args.mode, "budget": args.budget})
     outcome = {
         "membership": result.to_json_dict(),
         "oracle": oracle.to_json_dict(),
@@ -177,26 +170,16 @@ def _cmd_membership(args):
 
 
 def _cmd_reach(args):
-    inst, hashes = _load_instance(args)
-    gens = reduction.compile_generators(
-        inst, _build_pair(args), rat_from_str(args.damping)
-    )
-    source = _seed_state(getattr(args, "from_state"))
+    gens, config, hashes = _compiled(args)
+    source = _seed_state(args.from_state)
     target = _target_state(args.to, source)
     graph = resourcegraph.explore(
         gens.channels(), [source], args.depth, node_budget=args.budget
     )
     outcome_obj = resourcegraph.reach(graph, source, target)
-    config = {
-        "subcommand": "reach",
-        "instance": args.instance,
-        "rotation": _rotation_config(args),
-        "damping": rat_to_str(rat_from_str(args.damping)),
-        "depth": args.depth,
-        "from": getattr(args, "from_state"),
-        "to": args.to,
-        "budget": args.budget,
-    }
+    config.update(
+        {"depth": args.depth, "from": args.from_state, "to": args.to, "budget": args.budget}
+    )
     outcome = {
         "reach": outcome_obj.to_json_dict(),
         "graph_nodes": len(graph.nodes),
@@ -211,8 +194,6 @@ def _cmd_reach(args):
 
 
 def _cmd_monotones(args):
-    hashes = {}
-    config = {"subcommand": "monotones", "budget": args.budget}
     if args.graph == "demo":
         given = [
             "--" + name.replace("_", "-")
@@ -222,28 +203,18 @@ def _cmd_monotones(args):
         if given:
             raise ValueError(f"--graph demo does not take {', '.join(given)}")
         graph = resourcegraph.demo_graph()
-        config["graph"] = "demo"
+        config, hashes = {"subcommand": "monotones", "graph": "demo"}, {}
     else:
         for name, default in MONOTONES_INSTANCE_DEFAULTS.items():
             if getattr(args, name) is None:
                 setattr(args, name, default)
-        inst, hashes = _load_instance(args)
-        gens = reduction.compile_generators(
-            inst, _build_pair(args), rat_from_str(args.damping)
-        )
+        gens, config, hashes = _compiled(args)
         seed = _seed_state(args.seed)
         graph = resourcegraph.explore(
             gens.channels(), [seed], args.depth, node_budget=args.budget
         )
-        config.update(
-            {
-                "instance": args.instance,
-                "rotation": _rotation_config(args),
-                "damping": rat_to_str(rat_from_str(args.damping)),
-                "depth": args.depth,
-                "seed": args.seed,
-            }
-        )
+        config.update({"depth": args.depth, "seed": args.seed})
+    config["budget"] = args.budget
     q = resourcegraph.quotient(graph)
     family = resourcegraph.monotone_family(q)
     compatible = resourcegraph.check_compatible(graph, family)
@@ -266,15 +237,16 @@ def _cmd_monotones(args):
 
 
 def _cmd_diff(args):
-    inst, hashes = _load_instance(args)
+    gens, config, hashes = _compiled(args)
     damping = rat_from_str(args.damping)
-    gens = reduction.compile_generators(inst, _build_pair(args), damping)
     if args.target_damping:
         target_damping = rat_from_str(args.target_damping)
     else:
         # Match the target to the shortest tile solution realizable within
         # the bound when one exists; otherwise any value refutes equally.
-        probe = pcp.solve_bounded(inst, max(1, args.depth // 2), node_budget=args.budget)
+        probe = pcp.solve_bounded(
+            gens.instance, max(1, args.depth // 2), node_budget=args.budget
+        )
         if probe.status == pcp.FOUND:
             target_damping = damping ** (2 * len(probe.witness))
         else:
@@ -282,15 +254,13 @@ def _cmd_diff(args):
     f1 = gens.channels()
     f2 = f1 + (reduction.labeled(reduction.make_target(target_damping), "PSI"),)
     outcome_obj = reduction.theory_diff(f1, f2, args.depth, node_budget=args.budget)
-    config = {
-        "subcommand": "diff",
-        "instance": args.instance,
-        "rotation": _rotation_config(args),
-        "damping": rat_to_str(damping),
-        "target_damping": rat_to_str(target_damping),
-        "depth": args.depth,
-        "budget": args.budget,
-    }
+    config.update(
+        {
+            "target_damping": rat_to_str(target_damping),
+            "depth": args.depth,
+            "budget": args.budget,
+        }
+    )
     code = EXIT_OK if outcome_obj.status == reduction.DISTINCT else EXIT_EXHAUSTED
     return code, config, hashes, outcome_obj.to_json_dict(), {}
 
@@ -300,6 +270,14 @@ def _add_rotation_args(p, defaults=ROTATION_DEFAULTS):
     p.add_argument("--sin", default=defaults.get("sin"), help="rational sine of the angle")
     p.add_argument("--axis-a", default=defaults.get("axis_a"), help="first rotation axis")
     p.add_argument("--axis-b", default=defaults.get("axis_b"), help="second rotation axis")
+
+
+def _add_instance_args(p, group=None, defaults=INSTANCE_DEFAULTS):
+    """--instance (required unless it joins a group), the rotation flags and
+    --damping: the options that _compiled reads."""
+    (group or p).add_argument("--instance", required=group is None)
+    _add_rotation_args(p, defaults)
+    p.add_argument("--damping", default=defaults.get("damping"))
 
 
 def _add_common_args(p, budget=200_000):
@@ -334,27 +312,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve_pcp)
 
     p = sub.add_parser("compile", help="compile an instance into channel generators")
-    p.add_argument("--instance", required=True)
-    _add_rotation_args(p)
-    p.add_argument("--damping", default="1/2")
+    _add_instance_args(p)
     _add_common_args(p, budget=None)
     p.set_defaults(handler=_cmd_compile)
 
     p = sub.add_parser(
         "membership", help="search for the depolarising target in the semigroup"
     )
-    p.add_argument("--instance", required=True)
-    _add_rotation_args(p)
-    p.add_argument("--damping", default="1/2")
+    _add_instance_args(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=("generic", "structured"), default="generic")
     _add_common_args(p, budget=500_000)
     p.set_defaults(handler=_cmd_membership)
 
     p = sub.add_parser("reach", help="bounded state-reachability query")
-    p.add_argument("--instance", required=True)
-    _add_rotation_args(p)
-    p.add_argument("--damping", default="1/2")
+    _add_instance_args(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--from", dest="from_state", default="basis:0")
     p.add_argument("--to", required=True)
@@ -367,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", choices=("demo",), help="the built-in fixture")
-    source.add_argument("--instance")
-    _add_rotation_args(p, defaults={})
-    p.add_argument("--damping")
+    _add_instance_args(p, source, defaults={})
     p.add_argument("--depth", type=int)
     p.add_argument("--seed")
     p.add_argument("--dot", default=None, help="write the quotient as DOT here")
@@ -379,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "diff", help="bounded distinguishability of a set and its target extension"
     )
-    p.add_argument("--instance", required=True)
-    _add_rotation_args(p)
-    p.add_argument("--damping", default="1/2")
+    _add_instance_args(p)
     p.add_argument("--target-damping", default=None)
     p.add_argument("--depth", type=int, required=True)
     _add_common_args(p, budget=500_000)

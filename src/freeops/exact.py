@@ -326,18 +326,14 @@ class ExactMatrix:
         den = lcm(z.re.denominator, z.im.denominator)
         zr = z.re.numerator * (den // z.re.denominator)
         zi = z.im.numerator * (den // z.im.denominator)
-        return self._scaled(zr, zi, 1, den)
-
-    def _scaled(self, zr: int, zi: int, num_scale: int, den_scale: int) -> "ExactMatrix":
-        """self * (zr + zi*i) * num_scale / den_scale, all integers."""
         num = self._num
         nums = [0] * len(num)
         for k in range(0, len(num), 2):
             ar = num[k]
             ai = num[k + 1]
-            nums[k] = (ar * zr - ai * zi) * num_scale
-            nums[k + 1] = (ar * zi + ai * zr) * num_scale
-        return ExactMatrix._raw(self.rows, self.cols, nums, self._den * den_scale)
+            nums[k] = ar * zr - ai * zi
+            nums[k + 1] = ar * zi + ai * zr
+        return ExactMatrix._raw(self.rows, self.cols, nums, self._den * den)
 
     def dagger(self) -> "ExactMatrix":
         """Conjugate transpose."""
@@ -653,16 +649,16 @@ def block_diag(*blocks: ExactMatrix) -> ExactMatrix:
 
 @dataclass(frozen=True, slots=True)
 class ExactDensityMatrix:
-    """Density operator: Hermitian, unit trace, positive semidefinite, exact."""
+    """Density operator: Hermitian, unit trace, positive semidefinite, exact.
+
+    trace() rejects a non-square matrix (ShapeError) and is_psd a
+    non-Hermitian one (ValueError), so neither is checked twice here.
+    """
 
     mat: ExactMatrix
 
     def __post_init__(self):
         m = self.mat
-        if m.rows != m.cols:
-            raise ShapeError("density matrix must be square")
-        if not m.is_hermitian():
-            raise ValueError("density matrix must be Hermitian")
         if m.trace() != GR_ONE:
             raise ValueError("density matrix must have unit trace")
         if not m.is_psd():

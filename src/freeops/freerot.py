@@ -1,5 +1,6 @@
 """Exact SU(2) rotation pairs, binary-word encodings, freeness scanning,
-and the quaternion kernel that every compiled-semigroup search runs on.
+and the quaternion kernel and level loop that every compiled-semigroup
+search runs on.
 
 A pair of rotations by a rational-cosine angle about orthogonal axes
 generates a free semigroup; this module constructs such pairs with all
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, product
 from math import gcd, lcm
-from typing import Tuple
+from typing import Iterator, Sized, Tuple
 
 from .exact import ExactMatrix, GaussianRational, block_diag, rat_to_str
 
@@ -223,6 +225,19 @@ def q_phase_key(x: Quaternions) -> Quaternions:
     return x if lead > 0 else tuple(-v for v in x[:-1]) + x[-1:]
 
 
+def level_pairs(frontier: Sized, letters: Sized, budget: int) -> Tuple[Iterator, bool]:
+    """One breadth-first level: the (item, letter) pairs of frontier x letters
+    in that order, cut after `budget` pairs, and whether the cut dropped any.
+
+    This is the budget rule of every compiled-semigroup search: the budget
+    counts expansions, and a search is truncated exactly when one more
+    expansion was due.
+    """
+    budget = max(budget, 0)
+    pairs = islice(product(frontier, letters), budget)
+    return pairs, len(frontier) * len(letters) > budget
+
+
 @dataclass(frozen=True, slots=True)
 class CollisionReport:
     """Outcome of an exhaustive word scan up to a length bound."""
@@ -271,25 +286,20 @@ def freeness_scan(
     truncated = False
     level = [("", q_identity(1))]
     for _ in range(max_len):
+        pairs, truncated = level_pairs(level, gens, node_budget - count)
         next_level = []
-        for word, q in level:
-            for bit, g in gens:
-                if count >= node_budget:
-                    truncated = True
-                    break
-                count += 1
-                child = q_mul(q, g)
-                child_word = word + bit
-                if q_is_scalar(child):
-                    scalar_words.append(child_word)
-                prev = seen.get(child)
-                if prev is None:
-                    seen[child] = child_word
-                else:
-                    collisions.append((prev, child_word))
-                next_level.append((child_word, child))
-            if truncated:
-                break
+        for (word, q), (bit, g) in pairs:
+            count += 1
+            child = q_mul(q, g)
+            child_word = word + bit
+            if q_is_scalar(child):
+                scalar_words.append(child_word)
+            prev = seen.get(child)
+            if prev is None:
+                seen[child] = child_word
+            else:
+                collisions.append((prev, child_word))
+            next_level.append((child_word, child))
         if truncated:
             break
         level = next_level

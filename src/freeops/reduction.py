@@ -10,7 +10,9 @@ the channel semigroup.
 
 Every compiled unitary lies in SU(2) x SU(2), so the searches multiply
 integer quaternion pairs (see freerot), where phase equivalence is equality
-up to sign; ExactMatrix work is left to the values a report prints.
+up to sign; ExactMatrix work is left to the values a report prints.  Each
+search expands one level at a time through freerot.level_pairs, so a node
+budget counts expansions in all of them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exact import (
 from .freerot import (
     FreePair,
     encode_word,
+    level_pairs,
     q_adjoint,
     q_identity,
     q_is_scalar,
@@ -219,13 +222,13 @@ def phase_canonical(m: ExactMatrix) -> ExactMatrix:
 class MembershipOutcome:
     status: str
     mode: str
-    witness: Optional[Tuple[str, ...]]
-    scalar_value: Optional[GaussianRational]
-    witness_damping: Optional[Fraction]
-    extracted: Optional[TileWord]
     depth_reached: int
     nodes_expanded: int
     truncated: bool = False
+    witness: Optional[Tuple[str, ...]] = None
+    scalar_value: Optional[GaussianRational] = None
+    witness_damping: Optional[Fraction] = None
+    extracted: Optional[TileWord] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -273,14 +276,17 @@ def _found_outcome(
     gens: GeneratorSet,
     mode: str,
     witness: Tuple[str, ...],
-    damping: Fraction,
     depth: int,
     expanded: int,
 ) -> MembershipOutcome:
+    """Cross-check a witness on the 4x4 matrices and report it with its
+    damping monomial."""
+    by_label = {ch.word[0]: ch for ch in gens.channels()}
     product = ExactMatrix.identity(4)
-    by_label = {ch.word[0]: ch.unitary for ch in gens.channels()}
+    damping = Fraction(1)
     for lab in witness:
-        product = product @ by_label[lab]
+        product = product @ by_label[lab].unitary
+        damping *= by_label[lab].damping
     scalar = product.as_scalar()
     if scalar is None:
         raise AssertionError("witness product is not scalar")
@@ -306,62 +312,41 @@ def _generic_search(
     of u's product.  Levels are deduplicated on the exact product with the
     first (lexicographically least) word retained, so the result matches a
     breadth-first scan over all words: the witness is the shortest scalar
-    word, lexicographically least among equals.
+    word, lexicographically least among equals.  Level j meets the
+    canonical levels j - 1 and j, so only those are kept.
     """
-    letters = [
-        (ch.word[0], to_quaternions(ch.unitary), ch.damping) for ch in gens.channels()
-    ]
+    letters = [(ch.word[0], to_quaternions(ch.unitary)) for ch in gens.channels()]
     ident = q_identity(2)
-    levels = [{ident: ((), Fraction(1))}]
-    canon_levels = [{q_phase_key(ident): ((), Fraction(1))}]
+    level = {ident: ()}
+    canon_prev = {q_phase_key(ident): ()}
     expanded = 0
     truncated = False
     checked = 0
-
-    half = (max_depth + 1) // 2
-    for j in range(1, half + 1):
+    for j in range(1, (max_depth + 1) // 2 + 1):
+        pairs, truncated = level_pairs(level.items(), letters, node_budget - expanded)
         new_level = {}
-        for q, (word, damp) in levels[j - 1].items():
-            for lab, u, d in letters:
-                if expanded >= node_budget:
-                    truncated = True
-                    break
-                expanded += 1
-                child = q_mul(q, u)
-                if child not in new_level:
-                    new_level[child] = (word + (lab,), damp * d)
-            if truncated:
-                break
+        for (q, word), (lab, u) in pairs:
+            expanded += 1
+            child = q_mul(q, u)
+            if child not in new_level:
+                new_level[child] = word + (lab,)
         if truncated:
             break
+        level = new_level
         canon = {}
-        for q, payload in new_level.items():
-            key = q_phase_key(q)
-            if key not in canon:
-                canon[key] = payload
-        levels.append(new_level)
-        canon_levels.append(canon)
-        for m, back in ((2 * j - 1, j - 1), (2 * j, j)):
-            if not 1 <= m <= max_depth:
+        for q, word in level.items():
+            canon.setdefault(q_phase_key(q), word)
+        for m, back in ((2 * j - 1, canon_prev), (2 * j, canon)):
+            if m > max_depth:
                 continue
-            for q, (word, damp) in levels[j].items():
-                hit = canon_levels[back].get(q_phase_key(q_adjoint(q)))
+            for q, word in level.items():
+                hit = back.get(q_phase_key(q_adjoint(q)))
                 if hit is not None:
-                    back_word, back_damp = hit
-                    return _found_outcome(
-                        gens, "generic", word + back_word, damp * back_damp, m, expanded
-                    )
+                    return _found_outcome(gens, "generic", word + hit, m, expanded)
             checked = m
+        canon_prev = canon
     return MembershipOutcome(
-        status=EXHAUSTED,
-        mode="generic",
-        witness=None,
-        scalar_value=None,
-        witness_damping=None,
-        extracted=None,
-        depth_reached=checked,
-        nodes_expanded=expanded,
-        truncated=truncated,
+        EXHAUSTED, "generic", depth_reached=checked, nodes_expanded=expanded, truncated=truncated
     )
 
 
@@ -375,43 +360,31 @@ def _structured_search(
     blocks telescope identically, so a scalar can only be the identity and
     certifies a matching tile word.
     """
-    tile_bound = max_depth // 2
-    expanded = 0
-    truncated = False
+    tiles = [
+        (i, to_quaternions(g.unitary), to_quaternions(h.unitary))
+        for i, (g, h) in enumerate(zip(gens.g_gens, gens.h_gens), start=1)
+    ]
     ident = q_identity(2)
     visited = {ident}
     frontier = [(ident, ())]
-    pairs = [
-        (i, to_quaternions(g.unitary), to_quaternions(h.unitary), g.damping * h.damping)
-        for i, (g, h) in enumerate(zip(gens.g_gens, gens.h_gens), start=1)
-    ]
-
-    damping_of: Dict[TileWord, Fraction] = {(): Fraction(1)}
+    expanded = 0
+    truncated = False
     depth_done = 0
-    for n in range(1, tile_bound + 1):
+    for n in range(1, max_depth // 2 + 1):
+        pairs, truncated = level_pairs(frontier, tiles, node_budget - expanded)
         next_frontier = []
-        for q, parent in frontier:
-            for i, g, h, step_damp in pairs:
-                if expanded >= node_budget:
-                    truncated = True
-                    break
-                expanded += 1
-                child = q_mul(q_mul(g, q), h)
-                word = parent + (i,)
-                damping = damping_of[parent] * step_damp
-                if q_is_scalar(child):
-                    witness = tuple(f"G{i}" for i in reversed(word)) + tuple(
-                        f"H{i}" for i in word
-                    )
-                    return _found_outcome(
-                        gens, "structured", witness, damping, 2 * n, expanded
-                    )
-                if child not in visited:
-                    visited.add(child)
-                    damping_of[word] = damping
-                    next_frontier.append((child, word))
-            if truncated:
-                break
+        for (q, parent), (i, g, h) in pairs:
+            expanded += 1
+            child = q_mul(q_mul(g, q), h)
+            word = parent + (i,)
+            if q_is_scalar(child):
+                witness = tuple(f"G{i}" for i in reversed(word)) + tuple(
+                    f"H{i}" for i in word
+                )
+                return _found_outcome(gens, "structured", witness, 2 * n, expanded)
+            if child not in visited:
+                visited.add(child)
+                next_frontier.append((child, word))
         if truncated:
             break
         depth_done = n
@@ -419,12 +392,8 @@ def _structured_search(
         if not frontier:
             break
     return MembershipOutcome(
-        status=EXHAUSTED,
-        mode="structured",
-        witness=None,
-        scalar_value=None,
-        witness_damping=None,
-        extracted=None,
+        EXHAUSTED,
+        "structured",
         depth_reached=2 * depth_done,
         nodes_expanded=expanded,
         truncated=truncated,
@@ -486,19 +455,19 @@ def _closure(
     frontier = [(ident, (), Fraction(1))]
     expanded = 0
     for depth in range(1, max_depth + 1):
+        pairs, truncated = level_pairs(frontier, letters, node_budget - expanded)
         nxt = []
-        for q, word, damp in frontier:
-            for u, label, d in letters:
-                if expanded >= node_budget:
-                    return elems, expanded, True, depth - 1
-                expanded += 1
-                child = q_mul(q, u)
-                child_damp = damp * d
-                key = (q_phase_key(child), child_damp)
-                if key not in elems:
-                    child_word = word + (label,)
-                    elems[key] = (child_word, depth)
-                    nxt.append((child, child_word, child_damp))
+        for (q, word, damp), (u, label, d) in pairs:
+            expanded += 1
+            child = q_mul(q, u)
+            child_damp = damp * d
+            key = (q_phase_key(child), child_damp)
+            if key not in elems:
+                child_word = word + (label,)
+                elems[key] = (child_word, depth)
+                nxt.append((child, child_word, child_damp))
+        if truncated:
+            return elems, expanded, True, depth - 1
         frontier = nxt
     return elems, expanded, False, max_depth
 

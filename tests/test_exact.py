@@ -371,6 +371,19 @@ def test_density_validation():
         ExactDensityMatrix(not_hermitian)
 
 
+def test_density_rejects_each_failure_once_checked():
+    # The shape and Hermitian checks live in trace() and is_psd alone.
+    half = gr("1/2")
+    with pytest.raises(ShapeError, match="square"):
+        ExactDensityMatrix(ExactMatrix(2, 3, [half, 0, 0, 0, half, 0]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        ExactDensityMatrix(ExactMatrix.from_rows([[half, gr("1/3")], [0, half]]))
+    with pytest.raises(ValueError, match="unit trace"):
+        ExactDensityMatrix(ExactMatrix.diagonal([half, gr("1/4")]))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        ExactDensityMatrix(ExactMatrix.from_rows([[half, gr(1)], [gr(1), half]]))
+
+
 def test_density_constructors():
     rho = ExactDensityMatrix.basis_state(4, 1)
     assert rho.mat.entry(1, 1) == gr(1)

@@ -15,6 +15,7 @@ from freeops.freerot import (
     RotationParams,
     encode_word,
     freeness_scan,
+    level_pairs,
     make_free_pair,
     q_adjoint,
     q_identity,
@@ -201,6 +202,17 @@ def test_scan_budget_truncation():
     report = freeness_scan(PAIR, 12, node_budget=100)
     assert report.truncated
     assert report.word_count == 100
+
+
+def test_level_pairs_cut_at_budget():
+    frontier, letters = ["u", "v"], "xyz"
+    everything = [(f, l) for f in frontier for l in letters]
+    for budget in range(-1, 8):
+        pairs, cut = level_pairs(frontier, letters, budget)
+        assert list(pairs) == everything[: max(budget, 0)]
+        assert cut == (budget < len(everything))
+    pairs, cut = level_pairs([], letters, 0)
+    assert list(pairs) == [] and not cut
 
 
 def test_scan_worker_counts_agree():

@@ -4,8 +4,10 @@ the monotone distances.
 The first three hashes were taken from the reports before the state layer
 moved to unit edges and integer distances, the rank-1 `reach` pin before
 the PSD test moved from the characteristic polynomial to Bareiss
-elimination; any change to them is a change to the report format, not a
-refactor.
+elimination, and the compiled-semigroup pins (`verify-free`, `compile`,
+`membership`, `diff`) before those searches moved to one level loop and
+one budget rule; any change to them is a change to the report format, not
+a refactor.
 """
 
 import hashlib
@@ -21,8 +23,10 @@ from freeops.resourcegraph import monotone_family, quotient
 from freeops.util import canonical_json
 
 CLASSIC = "1|101\n10|00\n011|11\n"
+CLASSIC_MINUS = "1|101\n10|00\n"
 
-# name -> (argv without the instance path, exit code, outcome sha256, DOT sha256)
+# name -> (argv, exit code, outcome sha256, DOT sha256 or None without --dot);
+# "@" stands for the CLASSIC instance file, "@minus" for CLASSIC_MINUS.
 PINS = {
     "monotones-demo": (
         ["monotones", "--graph", "demo"],
@@ -49,6 +53,55 @@ PINS = {
         "c803d2927f5e7a0b30039b98e008f6e55c352074175b0615b8d7a3a98ebf3197",
         "db547f80f19c841de9ba5409e2cfcf7d46696eb4e70abb00cb0ff5cbfc693693",
     ),
+    "verify-free-len10": (
+        ["verify-free", "--max-len", "10"],
+        0,
+        "1ad7be38f5afb59ceab0fe03a9dbbbfdf9429280ea6dabcf9ccf6c02bdb7a9b8",
+        None,
+    ),
+    "compile-classic3": (
+        ["compile", "--instance", "@"],
+        0,
+        "c4d088f1f2b1edd6b9edd7f602bcf6ea67080b2351c9231b1431b03abb52a07f",
+        None,
+    ),
+    "membership-classic3-depth8": (
+        ["membership", "--instance", "@", "--depth", "8"],
+        0,
+        "169e5f634acc9044abd22ede9265c8fbeefa4d37032c970429da5dd066d4c040",
+        None,
+    ),
+    "membership-classic3-depth16-structured": (
+        ["membership", "--instance", "@", "--depth", "16", "--mode", "structured"],
+        0,
+        "801ac0bd1b3c6983c93135864b9c9acd84d129b2e604c837eea86c45c7b4fe0f",
+        None,
+    ),
+    "membership-minus-depth10-exhausted": (
+        ["membership", "--instance", "@minus", "--depth", "10"],
+        10,
+        "ac0aec5f1b2803595382824ed8213f4abb00e6dace4c9de3b463c764c8bcd0cb",
+        None,
+    ),
+    # Truncated at depth 6 while the tile oracle finds a solution: exit 12.
+    "membership-classic3-depth10-budget300": (
+        ["membership", "--instance", "@", "--depth", "10", "--budget", "300"],
+        12,
+        "57c7d5974df95a26990787cfce6b6aa1f0c153a797e273a6b7643a04097e4338",
+        None,
+    ),
+    "diff-classic3-depth4": (
+        ["diff", "--instance", "@", "--depth", "4"],
+        0,
+        "548e4609d19b344c6c7d9f916cc903b21720f0dd3600f0cff58e49badeb3ac0a",
+        None,
+    ),
+    "diff-classic3-depth6-budget500": (
+        ["diff", "--instance", "@", "--depth", "6", "--budget", "500"],
+        10,
+        "11c029e5bd905dae34f8c4829ced593d8a776a7f82d42a2ec4638314099c9e29",
+        None,
+    ),
 }
 
 
@@ -59,16 +112,22 @@ def sha256(data: bytes) -> str:
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_report_bytes_pinned(tmp_path, name):
     argv, want_code, outcome_hash, dot_hash = PINS[name]
-    inst = tmp_path / "classic.pcp"
-    inst.write_text(CLASSIC)
+    files = {"@": CLASSIC, "@minus": CLASSIC_MINUS}
+    for token, text in files.items():
+        path = tmp_path / f"{token[1:] or 'classic'}.pcp"
+        path.write_text(text)
+        files[token] = str(path)
     out = tmp_path / "r.json"
     dot = tmp_path / "g.dot"
-    argv = [str(inst) if a == "@" else a for a in argv]
-    assert cli.main(argv + ["--out", str(out), "--dot", str(dot)]) == want_code
+    argv = [files.get(a, a) for a in argv] + ["--out", str(out)]
+    if dot_hash is not None:
+        argv += ["--dot", str(dot)]
+    assert cli.main(argv) == want_code
     buf = io.StringIO()
     canonical_json(json.loads(out.read_text())["outcome"], buf)
     assert sha256(buf.getvalue().encode()) == outcome_hash
-    assert sha256(dot.read_bytes()) == dot_hash
+    if dot_hash is not None:
+        assert sha256(dot.read_bytes()) == dot_hash
 
 
 def longest_paths_brute_force(q, base):

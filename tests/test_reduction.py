@@ -15,7 +15,7 @@ from freeops.exact import (
     block_diag,
     gr,
 )
-from freeops.freerot import encode_word, make_free_pair, standard_params
+from freeops.freerot import encode_word, freeness_scan, make_free_pair, standard_params
 from freeops.pcp import parse_instance, solve_bounded, verify_solution
 from freeops.reduction import (
     DISTINCT,
@@ -313,6 +313,42 @@ def test_membership_budget_truncation():
     out = membership_search(gens, 8, mode="generic", node_budget=20)
     assert out.status == EXHAUSTED
     assert out.truncated
+
+
+# Budgets at and one below a level boundary, taken before the four searches
+# shared one level loop: a search is truncated exactly when one more
+# expansion was due, and a level cut short never counts as completed.
+BUDGET_BOUNDARY = [
+    # (search, depth or max_len, budget, expected)
+    ("scan", 3, 14, (14, False)),
+    ("scan", 3, 13, (13, True)),
+    ("scan", 4, 14, (14, True)),
+    ("generic", 4, 42, (EXHAUSTED, 4, 42, False)),
+    ("generic", 4, 41, (EXHAUSTED, 2, 41, True)),
+    ("generic", 6, 42, (EXHAUSTED, 4, 42, True)),
+    ("structured", 4, 12, (EXHAUSTED, 4, 12, False)),
+    ("structured", 4, 11, (EXHAUSTED, 2, 11, True)),
+    ("structured", 6, 12, (EXHAUSTED, 4, 12, True)),
+    ("diff", 2, 56, (DISTINCT, 2, 98, False)),
+    ("diff", 2, 55, (DISTINCT, 1, 97, True)),
+    ("diff", 3, 56, (INDISTINGUISHABLE, 2, 112, True)),
+]
+
+
+@pytest.mark.parametrize("search,depth,budget,expected", BUDGET_BOUNDARY)
+def test_budget_boundary_table(search, depth, budget, expected):
+    gens = compiled("1|101\n10|00\n011|11")
+    if search == "scan":
+        r = freeness_scan(PAIR, depth, node_budget=budget)
+        assert (r.word_count, r.truncated) == expected
+        return
+    if search == "diff":
+        f1 = gens.channels()
+        f2 = f1 + (labeled(make_target(Fraction(1, 16)), "PSI"),)
+        out = theory_diff(f1, f2, depth, node_budget=budget)
+    else:
+        out = membership_search(gens, depth, mode=search, node_budget=budget)
+    assert (out.status, out.depth_reached, out.nodes_expanded, out.truncated) == expected
 
 
 def test_membership_worker_counts_agree():
