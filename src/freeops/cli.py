@@ -154,15 +154,17 @@ def _cmd_membership(args):
         gens.instance, max(1, args.depth // 2), node_budget=args.budget
     )
     agree = (result.status == reduction.FOUND) == (oracle.status == pcp.FOUND)
+    if not agree and (result.truncated or oracle.truncated):
+        agree = None  # a budget cut, not a disagreement
     config.update({"depth": args.depth, "mode": args.mode, "budget": args.budget})
     outcome = {
         "membership": result.to_json_dict(),
         "oracle": oracle.to_json_dict(),
         "statuses_agree": agree,
     }
-    if not agree:
+    if agree is False:
         code = EXIT_MISMATCH
-    elif result.status == reduction.FOUND:
+    elif agree and result.status == reduction.FOUND:
         code = EXIT_OK
     else:
         code = EXIT_EXHAUSTED
@@ -251,9 +253,10 @@ def _cmd_diff(args):
             target_damping = damping ** (2 * len(probe.witness))
         else:
             target_damping = damping ** 2
-    f1 = gens.channels()
-    f2 = f1 + (reduction.labeled(reduction.make_target(target_damping), "PSI"),)
-    outcome_obj = reduction.theory_diff(f1, f2, args.depth, node_budget=args.budget)
+    psi = reduction.labeled(reduction.make_target(target_damping), "PSI")
+    outcome_obj = reduction.theory_diff(
+        gens.channels(), (psi,), args.depth, node_budget=args.budget
+    )
     config.update(
         {
             "target_damping": rat_to_str(target_damping),
@@ -283,7 +286,7 @@ def _add_instance_args(p, group=None, defaults=INSTANCE_DEFAULTS):
 def _add_common_args(p, budget=200_000):
     """--budget (omitted when budget is None) and --out."""
     if budget is not None:
-        p.add_argument("--budget", type=int, default=budget, help="node budget")
+        p.add_argument("--budget", type=int, default=budget, help="expansion budget")
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 

@@ -131,7 +131,6 @@ def gr(re, im=0) -> GaussianRational:
 
 GR_ZERO = GaussianRational(Fraction(0))
 GR_ONE = GaussianRational(Fraction(1))
-GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
 def gr_to_str(z: GaussianRational) -> str:

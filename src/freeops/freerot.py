@@ -1,6 +1,5 @@
 """Exact SU(2) rotation pairs, binary-word encodings, freeness scanning,
-and the quaternion kernel and level loop that every compiled-semigroup
-search runs on.
+and the quaternion kernel that every compiled-semigroup search runs on.
 
 A pair of rotations by a rational-cosine angle about orthogonal axes
 generates a free semigroup; this module constructs such pairs with all
@@ -18,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
 from math import gcd, lcm
-from typing import Iterator, Sized, Tuple
+from typing import Tuple
 
 from .exact import ExactMatrix, GaussianRational, block_diag, rat_to_str
+from .util import level_pairs
 
 Axis = Tuple[Fraction, Fraction, Fraction]
 # Integer numerators, four per 2x2 block, then one positive denominator.
@@ -223,19 +222,6 @@ def q_phase_key(x: Quaternions) -> Quaternions:
     """
     lead = next(v for v in x if v)  # at worst the positive denominator
     return x if lead > 0 else tuple(-v for v in x[:-1]) + x[-1:]
-
-
-def level_pairs(frontier: Sized, letters: Sized, budget: int) -> Tuple[Iterator, bool]:
-    """One breadth-first level: the (item, letter) pairs of frontier x letters
-    in that order, cut after `budget` pairs, and whether the cut dropped any.
-
-    This is the budget rule of every compiled-semigroup search: the budget
-    counts expansions, and a search is truncated exactly when one more
-    expansion was due.
-    """
-    budget = max(budget, 0)
-    pairs = islice(product(frontier, letters), budget)
-    return pairs, len(frontier) * len(letters) > budget
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
+from .util import level_pairs
+
 TileWord = Tuple[int, ...]
 
 
@@ -147,7 +149,9 @@ def solve_bounded(
     """Breadth-first search for a shortest solution of at most max_depth tiles.
 
     Deterministic: tiles are tried in index order and the first solution
-    found is the shortest one, lexicographically least among equals.
+    found is the shortest one, lexicographically least among equals.  The
+    budget counts expansions (one tile laid on one configuration); a level
+    cut short by it does not count as reached.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
@@ -161,24 +165,22 @@ def solve_bounded(
     visited = {(0, "")}
     frontier = [((0, ""), ())]
     expanded = 0
-    truncated = False
     depth_done = 0
     for depth in range(1, max_depth + 1):
+        pairs, truncated = level_pairs(frontier, tiles, node_budget - expanded)
         next_frontier = []
-        for (sign, over), parent in frontier:
-            expanded += len(tiles)
-            for idx, (top, bottom) in tiles:
-                result = _step(sign, over, top, bottom)
-                word = parent + (idx,)
-                if result == "solved":
-                    return SearchOutcome(FOUND, word, depth, expanded)
-                if result is not None and result not in visited:
-                    visited.add(result)
-                    next_frontier.append((result, word))
-        depth_done = depth
-        if len(visited) > node_budget:
-            truncated = True
+        for ((sign, over), parent), (idx, (top, bottom)) in pairs:
+            expanded += 1
+            result = _step(sign, over, top, bottom)
+            word = parent + (idx,)
+            if result == "solved":
+                return SearchOutcome(FOUND, word, depth, expanded)
+            if result is not None and result not in visited:
+                visited.add(result)
+                next_frontier.append((result, word))
+        if truncated:
             break
+        depth_done = depth
         frontier = next_frontier
         if not frontier:
             break

@@ -11,8 +11,13 @@ the channel semigroup.
 Every compiled unitary lies in SU(2) x SU(2), so the searches multiply
 integer quaternion pairs (see freerot), where phase equivalence is equality
 up to sign; ExactMatrix work is left to the values a report prints.  Each
-search expands one level at a time through freerot.level_pairs, so a node
+search expands one level at a time through util.level_pairs, so a node
 budget counts expansions in all of them.
+
+Comparing a generator set F with F + {T} needs only F's closure.  Every
+generator of F lies in both sets and realizes itself in either closure, so
+the two span the same theory exactly when T lies in the semigroup that F
+generates.  theory_diff therefore looks up both sides in that one closure.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .exact import (
 from .freerot import (
     FreePair,
     encode_word,
-    level_pairs,
     q_adjoint,
     q_identity,
     q_is_scalar,
@@ -43,6 +47,7 @@ from .freerot import (
     to_quaternions,
 )
 from .pcp import PCPInstance, TileWord
+from .util import level_pairs
 
 FOUND = "found"
 EXHAUSTED = "exhausted_to_depth"
@@ -474,38 +479,34 @@ def _closure(
 
 def theory_diff(
     f1: Sequence[ChannelElement],
-    f2: Sequence[ChannelElement],
+    extra: Sequence[ChannelElement],
     max_depth: int,
     node_budget: int = 500_000,
 ) -> DiffOutcome:
-    """Bounded refuter for "do these generating sets span the same theory".
+    """Bounded refuter for "do f1 and f2 = f1 + extra span the same theory".
 
-    Each generator of one set is looked up, as an exact canonical channel,
-    in the other set's bounded closure.  A generator absent from a fully
-    enumerated closure witnesses bounded distinctness; if every generator is
-    realized both ways the sets are indistinguishable up to the depth bound.
-    No outcome ever claims unconditional equality.  When a budget cuts a
-    closure short, depth_reached is the deepest level both closures
-    completed.
+    Each generator of f2 is looked up, as an exact canonical channel, in
+    f1's bounded closure, and each generator of f1 in f2's.  A generator
+    absent from a fully enumerated closure witnesses bounded distinctness;
+    if every generator is realized both ways the sets are indistinguishable
+    up to the depth bound.  No outcome ever claims unconditional equality.
+
+    Only f1's closure is built, and it stands in for f2's: f1 is a prefix
+    of f2, so a generator of f1 has the same shortest word in both (the
+    empty word, or the first equal letter at depth 1).  The reported depth,
+    expansion count and truncation are that one closure's.
     """
-    e1, n1, t1, done1 = _closure(f1, max_depth, node_budget)
-    e2, n2, t2, done2 = _closure(f2, max_depth, node_budget)
+    elems, expanded, truncated, done = _closure(f1, max_depth, node_budget)
     matches: Dict[str, dict] = {}
     witness = None
-    for side, own, other_elems, other_truncated in (
-        (2, f2, e1, t1),
-        (1, f1, e2, t2),
-    ):
+    for side, own in ((2, tuple(f1) + tuple(extra)), (1, f1)):
         for ch in own:
-            key = (q_phase_key(to_quaternions(ch.unitary)), ch.damping)
-            hit = other_elems.get(key)
+            hit = elems.get((q_phase_key(to_quaternions(ch.unitary)), ch.damping))
             if hit is not None:
-                word, depth = hit
                 matches.setdefault(
-                    f"f{side}:{ch.label}",
-                    {"realized_by": list(word), "at_depth": depth},
+                    f"f{side}:{ch.label}", {"realized_by": list(hit[0]), "at_depth": hit[1]}
                 )
-            elif witness is None and not other_truncated:
+            elif witness is None and not truncated:
                 witness = {
                     "side": side,
                     "label": ch.label,
@@ -514,10 +515,5 @@ def theory_diff(
                 }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE
     return DiffOutcome(
-        status=status,
-        witness=witness,
-        matches=matches,
-        depth_reached=min(done1, done2),
-        nodes_expanded=n1 + n2,
-        truncated=t1 or t2,
+        status, witness, matches, depth_reached=done, nodes_expanded=expanded, truncated=truncated
     )

@@ -25,6 +25,7 @@ from .exact import (
     rat_to_str,
 )
 from .reduction import choi
+from .util import level_pairs
 
 
 class NotCPTPError(ValueError):
@@ -162,7 +163,9 @@ def explore(
     """Breadth-first closure of the seeds under the channels.
 
     Every channel is Choi-certified before exploration; node identity is
-    exact state equality (digest keyed, equality confirmed).
+    exact state equality (digest keyed, equality confirmed).  The budget
+    counts expansions (one channel applied to one stored state), so at most
+    node_budget states join the seeds.
     """
     if not channels:
         raise ValueError("need at least one channel")
@@ -189,28 +192,24 @@ def explore(
             nodes[nid] = s
             frontier.append((nid, s))
     edges: Dict[Tuple[str, str, str], None] = {}  # insertion-ordered set
+    expanded = 0
     truncated = False
     for _ in range(max_depth):
-        if truncated or not frontier:
-            break
+        pairs, truncated = level_pairs(frontier, channels, node_budget - expanded)
         next_frontier = []
-        for nid, state in frontier:
-            if truncated:
-                break
-            for ch in channels:
-                out = ExactDensityMatrix(ch.apply_to_matrix(state.mat))
-                oid = out.digest()
-                existing = nodes.get(oid)
-                if existing is not None:
-                    if existing.mat != out.mat:
-                        raise RuntimeError("digest collision between distinct states")
-                else:
-                    if len(nodes) >= node_budget:
-                        truncated = True
-                        break
-                    nodes[oid] = out
-                    next_frontier.append((oid, out))
-                edges[(nid, oid, ch.label)] = None
+        for (nid, state), ch in pairs:
+            expanded += 1
+            out = ExactDensityMatrix(ch.apply_to_matrix(state.mat))
+            oid = out.digest()
+            existing = nodes.get(oid)
+            if existing is None:
+                nodes[oid] = out
+                next_frontier.append((oid, out))
+            elif existing.mat != out.mat:
+                raise RuntimeError("digest collision between distinct states")
+            edges[(nid, oid, ch.label)] = None
+        if truncated:
+            break
         frontier = next_frontier
     return ReachGraph(
         nodes=dict(nodes),

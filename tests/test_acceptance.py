@@ -287,8 +287,7 @@ def test_criterion_7_distinguishability():
             target_damping = HALF ** 2
         gens = compile_generators(entry.instance, PAIR, HALF)
         f1 = gens.channels()
-        f2 = f1 + (labeled(make_target(target_damping), "PSI"),)
-        out = theory_diff(f1, f2, depth)
+        out = theory_diff(f1, (labeled(make_target(target_damping), "PSI"),), depth)
         statuses.add(out.status)
         if out.status != expect:
             failures.append((entry.name, out.status, expect))

@@ -218,6 +218,33 @@ def test_membership_mismatch_alarm(tmp_path, monkeypatch):
     assert code == 12
 
 
+def test_membership_budget_cut_is_inconclusive(tmp_path):
+    # the search is cut at depth 6 while the oracle finds the solution
+    inst = write_instance(tmp_path, CLASSIC)
+    out = tmp_path / "r.json"
+    argv = ["membership", "--instance", inst, "--depth", "10", "--budget", "300"]
+    assert run(argv + ["--out", str(out)]) == 10
+    outcome = load(out)["outcome"]
+    assert outcome["membership"]["truncated"] is True
+    assert outcome["oracle"]["status"] == "found"
+    assert outcome["statuses_agree"] is None
+
+
+def test_membership_oracle_budget_cut_is_inconclusive(tmp_path, monkeypatch):
+    inst = write_instance(tmp_path, CLASSIC)
+    out = tmp_path / "r.json"
+
+    def cut(inst, depth, node_budget=0):
+        return cli.pcp.SearchOutcome(cli.pcp.EXHAUSTED, None, 0, 0, truncated=True)
+
+    monkeypatch.setattr(cli.pcp, "solve_bounded", cut)
+    argv = ["membership", "--instance", inst, "--depth", "8", "--out", str(out)]
+    assert run(argv) == 10
+    outcome = load(out)["outcome"]
+    assert outcome["membership"]["status"] == "found"
+    assert outcome["statuses_agree"] is None
+
+
 # --- reach ------------------------------------------------------------------------------
 
 
@@ -435,28 +462,16 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["outcome"]["witness"] == [1]
 
 
-def test_reports_byte_identical_across_runs(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [["membership", "--depth", "8"], ["solve-pcp", "--depth", "6"], ["diff", "--depth", "4"]],
+    ids=["membership", "solve-pcp", "diff"],
+)
+def test_reports_byte_identical_across_runs(tmp_path, argv):
     inst = write_instance(tmp_path, CLASSIC)
     texts = []
     for i in range(3):
         out = tmp_path / f"run{i}.json"
-        code = run(
-            ["membership", "--instance", inst, "--depth", "8", "--out", str(out)]
-        )
-        assert code == 0
-        texts.append(normalized(load(out)))
-    assert len(set(texts)) == 1
-
-
-def test_reports_identical_across_worker_counts(tmp_path):
-    # runs are single-threaded; repeated solve-pcp reports must agree
-    inst = write_instance(tmp_path, CLASSIC)
-    texts = []
-    for i in range(3):
-        out = tmp_path / f"run{i}.json"
-        code = run(
-            ["solve-pcp", "--instance", inst, "--depth", "6", "--out", str(out)]
-        )
-        assert code == 0
+        assert run(argv + ["--instance", inst, "--out", str(out)]) == 0
         texts.append(normalized(load(out)))
     assert len(set(texts)) == 1

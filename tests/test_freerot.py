@@ -15,7 +15,6 @@ from freeops.freerot import (
     RotationParams,
     encode_word,
     freeness_scan,
-    level_pairs,
     make_free_pair,
     q_adjoint,
     q_identity,
@@ -28,6 +27,7 @@ from freeops.freerot import (
     to_quaternions,
 )
 from freeops.reduction import compile_generators, phase_canonical
+from freeops.util import level_pairs
 
 PAIR = make_free_pair(standard_params())
 

@@ -14,8 +14,16 @@ from freeops.exact import (
     ShapeError,
     block_diag,
     gr,
+    rat_to_str,
 )
-from freeops.freerot import encode_word, freeness_scan, make_free_pair, standard_params
+from freeops.freerot import (
+    encode_word,
+    freeness_scan,
+    make_free_pair,
+    q_phase_key,
+    standard_params,
+    to_quaternions,
+)
 from freeops.pcp import parse_instance, solve_bounded, verify_solution
 from freeops.reduction import (
     DISTINCT,
@@ -23,6 +31,7 @@ from freeops.reduction import (
     FOUND,
     INDISTINGUISHABLE,
     ChannelElement,
+    _closure,
     choi,
     compile_generators,
     compose,
@@ -32,6 +41,7 @@ from freeops.reduction import (
     phase_canonical,
     theory_diff,
 )
+from freeops.resourcegraph import explore
 
 PAIR = make_free_pair(standard_params())
 HALF = Fraction(1, 2)
@@ -315,9 +325,12 @@ def test_membership_budget_truncation():
     assert out.truncated
 
 
-# Budgets at and one below a level boundary, taken before the four searches
-# shared one level loop: a search is truncated exactly when one more
-# expansion was due, and a level cut short never counts as completed.
+# Budgets at and one below a level boundary: a search is truncated exactly
+# when one more expansion was due, and a level cut short never counts as
+# completed.  The scan, generic and structured rows were taken before those
+# searches shared one level loop; the diff rows count the expansions of f1's
+# closure alone, and the explore and solve rows count expansions, not stored
+# states or visited configurations.
 BUDGET_BOUNDARY = [
     # (search, depth or max_len, budget, expected)
     ("scan", 3, 14, (14, False)),
@@ -329,9 +342,16 @@ BUDGET_BOUNDARY = [
     ("structured", 4, 12, (EXHAUSTED, 4, 12, False)),
     ("structured", 4, 11, (EXHAUSTED, 2, 11, True)),
     ("structured", 6, 12, (EXHAUSTED, 4, 12, True)),
-    ("diff", 2, 56, (DISTINCT, 2, 98, False)),
-    ("diff", 2, 55, (DISTINCT, 1, 97, True)),
-    ("diff", 3, 56, (INDISTINGUISHABLE, 2, 112, True)),
+    ("diff", 2, 42, (DISTINCT, 2, 42, False)),
+    ("diff", 2, 41, (INDISTINGUISHABLE, 1, 41, True)),
+    ("diff", 3, 56, (INDISTINGUISHABLE, 2, 56, True)),
+    # explore: (stored states, edges = expansions, truncated)
+    ("explore", 2, 36, (32, 36, False)),
+    ("explore", 2, 35, (31, 35, True)),
+    ("explore", 3, 36, (32, 36, True)),
+    ("solve", 3, 9, (EXHAUSTED, 3, 9, False)),
+    ("solve", 3, 8, (EXHAUSTED, 2, 8, True)),
+    ("solve", 4, 9, (EXHAUSTED, 3, 9, True)),
 ]
 
 
@@ -342,10 +362,16 @@ def test_budget_boundary_table(search, depth, budget, expected):
         r = freeness_scan(PAIR, depth, node_budget=budget)
         assert (r.word_count, r.truncated) == expected
         return
+    if search == "explore":
+        seed = ExactDensityMatrix.basis_state(4, 0)
+        g = explore(gens.channels(), [seed], depth, node_budget=budget)
+        assert (len(g.nodes), len(g.edges), g.truncated) == expected
+        return
     if search == "diff":
-        f1 = gens.channels()
-        f2 = f1 + (labeled(make_target(Fraction(1, 16)), "PSI"),)
-        out = theory_diff(f1, f2, depth, node_budget=budget)
+        psi = labeled(make_target(Fraction(1, 16)), "PSI")
+        out = theory_diff(gens.channels(), (psi,), depth, node_budget=budget)
+    elif search == "solve":
+        out = solve_bounded(gens.instance, depth, node_budget=budget)
     else:
         out = membership_search(gens, depth, mode=search, node_budget=budget)
     assert (out.status, out.depth_reached, out.nodes_expanded, out.truncated) == expected
@@ -394,7 +420,7 @@ def test_searches_reject_unitaries_outside_quaternion_form():
     )
     channel = ChannelElement(swap, HALF, ("S",))
     with pytest.raises(ValueError):
-        theory_diff([channel], [channel], 2)
+        theory_diff([channel], (), 2)
     gens = compiled("0|0")
     bad = dataclasses.replace(gens, h_gens=(channel,))
     for mode in ("generic", "structured"):
@@ -463,7 +489,7 @@ def test_diff_unsolvable_distinct_at_depth_one():
     f1 = gens.channels()
     psi = labeled(make_target(Fraction(1, 4)), "PSI")
     for depth in (1, 2, 4, 6):
-        out = theory_diff(f1, f1 + (psi,), depth)
+        out = theory_diff(f1, (psi,), depth)
         assert out.status == DISTINCT
         assert out.witness["label"] == "PSI"
         assert out.witness["side"] == 2
@@ -473,7 +499,7 @@ def test_diff_unsolvable_distinct_at_depth_one():
 def test_diff_identical_sets():
     gens = compiled("0|1")
     for depth in (1, 3):
-        out = theory_diff(gens.channels(), gens.channels(), depth)
+        out = theory_diff(gens.channels(), (), depth)
         assert out.status == INDISTINGUISHABLE
         assert out.witness is None
 
@@ -482,7 +508,7 @@ def test_diff_solvable_realizes_target():
     gens = compiled("0|0")
     f1 = gens.channels()
     psi = labeled(make_target(Fraction(1, 4)), "PSI")
-    out = theory_diff(f1, f1 + (psi,), 2)
+    out = theory_diff(f1, (psi,), 2)
     assert out.status == INDISTINGUISHABLE
     realized = out.matches["f2:PSI"]
     assert realized["at_depth"] == 2
@@ -496,21 +522,66 @@ def test_diff_solvable_realizes_target():
 def test_diff_truncated_reports_completed_depth():
     gens = compiled("0|1")
     f1 = gens.channels()
-    f2 = f1 + (labeled(make_target(Fraction(1, 4)), "PSI"),)
-    full = theory_diff(f1, f2, 4)
+    extra = (labeled(make_target(Fraction(1, 4)), "PSI"),)
+    full = theory_diff(f1, extra, 4)
     assert not full.truncated and full.depth_reached == 4
-    # f1 (2 letters) completes depth 2 within 7 expansions (2 + 4) but f2
-    # (3 letters) only depth 1 (3, then its second level is cut)
-    out = theory_diff(f1, f2, 4, node_budget=7)
+    # f1's closure (2 letters) completes depth 2 within 7 expansions (2 + 4);
+    # its third level is cut after one
+    out = theory_diff(f1, extra, 4, node_budget=7)
     assert out.truncated
-    assert out.depth_reached == 1
-    assert out.nodes_expanded == 14
-    # a budget that only cuts level 1 of both closures completes nothing
-    assert theory_diff(f1, f2, 4, node_budget=1).depth_reached == 0
+    assert out.depth_reached == 2
+    assert out.nodes_expanded == 7
+    assert out.status == INDISTINGUISHABLE and out.witness is None
+    # a budget that cuts level 1 completes nothing
+    assert theory_diff(f1, extra, 4, node_budget=1).depth_reached == 0
+
+
+def _two_closure_diff(f1, extra, depth):
+    """Oracle: the comparison with f2 = f1 + extra given its own closure,
+    each side's generators looked up in the other side's closure."""
+    f2 = tuple(f1) + tuple(extra)
+    e1, _, t1, done1 = _closure(f1, depth, 500_000)
+    e2, _, t2, done2 = _closure(f2, depth, 500_000)
+    assert not (t1 or t2)
+    matches, witness = {}, None
+    for side, own, other in ((2, f2, e1), (1, f1, e2)):
+        for ch in own:
+            hit = other.get((q_phase_key(to_quaternions(ch.unitary)), ch.damping))
+            if hit is not None:
+                matches.setdefault(
+                    f"f{side}:{ch.label}",
+                    {"realized_by": list(hit[0]), "at_depth": hit[1]},
+                )
+            elif witness is None:
+                witness = {
+                    "side": side,
+                    "label": ch.label,
+                    "damping": rat_to_str(ch.damping),
+                    "unitary_digest": phase_canonical(ch.unitary).digest(),
+                }
+    status = DISTINCT if witness is not None else INDISTINGUISHABLE
+    return status, witness, matches, min(done1, done2)
+
+
+def test_one_closure_diff_matches_two_closures():
+    statuses = set()
+    for entry in CORPUS:
+        if entry.size > 3:
+            continue
+        f1 = compile_generators(entry.instance, PAIR, HALF).channels()
+        for target in (Fraction(1, 4), Fraction(1, 16), Fraction(1, 256)):
+            extra = (labeled(make_target(target), "PSI"),)
+            for depth in range(1, 5):
+                out = theory_diff(f1, extra, depth)
+                assert not out.truncated
+                got = (out.status, out.witness, out.matches, out.depth_reached)
+                assert got == _two_closure_diff(f1, extra, depth), (entry.name, target, depth)
+                statuses.add(out.status)
+    assert statuses == {DISTINCT, INDISTINGUISHABLE}
 
 
 def test_diff_statuses_never_claim_equality():
     gens = compiled("0|0")
-    out = theory_diff(gens.channels(), gens.channels(), 2)
+    out = theory_diff(gens.channels(), (), 2)
     assert out.status in (DISTINCT, INDISTINGUISHABLE)
     assert "equal" not in out.status

@@ -128,7 +128,9 @@ def test_explore_budget_truncation():
     seed = ExactDensityMatrix.basis_state(4, 2)
     g = explore(gens.channels(), [seed], 4, node_budget=5)
     assert g.truncated
-    assert len(g.nodes) <= 6
+    # 4 expansions complete level 1, the fifth is cut from level 2
+    assert len(g.edges) == 5
+    assert len(g.nodes) == 5
 
 
 def test_explore_worker_counts_agree():
