@@ -1,10 +1,11 @@
 """Command-line frontend: reproducible runs with JSON (and DOT) reports.
 
-Exit code protocol: 0 found/ok, 10 exhausted within the bound, 11 freeness
-collision, 12 cross-check mismatch, 2 error (bad input, I/O, arithmetic,
-runtime or memory failure, reported as an `error:` line on stderr).  Every
-report embeds the full resolved configuration and input hashes; reruns with
-an identical configuration are byte-identical apart from the timing field.
+Exit code protocol: 0 found/ok, 10 exhausted within the bound (or cut short
+by the budget without an answer), 11 freeness collision, 12 cross-check
+mismatch, 2 error (bad input, I/O, arithmetic, runtime or memory failure,
+reported as an `error:` line on stderr).  Every report embeds the full
+resolved configuration and input hashes; reruns with an identical
+configuration are byte-identical apart from the timing field.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .freerot import (
     RotationParams,
     freeness_scan,
     make_free_pair,
-    rotation_matrix,
+    rotation_quaternion,
 )
 from .util import canonical_json, sha256_hex
 
@@ -61,8 +62,8 @@ def _build_pair(args) -> FreePair:
         # Escape hatch for demonstrating collision detection on pairs that
         # fail the freeness preconditions.
         return FreePair(
-            a=rotation_matrix(params.cos_theta, params.sin_theta, params.axis_a),
-            b=rotation_matrix(params.cos_theta, params.sin_theta, params.axis_b),
+            a=rotation_quaternion(params.cos_theta, params.sin_theta, params.axis_a),
+            b=rotation_quaternion(params.cos_theta, params.sin_theta, params.axis_b),
             params=params,
         )
     return make_free_pair(params)
@@ -123,7 +124,12 @@ def _cmd_verify_free(args):
         "force": bool(args.force),
         "budget": args.budget,
     }
-    code = EXIT_OK if report.is_empty else EXIT_COLLISION
+    if not report.is_empty:
+        code = EXIT_COLLISION
+    elif report.truncated:
+        code = EXIT_EXHAUSTED  # no collision, but only up to scanned_max_len
+    else:
+        code = EXIT_OK
     return code, config, {}, report.to_json_dict(), {}
 
 

@@ -1,16 +1,18 @@
 """Exact SU(2) rotation pairs, binary-word encodings, freeness scanning,
-and the quaternion kernel that every compiled-semigroup search runs on.
+and the quaternion kernel that the compiled semigroup is stored in.
 
 A pair of rotations by a rational-cosine angle about orthogonal axes
-generates a free semigroup; this module constructs such pairs with all
-entries in Q(i), maps binary words to products, and stress-tests the
-freeness claim by exhaustive collision scanning up to a word-length bound.
+generates a free semigroup; this module constructs such pairs exactly,
+maps binary words to products, and stress-tests the freeness claim by
+exhaustive collision scanning up to a word-length bound.
 
 The kernel stores [[alpha, beta], [-conj(beta), conj(alpha)]] as the
 integer quaternion (Re alpha, Im alpha, Re beta, Im beta), a block-diagonal
 matrix of such blocks as its quaternions side by side over one denominator.
-The only scalars in SU(2) x SU(2) are +-I, so equality up to a global phase
-reduces to equality up to sign.
+The rotations, their words and every compiled generator are kept in this
+form; quaternion_matrix gives the ExactMatrix that one stands for.  The only
+scalars in SU(2) x SU(2) are +-I, so equality up to a global phase reduces
+to equality up to sign.
 """
 
 from __future__ import annotations
@@ -75,32 +77,25 @@ def standard_params() -> RotationParams:
 
 @dataclass(frozen=True, slots=True)
 class FreePair:
-    """Two exact SU(2) matrices; letter 0 maps to `a`, letter 1 to `b`."""
+    """Two exact SU(2) rotations as quaternions; letter 0 maps to `a`,
+    letter 1 to `b`."""
 
-    a: ExactMatrix
-    b: ExactMatrix
+    a: Quaternions
+    b: Quaternions
     params: RotationParams
 
 
-def rotation_matrix(cos_t: Fraction, sin_t: Fraction, axis: Axis) -> ExactMatrix:
-    """cos*I + i*sin*(axis . sigma) as a 2x2 matrix over Q(i).
+def rotation_quaternion(cos_t: Fraction, sin_t: Fraction, axis: Axis) -> Quaternions:
+    """cos*I + i*sin*(axis . sigma): alpha = cos + i*sin*n_z and
+    beta = sin*n_y + i*sin*n_x over one denominator.
 
     Performs no freeness or orthogonality checks; use make_free_pair for a
     validated pair.
     """
     nx, ny, nz = axis
-    return ExactMatrix.from_rows(
-        [
-            [
-                GaussianRational(cos_t, sin_t * nz),
-                GaussianRational(sin_t * ny, sin_t * nx),
-            ],
-            [
-                GaussianRational(-sin_t * ny, sin_t * nx),
-                GaussianRational(cos_t, -sin_t * nz),
-            ],
-        ]
-    )
+    parts = (cos_t, sin_t * nz, sin_t * ny, sin_t * nx)
+    den = lcm(*(p.denominator for p in parts))
+    return _reduced([p.numerator * (den // p.denominator) for p in parts], den)
 
 
 def _dot(u: Axis, v: Axis) -> Fraction:
@@ -119,23 +114,23 @@ def make_free_pair(params: RotationParams) -> FreePair:
             raise AxisError(f"{name} is not an exact unit vector")
     if _dot(params.axis_a, params.axis_b) != 0:
         raise AxisError("rotation axes must be exactly orthogonal")
-    a = rotation_matrix(c, s, params.axis_a)
-    b = rotation_matrix(c, s, params.axis_b)
+    a = rotation_quaternion(c, s, params.axis_a)
+    b = rotation_quaternion(c, s, params.axis_b)
     return FreePair(a=a, b=b, params=params)
 
 
-def encode_word(pair: FreePair, bits: str) -> ExactMatrix:
+def encode_word(pair: FreePair, bits: str) -> Quaternions:
     """Homomorphism from binary words to rotation products.
 
     The empty word maps to the identity, 0 to `a`, 1 to `b`, and
-    concatenation to matrix multiplication.
+    concatenation to multiplication.
     """
-    result = ExactMatrix.identity(2)
+    result = q_identity(1)
     for ch in bits:
         if ch == "0":
-            result = result @ pair.a
+            result = q_mul(result, pair.a)
         elif ch == "1":
-            result = result @ pair.b
+            result = q_mul(result, pair.b)
         else:
             raise ValueError(f"binary words may only contain 0 and 1, got {ch!r}")
     return result
@@ -162,22 +157,11 @@ def quaternion_matrix(q: Quaternions) -> ExactMatrix:
     return block_diag(*blocks)
 
 
-def to_quaternions(m: ExactMatrix) -> Quaternions:
-    """Quaternion tuple of a block-diagonal matrix of 2x2 quaternion blocks.
-
-    Raises ValueError for a matrix of any other form.
-    """
-    if m.rows != m.cols or m.rows % 2:
-        raise ValueError("quaternion form needs a square matrix of even size")
-    parts = []
-    for k in range(0, m.rows, 2):
-        alpha, beta = m.entry(k, k), m.entry(k, k + 1)
-        parts += (alpha.re, alpha.im, beta.re, beta.im)
-    den = lcm(*(p.denominator for p in parts))
-    q = _reduced([p.numerator * (den // p.denominator) for p in parts], den)
-    if quaternion_matrix(q) != m:
-        raise ValueError("matrix is not block-diagonal in quaternion form")
-    return q
+def q_blocks(*qs: Quaternions) -> Quaternions:
+    """Block-diagonal concatenation: the blocks of each argument in order,
+    over one denominator."""
+    den = lcm(*(q[-1] for q in qs))
+    return _reduced([v * (den // q[-1]) for q in qs for v in q[:-1]], den)
 
 
 def q_identity(blocks: int) -> Quaternions:
@@ -259,19 +243,21 @@ def freeness_scan(
 
     Reports (a) pairs of distinct words with exactly equal matrices and
     (b) words whose matrix is a scalar multiple of the identity.  An empty
-    report certifies that no collision exists up to the scanned bound; it
-    never claims anything beyond it.
+    report certifies that no collision exists up to the scanned bound,
+    scanned_max_len, which is the last length scanned in full when the
+    budget cuts the scan; it never claims anything beyond it.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    gens = (("0", to_quaternions(pair.a)), ("1", to_quaternions(pair.b)))
+    gens = (("0", pair.a), ("1", pair.b))
     seen = {}
     collisions = []
     scalar_words = []
     count = 0
+    scanned = 0
     truncated = False
     level = [("", q_identity(1))]
-    for _ in range(max_len):
+    for length in range(1, max_len + 1):
         pairs, truncated = level_pairs(level, gens, node_budget - count)
         next_level = []
         for (word, q), (bit, g) in pairs:
@@ -288,9 +274,10 @@ def freeness_scan(
             next_level.append((child_word, child))
         if truncated:
             break
+        scanned = length
         level = next_level
     return CollisionReport(
-        scanned_max_len=max_len,
+        scanned_max_len=scanned,
         word_count=count,
         collisions=tuple(collisions),
         scalar_words=tuple(scalar_words),

@@ -8,11 +8,14 @@ and the two encoded words agree.  Wrapping the unitaries in depolarising
 channels with exact damping turns word search into membership search for
 the channel semigroup.
 
-Every compiled unitary lies in SU(2) x SU(2), so the searches multiply
-integer quaternion pairs (see freerot), where phase equivalence is equality
-up to sign; ExactMatrix work is left to the values a report prints.  Each
-search expands one level at a time through util.level_pairs, so a node
-budget counts expansions in all of them.
+Every compiled unitary lies in SU(2) x SU(2), so a channel carries its
+unitary as an integer quaternion pair (see freerot): compilation, composition
+and the searches multiply quaternions, and phase equivalence is equality up
+to sign.  Each channel derives its 4x4 ExactMatrix once, for acting on states
+and Choi operators, for the compile report, for the independent cross-check
+of a membership witness and for the digest of a diff witness.  Each search
+expands one level at a time through util.level_pairs, so a node budget
+counts expansions in all of them.
 
 Comparing a generator set F with F + {T} needs only F's closure.  Every
 generator of F lies in both sets and realizes itself in either closure, so
@@ -23,8 +26,9 @@ generates.  theory_diff therefore looks up both sides in that one closure.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import pcp
@@ -33,18 +37,19 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     ShapeError,
-    block_diag,
     rat_to_str,
 )
 from .freerot import (
     FreePair,
+    Quaternions,
     encode_word,
     q_adjoint,
+    q_blocks,
     q_identity,
     q_is_scalar,
     q_mul,
     q_phase_key,
-    to_quaternions,
+    quaternion_matrix,
 )
 from .pcp import PCPInstance, TileWord
 from .util import level_pairs
@@ -60,26 +65,32 @@ INDISTINGUISHABLE = "indistinguishable_up_to_depth"
 class ChannelElement:
     """The map rho -> damping * U rho U^dag + (1 - damping) * I/d.
 
-    Composition multiplies the unitaries, multiplies the dampings, and
-    concatenates the generator words, so a composite is again of this form.
+    U is a quaternion pair (or any number of blocks) in SU(2) x SU(2), and
+    `matrix` is the ExactMatrix it stands for.  Composition multiplies the
+    unitaries, multiplies the dampings, and concatenates the generator
+    words, so a composite is again of this form.
     """
 
-    unitary: ExactMatrix
+    unitary: Quaternions
     damping: Fraction
     word: Tuple[str, ...] = ()
+    matrix: ExactMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        u = self.unitary
-        if u.rows != u.cols:
-            raise ShapeError("channel unitary must be square")
-        if not u.is_unitary():
-            raise ValueError("channel matrix must be exactly unitary")
+        q = self.unitary
+        blocks, rest = divmod(len(q) - 1, 4)
+        if rest or not blocks or q[-1] < 1 or gcd(*q) != 1:
+            raise ValueError("channel unitary must be quaternions over a reduced denominator")
+        norms = (sum(v * v for v in q[k : k + 4]) for k in range(0, len(q) - 1, 4))
+        if any(n != q[-1] ** 2 for n in norms):
+            raise ValueError("channel unitary blocks must be unit quaternions")
         if not (0 < self.damping <= 1):
             raise ValueError("damping must lie in (0, 1]")
+        object.__setattr__(self, "matrix", quaternion_matrix(q))
 
     @property
     def dim(self) -> int:
-        return self.unitary.rows
+        return self.matrix.rows
 
     @property
     def label(self) -> str:
@@ -91,30 +102,30 @@ class ChannelElement:
         """Linear action on an arbitrary operator (not only states)."""
         if m.rows != self.dim or m.cols != self.dim:
             raise ShapeError("operator dimension does not match the channel")
-        return m.depolarised(self.unitary, self.damping)
+        return m.depolarised(self.matrix, self.damping)
 
     def apply(self, state: ExactDensityMatrix) -> ExactDensityMatrix:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))
 
     @classmethod
-    def identity_element(cls, dim: int = 4) -> "ChannelElement":
-        return cls(ExactMatrix.identity(dim), Fraction(1), ())
+    def identity_element(cls) -> "ChannelElement":
+        return cls(q_identity(2), Fraction(1), ())
 
 
 def compose(x: ChannelElement, y: ChannelElement) -> ChannelElement:
     """(x compose y)(rho) = x(y(rho)); dampings multiply, words concatenate."""
     return ChannelElement(
-        unitary=x.unitary @ y.unitary,
+        unitary=q_mul(x.unitary, y.unitary),
         damping=x.damping * y.damping,
         word=x.word + y.word,
     )
 
 
-def make_target(damping: Fraction, dim: int = 4) -> ChannelElement:
-    """The pure depolarising map rho -> damping*rho + (1-damping)*I/d."""
+def make_target(damping: Fraction) -> ChannelElement:
+    """The pure depolarising map rho -> damping*rho + (1-damping)*I/4."""
     if not (0 < damping < 1):
         raise ValueError("target damping must lie strictly inside (0, 1)")
-    return ChannelElement(ExactMatrix.identity(dim), damping, ())
+    return ChannelElement(q_identity(2), damping, ())
 
 
 def labeled(channel: ChannelElement, label: str) -> ChannelElement:
@@ -166,7 +177,7 @@ class GeneratorSet:
             "rotation": self.pair.params.to_json_dict(),
             "damping": {k: rat_to_str(v) for k, v in self.damping_assignment.items()},
             "unitaries": {
-                ch.word[0]: ch.unitary.to_json_dict() for ch in self.channels()
+                ch.word[0]: ch.matrix.to_json_dict() for ch in self.channels()
             },
         }
 
@@ -177,32 +188,19 @@ def compile_generators(
     """Build the 2k generators for a k-tile instance at the given damping.
 
     Tile i (1-based) gives H_i = blockdiag(code(top_i), A^i B) and
-    G_i = blockdiag(code(bottom_i)^dag, (A^i B)^dag).
+    G_i = blockdiag(code(bottom_i), A^i B)^dag.
     """
     if not (0 < damping < 1):
         raise ValueError("generator damping must lie strictly inside (0, 1)")
-    a = pair.a
-    b = pair.b
+    index_block = pair.b
     h_gens = []
     g_gens = []
     for i, (top, bottom) in enumerate(inst.tiles, start=1):
-        index_block = a.pow(i) @ b
-        h_gens.append(
-            ChannelElement(
-                unitary=block_diag(encode_word(pair, top), index_block),
-                damping=damping,
-                word=(f"H{i}",),
-            )
-        )
-        g_gens.append(
-            ChannelElement(
-                unitary=block_diag(
-                    encode_word(pair, bottom).dagger(), index_block.dagger()
-                ),
-                damping=damping,
-                word=(f"G{i}",),
-            )
-        )
+        index_block = q_mul(pair.a, index_block)
+        h = q_blocks(encode_word(pair, top), index_block)
+        g = q_adjoint(q_blocks(encode_word(pair, bottom), index_block))
+        h_gens.append(ChannelElement(h, damping, (f"H{i}",)))
+        g_gens.append(ChannelElement(g, damping, (f"G{i}",)))
     return GeneratorSet(
         instance=inst, pair=pair, h_gens=tuple(h_gens), g_gens=tuple(g_gens)
     )
@@ -290,7 +288,7 @@ def _found_outcome(
     product = ExactMatrix.identity(4)
     damping = Fraction(1)
     for lab in witness:
-        product = product @ by_label[lab].unitary
+        product = product @ by_label[lab].matrix
         damping *= by_label[lab].damping
     scalar = product.as_scalar()
     if scalar is None:
@@ -320,7 +318,7 @@ def _generic_search(
     word, lexicographically least among equals.  Level j meets the
     canonical levels j - 1 and j, so only those are kept.
     """
-    letters = [(ch.word[0], to_quaternions(ch.unitary)) for ch in gens.channels()]
+    letters = [(ch.word[0], ch.unitary) for ch in gens.channels()]
     ident = q_identity(2)
     level = {ident: ()}
     canon_prev = {q_phase_key(ident): ()}
@@ -366,7 +364,7 @@ def _structured_search(
     certifies a matching tile word.
     """
     tiles = [
-        (i, to_quaternions(g.unitary), to_quaternions(h.unitary))
+        (i, g.unitary, h.unitary)
         for i, (g, h) in enumerate(zip(gens.g_gens, gens.h_gens), start=1)
     ]
     ident = q_identity(2)
@@ -454,7 +452,7 @@ def _closure(
     search, and the deepest level that was fully enumerated."""
     if not channels:
         raise ValueError("need at least one channel")
-    letters = [(to_quaternions(ch.unitary), ch.label, ch.damping) for ch in channels]
+    letters = [(ch.unitary, ch.label, ch.damping) for ch in channels]
     ident = q_identity(channels[0].dim // 2)
     elems = {(q_phase_key(ident), Fraction(1)): ((), 0)}
     frontier = [(ident, (), Fraction(1))]
@@ -496,12 +494,14 @@ def theory_diff(
     empty word, or the first equal letter at depth 1).  The reported depth,
     expansion count and truncation are that one closure's.
     """
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
     elems, expanded, truncated, done = _closure(f1, max_depth, node_budget)
     matches: Dict[str, dict] = {}
     witness = None
     for side, own in ((2, tuple(f1) + tuple(extra)), (1, f1)):
         for ch in own:
-            hit = elems.get((q_phase_key(to_quaternions(ch.unitary)), ch.damping))
+            hit = elems.get((q_phase_key(ch.unitary), ch.damping))
             if hit is not None:
                 matches.setdefault(
                     f"f{side}:{ch.label}", {"realized_by": list(hit[0]), "at_depth": hit[1]}
@@ -511,7 +511,7 @@ def theory_diff(
                     "side": side,
                     "label": ch.label,
                     "damping": rat_to_str(ch.damping),
-                    "unitary_digest": phase_canonical(ch.unitary).digest(),
+                    "unitary_digest": phase_canonical(ch.matrix).digest(),
                 }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE
     return DiffOutcome(

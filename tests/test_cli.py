@@ -430,6 +430,15 @@ def test_diff_unsolvable_distinct(tmp_path):
     assert report["outcome"]["witness"]["label"] == "PSI"
 
 
+def test_diff_rejects_depth_below_one(tmp_path, capsys):
+    inst = write_instance(tmp_path, CLASSIC)
+    for depth in ("0", "-1"):
+        out = tmp_path / "r.json"
+        assert run(["diff", "--instance", inst, "--depth", depth, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: max_depth must be at least 1\n"
+        assert not out.exists()
+
+
 # --- reproducibility ---------------------------------------------------------------------------
 
 

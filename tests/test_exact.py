@@ -261,7 +261,7 @@ def test_psd_zero_pivot_cases():
 def test_psd_agrees_with_sturm_oracle_on_choi_operators():
     pair = make_free_pair(standard_params())
     entries = [e for e in CORPUS if e.name in ("classic3", "classic_minus", "pad_left")]
-    channels = [ChannelElement.identity_element(4), make_target(Fraction(1, 3))]
+    channels = [ChannelElement.identity_element(), make_target(Fraction(1, 3))]
     for entry in entries:
         channels.extend(compile_generators(entry.instance, pair, Fraction(1, 2)).channels())
     for ch in channels:

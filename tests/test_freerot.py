@@ -1,12 +1,14 @@
 """Rotation-pair construction, word encoding, and freeness scanning."""
 
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS
-from freeops.exact import ExactMatrix, block_diag, gr
+from freeops.exact import ExactMatrix, GaussianRational, block_diag, gr
 from freeops.freerot import (
     AxisError,
     FreenessError,
@@ -17,37 +19,64 @@ from freeops.freerot import (
     freeness_scan,
     make_free_pair,
     q_adjoint,
+    q_blocks,
     q_identity,
     q_is_scalar,
     q_mul,
     q_phase_key,
     quaternion_matrix,
-    rotation_matrix,
+    rotation_quaternion,
     standard_params,
-    to_quaternions,
 )
 from freeops.reduction import compile_generators, phase_canonical
 from freeops.util import level_pairs
 
 PAIR = make_free_pair(standard_params())
+A = quaternion_matrix(PAIR.a)
+B = quaternion_matrix(PAIR.b)
 
 words = st.text(alphabet="01", max_size=10)
 
 
+def reference_rotation(cos_t, sin_t, axis) -> ExactMatrix:
+    """The rotation cos*I + i*sin*(axis . sigma) spelled out as a 2x2
+    matrix over Q(i)."""
+    nx, ny, nz = axis
+    return ExactMatrix.from_rows(
+        [
+            [GaussianRational(cos_t, sin_t * nz), GaussianRational(sin_t * ny, sin_t * nx)],
+            [GaussianRational(-sin_t * ny, sin_t * nx), GaussianRational(cos_t, -sin_t * nz)],
+        ]
+    )
+
+
+def reference_word(a: ExactMatrix, b: ExactMatrix, bits: str) -> ExactMatrix:
+    """The matrix product that a binary word stands for."""
+    m = ExactMatrix.identity(2)
+    for ch in bits:
+        m = m @ (a if ch == "0" else b)
+    return m
+
+
+def is_canonical(q) -> bool:
+    """Positive denominator and no common factor, as every builder returns."""
+    return q[-1] > 0 and gcd(*q) == 1
+
+
 def test_standard_pair_matrices():
-    assert PAIR.a == ExactMatrix.diagonal([gr("3/5", "4/5"), gr("3/5", "-4/5")])
-    assert PAIR.b == ExactMatrix.from_rows(
+    assert A == ExactMatrix.diagonal([gr("3/5", "4/5"), gr("3/5", "-4/5")])
+    assert B == ExactMatrix.from_rows(
         [[gr("3/5"), gr(0, "4/5")], [gr(0, "4/5"), gr("3/5")]]
     )
 
 
 def test_standard_pair_digests_differ():
     assert PAIR.a != PAIR.b
-    assert PAIR.a.digest() != PAIR.b.digest()
+    assert A.digest() != B.digest()
 
 
 def test_standard_pair_is_special_unitary():
-    for m in (PAIR.a, PAIR.b):
+    for m in (A, B):
         assert m.is_unitary()
         assert m.det() == gr(1)
         assert m.dagger() @ m == ExactMatrix.identity(2)
@@ -105,18 +134,57 @@ def test_other_pythagorean_triple_accepted():
         axis_b=(Fraction(3, 5), Fraction(4, 5), Fraction(0)),
     )
     pair = make_free_pair(params)
-    assert pair.a.is_unitary() and pair.b.is_unitary()
+    assert quaternion_matrix(pair.a).is_unitary() and quaternion_matrix(pair.b).is_unitary()
+    for q, axis in ((pair.a, params.axis_a), (pair.b, params.axis_b)):
+        assert quaternion_matrix(q) == reference_rotation(params.cos_theta, params.sin_theta, axis)
+
+
+ONE, ZERO = Fraction(1), Fraction(0)
+SIGNED_AXES = [
+    tuple(sign * ONE if k == j else ZERO for k in range(3)) for j in range(3) for sign in (1, -1)
+] + [(Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))]
+
+
+def test_rotation_quaternion_matches_matrix_formula():
+    angles = [
+        (Fraction(sc * a, c), Fraction(ss * b, c))
+        for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+        for sc, ss in product((1, -1), repeat=2)
+    ]
+    # the formula holds without the validation make_free_pair adds
+    angles += [(ZERO, ONE), (Fraction(1, 2), Fraction(1, 2))]
+    for (cos_t, sin_t), axis in product(angles, SIGNED_AXES):
+        q = rotation_quaternion(cos_t, sin_t, axis)
+        assert len(q) == 5 and is_canonical(q)
+        assert quaternion_matrix(q) == reference_rotation(cos_t, sin_t, axis), (cos_t, sin_t, axis)
+
+
+def test_q_blocks_matches_block_diag():
+    parts = [
+        rotation_quaternion(Fraction(3, 5), Fraction(4, 5), SIGNED_AXES[0]),
+        rotation_quaternion(Fraction(-5, 13), Fraction(12, 13), SIGNED_AXES[3]),
+        rotation_quaternion(Fraction(8, 17), Fraction(-15, 17), SIGNED_AXES[6]),
+        q_identity(1),
+        encode_word(PAIR, "0110"),
+        q_identity(2),
+    ]
+    for count in (1, 2, 3):
+        for qs in product(parts, repeat=count):
+            q = q_blocks(*qs)
+            assert is_canonical(q)
+            assert quaternion_matrix(q) == block_diag(*(quaternion_matrix(x) for x in qs))
 
 
 # --- the word encoding -----------------------------------------------------------
 
 
 def test_empty_word_is_identity():
-    assert encode_word(PAIR, "") == ExactMatrix.identity(2)
+    assert encode_word(PAIR, "") == q_identity(1)
+    assert quaternion_matrix(encode_word(PAIR, "")) == ExactMatrix.identity(2)
 
 
 def test_word_010_is_aba():
-    assert encode_word(PAIR, "010") == PAIR.a @ PAIR.b @ PAIR.a
+    assert quaternion_matrix(encode_word(PAIR, "010")) == A @ B @ A
 
 
 def test_word_rejects_other_letters():
@@ -127,30 +195,51 @@ def test_word_rejects_other_letters():
 @settings(max_examples=500)
 @given(words, words)
 def test_encoding_is_homomorphism(u, v):
-    assert encode_word(PAIR, u + v) == encode_word(PAIR, u) @ encode_word(PAIR, v)
+    assert encode_word(PAIR, u + v) == q_mul(encode_word(PAIR, u), encode_word(PAIR, v))
+    assert quaternion_matrix(encode_word(PAIR, u + v)) == quaternion_matrix(
+        encode_word(PAIR, u)
+    ) @ quaternion_matrix(encode_word(PAIR, v))
+
+
+Y_AXIS = make_free_pair(
+    RotationParams(Fraction(5, 13), Fraction(12, 13), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
+)
+
+
+@settings(max_examples=300)
+@given(words, st.sampled_from([PAIR, Y_AXIS]))
+def test_encode_word_matches_matrix_product(bits, pair):
+    p = pair.params
+    a = reference_rotation(p.cos_theta, p.sin_theta, p.axis_a)
+    b = reference_rotation(p.cos_theta, p.sin_theta, p.axis_b)
+    q = encode_word(pair, bits)
+    assert is_canonical(q)
+    assert quaternion_matrix(q) == reference_word(a, b, bits)
 
 
 def test_homomorphism_instance():
-    assert encode_word(PAIR, "01") @ encode_word(PAIR, "0") == encode_word(PAIR, "010")
+    assert quaternion_matrix(encode_word(PAIR, "01")) @ quaternion_matrix(
+        encode_word(PAIR, "0")
+    ) == quaternion_matrix(encode_word(PAIR, "010"))
 
 
 # --- powers ------------------------------------------------------------------------
 
 
 def test_power_basics():
-    assert PAIR.a.pow(1) == PAIR.a
-    assert PAIR.a.pow(2) == PAIR.a @ PAIR.a
+    assert A.pow(1) == A
+    assert A.pow(2) == A @ A
 
 
 def test_cube_trace():
     # cos(3t) = 4cos^3(t) - 3cos(t) = -117/125 at cos(t) = 3/5
-    assert PAIR.a.pow(3).trace() == gr(Fraction(-234, 125))
+    assert A.pow(3).trace() == gr(Fraction(-234, 125))
 
 
 def test_power_additive():
     for i in range(0, 5):
         for j in range(0, 5):
-            assert PAIR.a.pow(i) @ PAIR.a.pow(j) == PAIR.a.pow(i + j)
+            assert A.pow(i) @ A.pow(j) == A.pow(i + j)
 
 
 # --- freeness scanning ---------------------------------------------------------------
@@ -171,17 +260,15 @@ def test_scan_len1():
 
 def test_scan_determinant_one_everywhere():
     # every nonempty word up to length 6 stays in SU(2)
-    from itertools import product
-
     for n in range(1, 7):
         for bits in product("01", repeat=n):
-            assert encode_word(PAIR, "".join(bits)).det() == gr(1)
+            assert quaternion_matrix(encode_word(PAIR, "".join(bits))).det() == gr(1)
 
 
 def _inverse_pair() -> FreePair:
     params = standard_params()
-    a = rotation_matrix(params.cos_theta, params.sin_theta, params.axis_a)
-    b = rotation_matrix(
+    a = rotation_quaternion(params.cos_theta, params.sin_theta, params.axis_a)
+    b = rotation_quaternion(
         params.cos_theta,
         params.sin_theta,
         (Fraction(0), Fraction(0), Fraction(-1)),
@@ -191,7 +278,7 @@ def _inverse_pair() -> FreePair:
 
 def test_scan_flags_engineered_cancellation():
     pair = _inverse_pair()
-    assert pair.a @ pair.b == ExactMatrix.identity(2)
+    assert quaternion_matrix(pair.a) @ quaternion_matrix(pair.b) == ExactMatrix.identity(2)
     report = freeness_scan(pair, 2)
     assert "01" in report.scalar_words
     assert "10" in report.scalar_words
@@ -202,6 +289,8 @@ def test_scan_budget_truncation():
     report = freeness_scan(PAIR, 12, node_budget=100)
     assert report.truncated
     assert report.word_count == 100
+    # 62 words fill lengths 1-5; length 6 needs 64 more
+    assert report.scanned_max_len == 5
 
 
 def test_level_pairs_cut_at_budget():
@@ -234,15 +323,25 @@ def test_report_json_shape():
 
 
 def _letter_sets():
-    """Letter sets for random words: the free pair, and each corpus
-    instance's compiled unitaries plus their adjoints and diag(I, -I), so
-    that words can cancel and blocks can disagree in sign."""
-    sets = [[PAIR.a, PAIR.b, PAIR.a.dagger(), PAIR.b.dagger()]]
-    flip = block_diag(ExactMatrix.identity(2), ExactMatrix.identity(2).scale(-1))
+    """Letter sets for random words, each letter a (quaternions, matrix)
+    pair: the free pair with the rotation formula's matrices, and each corpus
+    instance's compiled unitaries, all with their adjoints, the corpus sets
+    also with diag(I, -I), so that words can cancel and blocks can disagree
+    in sign."""
+    p = PAIR.params
+    rotations = [
+        (PAIR.a, reference_rotation(p.cos_theta, p.sin_theta, p.axis_a)),
+        (PAIR.b, reference_rotation(p.cos_theta, p.sin_theta, p.axis_b)),
+    ]
+    sets = [rotations + [(q_adjoint(q), m.dagger()) for q, m in rotations]]
+    flip = (
+        (1, 0, 0, 0, -1, 0, 0, 0, 1),
+        block_diag(ExactMatrix.identity(2), ExactMatrix.identity(2).scale(-1)),
+    )
     for entry in CORPUS:
         gens = compile_generators(entry.instance, PAIR, Fraction(1, 2))
-        units = [ch.unitary for ch in gens.channels()]
-        sets.append(units + [u.dagger() for u in units] + [flip])
+        units = [(ch.unitary, ch.matrix) for ch in gens.channels()]
+        sets.append(units + [(q_adjoint(q), m.dagger()) for q, m in units] + [flip])
     return sets
 
 
@@ -251,11 +350,12 @@ LETTER_SETS = _letter_sets()
 
 def _word_product(letters, word):
     """(ExactMatrix product, quaternion product) of a word over letters."""
-    m = ExactMatrix.identity(letters[0].rows)
-    q = q_identity(letters[0].rows // 2)
+    size = letters[0][1].rows
+    m = ExactMatrix.identity(size)
+    q = q_identity(size // 2)
     for i in word:
-        m = m @ letters[i]
-        q = q_mul(q, to_quaternions(letters[i]))
+        q = q_mul(q, letters[i][0])
+        m = m @ letters[i][1]
     return m, q
 
 
@@ -266,7 +366,7 @@ def test_quaternion_kernel_matches_matrix_oracle(data):
     index = st.integers(0, len(letters) - 1)
     mu, qu = _word_product(letters, data.draw(st.lists(index, max_size=6)))
     mv, qv = _word_product(letters, data.draw(st.lists(index, max_size=6)))
-    assert to_quaternions(mu) == qu
+    assert is_canonical(qu)
     assert quaternion_matrix(qu) == mu
     assert quaternion_matrix(q_mul(qu, qv)) == mu @ mv
     assert quaternion_matrix(q_adjoint(qu)) == mu.dagger()
@@ -289,17 +389,3 @@ def test_quaternion_scalar_needs_equal_real_blocks():
     ):
         assert q_is_scalar(q) is scalar
         assert quaternion_matrix(q).is_scalar() is scalar
-
-
-def test_to_quaternions_rejects_other_forms():
-    swap = ExactMatrix.from_rows(
-        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
-    )
-    for m in (
-        ExactMatrix.diagonal([gr(0, 1), gr(1)]),  # unitary, not in SU(2)
-        swap,  # unitary, not block-diagonal
-        ExactMatrix.identity(3),
-        ExactMatrix.zeros(2, 4),
-    ):
-        with pytest.raises(ValueError):
-            to_quaternions(m)

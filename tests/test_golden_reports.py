@@ -10,7 +10,11 @@ one budget rule; any change to them is a change to the report format, not
 a refactor.  Three were re-taken since: the `diff` pins when `diff` came to
 build only f1's closure (only `nodes_expanded` moved), and the truncated
 `membership` pin when a budget cut stopped counting as a mismatch (only
-`statuses_agree` and the exit code moved).
+`statuses_agree` and the exit code moved).  The `y-axis` and `force` pins
+were taken before rotations, words and compiled generators moved from
+4x4 matrices to quaternion pairs; the default axes (z and x) leave the
+sin * n_y term of the rotation at zero, and the forced cos 0 pair fails the
+freeness preconditions, so the older pins reach neither path.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ from freeops.util import canonical_json
 
 CLASSIC = "1|101\n10|00\n011|11\n"
 CLASSIC_MINUS = "1|101\n10|00\n"
+Y_AXIS_ROTATION = ["--cos", "5/13", "--sin", "12/13", "--axis-a", "0,1,0", "--axis-b", "0,0,1"]
 
 # name -> (argv, exit code, outcome sha256, DOT sha256 or None without --dot);
 # "@" stands for the CLASSIC instance file, "@minus" for CLASSIC_MINUS.
@@ -104,6 +109,27 @@ PINS = {
         ["diff", "--instance", "@", "--depth", "6", "--budget", "500"],
         10,
         "c1e1b777a7c513967bded83bc2bcad92381479af17361284de69246fd1a4d882",
+        None,
+    ),
+    # A rotation with a y axis, so the sin * n_y term of the rotation is
+    # nonzero; the default axes are z and x.
+    "compile-classic3-y-axis": (
+        ["compile", "--instance", "@", *Y_AXIS_ROTATION],
+        0,
+        "3c00de92beb4010420d2cc335c2fe465ebff71ace60280d2e59ef13972917254",
+        None,
+    ),
+    "membership-classic3-depth8-y-axis": (
+        ["membership", "--instance", "@", "--depth", "8", *Y_AXIS_ROTATION],
+        0,
+        "169e5f634acc9044abd22ede9265c8fbeefa4d37032c970429da5dd066d4c040",
+        None,
+    ),
+    # cos 0 fails the freeness preconditions; --force scans it anyway.
+    "verify-free-force-cos0": (
+        ["verify-free", "--max-len", "4", "--force", "--cos", "0", "--sin", "1"],
+        11,
+        "56ab12d7fce0cfc51cea63c1ee3de458171f2ce801489242a3e740803c56d4d3",
         None,
     ),
 }

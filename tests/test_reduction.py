@@ -1,12 +1,13 @@
 """Generator compilation, channel algebra, membership search, and diffing."""
 
-import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from corpus import CORPUS, random_density
+from freeops import cli
 from freeops.exact import (
     ExactDensityMatrix,
     ExactMatrix,
@@ -17,12 +18,14 @@ from freeops.exact import (
     rat_to_str,
 )
 from freeops.freerot import (
+    RotationParams,
     encode_word,
     freeness_scan,
     make_free_pair,
+    q_identity,
     q_phase_key,
+    quaternion_matrix,
     standard_params,
-    to_quaternions,
 )
 from freeops.pcp import parse_instance, solve_bounded, verify_solution
 from freeops.reduction import (
@@ -44,6 +47,8 @@ from freeops.reduction import (
 from freeops.resourcegraph import explore
 
 PAIR = make_free_pair(standard_params())
+A = quaternion_matrix(PAIR.a)
+B = quaternion_matrix(PAIR.b)
 HALF = Fraction(1, 2)
 
 
@@ -51,23 +56,54 @@ def compiled(text, damping=HALF):
     return compile_generators(parse_instance(text), PAIR, damping)
 
 
+def reference_generators(inst, a, b):
+    """The compiled unitaries built from the 2x2 rotation matrices a and b:
+    H_i = blockdiag(code(top_i), a^i b) and
+    G_i = blockdiag(code(bottom_i)^dag, (a^i b)^dag)."""
+
+    def code(bits):
+        m = ExactMatrix.identity(2)
+        for ch in bits:
+            m = m @ (a if ch == "0" else b)
+        return m
+
+    out = {}
+    for i, (top, bottom) in enumerate(inst.tiles, start=1):
+        index_block = a.pow(i) @ b
+        out[f"H{i}"] = block_diag(code(top), index_block)
+        out[f"G{i}"] = block_diag(code(bottom).dagger(), index_block.dagger())
+    return out
+
+
 # --- compilation ------------------------------------------------------------------
 
 
 def test_compile_first_tile_blocks():
     gens = compiled("0|100")
-    a, b = PAIR.a, PAIR.b
-    assert gens.h_gens[0].unitary == block_diag(a, a @ b)
-    assert gens.g_gens[0].unitary == block_diag(
-        (b @ a @ a).dagger(), (a @ b).dagger()
-    )
+    assert gens.h_gens[0].matrix == block_diag(A, A @ B)
+    assert gens.g_gens[0].matrix == block_diag((B @ A @ A).dagger(), (A @ B).dagger())
 
 
 def test_compile_index_blocks_track_tile_number():
     gens = compiled("0|0\n1|1\n01|10")
-    a, b = PAIR.a, PAIR.b
     for i, h in enumerate(gens.h_gens, start=1):
-        assert h.unitary.block(2, 2, 2, 2) == a.pow(i) @ b
+        assert h.matrix.block(2, 2, 2, 2) == A.pow(i) @ B
+
+
+def test_compile_matches_matrix_construction():
+    one, zero = Fraction(1), Fraction(0)
+    y_axis = make_free_pair(
+        RotationParams(Fraction(5, 13), Fraction(12, 13), (zero, one, zero), (zero, zero, one))
+    )
+    for pair in (PAIR, y_axis):
+        a, b = quaternion_matrix(pair.a), quaternion_matrix(pair.b)
+        for entry in CORPUS:
+            gens = compile_generators(entry.instance, pair, HALF)
+            expected = reference_generators(entry.instance, a, b)
+            assert {ch.word[0] for ch in gens.channels()} == set(expected)
+            for ch in gens.channels():
+                assert ch.matrix == expected[ch.word[0]], (entry.name, ch.word)
+                assert quaternion_matrix(ch.unitary) == ch.matrix
 
 
 def test_compile_rejects_bad_damping():
@@ -81,12 +117,12 @@ def test_all_generators_exactly_unitary():
     for entry in CORPUS[:8]:
         gens = compile_generators(entry.instance, PAIR, HALF)
         for ch in gens.channels():
-            assert ch.unitary.is_unitary()
+            assert ch.matrix.is_unitary()
 
 
 def test_matching_tile_telescopes():
     gens = compiled("0|0")
-    product = gens.g_gens[0].unitary @ gens.h_gens[0].unitary
+    product = gens.g_gens[0].matrix @ gens.h_gens[0].matrix
     assert product == ExactMatrix.identity(4)
 
 
@@ -96,7 +132,7 @@ def test_generator_set_json_bundle():
     assert data["instance"]["tiles"] == [["0", "100"]]
     assert data["damping"]["H1"] == "1/2"
     assert set(data["unitaries"]) == {"H1", "G1"}
-    assert ExactMatrix.from_json_dict(data["unitaries"]["G1"]) == gens.g_gens[0].unitary
+    assert ExactMatrix.from_json_dict(data["unitaries"]["G1"]) == gens.g_gens[0].matrix
 
 
 # --- channel algebra ----------------------------------------------------------------
@@ -104,7 +140,7 @@ def test_generator_set_json_bundle():
 
 def test_compose_identity_neutral():
     gens = compiled("0|100")
-    ident = ChannelElement.identity_element(4)
+    ident = ChannelElement.identity_element()
     x = gens.h_gens[0]
     assert compose(ident, x) == x
     assert compose(x, ident) == x
@@ -147,7 +183,7 @@ def test_apply_fixes_maximally_mixed():
 def test_apply_identity_channel():
     rng = random.Random(7)
     rho = random_density(rng)
-    assert ChannelElement.identity_element(4).apply(rho) == rho
+    assert ChannelElement.identity_element().apply(rho) == rho
 
 
 def reference_apply(ch, m):
@@ -155,14 +191,14 @@ def reference_apply(ch, m):
     mix = ExactMatrix.identity(ch.dim).scale(
         m.trace() * GaussianRational((1 - ch.damping) / ch.dim)
     )
-    return (ch.unitary @ m @ ch.unitary.dagger()).scale(ch.damping) + mix
+    return (ch.matrix @ m @ ch.matrix.dagger()).scale(ch.damping) + mix
 
 
 def test_apply_to_matrix_matches_reference_formula():
     rng = random.Random(2105)
     gens = compiled("1|101\n10|00\n011|11")
     channels = list(gens.channels()) + [
-        ChannelElement.identity_element(4),
+        ChannelElement.identity_element(),
         make_target(Fraction(1, 3)),
         compose(gens.h_gens[0], gens.g_gens[2]),
     ]
@@ -215,7 +251,7 @@ def test_target_domain():
 
 
 def test_choi_of_identity_is_maximally_entangled():
-    j = choi(ChannelElement.identity_element(4))
+    j = choi(ChannelElement.identity_element())
     expected = ExactMatrix(
         16,
         16,
@@ -259,7 +295,7 @@ def test_products_keep_block_structure():
         length = rng.randint(1, 6)
         product = ExactMatrix.identity(4)
         for _ in range(length):
-            product = product @ rng.choice(channels).unitary
+            product = product @ rng.choice(channels).matrix
         assert product.block(0, 2, 2, 2) == ExactMatrix.zeros(2, 2)
         assert product.block(2, 0, 2, 2) == ExactMatrix.zeros(2, 2)
         for corner in (product.block(0, 0, 2, 2), product.block(2, 2, 2, 2)):
@@ -330,12 +366,15 @@ def test_membership_budget_truncation():
 # completed.  The scan, generic and structured rows were taken before those
 # searches shared one level loop; the diff rows count the expansions of f1's
 # closure alone, and the explore and solve rows count expansions, not stored
-# states or visited configurations.
+# states or visited configurations.  A scan row also runs `verify-free`: a
+# scan cut short with no collision reports the last length scanned in full
+# and exits 10.
 BUDGET_BOUNDARY = [
     # (search, depth or max_len, budget, expected)
-    ("scan", 3, 14, (14, False)),
-    ("scan", 3, 13, (13, True)),
-    ("scan", 4, 14, (14, True)),
+    # scan: (scanned_max_len, words, truncated, verify-free exit code)
+    ("scan", 3, 14, (3, 14, False, 0)),
+    ("scan", 3, 13, (2, 13, True, 10)),
+    ("scan", 4, 14, (3, 14, True, 10)),
     ("generic", 4, 42, (EXHAUSTED, 4, 42, False)),
     ("generic", 4, 41, (EXHAUSTED, 2, 41, True)),
     ("generic", 6, 42, (EXHAUSTED, 4, 42, True)),
@@ -352,15 +391,24 @@ BUDGET_BOUNDARY = [
     ("solve", 3, 9, (EXHAUSTED, 3, 9, False)),
     ("solve", 3, 8, (EXHAUSTED, 2, 8, True)),
     ("solve", 4, 9, (EXHAUSTED, 3, 9, True)),
+    # 62 words fill lengths 1-5 and 126 fill lengths 1-6
+    ("scan", 12, 100, (5, 100, True, 10)),
+    ("scan", 12, 0, (0, 0, True, 10)),
+    ("scan", 6, 126, (6, 126, False, 0)),
+    ("scan", 6, 125, (5, 125, True, 10)),
 ]
 
 
 @pytest.mark.parametrize("search,depth,budget,expected", BUDGET_BOUNDARY)
-def test_budget_boundary_table(search, depth, budget, expected):
+def test_budget_boundary_table(tmp_path, search, depth, budget, expected):
     gens = compiled("1|101\n10|00\n011|11")
     if search == "scan":
         r = freeness_scan(PAIR, depth, node_budget=budget)
-        assert (r.word_count, r.truncated) == expected
+        out = tmp_path / "r.json"
+        argv = ["verify-free", "--max-len", str(depth), "--budget", str(budget)]
+        code = cli.main(argv + ["--out", str(out)])
+        assert json.loads(out.read_text())["outcome"] == r.to_json_dict()
+        assert (r.scanned_max_len, r.word_count, r.truncated, code) == expected
         return
     if search == "explore":
         seed = ExactDensityMatrix.basis_state(4, 0)
@@ -377,7 +425,7 @@ def test_budget_boundary_table(search, depth, budget, expected):
     assert (out.status, out.depth_reached, out.nodes_expanded, out.truncated) == expected
 
 
-def test_membership_worker_counts_agree():
+def test_membership_repeat_runs_agree():
     # the searches are single-threaded; repeat runs must agree exactly
     gens = compiled("01|0\n1|11")
     for mode in ("generic", "structured"):
@@ -388,7 +436,7 @@ def test_membership_worker_counts_agree():
 def _bfs_scalar_word(gens, max_depth):
     """Oracle: the first scalar word in length-then-lexicographic order over
     the generator list, by plain BFS over ExactMatrix products."""
-    letters = [(ch.word[0], ch.unitary) for ch in gens.channels()]
+    letters = [(ch.word[0], ch.matrix) for ch in gens.channels()]
     level = [((), ExactMatrix.identity(4))]
     for _ in range(max_depth):
         level = [(w + (lab,), m @ u) for w, m in level for lab, u in letters]
@@ -414,18 +462,28 @@ def test_generic_witness_matches_bruteforce_bfs():
             assert out.depth_reached == len(expected)
 
 
-def test_searches_reject_unitaries_outside_quaternion_form():
-    swap = ExactMatrix.from_rows(
-        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
-    )
-    channel = ChannelElement(swap, HALF, ("S",))
-    with pytest.raises(ValueError):
-        theory_diff([channel], (), 2)
-    gens = compiled("0|0")
-    bad = dataclasses.replace(gens, h_gens=(channel,))
-    for mode in ("generic", "structured"):
+def test_channel_element_construction_check():
+    good = compiled("0|100").g_gens[0].unitary
+    ch = ChannelElement(good, HALF, ("G1",))
+    assert ch.matrix == quaternion_matrix(good) and ch.dim == 4
+    assert ChannelElement(q_identity(1), Fraction(1)).dim == 2
+    for bad in (
+        (1, 1, 0, 0, 1, 0, 0, 0, 1),  # first block of norm 2
+        (1, 0, 0, 0, 0, 0, 0, 0, 1),  # second block zero
+        (3, 4, 0, 0, 5, 0, 0, 0, 1),  # norm 25 over denominator 1
+        (2, 0, 0, 0, 2, 0, 0, 0, 2),  # unit, but not reduced
+        (-1, 0, 0, 0, -1, 0, 0, 0, -1),  # unit, negative denominator
+        (1,),  # no block
+        (1, 0, 0, 0),  # length 4
+        (1, 0, 0, 0, 1, 0),  # length 6
+        (1, 0, 0, 0, 1, 0, 0, 0, 1, 1),  # length 10
+    ):
         with pytest.raises(ValueError):
-            membership_search(bad, 2, mode=mode)
+            ChannelElement(bad, HALF)
+    for damping in (Fraction(0), Fraction(-1, 2), Fraction(3, 2), 1 + Fraction(1, 10**9)):
+        with pytest.raises(ValueError):
+            ChannelElement(good, damping)
+    assert ChannelElement(good, Fraction(1)).damping == 1
 
 
 def test_witness_channel_acts_like_target():
@@ -455,9 +513,9 @@ def test_mixed_cancellation_shortcut():
 
     inst = MIXED_CANCELLATION.instance
     gens = compile_generators(inst, PAIR, HALF)
-    h3 = gens.h_gens[2].unitary
-    g3 = gens.g_gens[2].unitary
-    assert h3 @ g3 == block_diag(encode_word(PAIR, "1"), ExactMatrix.identity(2))
+    h3 = gens.h_gens[2].matrix
+    g3 = gens.g_gens[2].matrix
+    assert h3 @ g3 == block_diag(quaternion_matrix(encode_word(PAIR, "1")), ExactMatrix.identity(2))
     out = membership_search(gens, 8, mode="generic")
     assert out.status == FOUND
     assert out.witness == ("H1", "H3", "G3", "H3", "G3", "G1")
@@ -475,10 +533,10 @@ def test_mixed_cancellation_shortcut():
 
 def test_phase_canonical_identifies_phase_multiples():
     gens = compiled("0|100")
-    u = gens.h_gens[0].unitary
+    u = gens.h_gens[0].matrix
     for phase in (gr(1), gr(-1), gr(0, 1), gr(0, -1)):
         assert phase_canonical(u.scale(phase)) == phase_canonical(u)
-    assert phase_canonical(u) != phase_canonical(gens.g_gens[0].unitary)
+    assert phase_canonical(u) != phase_canonical(gens.g_gens[0].matrix)
 
 
 # --- theory diffing ---------------------------------------------------------------------
@@ -512,7 +570,7 @@ def test_diff_solvable_realizes_target():
     assert out.status == INDISTINGUISHABLE
     realized = out.matches["f2:PSI"]
     assert realized["at_depth"] == 2
-    by_label = {ch.word[0]: ch.unitary for ch in f1}
+    by_label = {ch.word[0]: ch.matrix for ch in f1}
     product = ExactMatrix.identity(4)
     for lab in realized["realized_by"]:
         product = product @ by_label[lab]
@@ -546,7 +604,7 @@ def _two_closure_diff(f1, extra, depth):
     matches, witness = {}, None
     for side, own, other in ((2, f2, e1), (1, f1, e2)):
         for ch in own:
-            hit = other.get((q_phase_key(to_quaternions(ch.unitary)), ch.damping))
+            hit = other.get((q_phase_key(ch.unitary), ch.damping))
             if hit is not None:
                 matches.setdefault(
                     f"f{side}:{ch.label}",
@@ -557,7 +615,7 @@ def _two_closure_diff(f1, extra, depth):
                     "side": side,
                     "label": ch.label,
                     "damping": rat_to_str(ch.damping),
-                    "unitary_digest": phase_canonical(ch.unitary).digest(),
+                    "unitary_digest": phase_canonical(ch.matrix).digest(),
                 }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE
     return status, witness, matches, min(done1, done2)
@@ -578,6 +636,14 @@ def test_one_closure_diff_matches_two_closures():
                 assert got == _two_closure_diff(f1, extra, depth), (entry.name, target, depth)
                 statuses.add(out.status)
     assert statuses == {DISTINCT, INDISTINGUISHABLE}
+
+
+def test_diff_rejects_depth_below_one():
+    gens = compiled("1|101\n10|00\n011|11")
+    psi = labeled(make_target(Fraction(1, 16)), "PSI")
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            theory_diff(gens.channels(), (psi,), depth)
 
 
 def test_diff_statuses_never_claim_equality():
