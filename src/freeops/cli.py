@@ -99,11 +99,8 @@ def _seed_state(selector: str) -> ExactDensityMatrix:
         return ExactDensityMatrix.maximally_mixed(4)
     if selector == "spread":
         return resourcegraph.generic_seed(4)
-    if selector.startswith("basis:"):
-        k = int(selector.split(":", 1)[1])
-        if not 0 <= k < 4:
-            raise ValueError("basis index must lie in 0..3")
-        return ExactDensityMatrix.basis_state(4, k)
+    if selector in ("basis:0", "basis:1", "basis:2", "basis:3"):
+        return ExactDensityMatrix.basis_state(4, int(selector[-1]))
     raise ValueError(f"unknown state selector {selector!r}")
 
 

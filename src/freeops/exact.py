@@ -9,8 +9,10 @@ positive denominator with gcd(numerators, denominator) = 1.  That canonical
 form makes structural equality exact and lets the hot operations run on
 plain integers: the positive-semidefinite test is a fraction-free (Bareiss)
 symmetric-pivot elimination of the numerator matrix, O(n^3) with exact
-divisions, and a depolarising channel step (`depolarised`) builds its
-result over one common denominator with a single gcd normalisation.
+divisions, unit trace compares the diagonal numerators with the denominator,
+and a depolarising channel step (`depolarised`) reads its block-diagonal
+unitary as a quaternion tuple, touching only the two nonzeros in each row,
+and normalises its result once.
 """
 
 from __future__ import annotations
@@ -130,7 +132,6 @@ def gr(re, im=0) -> GaussianRational:
 
 
 GR_ZERO = GaussianRational(Fraction(0))
-GR_ONE = GaussianRational(Fraction(1))
 
 
 def gr_to_str(z: GaussianRational) -> str:
@@ -358,28 +359,53 @@ class ExactMatrix:
             result = result @ self
         return result
 
-    def depolarised(self, u: "ExactMatrix", damping: Fraction) -> "ExactMatrix":
-        """damping * u @ self @ u.dagger() + (1 - damping) * trace(self)/n * I.
+    def depolarised(self, q: Sequence[int], damping: Fraction) -> "ExactMatrix":
+        """damping * U @ self @ U^dag + (1 - damping) * trace(self)/n * I.
 
-        Accepts any square operator, Hermitian or not.  Everything runs on
-        integer numerators over one common denominator, normalised once.
+        U is the block-diagonal unitary of the quaternion tuple q (see
+        freerot.Quaternions).  Rows 2k and 2k+1 of U are nonzero only in
+        columns 2k and 2k+1, so each entry of U @ self, and of that times
+        U^dag read off q conjugated, is two complex multiply-adds.  Accepts
+        any square operator, Hermitian or not.  Everything runs on integer
+        numerators over one common denominator, normalised once.
         """
         n = self.rows
-        if self.cols != n or u.rows != n or u.cols != n:
-            raise ShapeError("operator and unitary must be square of one size")
-        a = damping.numerator
-        b = damping.denominator
-        t = _matmul_int(n, n, n, u._num, self._num)
-        nums = [a * n * v for v in _matmul_int(n, n, n, t, u.dagger()._num)]
-        if a != b:
+        if self.cols != n or len(q) != 2 * n + 1:
+            raise ShapeError("operator must be square and match the unitary's blocks")
+        num = self._num
+        w = 2 * n
+        p, r = damping.numerator, damping.denominator
+        s = p * n
+        blocks = [q[k : k + 4] for k in range(0, w, 4)]
+        # t = s * U @ self.  Block k of U is [[alpha, beta], [-conj(beta),
+        # conj(alpha)]] with alpha = a + bi, beta = c + di.
+        t = []
+        for k, (a, b, c, d) in enumerate(blocks):
+            a, b, c, d = s * a, s * b, s * c, s * d
+            top = 2 * w * k
+            lower = []
+            for j in range(top, top + w, 2):
+                mr, mi, pr, pi = num[j], num[j + 1], num[j + w], num[j + w + 1]
+                t += (a * mr - b * mi + c * pr - d * pi, a * mi + b * mr + c * pi + d * pr)
+                lower += (a * pr + b * pi - c * mr - d * mi, a * pi - b * pr - c * mi + d * mr)
+            t += lower
+        # t @ U^dag: columns 2k and 2k+1 take conj(alpha), conj(beta) and
+        # -beta, alpha from block k.
+        nums = []
+        for row in range(0, w * n, w):
+            for k, (a, b, c, d) in enumerate(blocks):
+                ar, ai, br, bi = t[row + 4 * k : row + 4 * k + 4]
+                nums += (ar * a + ai * b + br * c + bi * d, ai * a - ar * b + bi * c - br * d,
+                         br * a - bi * b - ar * c + ai * d, bi * a + br * b - ai * c - ar * d)
+        d2 = q[-1] * q[-1]
+        if p != r:
             # The real parts of the diagonal sit 2n + 2 apart in _num.
-            w = (b - a) * u._den * u._den
-            tr = w * sum(self._num[0 :: 2 * n + 2])
-            ti = w * sum(self._num[1 :: 2 * n + 2])
-            for k in range(0, 2 * n * n, 2 * n + 2):
+            tr = (r - p) * d2 * sum(num[0 :: w + 2])
+            ti = (r - p) * d2 * sum(num[1 :: w + 2])
+            for k in range(0, w * n, w + 2):
                 nums[k] += tr
                 nums[k + 1] += ti
-        return ExactMatrix._raw(n, n, nums, b * n * self._den * u._den * u._den)
+        return ExactMatrix._raw(n, n, nums, r * n * self._den * d2)
 
     def trace(self) -> GaussianRational:
         if self.rows != self.cols:
@@ -650,15 +676,19 @@ def block_diag(*blocks: ExactMatrix) -> ExactMatrix:
 class ExactDensityMatrix:
     """Density operator: Hermitian, unit trace, positive semidefinite, exact.
 
-    trace() rejects a non-square matrix (ShapeError) and is_psd a
-    non-Hermitian one (ValueError), so neither is checked twice here.
+    Unit trace is checked on the canonical numerators: the diagonal sums to
+    the denominator with zero imaginary part.  is_psd rejects a non-Hermitian
+    matrix (ValueError), so that is not checked twice here.
     """
 
     mat: ExactMatrix
 
     def __post_init__(self):
         m = self.mat
-        if m.trace() != GR_ONE:
+        n = m.rows
+        if m.cols != n:
+            raise ShapeError("density matrix must be square")
+        if sum(m._num[0 :: 2 * n + 2]) != m._den or sum(m._num[1 :: 2 * n + 2]):
             raise ValueError("density matrix must have unit trace")
         if not m.is_psd():
             raise ValueError("density matrix must be positive semidefinite")

@@ -11,9 +11,10 @@ the channel semigroup.
 Every compiled unitary lies in SU(2) x SU(2), so a channel carries its
 unitary as an integer quaternion pair (see freerot): compilation, composition
 and the searches multiply quaternions, and phase equivalence is equality up
-to sign.  Each channel derives its 4x4 ExactMatrix once, for acting on states
-and Choi operators, for the compile report, for the independent cross-check
-of a membership witness and for the digest of a diff witness.  Each search
+to sign.  A channel acts on states and Choi operators block by block, straight
+from its quaternion pair (ExactMatrix.depolarised); it derives its 4x4
+ExactMatrix once, for the compile report, for the independent cross-check of
+a membership witness and for the digest of a diff witness.  Each search
 expands one level at a time through util.level_pairs, so a node budget
 counts expansions in all of them.
 
@@ -36,7 +37,6 @@ from .exact import (
     ExactDensityMatrix,
     ExactMatrix,
     GaussianRational,
-    ShapeError,
     rat_to_str,
 )
 from .freerot import (
@@ -90,7 +90,7 @@ class ChannelElement:
 
     @property
     def dim(self) -> int:
-        return self.matrix.rows
+        return (len(self.unitary) - 1) // 2
 
     @property
     def label(self) -> str:
@@ -100,9 +100,7 @@ class ChannelElement:
 
     def apply_to_matrix(self, m: ExactMatrix) -> ExactMatrix:
         """Linear action on an arbitrary operator (not only states)."""
-        if m.rows != self.dim or m.cols != self.dim:
-            raise ShapeError("operator dimension does not match the channel")
-        return m.depolarised(self.matrix, self.damping)
+        return m.depolarised(self.unitary, self.damping)
 
     def apply(self, state: ExactDensityMatrix) -> ExactDensityMatrix:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))

@@ -294,6 +294,22 @@ def test_reach_unsolvable_not_reachable(tmp_path):
     assert code == 10
 
 
+@pytest.mark.parametrize(
+    "selector", ["basis:x", "basis:01", "basis:+1", "basis: 1", "basis:4", "basis:-1", "basis:"]
+)
+@pytest.mark.parametrize("option", ["--from", "--to", "--seed"])
+def test_state_selectors_parse_strictly(tmp_path, capsys, option, selector):
+    inst = write_instance(tmp_path, TRIVIAL)
+    out = tmp_path / "r.json"
+    if option == "--seed":
+        argv = ["monotones", "--instance", inst, "--depth", "1", option, selector]
+    else:
+        argv = ["reach", "--instance", inst, "--depth", "1", "--to", "basis:1", option, selector]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown state selector {selector!r}\n"
+    assert not out.exists()
+
+
 # --- monotones ------------------------------------------------------------------------------
 
 

@@ -26,7 +26,13 @@ from freeops.exact import (
     rat_from_str,
     rat_to_str,
 )
-from freeops.freerot import make_free_pair, standard_params
+from freeops.freerot import (
+    encode_word,
+    make_free_pair,
+    q_blocks,
+    quaternion_matrix,
+    standard_params,
+)
 from freeops.reduction import ChannelElement, choi, compile_generators, make_target
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=97)
@@ -358,6 +364,59 @@ def test_matrix_json_round_trip():
     assert again.digest() == m.digest()
 
 
+# --- depolarising channel step ---------------------------------------------------------
+
+
+def depolarised_oracle(m, q, damping):
+    """damping * U M U^dag + (1 - damping) * tr(M)/n * I, spelled out densely."""
+    u = quaternion_matrix(q)
+    mix = ExactMatrix.identity(m.rows).scale(m.trace() * gr((1 - damping) / m.rows))
+    return (u @ m @ u.dagger()).scale(damping) + mix
+
+
+def test_depolarised_matches_dense_oracle():
+    rng = random.Random(2105)
+    pair = make_free_pair(standard_params())
+
+    def entry():
+        return gr(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        )
+
+    def quaternion():  # any integer block, unit or not, over a random denominator
+        return tuple(rng.randint(-9, 9) for _ in range(4)) + (rng.randint(1, 7),)
+
+    for blocks in (1, 2, 3):
+        n = 2 * blocks
+        units = [encode_word(pair, "01" * k) for k in range(blocks)]
+        tuples = [q_blocks(*units)]
+        tuples += [q_blocks(*(quaternion() for _ in range(blocks))) for _ in range(3)]
+        operators = [ExactMatrix(n, n, [entry() for _ in range(n * n)]) for _ in range(4)]
+        for _ in range(2):  # zero trace
+            m = ExactMatrix(n, n, [entry() for _ in range(n * n)])
+            operators.append(m - ExactMatrix.identity(n).scale(m.trace() * gr(Fraction(1, n))))
+        # The matrix units, as choi feeds them in.
+        operators += [ExactMatrix(n, n, [int(k == e) for k in range(n * n)]) for e in range(n * n)]
+        assert any(m.trace().im != 0 for m in operators[:4])
+        assert not any(m.is_hermitian() for m in operators[:4])
+        for q in tuples:
+            for damping in (Fraction(1), Fraction(1, 2), Fraction(2, 7)):
+                for m in operators:
+                    assert m.depolarised(q, damping) == depolarised_oracle(m, q, damping)
+
+
+def test_depolarised_shape_checked():
+    half = Fraction(1, 2)
+    two_blocks = q_blocks((3, 4, 0, 0, 5), (1, 0, 0, 0, 1))
+    with pytest.raises(ShapeError):
+        ExactMatrix.identity(2).depolarised(two_blocks, half)
+    with pytest.raises(ShapeError):
+        ExactMatrix.identity(6).depolarised(two_blocks, half)
+    with pytest.raises(ShapeError, match="square"):
+        ExactMatrix.zeros(4, 2).depolarised(two_blocks, half)
+
+
 # --- density matrices ---------------------------------------------------------------
 
 
@@ -372,7 +431,7 @@ def test_density_validation():
 
 
 def test_density_rejects_each_failure_once_checked():
-    # The shape and Hermitian checks live in trace() and is_psd alone.
+    # The Hermitian check lives in is_psd alone.
     half = gr("1/2")
     with pytest.raises(ShapeError, match="square"):
         ExactDensityMatrix(ExactMatrix(2, 3, [half, 0, 0, 0, half, 0]))
@@ -380,6 +439,11 @@ def test_density_rejects_each_failure_once_checked():
         ExactDensityMatrix(ExactMatrix.from_rows([[half, gr("1/3")], [0, half]]))
     with pytest.raises(ValueError, match="unit trace"):
         ExactDensityMatrix(ExactMatrix.diagonal([half, gr("1/4")]))
+    with pytest.raises(ValueError, match="unit trace"):  # trace 1 + i/4
+        ExactDensityMatrix(ExactMatrix.diagonal([half, gr("1/2", "1/4")]))
+    # Trace 1 over the denominator 7.
+    rho = ExactDensityMatrix(ExactMatrix.diagonal([gr("3/7"), gr("4/7")]))
+    assert rho.mat.trace() == gr(1)
     with pytest.raises(ValueError, match="positive semidefinite"):
         ExactDensityMatrix(ExactMatrix.from_rows([[half, gr(1)], [gr(1), half]]))
 

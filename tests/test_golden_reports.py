@@ -14,7 +14,10 @@ build only f1's closure (only `nodes_expanded` moved), and the truncated
 were taken before rotations, words and compiled generators moved from
 4x4 matrices to quaternion pairs; the default axes (z and x) leave the
 sin * n_y term of the rotation at zero, and the forced cos 0 pair fails the
-freeness preconditions, so the older pins reach neither path.
+freeness preconditions, so the older pins reach neither path.  The three
+channel-step pins (`reach` at depth 5, `reach` with a y axis at damping
+2/3, `monotones` at damping 1/3) were taken before the channel step moved
+from dense 4x4 products to the blocks of the quaternion pair.
 """
 
 import hashlib
@@ -124,6 +127,29 @@ PINS = {
         0,
         "169e5f634acc9044abd22ede9265c8fbeefa4d37032c970429da5dd066d4c040",
         None,
+    ),
+    # The channel-step pins: the benchmark's reach query, a y-axis rotation
+    # (nonzero real part of beta) at damping 2/3, and monotones at damping 1/3.
+    "reach-classic3-depth5": (
+        ["reach", "--instance", "@", "--depth", "5", "--from", "spread", "--to", "target:1/4"],
+        10,
+        "bbac6a27c783af66dc052872425b11a6a45c5f0652b69967785926604f4249ce",
+        "d540c333c1cf9ce3ad23f09167df1c59b08b039b9c0f15c5d7f5cbc889d14f46",
+    ),
+    "reach-classic3-depth3-y-axis-damping-2-3": (
+        [
+            "reach", "--instance", "@", "--depth", "3", "--from", "spread",
+            "--to", "target:1/4", "--damping", "2/3", *Y_AXIS_ROTATION,
+        ],
+        10,
+        "359ccfacb6d028c7a10e7f1944f300b97b968268104feecd2972686704b7c94c",
+        "df9c942f7613be2e0d0d0a9285de40af75350356f8557bdae8ecb1f03df33a11",
+    ),
+    "monotones-classic3-depth3-damping-1-3": (
+        ["monotones", "--instance", "@", "--depth", "3", "--seed", "spread", "--damping", "1/3"],
+        0,
+        "5c096f5e77bf2156960e648b7eba0c3f482c5045466985c4f4bf66f5fb612789",
+        "b7e7a0e3f432d3afd3c335a1fe54f926b4ab1c1f1eeb07ed769db2ef1dd6f056",
     ),
     # cos 0 fails the freeness preconditions; --force scans it anyway.
     "verify-free-force-cos0": (
