@@ -37,7 +37,12 @@ ROTATION_DEFAULTS = {"cos": "3/5", "sin": "4/5", "axis_a": "0,0,1", "axis_b": "1
 INSTANCE_DEFAULTS = {**ROTATION_DEFAULTS, "damping": "1/2"}
 # Options that only `monotones --instance` reads, with their defaults; they
 # default to None on the parser so that `--graph demo` can reject them.
-MONOTONES_INSTANCE_DEFAULTS = {**INSTANCE_DEFAULTS, "depth": 3, "seed": "basis:0"}
+MONOTONES_INSTANCE_DEFAULTS = {
+    **INSTANCE_DEFAULTS,
+    "depth": 3,
+    "seed": "basis:0",
+    "budget": 100_000,
+}
 
 
 def _parse_axis(text: str):
@@ -218,8 +223,7 @@ def _cmd_monotones(args):
         graph = resourcegraph.explore(
             gens.channels(), [seed], args.depth, node_budget=args.budget
         )
-        config.update({"depth": args.depth, "seed": args.seed})
-    config["budget"] = args.budget
+        config.update({"depth": args.depth, "seed": args.seed, "budget": args.budget})
     q = resourcegraph.quotient(graph)
     family = resourcegraph.monotone_family(q)
     compatible = resourcegraph.check_compatible(graph, family)
@@ -286,10 +290,20 @@ def _add_instance_args(p, group=None, defaults=INSTANCE_DEFAULTS):
     p.add_argument("--damping", default=defaults.get("damping"))
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_common_args(p, budget=200_000):
-    """--budget (omitted when budget is None) and --out."""
-    if budget is not None:
-        p.add_argument("--budget", type=int, default=budget, help="expansion budget")
+    """--out, and --budget with that default (omitted when budget is False)."""
+    if budget is not False:
+        p.add_argument("--budget", type=_budget, default=budget, help="expansion budget")
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 
@@ -319,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile an instance into channel generators")
     _add_instance_args(p)
-    _add_common_args(p, budget=None)
+    _add_common_args(p, budget=False)
     p.set_defaults(handler=_cmd_compile)
 
     p = sub.add_parser(
@@ -349,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int)
     p.add_argument("--seed")
     p.add_argument("--dot", default=None, help="write the quotient as DOT here")
-    _add_common_args(p, budget=100_000)
+    _add_common_args(p, budget=None)
     p.set_defaults(handler=_cmd_monotones)
 
     p = sub.add_parser(

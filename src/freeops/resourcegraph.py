@@ -444,14 +444,13 @@ class MonotoneTable:
         """1/(l+1) at longest distance l, UNREACHABLE_VALUE off the region."""
         return _distance_value(self.dist[c])
 
-    def to_json_dict(self, q: QuotientDAG) -> dict:
+    def to_json_dict(self, reps: Sequence[str]) -> dict:
+        """The table keyed by class representative; reps[c] is class c's."""
         # One string per distinct distance, shared by every class at it.
         text = {d: rat_to_str(_distance_value(d)) for d in set(self.dist)}
         return {
-            "base": q.representative(self.base),
-            "values": {
-                q.representative(c): text[d] for c, d in enumerate(self.dist)
-            },
+            "base": reps[self.base],
+            "values": dict(zip(reps, map(text.__getitem__, self.dist))),
         }
 
 
@@ -485,9 +484,9 @@ class MonotoneFamily:
     tables: Tuple[MonotoneTable, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "tables": [t.to_json_dict(self.quotient) for t in self.tables]
-        }
+        q = self.quotient
+        reps = [q.representative(c) for c in range(q.size)]
+        return {"tables": [t.to_json_dict(reps) for t in self.tables]}
 
 
 def monotone_family(q: QuotientDAG) -> MonotoneFamily:
@@ -546,33 +545,40 @@ def _closure_bitsets(q: QuotientDAG) -> List[int]:
 
 def check_complete(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
     """Dominance in every table must coincide with reachability, where
-    reachability comes from an independent transitive-closure oracle."""
+    reachability comes from an independent transitive-closure oracle.
+
+    r dominates s when every table's distance at s is at least its distance
+    at r.  Each table contributes, for every class c it reaches, the bitset
+    of classes at its distance of c or more; a class it cannot reach (-1)
+    gains no constraint.  The first mismatch is reported in (r, s) order.
+    """
     q = family.quotient
+    dominated = [(1 << q.size) - 1] * q.size
+    for table in family.tables:
+        levels: Dict[int, List[int]] = {}
+        for c, d in enumerate(table.dist):
+            if d >= 0:
+                levels.setdefault(d, []).append(c)
+        at_least = 0  # classes at the current distance or more
+        for d in sorted(levels, reverse=True):
+            for c in levels[d]:
+                at_least |= 1 << c
+            for c in levels[d]:
+                dominated[c] &= at_least
     closure = _closure_bitsets(q)
-    by_base = {t.base: t.dist for t in family.tables}
-    tables = [t.dist for t in family.tables]
     for r in range(q.size):
-        own = by_base.get(r)
-        for s in range(q.size):
-            dominated = True
-            if own is not None and own[s] < own[r]:
-                dominated = False
-            else:
-                for dist in tables:
-                    if dist[s] < dist[r]:
-                        dominated = False
-                        break
-            reachable = bool(closure[r] & (1 << s))
-            if dominated != reachable:
-                return CheckResult(
-                    False,
-                    {
-                        "from": q.representative(r),
-                        "to": q.representative(s),
-                        "dominated": dominated,
-                        "reachable": reachable,
-                    },
-                )
+        diff = dominated[r] ^ closure[r]
+        if diff:
+            s = (diff & -diff).bit_length() - 1
+            return CheckResult(
+                False,
+                {
+                    "from": q.representative(r),
+                    "to": q.representative(s),
+                    "dominated": bool(dominated[r] >> s & 1),
+                    "reachable": bool(closure[r] >> s & 1),
+                },
+            )
     return CheckResult(True)
 
 

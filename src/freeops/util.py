@@ -8,13 +8,56 @@ import json
 from itertools import islice, product
 from typing import Iterator, Sized, Tuple
 
+_CONTAINERS = (dict, list, tuple)
+
 
 def canonical_json(data, fp) -> None:
-    """Write stable JSON text to the stream fp: sorted keys, fixed
-    separators, trailing newline.  Streaming keeps large reports from being
-    built as one string."""
-    json.dump(data, fp, indent=2, sort_keys=True)
-    fp.write("\n")
+    """Write data to the stream fp exactly as
+    json.dump(data, fp, indent=2, sort_keys=True) followed by a newline.
+
+    With an indent the stdlib runs its pure-Python encoder, one call per
+    value.  Here containers are walked in Python, and every non-empty flat
+    container (a dict, list or tuple holding no dict, list or tuple) goes to
+    the C encoder in one call: with the item separator "," plus the newline
+    and indent of its items, the C encoder writes what the indenting encoder
+    writes, apart from the newline and indent after the opening bracket and
+    before the closing one, which are added back here.  Output is still
+    streamed: the largest string held is one flat container.
+    """
+    write = fp.write
+
+    def emit(obj, level):
+        if isinstance(obj, dict):
+            values, brackets = obj.values(), "{}"
+        elif isinstance(obj, (list, tuple)):
+            values, brackets = obj, "[]"
+        else:
+            write(json.dumps(obj))
+            return
+        if not obj:
+            write(brackets)
+            return
+        inner = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level + brackets[1]
+        # one subclass test per distinct value type, not one per value
+        if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+            text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+            write(brackets[0] + inner + text[1:-1] + close)
+            return
+        if brackets == "{}":
+            # each key as the encoder writes it: {key: 0} is '{<key>: 0}'
+            items = [(json.dumps({k: 0})[1:-4] + ": ", v) for k, v in sorted(obj.items())]
+        else:
+            items = [("", v) for v in obj]
+        sep = brackets[0] + inner
+        for prefix, value in items:
+            write(sep + prefix)
+            emit(value, level + 1)
+            sep = "," + inner
+        write(close)
+
+    emit(data, 0)
+    write("\n")
 
 
 def sha256_hex(data: bytes) -> str:

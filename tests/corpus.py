@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from freeops.exact import ExactDensityMatrix, ExactMatrix, GaussianRational
 from freeops.pcp import PCPInstance
-from freeops.resourcegraph import ReachGraph
+from freeops.resourcegraph import CheckResult, MonotoneFamily, ReachGraph, _closure_bitsets
 
 
 @dataclass(frozen=True)
@@ -337,3 +337,37 @@ def mutual_reachability_classes(graph: ReachGraph):
             assigned[m] = len(classes)
         classes.append(tuple(cls))
     return classes
+
+
+def check_complete_pairwise(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
+    """Reference completeness check: every class pair against every table,
+    O(n^2 T).  r dominates s when no table's distance at s is below its
+    distance at r; the first (r, s) where dominance and closure
+    reachability differ is the counterexample."""
+    q = family.quotient
+    closure = _closure_bitsets(q)
+    by_base = {t.base: t.dist for t in family.tables}
+    tables = [t.dist for t in family.tables]
+    for r in range(q.size):
+        own = by_base.get(r)
+        for s in range(q.size):
+            dominated = True
+            if own is not None and own[s] < own[r]:
+                dominated = False
+            else:
+                for dist in tables:
+                    if dist[s] < dist[r]:
+                        dominated = False
+                        break
+            reachable = bool(closure[r] & (1 << s))
+            if dominated != reachable:
+                return CheckResult(
+                    False,
+                    {
+                        "from": q.representative(r),
+                        "to": q.representative(s),
+                        "dominated": dominated,
+                        "reachable": reachable,
+                    },
+                )
+    return CheckResult(True)

@@ -381,6 +381,7 @@ def test_monotones_demo_rejects_instance_options(tmp_path, capsys):
         ["--sin", "4/5"],
         ["--axis-a", "0,0,1"],
         ["--axis-b", "1,0,0"],
+        ["--budget", "100000"],
     ):
         code = run(["monotones", "--graph", "demo", "--out", str(out)] + extra)
         assert code == 2
@@ -397,11 +398,42 @@ def test_monotones_instance_options_default(tmp_path):
     assert run(["monotones", "--instance", inst, "--out", str(implicit)]) == 0
     flags = [
         "--depth", "3", "--seed", "basis:0", "--damping", "1/2", "--cos", "3/5",
-        "--sin", "4/5", "--axis-a", "0,0,1", "--axis-b", "1,0,0",
+        "--sin", "4/5", "--axis-a", "0,0,1", "--axis-b", "1,0,0", "--budget", "100000",
     ]
     assert run(["monotones", "--instance", inst, "--out", str(explicit)] + flags) == 0
     assert normalized(load(implicit)) == normalized(load(explicit))
     assert load(implicit)["config"]["depth"] == 3
+    assert load(implicit)["config"]["budget"] == 100_000
+
+
+def test_monotones_demo_config_has_no_budget(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["monotones", "--graph", "demo", "--out", str(out)]) == 0
+    assert load(out)["config"] == {"graph": "demo", "subcommand": "monotones"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-free"],
+        ["solve-pcp", "--instance", "@", "--depth", "2"],
+        ["membership", "--instance", "@", "--depth", "2"],
+        ["reach", "--instance", "@", "--depth", "1", "--to", "basis:1"],
+        ["monotones", "--instance", "@"],
+        ["diff", "--instance", "@", "--depth", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_budget_rejected(tmp_path, capsys, argv):
+    inst = write_instance(tmp_path, TRIVIAL)
+    out = tmp_path / "r.json"
+    argv = [inst if a == "@" else a for a in argv]
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["--budget", "-5", "--out", str(out)])
+    assert err.value.code == 2
+    assert "error: argument --budget: must be at least 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv + ["--budget", "0", "--out", str(out)]) in (0, 10)
 
 
 def test_unwritable_report_exits_2(tmp_path, capsys):

@@ -18,14 +18,21 @@ freeness preconditions, so the older pins reach neither path.  The three
 channel-step pins (`reach` at depth 5, `reach` with a y axis at damping
 2/3, `monotones` at damping 1/3) were taken before the channel step moved
 from dense 4x4 products to the blocks of the quaternion pair.
+
+The pins hash a re-encoding of the parsed outcome, so the report writer
+itself is checked separately: the raw `--out` bytes, every subcommand's
+in-memory report and Hypothesis-drawn data must come out exactly as the
+stdlib's indenting encoder writes them.
 """
 
 import hashlib
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import random_digraph
 from freeops import cli
@@ -165,6 +172,95 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def stdlib_json(data) -> str:
+    """What canonical_json must write: the stdlib's indenting encoder."""
+    buf = io.StringIO()
+    json.dump(data, buf, indent=2, sort_keys=True)
+    return buf.getvalue() + "\n"
+
+
+def written(data) -> str:
+    buf = io.StringIO()
+    canonical_json(data, buf)
+    return buf.getvalue()
+
+
+# Quotes, backslashes, control characters, DEL, non-ASCII, a line
+# separator, a lone surrogate and an astral character, on top of arbitrary
+# code points.
+ESCAPES = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\ud800", "\U0001f600"]
+TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.lists(st.sampled_from(ESCAPES)).map("".join),
+)
+BIG = st.integers(min_value=2**64, max_value=2**200)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), BIG, BIG.map(lambda n: -n), st.floats(), TEXT
+)
+# Each dict draws its keys from one kind, so that the keys sort; ints,
+# floats and bools compare with one another.
+KEY_KINDS = (TEXT, st.one_of(st.integers(), st.floats(), st.booleans()), st.none())
+DATA = st.recursive(
+    st.one_of(SCALARS, st.sampled_from([[], (), {}])),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        *(st.dictionaries(keys, children, max_size=6) for keys in KEY_KINDS),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300)
+@given(DATA)
+def test_canonical_json_matches_stdlib(data):
+    assert written(data) == stdlib_json(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {1: 0, "a": 0},
+        {"a": [1], 2: {}},
+        {(1, 2): 0},
+        {"a": {(1,): [1]}},
+        [Fraction(1, 2)],
+        {"a": [{"b": Fraction(1, 2)}]},
+    ],
+    ids=["mixed-keys", "mixed-keys-nested", "tuple-key", "tuple-key-nested", "flat", "nested"],
+)
+def test_canonical_json_rejects_what_stdlib_rejects(data):
+    with pytest.raises(TypeError):
+        stdlib_json(data)
+    with pytest.raises(TypeError):
+        written(data)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-free", "--max-len", "6"],
+        ["solve-pcp", "--instance", "@", "--depth", "4"],
+        ["compile", "--instance", "@"],
+        ["membership", "--instance", "@", "--depth", "8"],
+        ["membership", "--instance", "@", "--depth", "16", "--mode", "structured"],
+        ["reach", "--instance", "@", "--depth", "2", "--from", "spread", "--to", "target:1/4"],
+        ["monotones", "--graph", "demo"],
+        ["monotones", "--instance", "@", "--depth", "2"],
+        ["diff", "--instance", "@", "--depth", "4"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if a != "@"),
+)
+def test_handler_reports_encode_as_stdlib(tmp_path, argv):
+    """The in-memory report, as cli.main builds it, not a parsed copy."""
+    path = tmp_path / "classic.pcp"
+    path.write_text(CLASSIC)
+    args = cli.build_parser().parse_args([str(path) if a == "@" else a for a in argv])
+    _, config, hashes, outcome, _ = args.handler(args)
+    report = {"config": config, "input_hashes": hashes, "outcome": outcome, "wall_time_s": 0.5}
+    assert written(report) == stdlib_json(report)
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_report_bytes_pinned(tmp_path, name):
     argv, want_code, outcome_hash, dot_hash = PINS[name]
@@ -179,8 +275,10 @@ def test_report_bytes_pinned(tmp_path, name):
     if dot_hash is not None:
         argv += ["--dot", str(dot)]
     assert cli.main(argv) == want_code
+    text = out.read_text()
+    assert text == stdlib_json(json.loads(text))
     buf = io.StringIO()
-    canonical_json(json.loads(out.read_text())["outcome"], buf)
+    canonical_json(json.loads(text)["outcome"], buf)
     assert sha256(buf.getvalue().encode()) == outcome_hash
     if dot_hash is not None:
         assert sha256(dot.read_bytes()) == dot_hash

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import mutual_reachability_classes, random_digraph
+from corpus import check_complete_pairwise, mutual_reachability_classes, random_digraph
 from freeops.exact import ExactDensityMatrix, ExactMatrix, gr
 from freeops.freerot import make_free_pair, standard_params
 from freeops.pcp import parse_instance
@@ -255,7 +255,7 @@ def test_monotone_rejects_cycles():
 def test_monotone_table_json():
     q = quotient(demo_graph())
     table = monotone(q, q.class_of["rho"])
-    data = table.to_json_dict(q)
+    data = table.to_json_dict([q.representative(c) for c in range(q.size)])
     assert data["base"] == "rho"
     assert data["values"]["sigma"] == "1/7"
     assert data["values"]["omega"] == "2"
@@ -353,6 +353,39 @@ def test_family_checks_on_explored_graph():
     base = q.class_of[seed.digest()]
     table = monotone(q, base)
     assert table.value(base) == 1
+
+
+
+def family_variants(rng, family):
+    """The family intact, with one table dropped, and with one distance
+    moved by one (never below -1)."""
+    q, tables = family.quotient, family.tables
+    yield family
+    drop = rng.randrange(len(tables))
+    yield MonotoneFamily(q, tables[:drop] + tables[drop + 1 :])
+    i = rng.randrange(len(tables))
+    c = rng.randrange(q.size)
+    dist = list(tables[i].dist)
+    dist[c] = dist[c] + 1 if dist[c] < 0 or rng.random() < 0.5 else dist[c] - 1
+    bumped = MonotoneTable(tables[i].base, tuple(dist))
+    yield MonotoneFamily(q, tables[:i] + (bumped,) + tables[i + 1 :])
+
+
+def test_check_complete_matches_pairwise_oracle():
+    rng = random.Random(4242)
+    gens = compile_generators(parse_instance("1|101\n10|00\n011|11\n"), PAIR, HALF)
+    graphs = [explore(gens.channels(), [ExactDensityMatrix.basis_state(4, 0)], 3)]
+    for _ in range(64):
+        n = rng.randint(1, 12)
+        graphs.append(random_digraph(rng, n, rng.randint(0, min(n * n, 3 * n))))
+    oks = set()
+    for g in graphs:
+        for _ in range(3):
+            for family in family_variants(rng, monotone_family(quotient(g))):
+                want = check_complete_pairwise(g, family)
+                assert check_complete(g, family) == want
+                oks.add(want.ok)
+    assert oks == {True, False}
 
 
 # --- exports -------------------------------------------------------------------------------
