@@ -154,6 +154,8 @@ def _cmd_compile(args):
 
 
 def _cmd_membership(args):
+    if args.depth < 2:  # the shortest scalar word, G_i H_i, has two letters
+        raise ValueError(f"membership --depth must be at least 2, got {args.depth}")
     gens, config, hashes = _compiled(args)
     result = reduction.membership_search(
         gens, args.depth, mode=args.mode, node_budget=args.budget

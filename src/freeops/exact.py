@@ -624,11 +624,9 @@ class ExactMatrix:
             self._dig = h.hexdigest()[:32]
         return self._dig
 
-    def entry_strings(self) -> list:
-        return [gr_to_str(z) for z in self.entries()]
-
     def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "entries": self.entry_strings()}
+        entries = [gr_to_str(z) for z in self.entries()]
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactMatrix":
@@ -709,10 +707,3 @@ class ExactDensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "ExactDensityMatrix":
         return cls(ExactMatrix.identity(dim).scale(Fraction(1, dim)))
-
-    def to_json_dict(self) -> dict:
-        return self.mat.to_json_dict()
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExactDensityMatrix":
-        return cls(ExactMatrix.from_json_dict(data))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .util import level_pairs
+from .util import Report, level_pairs
 
 TileWord = Tuple[int, ...]
 
@@ -31,7 +31,7 @@ class DegenerateTileError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class PCPInstance:
+class PCPInstance(Report):
     """Ordered tiles; tile i (1-based) is the i-th letter of the alphabet."""
 
     tiles: Tuple[Tuple[str, str], ...]
@@ -50,9 +50,6 @@ class PCPInstance:
 
     def to_text(self) -> str:
         return "".join(f"{t}|{b}\n" for t, b in self.tiles)
-
-    def to_json_dict(self) -> dict:
-        return {"tiles": [[t, b] for t, b in self.tiles]}
 
 
 def parse_instance(text: str) -> PCPInstance:
@@ -102,21 +99,12 @@ EXHAUSTED = "exhausted_to_depth"
 
 
 @dataclass(frozen=True, slots=True)
-class SearchOutcome:
+class SearchOutcome(Report):
     status: str
     witness: Optional[TileWord]
     depth_reached: int
     nodes_expanded: int
     truncated: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "depth_reached": self.depth_reached,
-            "nodes_expanded": self.nodes_expanded,
-            "truncated": self.truncated,
-        }
 
 
 def _step(sign: int, over: str, top: str, bottom: str):

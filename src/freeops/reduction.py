@@ -12,9 +12,9 @@ Every compiled unitary lies in SU(2) x SU(2), so a channel carries its
 unitary as an integer quaternion pair (see freerot): compilation, composition
 and the searches multiply quaternions, and phase equivalence is equality up
 to sign.  A channel acts on states and Choi operators block by block, straight
-from its quaternion pair (ExactMatrix.depolarised); it derives its 4x4
-ExactMatrix once, for the compile report, for the independent cross-check of
-a membership witness and for the digest of a diff witness.  Each search
+from its quaternion pair (ExactMatrix.depolarised).  Only the compile report,
+the independent cross-check of a membership witness and the digest of a diff
+witness build the 4x4 ExactMatrix, with freerot.quaternion_matrix.  Each search
 expands one level at a time through util.level_pairs, so a node budget
 counts expansions in all of them.
 
@@ -27,7 +27,7 @@ generates.  theory_diff therefore looks up both sides in that one closure.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Optional, Sequence, Tuple
@@ -51,11 +51,8 @@ from .freerot import (
     q_phase_key,
     quaternion_matrix,
 )
-from .pcp import PCPInstance, TileWord
-from .util import level_pairs
-
-FOUND = "found"
-EXHAUSTED = "exhausted_to_depth"
+from .pcp import EXHAUSTED, FOUND, PCPInstance, TileWord
+from .util import Report, level_pairs
 
 DISTINCT = "distinct"
 INDISTINGUISHABLE = "indistinguishable_up_to_depth"
@@ -65,16 +62,14 @@ INDISTINGUISHABLE = "indistinguishable_up_to_depth"
 class ChannelElement:
     """The map rho -> damping * U rho U^dag + (1 - damping) * I/d.
 
-    U is a quaternion pair (or any number of blocks) in SU(2) x SU(2), and
-    `matrix` is the ExactMatrix it stands for.  Composition multiplies the
-    unitaries, multiplies the dampings, and concatenates the generator
-    words, so a composite is again of this form.
+    U is a quaternion pair (or any number of blocks) in SU(2) x SU(2).
+    Composition multiplies the unitaries, multiplies the dampings, and
+    concatenates the generator words, so a composite is again of this form.
     """
 
     unitary: Quaternions
     damping: Fraction
     word: Tuple[str, ...] = ()
-    matrix: ExactMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         q = self.unitary
@@ -86,7 +81,6 @@ class ChannelElement:
             raise ValueError("channel unitary blocks must be unit quaternions")
         if not (0 < self.damping <= 1):
             raise ValueError("damping must lie in (0, 1]")
-        object.__setattr__(self, "matrix", quaternion_matrix(q))
 
     @property
     def dim(self) -> int:
@@ -158,13 +152,6 @@ class GeneratorSet:
     h_gens: Tuple[ChannelElement, ...]
     g_gens: Tuple[ChannelElement, ...]
 
-    @property
-    def damping_assignment(self) -> Dict[str, Fraction]:
-        out = {}
-        for ch in self.channels():
-            out[ch.word[0]] = ch.damping
-        return out
-
     def channels(self) -> Tuple[ChannelElement, ...]:
         return self.h_gens + self.g_gens
 
@@ -173,9 +160,10 @@ class GeneratorSet:
             "instance": self.instance.to_json_dict(),
             "instance_text": self.instance.to_text(),
             "rotation": self.pair.params.to_json_dict(),
-            "damping": {k: rat_to_str(v) for k, v in self.damping_assignment.items()},
+            "damping": {ch.word[0]: rat_to_str(ch.damping) for ch in self.channels()},
             "unitaries": {
-                ch.word[0]: ch.matrix.to_json_dict() for ch in self.channels()
+                ch.word[0]: quaternion_matrix(ch.unitary).to_json_dict()
+                for ch in self.channels()
             },
         }
 
@@ -220,7 +208,7 @@ def phase_canonical(m: ExactMatrix) -> ExactMatrix:
 
 
 @dataclass(frozen=True, slots=True)
-class MembershipOutcome:
+class MembershipOutcome(Report):
     status: str
     mode: str
     depth_reached: int
@@ -230,23 +218,6 @@ class MembershipOutcome:
     scalar_value: Optional[GaussianRational] = None
     witness_damping: Optional[Fraction] = None
     extracted: Optional[TileWord] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "mode": self.mode,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "scalar_value": str(self.scalar_value)
-            if self.scalar_value is not None
-            else None,
-            "witness_damping": rat_to_str(self.witness_damping)
-            if self.witness_damping is not None
-            else None,
-            "extracted": list(self.extracted) if self.extracted is not None else None,
-            "depth_reached": self.depth_reached,
-            "nodes_expanded": self.nodes_expanded,
-            "truncated": self.truncated,
-        }
 
 
 def _extract_tile_word(
@@ -286,7 +257,7 @@ def _found_outcome(
     product = ExactMatrix.identity(4)
     damping = Fraction(1)
     for lab in witness:
-        product = product @ by_label[lab].matrix
+        product = product @ quaternion_matrix(by_label[lab].unitary)
         damping *= by_label[lab].damping
     scalar = product.as_scalar()
     if scalar is None:
@@ -421,23 +392,13 @@ def membership_search(
 
 
 @dataclass(frozen=True, slots=True)
-class DiffOutcome:
+class DiffOutcome(Report):
     status: str
     witness: Optional[dict]
     matches: Dict[str, dict]
     depth_reached: int
     nodes_expanded: int
     truncated: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": self.witness,
-            "matches": self.matches,
-            "depth_reached": self.depth_reached,
-            "nodes_expanded": self.nodes_expanded,
-            "truncated": self.truncated,
-        }
 
 
 def _closure(
@@ -509,7 +470,7 @@ def theory_diff(
                     "side": side,
                     "label": ch.label,
                     "damping": rat_to_str(ch.damping),
-                    "unitary_digest": phase_canonical(ch.matrix).digest(),
+                    "unitary_digest": phase_canonical(quaternion_matrix(ch.unitary)).digest(),
                 }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE
     return DiffOutcome(

@@ -7,7 +7,11 @@ the longest-path monotone: a table of integer longest distances from the
 base (-1 off its reachable region), read as the value 1/(l+1) at distance
 l and 2 off the region.  The family of all such tables is compatible with
 every edge and reproduces the reachability partial order exactly on the
-explored graph.
+explored graph.  Both checks read one dominance relation: class r dominates
+class s when no table's distance at s is below its distance at r.
+
+A reach graph keeps only state digests and exports DOT only; quotients
+export JSON and DOT, and monotone tables JSON.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .exact import (
     rat_to_str,
 )
 from .reduction import choi
-from .util import level_pairs
+from .util import Report, level_pairs
 
 
 class NotCPTPError(ValueError):
@@ -93,15 +97,13 @@ def certify_cptp(channel) -> ExactMatrix:
 class ReachGraph:
     """Bounded closure of seed states under a finite channel set.
 
-    Nodes are keyed by state digest (synthetic graphs may carry None
-    states).  An edge is (source, target, channel label); every edge has
-    unit length, which the JSON export prints as "1".
+    Nodes are state digests in discovery order.  An edge is (source,
+    target, channel label); every edge has unit length.
     """
 
-    nodes: Dict[str, Optional[ExactDensityMatrix]]
+    nodes: Tuple[str, ...]
     edges: Tuple[Tuple[str, str, str], ...]
     seeds: Tuple[str, ...]
-    depth_bound: int
     truncated: bool = False
 
     @classmethod
@@ -110,18 +112,12 @@ class ReachGraph:
         node_ids: Sequence[str],
         edges: Sequence[Tuple[str, str, str]],
         seeds: Sequence[str] = (),
-        depth_bound: int = 0,
     ) -> "ReachGraph":
         known = set(node_ids)
         for u, v, _ in edges:
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u}, {v}) references unknown node")
-        return cls(
-            nodes={n: None for n in node_ids},
-            edges=tuple(edges),
-            seeds=tuple(seeds),
-            depth_bound=depth_bound,
-        )
+        return cls(nodes=tuple(node_ids), edges=tuple(edges), seeds=tuple(seeds))
 
     def adjacency(self) -> Dict[str, List[Tuple[str, str]]]:
         adj: Dict[str, List[Tuple[str, str]]] = {n: [] for n in self.nodes}
@@ -130,18 +126,6 @@ class ReachGraph:
         for n in adj:
             adj[n].sort()
         return adj
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": {
-                nid: (state.to_json_dict() if state is not None else None)
-                for nid, state in sorted(self.nodes.items())
-            },
-            "edges": [[u, v, lab, "1"] for u, v, lab in sorted(self.edges)],
-            "seeds": list(self.seeds),
-            "depth_bound": self.depth_bound,
-            "truncated": self.truncated,
-        }
 
     def to_dot(self) -> str:
         lines = ["digraph reach {"]
@@ -163,7 +147,8 @@ def explore(
     """Breadth-first closure of the seeds under the channels.
 
     Every channel is Choi-certified before exploration; node identity is
-    exact state equality (digest keyed, equality confirmed).  The budget
+    exact state equality (digest keyed, equality confirmed); the states are
+    held only for that confirmation and the graph keeps digests.  The budget
     counts expansions (one channel applied to one stored state), so at most
     node_budget states join the seeds.
     """
@@ -182,14 +167,14 @@ def explore(
         if s.dim != dim:
             raise ShapeError("seed dimension does not match the channels")
 
-    nodes: Dict[str, ExactDensityMatrix] = {}
+    states: Dict[str, ExactDensityMatrix] = {}  # digest -> state, in discovery order
     seed_ids = []
     frontier = []
     for s in seeds:
         nid = s.digest()
         seed_ids.append(nid)
-        if nid not in nodes:
-            nodes[nid] = s
+        if nid not in states:
+            states[nid] = s
             frontier.append((nid, s))
     edges: Dict[Tuple[str, str, str], None] = {}  # insertion-ordered set
     expanded = 0
@@ -201,9 +186,9 @@ def explore(
             expanded += 1
             out = ExactDensityMatrix(ch.apply_to_matrix(state.mat))
             oid = out.digest()
-            existing = nodes.get(oid)
+            existing = states.get(oid)
             if existing is None:
-                nodes[oid] = out
+                states[oid] = out
                 next_frontier.append((oid, out))
             elif existing.mat != out.mat:
                 raise RuntimeError("digest collision between distinct states")
@@ -212,10 +197,9 @@ def explore(
             break
         frontier = next_frontier
     return ReachGraph(
-        nodes=dict(nodes),
+        nodes=tuple(states),
         edges=tuple(edges),
         seeds=tuple(dict.fromkeys(seed_ids)),
-        depth_bound=max_depth,
         truncated=truncated,
     )
 
@@ -225,15 +209,9 @@ NOT_REACHABLE = "not_reachable_within_bound"
 
 
 @dataclass(frozen=True, slots=True)
-class ReachOutcome:
+class ReachOutcome(Report):
     status: str
     path: Optional[Tuple[str, ...]]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "path": list(self.path) if self.path is not None else None,
-        }
 
 
 def _resolve_node(g: ReachGraph, state_or_id) -> Optional[str]:
@@ -483,6 +461,25 @@ class MonotoneFamily:
     quotient: QuotientDAG
     tables: Tuple[MonotoneTable, ...]
 
+    def dominance(self) -> List[int]:
+        """Bit s of entry r is set when class r dominates class s.  Each table
+        clears, at every class c it reaches, the classes below c's distance;
+        a class it cannot reach (-1) gains no constraint."""
+        n = self.quotient.size
+        dominated = [(1 << n) - 1] * n
+        for table in self.tables:
+            levels: Dict[int, List[int]] = {}
+            for c, d in enumerate(table.dist):
+                if d >= 0:
+                    levels.setdefault(d, []).append(c)
+            at_least = 0  # classes at the current distance or more
+            for d in sorted(levels, reverse=True):
+                for c in levels[d]:
+                    at_least |= 1 << c
+                for c in levels[d]:
+                    dominated[c] &= at_least
+        return dominated
+
     def to_json_dict(self) -> dict:
         q = self.quotient
         reps = [q.representative(c) for c in range(q.size)]
@@ -509,11 +506,18 @@ class CheckResult:
 
 def check_compatible(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
     """Every table must be non-increasing along every edge of the graph,
-    that is, its distance must not drop along an edge."""
+    that is, its distance must not drop along an edge.
+
+    An edge breaks that exactly when its source class does not dominate its
+    target class; only then are the tables scanned, for the first one whose
+    distance drops."""
     class_of = family.quotient.class_of
+    dominated = family.dominance()
     for u, v, lab in g.edges:
         cu = class_of[u]
         cv = class_of[v]
+        if dominated[cu] >> cv & 1:
+            continue
         for table in family.tables:
             if table.dist[cv] < table.dist[cu]:
                 return CheckResult(
@@ -547,24 +551,11 @@ def check_complete(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
     """Dominance in every table must coincide with reachability, where
     reachability comes from an independent transitive-closure oracle.
 
-    r dominates s when every table's distance at s is at least its distance
-    at r.  Each table contributes, for every class c it reaches, the bitset
-    of classes at its distance of c or more; a class it cannot reach (-1)
-    gains no constraint.  The first mismatch is reported in (r, s) order.
+    Dominance is MonotoneFamily.dominance.  The first mismatch is reported
+    in (r, s) order.
     """
     q = family.quotient
-    dominated = [(1 << q.size) - 1] * q.size
-    for table in family.tables:
-        levels: Dict[int, List[int]] = {}
-        for c, d in enumerate(table.dist):
-            if d >= 0:
-                levels.setdefault(d, []).append(c)
-        at_least = 0  # classes at the current distance or more
-        for d in sorted(levels, reverse=True):
-            for c in levels[d]:
-                at_least |= 1 << c
-            for c in levels[d]:
-                dominated[c] &= at_least
+    dominated = family.dominance()
     closure = _closure_bitsets(q)
     for r in range(q.size):
         diff = dominated[r] ^ closure[r]

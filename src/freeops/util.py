@@ -1,14 +1,40 @@
-"""Small shared helpers: canonical JSON, hashing and the breadth-first
-level loop of every bounded search."""
+"""Small shared helpers: the report JSON rule, canonical JSON, hashing and
+the breadth-first level loop of every bounded search."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 from itertools import islice, product
 from typing import Iterator, Sized, Tuple
 
+from .exact import GaussianRational
+
 _CONTAINERS = (dict, list, tuple)
+
+
+def report_json(value):
+    """The report form of a result: a dataclass becomes a dict of its fields
+    by name, a tuple a list, and a Fraction or GaussianRational its canonical
+    string (what rat_to_str and gr_to_str write); anything else is kept."""
+    if isinstance(value, (Fraction, GaussianRational)):
+        return str(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: report_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [report_json(v) for v in value]
+    return value
+
+
+class Report:
+    """Base of the results whose report keys are their field names."""
+
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        return report_json(self)
 
 
 def canonical_json(data, fp) -> None:

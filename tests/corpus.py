@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import List, Optional, Tuple
 
-from freeops.exact import ExactDensityMatrix, ExactMatrix, GaussianRational
+from freeops.exact import ExactDensityMatrix, ExactMatrix, GaussianRational, rat_to_str
 from freeops.pcp import PCPInstance
 from freeops.resourcegraph import CheckResult, MonotoneFamily, ReachGraph, _closure_bitsets
 
@@ -368,6 +368,28 @@ def check_complete_pairwise(g: ReachGraph, family: MonotoneFamily) -> CheckResul
                         "to": q.representative(s),
                         "dominated": dominated,
                         "reachable": reachable,
+                    },
+                )
+    return CheckResult(True)
+
+
+def check_compatible_pairwise(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
+    """Reference compatibility check: every graph edge against every table,
+    O(E T); the first (edge, table) whose distance drops along the edge is
+    the counterexample."""
+    class_of = family.quotient.class_of
+    for u, v, lab in g.edges:
+        cu = class_of[u]
+        cv = class_of[v]
+        for table in family.tables:
+            if table.dist[cv] < table.dist[cu]:
+                return CheckResult(
+                    False,
+                    {
+                        "edge": [u, v, lab],
+                        "base": family.quotient.representative(table.base),
+                        "value_from": rat_to_str(table.value(cu)),
+                        "value_to": rat_to_str(table.value(cv)),
                     },
                 )
     return CheckResult(True)

@@ -173,6 +173,23 @@ def test_membership_degenerate_tile_errors(tmp_path):
     assert code == 2
 
 
+def test_membership_rejects_depth_below_two(tmp_path, capsys):
+    # A one-letter word cannot hold the shortest witness G1 H1, while the
+    # oracle would still search one tile: no false mismatch is reported.
+    inst = write_instance(tmp_path, "1|1\n")
+    for depth in ("1", "0"):
+        out = tmp_path / "r.json"
+        for mode in ("generic", "structured"):
+            argv = ["membership", "--instance", inst, "--depth", depth, "--mode", mode]
+            assert run(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: membership --depth must be at least 2, got {depth}\n"
+            assert not out.exists()
+    out = tmp_path / "r.json"
+    assert run(["membership", "--instance", inst, "--depth", "2", "--out", str(out)]) == 0
+    assert load(out)["outcome"]["statuses_agree"] is True
+
+
 @pytest.mark.parametrize(
     "exc",
     [

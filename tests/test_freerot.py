@@ -340,7 +340,7 @@ def _letter_sets():
     )
     for entry in CORPUS:
         gens = compile_generators(entry.instance, PAIR, Fraction(1, 2))
-        units = [(ch.unitary, ch.matrix) for ch in gens.channels()]
+        units = [(ch.unitary, quaternion_matrix(ch.unitary)) for ch in gens.channels()]
         sets.append(units + [(q_adjoint(q), m.dagger()) for q, m in units] + [flip])
     return sets
 

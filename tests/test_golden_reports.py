@@ -36,8 +36,11 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import random_digraph
 from freeops import cli
-from freeops.resourcegraph import monotone_family, quotient
-from freeops.util import canonical_json
+from freeops.exact import GaussianRational
+from freeops.pcp import PCPInstance, SearchOutcome
+from freeops.reduction import DiffOutcome, MembershipOutcome
+from freeops.resourcegraph import ReachOutcome, monotone_family, quotient
+from freeops.util import canonical_json, report_json
 
 CLASSIC = "1|101\n10|00\n011|11\n"
 CLASSIC_MINUS = "1|101\n10|00\n"
@@ -234,6 +237,90 @@ def test_canonical_json_rejects_what_stdlib_rejects(data):
         stdlib_json(data)
     with pytest.raises(TypeError):
         written(data)
+
+
+# Each result next to the dict that its own hand-written to_json_dict
+# returned before util.report_json replaced those methods.
+DIGEST = "ab" * 16
+RULE_PINS = [
+    (
+        MembershipOutcome(
+            "found",
+            "generic",
+            4,
+            17,
+            witness=("G1", "H1"),
+            scalar_value=GaussianRational(Fraction(3, 5), Fraction(-4, 5)),
+            witness_damping=Fraction(1, 4),
+        ),
+        {
+            "status": "found",
+            "mode": "generic",
+            "witness": ["G1", "H1"],
+            "scalar_value": "3/5-4/5*i",
+            "witness_damping": "1/4",
+            "extracted": None,
+            "depth_reached": 4,
+            "nodes_expanded": 17,
+            "truncated": False,
+        },
+    ),
+    (
+        MembershipOutcome("exhausted_to_depth", "structured", 2, 11, truncated=True),
+        {
+            "status": "exhausted_to_depth",
+            "mode": "structured",
+            "witness": None,
+            "scalar_value": None,
+            "witness_damping": None,
+            "extracted": None,
+            "depth_reached": 2,
+            "nodes_expanded": 11,
+            "truncated": True,
+        },
+    ),
+    (
+        SearchOutcome("found", (1, 3, 2), 3, 9),
+        {"status": "found", "witness": [1, 3, 2], "depth_reached": 3, "nodes_expanded": 9, "truncated": False},
+    ),
+    (
+        DiffOutcome(
+            "distinct",
+            {"side": 2, "label": "PSI", "damping": "1/16", "unitary_digest": DIGEST},
+            {"f1:H1": {"realized_by": ["H1"], "at_depth": 1}},
+            2,
+            30,
+        ),
+        {
+            "status": "distinct",
+            "witness": {"side": 2, "label": "PSI", "damping": "1/16", "unitary_digest": DIGEST},
+            "matches": {"f1:H1": {"realized_by": ["H1"], "at_depth": 1}},
+            "depth_reached": 2,
+            "nodes_expanded": 30,
+            "truncated": False,
+        },
+    ),
+    (ReachOutcome("reachable", ("H1", "G2")), {"status": "reachable", "path": ["H1", "G2"]}),
+    (
+        ReachOutcome("not_reachable_within_bound", None),
+        {"status": "not_reachable_within_bound", "path": None},
+    ),
+    (
+        PCPInstance((("1", "101"), ("10", "00"), ("", "1"))),
+        {"tiles": [["1", "101"], ["10", "00"], ["", "1"]]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "result, expected",
+    RULE_PINS,
+    ids=["membership-found", "membership-cut", "search", "diff", "reach", "reach-none", "instance"],
+)
+def test_report_json_rule_matches_hand_written_exports(result, expected):
+    assert report_json(result) == expected
+    assert result.to_json_dict() == expected
+    assert written(report_json(result)) == stdlib_json(expected)
 
 
 @pytest.mark.parametrize(

@@ -80,14 +80,14 @@ def reference_generators(inst, a, b):
 
 def test_compile_first_tile_blocks():
     gens = compiled("0|100")
-    assert gens.h_gens[0].matrix == block_diag(A, A @ B)
-    assert gens.g_gens[0].matrix == block_diag((B @ A @ A).dagger(), (A @ B).dagger())
+    assert quaternion_matrix(gens.h_gens[0].unitary) == block_diag(A, A @ B)
+    assert quaternion_matrix(gens.g_gens[0].unitary) == block_diag((B @ A @ A).dagger(), (A @ B).dagger())
 
 
 def test_compile_index_blocks_track_tile_number():
     gens = compiled("0|0\n1|1\n01|10")
     for i, h in enumerate(gens.h_gens, start=1):
-        assert h.matrix.block(2, 2, 2, 2) == A.pow(i) @ B
+        assert quaternion_matrix(h.unitary).block(2, 2, 2, 2) == A.pow(i) @ B
 
 
 def test_compile_matches_matrix_construction():
@@ -102,8 +102,7 @@ def test_compile_matches_matrix_construction():
             expected = reference_generators(entry.instance, a, b)
             assert {ch.word[0] for ch in gens.channels()} == set(expected)
             for ch in gens.channels():
-                assert ch.matrix == expected[ch.word[0]], (entry.name, ch.word)
-                assert quaternion_matrix(ch.unitary) == ch.matrix
+                assert quaternion_matrix(ch.unitary) == expected[ch.word[0]], (entry.name, ch.word)
 
 
 def test_compile_rejects_bad_damping():
@@ -117,12 +116,12 @@ def test_all_generators_exactly_unitary():
     for entry in CORPUS[:8]:
         gens = compile_generators(entry.instance, PAIR, HALF)
         for ch in gens.channels():
-            assert ch.matrix.is_unitary()
+            assert quaternion_matrix(ch.unitary).is_unitary()
 
 
 def test_matching_tile_telescopes():
     gens = compiled("0|0")
-    product = gens.g_gens[0].matrix @ gens.h_gens[0].matrix
+    product = quaternion_matrix(gens.g_gens[0].unitary) @ quaternion_matrix(gens.h_gens[0].unitary)
     assert product == ExactMatrix.identity(4)
 
 
@@ -132,7 +131,7 @@ def test_generator_set_json_bundle():
     assert data["instance"]["tiles"] == [["0", "100"]]
     assert data["damping"]["H1"] == "1/2"
     assert set(data["unitaries"]) == {"H1", "G1"}
-    assert ExactMatrix.from_json_dict(data["unitaries"]["G1"]) == gens.g_gens[0].matrix
+    assert ExactMatrix.from_json_dict(data["unitaries"]["G1"]) == quaternion_matrix(gens.g_gens[0].unitary)
 
 
 # --- channel algebra ----------------------------------------------------------------
@@ -191,7 +190,7 @@ def reference_apply(ch, m):
     mix = ExactMatrix.identity(ch.dim).scale(
         m.trace() * GaussianRational((1 - ch.damping) / ch.dim)
     )
-    return (ch.matrix @ m @ ch.matrix.dagger()).scale(ch.damping) + mix
+    return (quaternion_matrix(ch.unitary) @ m @ quaternion_matrix(ch.unitary).dagger()).scale(ch.damping) + mix
 
 
 def test_apply_to_matrix_matches_reference_formula():
@@ -295,7 +294,7 @@ def test_products_keep_block_structure():
         length = rng.randint(1, 6)
         product = ExactMatrix.identity(4)
         for _ in range(length):
-            product = product @ rng.choice(channels).matrix
+            product = product @ quaternion_matrix(rng.choice(channels).unitary)
         assert product.block(0, 2, 2, 2) == ExactMatrix.zeros(2, 2)
         assert product.block(2, 0, 2, 2) == ExactMatrix.zeros(2, 2)
         for corner in (product.block(0, 0, 2, 2), product.block(2, 2, 2, 2)):
@@ -436,7 +435,7 @@ def test_membership_repeat_runs_agree():
 def _bfs_scalar_word(gens, max_depth):
     """Oracle: the first scalar word in length-then-lexicographic order over
     the generator list, by plain BFS over ExactMatrix products."""
-    letters = [(ch.word[0], ch.matrix) for ch in gens.channels()]
+    letters = [(ch.word[0], quaternion_matrix(ch.unitary)) for ch in gens.channels()]
     level = [((), ExactMatrix.identity(4))]
     for _ in range(max_depth):
         level = [(w + (lab,), m @ u) for w, m in level for lab, u in letters]
@@ -465,7 +464,7 @@ def test_generic_witness_matches_bruteforce_bfs():
 def test_channel_element_construction_check():
     good = compiled("0|100").g_gens[0].unitary
     ch = ChannelElement(good, HALF, ("G1",))
-    assert ch.matrix == quaternion_matrix(good) and ch.dim == 4
+    assert quaternion_matrix(ch.unitary) == quaternion_matrix(good) and ch.dim == 4
     assert ChannelElement(q_identity(1), Fraction(1)).dim == 2
     for bad in (
         (1, 1, 0, 0, 1, 0, 0, 0, 1),  # first block of norm 2
@@ -513,8 +512,8 @@ def test_mixed_cancellation_shortcut():
 
     inst = MIXED_CANCELLATION.instance
     gens = compile_generators(inst, PAIR, HALF)
-    h3 = gens.h_gens[2].matrix
-    g3 = gens.g_gens[2].matrix
+    h3 = quaternion_matrix(gens.h_gens[2].unitary)
+    g3 = quaternion_matrix(gens.g_gens[2].unitary)
     assert h3 @ g3 == block_diag(quaternion_matrix(encode_word(PAIR, "1")), ExactMatrix.identity(2))
     out = membership_search(gens, 8, mode="generic")
     assert out.status == FOUND
@@ -533,10 +532,10 @@ def test_mixed_cancellation_shortcut():
 
 def test_phase_canonical_identifies_phase_multiples():
     gens = compiled("0|100")
-    u = gens.h_gens[0].matrix
+    u = quaternion_matrix(gens.h_gens[0].unitary)
     for phase in (gr(1), gr(-1), gr(0, 1), gr(0, -1)):
         assert phase_canonical(u.scale(phase)) == phase_canonical(u)
-    assert phase_canonical(u) != phase_canonical(gens.g_gens[0].matrix)
+    assert phase_canonical(u) != phase_canonical(quaternion_matrix(gens.g_gens[0].unitary))
 
 
 # --- theory diffing ---------------------------------------------------------------------
@@ -570,7 +569,7 @@ def test_diff_solvable_realizes_target():
     assert out.status == INDISTINGUISHABLE
     realized = out.matches["f2:PSI"]
     assert realized["at_depth"] == 2
-    by_label = {ch.word[0]: ch.matrix for ch in f1}
+    by_label = {ch.word[0]: quaternion_matrix(ch.unitary) for ch in f1}
     product = ExactMatrix.identity(4)
     for lab in realized["realized_by"]:
         product = product @ by_label[lab]
@@ -615,7 +614,7 @@ def _two_closure_diff(f1, extra, depth):
                     "side": side,
                     "label": ch.label,
                     "damping": rat_to_str(ch.damping),
-                    "unitary_digest": phase_canonical(ch.matrix).digest(),
+                    "unitary_digest": phase_canonical(quaternion_matrix(ch.unitary)).digest(),
                 }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE
     return status, witness, matches, min(done1, done2)

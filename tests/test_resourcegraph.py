@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import check_complete_pairwise, mutual_reachability_classes, random_digraph
+from corpus import (
+    check_compatible_pairwise,
+    check_complete_pairwise,
+    mutual_reachability_classes,
+    random_digraph,
+)
 from freeops.exact import ExactDensityMatrix, ExactMatrix, gr
 from freeops.freerot import make_free_pair, standard_params
 from freeops.pcp import parse_instance
@@ -388,12 +393,37 @@ def test_check_complete_matches_pairwise_oracle():
     assert oks == {True, False}
 
 
+def test_check_compatible_matches_pairwise_oracle():
+    rng = random.Random(2424)
+    gens = compile_generators(parse_instance("1|101\n10|00\n011|11\n"), PAIR, HALF)
+    graphs = [explore(gens.channels(), [ExactDensityMatrix.basis_state(4, 0)], 3)]
+    for _ in range(64):
+        n = rng.randint(1, 12)
+        graphs.append(random_digraph(rng, n, rng.randint(0, min(n * n, 3 * n))))
+    oks = set()
+    for g in graphs:
+        # The reversed graph has the same classes, in the same order, and its
+        # tables break every edge between two classes of g.
+        rev = ReachGraph.synthetic(g.nodes, [(v, u, lab) for u, v, lab in g.edges])
+        q = quotient(g)
+        assert quotient(rev).classes == q.classes
+        reversed_family = MonotoneFamily(q, monotone_family(quotient(rev)).tables)
+        assert check_compatible(g, reversed_family) == check_compatible_pairwise(g, reversed_family)
+        for _ in range(3):
+            for family in family_variants(rng, monotone_family(q)):
+                want = check_compatible_pairwise(g, family)
+                assert check_compatible(g, family) == want
+                oks.add(want.ok)
+    assert oks == {True, False}
+
+
 # --- exports -------------------------------------------------------------------------------
 
 
 def test_graph_exports_are_deterministic():
     g = demo_graph()
-    assert g.to_json_dict() == demo_graph().to_json_dict()
+    again = demo_graph()
+    assert (g.nodes, g.edges, g.seeds) == (again.nodes, again.edges, again.seeds)
     dot = g.to_dot()
     assert dot.startswith("digraph reach {")
     assert '"rho" -> "a" [label="s1"];' in dot
