@@ -31,11 +31,11 @@ class ShapeError(ValueError):
     """Operand dimensions do not fit the requested operation."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
 
 def rat_from_str(text: str) -> Fraction:
-    """Parse the canonical rational form "p/q" (q omitted when 1)."""
+    """Parse the canonical rational form "p/q" (q omitted when 1, never 0)."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
@@ -142,22 +142,6 @@ def gr_to_str(z: GaussianRational) -> str:
         return f"{z.im}*i"
     sign = "+" if z.im > 0 else "-"
     return f"{z.re}{sign}{abs(z.im)}*i"
-
-
-def gr_from_str(text: str) -> GaussianRational:
-    text = text.strip()
-    if not text.endswith("*i"):
-        return GaussianRational(rat_from_str(text))
-    body = text[:-2]
-    # Split at the sign separating the real part from the imaginary
-    # coefficient; a leading sign belongs to the real part.
-    for idx in range(len(body) - 1, 0, -1):
-        if body[idx] in "+-":
-            return GaussianRational(
-                rat_from_str(body[:idx]),
-                rat_from_str(body[idx] + body[idx + 1 :]),
-            )
-    return GaussianRational(Fraction(0), rat_from_str(body))
 
 
 def _matmul_int(n: int, m: int, p: int, a: Sequence[int], b: Sequence[int]) -> list:
@@ -284,17 +268,6 @@ class ExactMatrix:
         for k in range(self.rows * self.cols):
             yield GaussianRational(Fraction(num[2 * k], den), Fraction(num[2 * k + 1], den))
 
-    def block(self, row0: int, col0: int, rows: int, cols: int) -> "ExactMatrix":
-        if row0 + rows > self.rows or col0 + cols > self.cols:
-            raise ShapeError("block exceeds matrix bounds")
-        nums = []
-        for i in range(row0, row0 + rows):
-            base = 2 * i * self.cols
-            for j in range(col0, col0 + cols):
-                nums.append(self._num[base + 2 * j])
-                nums.append(self._num[base + 2 * j + 1])
-        return ExactMatrix._raw(rows, cols, nums, self._den)
-
     # -- arithmetic -----------------------------------------------------------
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -348,17 +321,6 @@ class ExactMatrix:
                 nums[dst + 1] = -num[src + 1]
         return ExactMatrix._raw(self.cols, self.rows, nums, self._den)
 
-    def pow(self, exponent: int) -> "ExactMatrix":
-        """Exact matrix power; exponent 0 gives the identity."""
-        if self.rows != self.cols:
-            raise ShapeError("matrix power requires a square matrix")
-        if exponent < 0:
-            raise ValueError("negative exponents are not defined here")
-        result = ExactMatrix.identity(self.rows)
-        for _ in range(exponent):
-            result = result @ self
-        return result
-
     def depolarised(self, q: Sequence[int], damping: Fraction) -> "ExactMatrix":
         """damping * U @ self @ U^dag + (1 - damping) * trace(self)/n * I.
 
@@ -407,38 +369,6 @@ class ExactMatrix:
                 nums[k + 1] += ti
         return ExactMatrix._raw(n, n, nums, r * n * self._den * d2)
 
-    def trace(self) -> GaussianRational:
-        if self.rows != self.cols:
-            raise ShapeError("trace requires a square matrix")
-        tr = 0
-        ti = 0
-        n = self.cols
-        for i in range(n):
-            tr += self._num[2 * (i * n + i)]
-            ti += self._num[2 * (i * n + i) + 1]
-        return GaussianRational(Fraction(tr, self._den), Fraction(ti, self._den))
-
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        nums = [0] * (2 * rows * cols)
-        for i1 in range(self.rows):
-            for j1 in range(self.cols):
-                a = 2 * (i1 * self.cols + j1)
-                ar = self._num[a]
-                ai = self._num[a + 1]
-                if ar == 0 and ai == 0:
-                    continue
-                for i2 in range(other.rows):
-                    for j2 in range(other.cols):
-                        b = 2 * (i2 * other.cols + j2)
-                        br = other._num[b]
-                        bi = other._num[b + 1]
-                        dst = 2 * ((i1 * other.rows + i2) * cols + (j1 * other.cols + j2))
-                        nums[dst] = ar * br - ai * bi
-                        nums[dst + 1] = ar * bi + ai * br
-        return ExactMatrix._raw(rows, cols, nums, self._den * other._den)
-
     def partial_trace_first(self, dim_first: int, dim_second: int) -> "ExactMatrix":
         """Trace out the first tensor factor of a (d1*d2)-dimensional operator."""
         d = dim_first * dim_second
@@ -474,11 +404,6 @@ class ExactMatrix:
                     return False
         return True
 
-    def is_unitary(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return (self @ self.dagger()) == ExactMatrix.identity(self.rows)
-
     def as_scalar(self):
         """Return c when the matrix equals c * identity, else None."""
         if self.rows != self.cols:
@@ -496,51 +421,6 @@ class ExactMatrix:
                 elif num[k] != 0 or num[k + 1] != 0:
                     return None
         return GaussianRational(Fraction(dr, self._den), Fraction(di, self._den))
-
-    def is_scalar(self) -> bool:
-        return self.as_scalar() is not None
-
-    def _int_char_poly(self) -> list:
-        """Characteristic polynomial of the numerator matrix, over the Gaussian
-        integers, by the Faddeev-LeVerrier recurrence (all divisions exact).
-
-        Returns ascending coefficients of det(x*I - N) as (re, im) pairs.
-        """
-        n = self.rows
-        a = self._num
-        coeffs = [(0, 0)] * (n + 1)
-        coeffs[n] = (1, 0)
-        m = list(ExactMatrix.identity(n)._num)
-        for k in range(1, n + 1):
-            am = _matmul_int(n, n, n, a, m)
-            tr = sum(am[2 * (i * n + i)] for i in range(n))
-            ti = sum(am[2 * (i * n + i) + 1] for i in range(n))
-            if tr % k or ti % k:
-                raise ArithmeticError("inexact division in char-poly recurrence")
-            cr = -(tr // k)
-            ci = -(ti // k)
-            coeffs[n - k] = (cr, ci)
-            m = am
-            for i in range(n):
-                m[2 * (i * n + i)] += cr
-                m[2 * (i * n + i) + 1] += ci
-        return coeffs
-
-    def char_poly(self) -> tuple:
-        """Ascending coefficients of det(x*I - M) as GaussianRationals."""
-        if self.rows != self.cols:
-            raise ShapeError("characteristic polynomial requires a square matrix")
-        n = self.rows
-        den = self._den
-        out = []
-        for k, (cr, ci) in enumerate(self._int_char_poly()):
-            d = den ** (n - k)
-            out.append(GaussianRational(Fraction(cr, d), Fraction(ci, d)))
-        return tuple(out)
-
-    def det(self) -> GaussianRational:
-        c0 = self.char_poly()[0]
-        return c0 if self.rows % 2 == 0 else -c0
 
     def is_psd(self) -> bool:
         """Exact positive-semidefiniteness for Hermitian matrices.
@@ -627,14 +507,6 @@ class ExactMatrix:
     def to_json_dict(self) -> dict:
         entries = [gr_to_str(z) for z in self.entries()]
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExactMatrix":
-        return cls(
-            int(data["rows"]),
-            int(data["cols"]),
-            [gr_from_str(s) for s in data["entries"]],
-        )
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 16:

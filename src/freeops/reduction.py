@@ -99,10 +99,6 @@ class ChannelElement:
     def apply(self, state: ExactDensityMatrix) -> ExactDensityMatrix:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))
 
-    @classmethod
-    def identity_element(cls) -> "ChannelElement":
-        return cls(q_identity(2), Fraction(1), ())
-
 
 def compose(x: ChannelElement, y: ChannelElement) -> ChannelElement:
     """(x compose y)(rho) = x(y(rho)); dampings multiply, words concatenate."""

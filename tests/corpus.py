@@ -2,7 +2,8 @@
 
 Everything here stays deliberately separate from the package code paths it
 checks: solutions are found by exhaustive enumeration, positivity by Sturm
-chains, characteristic polynomials by permanent-style expansion, and graph
+chains on the characteristic polynomial of `oracles.char_poly`,
+characteristic polynomials also by Leibniz expansion, and graph
 reachability by pairwise BFS.
 """
 
@@ -14,6 +15,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import List, Optional, Tuple
 
+from oracles import char_poly, trace
 from freeops.exact import ExactDensityMatrix, ExactMatrix, GaussianRational, rat_to_str
 from freeops.pcp import PCPInstance
 from freeops.resourcegraph import CheckResult, MonotoneFamily, ReachGraph, _closure_bitsets
@@ -179,7 +181,7 @@ def sturm_count_negative_roots(coeffs) -> int:
 def sturm_is_psd(matrix: ExactMatrix) -> bool:
     """Independent PSD oracle: no negative characteristic roots."""
     coeffs = []
-    for z in matrix.char_poly():
+    for z in char_poly(matrix):
         assert z.im == 0
         coeffs.append(z.re)
     return sturm_count_negative_roots(coeffs) == 0
@@ -287,7 +289,7 @@ def random_density(rng: random.Random, dim: int = 4) -> ExactDensityMatrix:
         ]
         x = ExactMatrix(dim, dim, entries)
         m = x @ x.dagger()
-        t = m.trace()
+        t = trace(m)
         if t.re != 0:
             return ExactDensityMatrix(m.scale(GaussianRational(1 / t.re)))
 

@@ -1,0 +1,149 @@
+"""Independent matrix oracles for the tests, built on the public API only.
+
+Each helper reads and builds a matrix through `entries()`, `entry()`, the
+constructor, `from_rows`, `identity` and `dagger`, and multiplies with its
+own loop over Gaussian-integer numerators, not with `@`.  So an oracle
+shares no code with the kernel it checks.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from freeops.exact import ExactMatrix, GaussianRational, ShapeError, rat_from_str
+
+ZERO = GaussianRational(Fraction(0))
+
+
+def _numerators(m: ExactMatrix):
+    """(rows of (re, im) integer numerators, common denominator) of m."""
+    entries = list(m.entries())
+    den = 1
+    for z in entries:
+        den = lcm(den, z.re.denominator, z.im.denominator)
+    pairs = [(int(z.re * den), int(z.im * den)) for z in entries]
+    return [pairs[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)], den
+
+
+def _int_product(a, b):
+    """Product of two matrices of Gaussian integers held as (re, im) rows."""
+    cols = list(zip(*b))
+    return [
+        [
+            (
+                sum(x * u - y * v for (x, y), (u, v) in zip(row, col)),
+                sum(x * v + y * u for (x, y), (u, v) in zip(row, col)),
+            )
+            for col in cols
+        ]
+        for row in a
+    ]
+
+
+def _product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    na, da = _numerators(a)
+    nb, db = _numerators(b)
+    den = da * db
+    return ExactMatrix.from_rows(
+        [[GaussianRational(Fraction(re, den), Fraction(im, den)) for re, im in row]
+         for row in _int_product(na, nb)]
+    )
+
+
+def block(m: ExactMatrix, row0: int, col0: int, rows: int, cols: int) -> ExactMatrix:
+    """The rows x cols submatrix whose top-left entry is (row0, col0)."""
+    return ExactMatrix.from_rows(
+        [[m.entry(i, j) for j in range(col0, col0 + cols)] for i in range(row0, row0 + rows)]
+    )
+
+
+def mat_pow(m: ExactMatrix, exponent: int) -> ExactMatrix:
+    """m to a non-negative integer power; exponent 0 gives the identity."""
+    if exponent < 0:
+        raise ValueError("negative exponents are not defined here")
+    result = ExactMatrix.identity(m.rows)
+    for _ in range(exponent):
+        result = _product(result, m)
+    return result
+
+
+def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix.from_rows(
+        [
+            [a.entry(i1, j1) * b.entry(i2, j2) for j1 in range(a.cols) for j2 in range(b.cols)]
+            for i1 in range(a.rows)
+            for i2 in range(b.rows)
+        ]
+    )
+
+
+def trace(m: ExactMatrix) -> GaussianRational:
+    if m.rows != m.cols:
+        raise ShapeError("trace requires a square matrix")
+    return sum((m.entry(i, i) for i in range(m.rows)), ZERO)
+
+
+def is_unitary(m: ExactMatrix) -> bool:
+    return m.rows == m.cols and _product(m, m.dagger()) == ExactMatrix.identity(m.rows)
+
+
+def char_poly(m: ExactMatrix) -> tuple:
+    """Ascending coefficients of det(x*I - m) as GaussianRationals.
+
+    Faddeev-LeVerrier on the integer numerator matrix N (m = N / den): with
+    M_0 = I, c_n = 1 and M_k = N M_{k-1} + c_{n-k} I, where
+    c_{n-k} = -tr(N M_{k-1}) / k, every division is exact.  The coefficient
+    of x^k of det(x*I - N) is then rescaled by den^(n-k).
+    """
+    if m.rows != m.cols:
+        raise ShapeError("characteristic polynomial requires a square matrix")
+    n = m.rows
+    num, den = _numerators(m)
+    coeffs = [(0, 0)] * (n + 1)
+    coeffs[n] = (1, 0)
+    acc = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        acc = _int_product(num, acc)
+        tr = sum(acc[i][i][0] for i in range(n))
+        ti = sum(acc[i][i][1] for i in range(n))
+        if tr % k or ti % k:
+            raise ArithmeticError("inexact division in char-poly recurrence")
+        cr, ci = -(tr // k), -(ti // k)
+        coeffs[n - k] = (cr, ci)
+        for i in range(n):
+            re, im = acc[i][i]
+            acc[i][i] = (re + cr, im + ci)
+    return tuple(
+        GaussianRational(Fraction(cr, den ** (n - k)), Fraction(ci, den ** (n - k)))
+        for k, (cr, ci) in enumerate(coeffs)
+    )
+
+
+def det(m: ExactMatrix) -> GaussianRational:
+    c0 = char_poly(m)[0]
+    return c0 if m.rows % 2 == 0 else -c0
+
+
+def gr_from_str(text: str) -> GaussianRational:
+    """Parse the text form written by exact.gr_to_str."""
+    text = text.strip()
+    if not text.endswith("*i"):
+        return GaussianRational(rat_from_str(text))
+    body = text[:-2]
+    # Split at the sign separating the real part from the imaginary
+    # coefficient; a leading sign belongs to the real part.
+    for idx in range(len(body) - 1, 0, -1):
+        if body[idx] in "+-":
+            return GaussianRational(
+                rat_from_str(body[:idx]), rat_from_str(body[idx] + body[idx + 1 :])
+            )
+    return GaussianRational(Fraction(0), rat_from_str(body))
+
+
+def matrix_from_json(data: dict) -> ExactMatrix:
+    """Inverse of ExactMatrix.to_json_dict."""
+    entries = [gr_from_str(s) for s in data["entries"]]
+    return ExactMatrix(int(data["rows"]), int(data["cols"]), entries)

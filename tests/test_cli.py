@@ -327,6 +327,27 @@ def test_state_selectors_parse_strictly(tmp_path, capsys, option, selector):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-free", "--max-len", "1", "--cos", "1/0"],
+        ["verify-free", "--max-len", "1", "--sin", "1/0"],
+        ["verify-free", "--max-len", "1", "--axis-a", "1/0,0,0"],
+        ["verify-free", "--max-len", "1", "--axis-b", "0,0,1/0"],
+        ["membership", "--instance", "@", "--depth", "2", "--damping", "1/0"],
+        ["reach", "--instance", "@", "--depth", "1", "--to", "target:1/0"],
+        ["diff", "--instance", "@", "--depth", "1", "--target-damping", "1/0"],
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_zero_denominator_is_not_a_rational(tmp_path, capsys, argv):
+    inst = write_instance(tmp_path, TRIVIAL)
+    assert run([inst if a == "@" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: not a rational literal: '1/0'\n"
+    assert captured.out == ""
+
+
 # --- monotones ------------------------------------------------------------------------------
 
 

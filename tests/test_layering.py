@@ -1,22 +1,33 @@
-"""Layering guard over the package source: one owner per format and one
-representation per channel.
+"""Layering guard over the package source: one owner per format, one
+representation per channel, and no code that nothing runs.
 
 Only exact.py may touch ExactMatrix internals (the numerators `_num`, the
 denominator `_den` and the raw constructor `_raw`), and no module reads a
 `.matrix` attribute: a channel carries its unitary as a quaternion pair and
-builds a matrix with freerot.quaternion_matrix where one is needed.
+builds a matrix with freerot.quaternion_matrix where one is needed.  The
+test oracles stay off those internals and off the kernel product
+`_matmul_int`, so they share no code with what they check.
+
+Every non-dunder function, method and class in the package must be reached
+from a module-level statement, an `__init__` export or a `[project.scripts]`
+entry point; test-only helpers belong in tests/oracles.py.
 """
 
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "freeops").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "freeops").glob("*.py"))
 INTERNALS = re.compile(r"\._(?:num|den|raw)\b")
+KERNEL = re.compile(r"\._(?:num|den|raw)\b|\b_matmul_int\b")
 MATRIX_ATTRIBUTE = re.compile(r"\.matrix\b")
 # exact.py owns the ExactMatrix representation.
 NOT_EXACT = [p for p in SOURCES if p.name != "exact.py"]
+ORACLES = [ROOT / "tests" / "oracles.py", ROOT / "tests" / "corpus.py"]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def offending_lines(path, pattern):
@@ -39,3 +50,125 @@ def test_exact_matrix_internals_stay_in_exact(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_matrix_attribute(path):
     assert offending_lines(path, MATRIX_ATTRIBUTE) == []
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)
+def test_oracles_stay_off_kernel_internals(path):
+    assert offending_lines(path, KERNEL) == []
+
+
+# --- reachability ---------------------------------------------------------------
+
+
+def _is_dunder(name):
+    return len(name) > 4 and name.startswith("__") and name.endswith("__")
+
+
+def _loaded_names(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
+def unreached(sources, entry_points=()):
+    """Sorted "module.qualname" of every non-dunder function, method and
+    class in `sources` (module name -> source text) that nothing reaches.
+
+    A definition is reached when its name is loaded, as a name or an
+    attribute, at module level or inside a definition that is itself
+    reached, iterated to a fixed point; names are matched, not bindings.
+    Decorators, defaults and base classes count where the definition
+    stands, and a dunder's body counts as part of its enclosing class.
+    The names `__init__` imports and the `entry_points` count as reached.
+    """
+    definitions = []  # (label, name, names loaded in its body)
+
+    def visit(nodes, names, prefix):
+        for node in nodes:
+            if not isinstance(node, DEFINITIONS):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    names.update(_loaded_names(node))
+                else:
+                    visit(ast.iter_child_nodes(node), names, prefix)
+                continue
+            header = list(node.decorator_list)
+            if isinstance(node, ast.ClassDef):
+                header += node.bases + [k.value for k in node.keywords]
+            else:
+                header += node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+            for part in header:
+                names.update(_loaded_names(part))
+            body = names
+            if not _is_dunder(node.name):
+                body = set()
+                definitions.append((prefix + node.name, node.name, body))
+            visit(node.body, body, f"{prefix}{node.name}.")
+
+    reached = set(entry_points)
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        if module == "__init__":
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom):
+                    reached.update(alias.name for alias in node.names)
+        visit(tree.body, reached, f"{module}.")
+    pending = definitions
+    while True:
+        hit = [d for d in pending if d[1] in reached]
+        if not hit:
+            return sorted(label for label, _, _ in pending)
+        pending = [d for d in pending if d[1] not in reached]
+        for _, _, names in hit:
+            reached |= names
+
+
+def script_entry_points():
+    """Function names of the `[project.scripts]` table in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    return re.findall(r'^\s*[\w.-]+\s*=\s*"[\w.]+:(\w+)"', table.group(1), re.M)
+
+
+def test_every_source_definition_is_reached():
+    assert script_entry_points() == ["entry"]
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert unreached(sources, script_entry_points()) == []
+
+
+def test_guard_flags_an_uncalled_function():
+    sources = {"m": "def used():\n    pass\n\ndef unused():\n    pass\n\nused()\n"}
+    assert unreached(sources) == ["m.unused"]
+
+
+def test_guard_flags_a_function_called_only_from_an_uncalled_one():
+    sources = {
+        "m": "def root():\n    helper()\n\ndef helper():\n    pass\n\n"
+        "class K:\n    def method(self):\n        return helper()\n",
+    }
+    assert unreached(sources) == ["m.K", "m.K.method", "m.helper", "m.root"]
+    sources["m"] += "\nroot()\n"
+    assert unreached(sources) == ["m.K", "m.K.method"]
+
+
+def test_guard_counts_init_exports_and_entry_points():
+    sources = {
+        "__init__": "from .m import Exported\n",
+        "m": "class Exported:\n    def method(self):\n        pass\n\n"
+        "def entry():\n    pass\n",
+    }
+    assert unreached(sources) == ["m.Exported.method", "m.entry"]
+    assert unreached(sources, ["entry"]) == ["m.Exported.method"]
+
+
+def test_guard_skips_dunders_and_reads_their_bodies():
+    sources = {
+        "__init__": "from .m import K\n",
+        "m": "class K:\n    def __post_init__(self):\n        self.check()\n\n"
+        "    def check(self):\n        pass\n\n"
+        "    def __repr__(self):\n        return 'K'\n",
+    }
+    assert unreached(sources) == []
+    # Unreached class: its dunder is not reported, and what it calls is not reached.
+    assert unreached({"m": sources["m"]}) == ["m.K", "m.K.check"]

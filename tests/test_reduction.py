@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import CORPUS, random_density
+from oracles import block, det, is_unitary, mat_pow, matrix_from_json, trace
 from freeops import cli
 from freeops.exact import (
     ExactDensityMatrix,
@@ -50,6 +51,7 @@ PAIR = make_free_pair(standard_params())
 A = quaternion_matrix(PAIR.a)
 B = quaternion_matrix(PAIR.b)
 HALF = Fraction(1, 2)
+IDENTITY = ChannelElement(q_identity(2), Fraction(1))
 
 
 def compiled(text, damping=HALF):
@@ -69,7 +71,7 @@ def reference_generators(inst, a, b):
 
     out = {}
     for i, (top, bottom) in enumerate(inst.tiles, start=1):
-        index_block = a.pow(i) @ b
+        index_block = mat_pow(a, i) @ b
         out[f"H{i}"] = block_diag(code(top), index_block)
         out[f"G{i}"] = block_diag(code(bottom).dagger(), index_block.dagger())
     return out
@@ -87,7 +89,7 @@ def test_compile_first_tile_blocks():
 def test_compile_index_blocks_track_tile_number():
     gens = compiled("0|0\n1|1\n01|10")
     for i, h in enumerate(gens.h_gens, start=1):
-        assert quaternion_matrix(h.unitary).block(2, 2, 2, 2) == A.pow(i) @ B
+        assert block(quaternion_matrix(h.unitary), 2, 2, 2, 2) == mat_pow(A, i) @ B
 
 
 def test_compile_matches_matrix_construction():
@@ -116,7 +118,7 @@ def test_all_generators_exactly_unitary():
     for entry in CORPUS[:8]:
         gens = compile_generators(entry.instance, PAIR, HALF)
         for ch in gens.channels():
-            assert quaternion_matrix(ch.unitary).is_unitary()
+            assert is_unitary(quaternion_matrix(ch.unitary))
 
 
 def test_matching_tile_telescopes():
@@ -131,7 +133,7 @@ def test_generator_set_json_bundle():
     assert data["instance"]["tiles"] == [["0", "100"]]
     assert data["damping"]["H1"] == "1/2"
     assert set(data["unitaries"]) == {"H1", "G1"}
-    assert ExactMatrix.from_json_dict(data["unitaries"]["G1"]) == quaternion_matrix(gens.g_gens[0].unitary)
+    assert matrix_from_json(data["unitaries"]["G1"]) == quaternion_matrix(gens.g_gens[0].unitary)
 
 
 # --- channel algebra ----------------------------------------------------------------
@@ -139,7 +141,7 @@ def test_generator_set_json_bundle():
 
 def test_compose_identity_neutral():
     gens = compiled("0|100")
-    ident = ChannelElement.identity_element()
+    ident = IDENTITY
     x = gens.h_gens[0]
     assert compose(ident, x) == x
     assert compose(x, ident) == x
@@ -182,13 +184,13 @@ def test_apply_fixes_maximally_mixed():
 def test_apply_identity_channel():
     rng = random.Random(7)
     rho = random_density(rng)
-    assert ChannelElement.identity_element().apply(rho) == rho
+    assert IDENTITY.apply(rho) == rho
 
 
 def reference_apply(ch, m):
     """The channel formula spelled out in ExactMatrix operations."""
     mix = ExactMatrix.identity(ch.dim).scale(
-        m.trace() * GaussianRational((1 - ch.damping) / ch.dim)
+        trace(m) * GaussianRational((1 - ch.damping) / ch.dim)
     )
     return (quaternion_matrix(ch.unitary) @ m @ quaternion_matrix(ch.unitary).dagger()).scale(ch.damping) + mix
 
@@ -197,7 +199,7 @@ def test_apply_to_matrix_matches_reference_formula():
     rng = random.Random(2105)
     gens = compiled("1|101\n10|00\n011|11")
     channels = list(gens.channels()) + [
-        ChannelElement.identity_element(),
+        IDENTITY,
         make_target(Fraction(1, 3)),
         compose(gens.h_gens[0], gens.g_gens[2]),
     ]
@@ -213,10 +215,10 @@ def test_apply_to_matrix_matches_reference_formula():
         operators.append(ExactMatrix(4, 4, [entry() for _ in range(16)]))
     for _ in range(5):  # zero trace
         m = ExactMatrix(4, 4, [entry() for _ in range(16)])
-        operators.append(m - ExactMatrix.identity(4).scale(m.trace() * gr(Fraction(1, 4))))
+        operators.append(m - ExactMatrix.identity(4).scale(trace(m) * gr(Fraction(1, 4))))
     operators.append(ExactMatrix.zeros(4, 4))
-    assert any(m.trace().im != 0 for m in operators)
-    assert sum(m.trace() == gr(0) for m in operators) >= 6
+    assert any(trace(m).im != 0 for m in operators)
+    assert sum(trace(m) == gr(0) for m in operators) >= 6
     for ch in channels:
         for m in operators:
             assert ch.apply_to_matrix(m) == reference_apply(ch, m)
@@ -250,7 +252,7 @@ def test_target_domain():
 
 
 def test_choi_of_identity_is_maximally_entangled():
-    j = choi(ChannelElement.identity_element())
+    j = choi(IDENTITY)
     expected = ExactMatrix(
         16,
         16,
@@ -264,7 +266,7 @@ def test_choi_of_identity_is_maximally_entangled():
 
 
 def test_choi_trace_is_dimension():
-    assert choi(make_target(HALF)).trace() == gr(4)
+    assert trace(choi(make_target(HALF))) == gr(4)
 
 
 def test_compiled_generators_are_cptp():
@@ -295,11 +297,11 @@ def test_products_keep_block_structure():
         product = ExactMatrix.identity(4)
         for _ in range(length):
             product = product @ quaternion_matrix(rng.choice(channels).unitary)
-        assert product.block(0, 2, 2, 2) == ExactMatrix.zeros(2, 2)
-        assert product.block(2, 0, 2, 2) == ExactMatrix.zeros(2, 2)
-        for corner in (product.block(0, 0, 2, 2), product.block(2, 2, 2, 2)):
-            assert corner.is_unitary()
-            assert corner.det() == gr(1)
+        assert block(product, 0, 2, 2, 2) == ExactMatrix.zeros(2, 2)
+        assert block(product, 2, 0, 2, 2) == ExactMatrix.zeros(2, 2)
+        for corner in (block(product, 0, 0, 2, 2), block(product, 2, 2, 2, 2)):
+            assert is_unitary(corner)
+            assert det(corner) == gr(1)
 
 
 # --- membership search -------------------------------------------------------------------
@@ -440,7 +442,7 @@ def _bfs_scalar_word(gens, max_depth):
     for _ in range(max_depth):
         level = [(w + (lab,), m @ u) for w, m in level for lab, u in letters]
         for word, m in level:
-            if m.is_scalar():
+            if m.as_scalar() is not None:
                 return word
     return None
 
@@ -573,7 +575,7 @@ def test_diff_solvable_realizes_target():
     product = ExactMatrix.identity(4)
     for lab in realized["realized_by"]:
         product = product @ by_label[lab]
-    assert product.is_scalar()
+    assert product.as_scalar() is not None
 
 
 def test_diff_truncated_reports_completed_depth():
