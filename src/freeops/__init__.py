@@ -30,7 +30,6 @@ from .reduction import (
     ChannelElement,
     GeneratorSet,
     MembershipOutcome,
-    choi,
     compile_generators,
     compose,
     make_target,
@@ -45,6 +44,7 @@ from .resourcegraph import (
     ReachGraph,
     check_compatible,
     check_complete,
+    choi,
     explore,
     monotone,
     monotone_family,

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import pcp, reduction, resourcegraph
-from .exact import ExactDensityMatrix, rat_from_str, rat_to_str
+from .exact import ExactDensityMatrix, rat_from_str
 from .freerot import (
     FreePair,
     RotationParams,
@@ -24,7 +24,7 @@ from .freerot import (
     make_free_pair,
     rotation_quaternion,
 )
-from .util import canonical_json, sha256_hex
+from .util import canonical_json, report_json, sha256_hex
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -43,6 +43,12 @@ MONOTONES_INSTANCE_DEFAULTS = {
     "seed": "basis:0",
     "budget": 100_000,
 }
+# Parsed options that a report's config leaves out: the parser's own entries,
+# output paths, and the options that a handler resolves into a value of its
+# own (the rotation flags into `rotation`, --from into `from`).
+NOT_CONFIG = frozenset(
+    {"command", "handler", "out", "dot", "cos", "sin", "axis_a", "axis_b", "from_state"}
+)
 
 
 def _parse_axis(text: str):
@@ -54,8 +60,8 @@ def _parse_axis(text: str):
 
 def _rotation_params(args) -> RotationParams:
     return RotationParams(
-        cos_theta=rat_from_str(args.cos),
-        sin_theta=rat_from_str(args.sin),
+        cos=rat_from_str(args.cos),
+        sin=rat_from_str(args.sin),
         axis_a=_parse_axis(args.axis_a),
         axis_b=_parse_axis(args.axis_b),
     )
@@ -67,8 +73,8 @@ def _build_pair(args) -> FreePair:
         # Escape hatch for demonstrating collision detection on pairs that
         # fail the freeness preconditions.
         return FreePair(
-            a=rotation_quaternion(params.cos_theta, params.sin_theta, params.axis_a),
-            b=rotation_quaternion(params.cos_theta, params.sin_theta, params.axis_b),
+            a=rotation_quaternion(params.cos, params.sin, params.axis_a),
+            b=rotation_quaternion(params.cos, params.sin, params.axis_b),
             params=params,
         )
     return make_free_pair(params)
@@ -83,20 +89,14 @@ def _load_instance(args):
 def _compiled(args):
     """Load the instance, build the pair and compile the generators.
 
-    Returns the generators, the config entries that every subcommand
-    compiling an instance shares, and the input hashes.
+    Returns the generators, the resolved rotation and damping, and the
+    input hashes.
     """
     inst, hashes = _load_instance(args)
     pair = _build_pair(args)
     damping = rat_from_str(args.damping)
     gens = reduction.compile_generators(inst, pair, damping)
-    config = {
-        "subcommand": args.command,
-        "instance": args.instance,
-        "rotation": pair.params.to_json_dict(),
-        "damping": rat_to_str(damping),
-    }
-    return gens, config, hashes
+    return gens, {"rotation": pair.params, "damping": damping}, hashes
 
 
 def _seed_state(selector: str) -> ExactDensityMatrix:
@@ -116,47 +116,43 @@ def _target_state(selector: str, source: ExactDensityMatrix) -> ExactDensityMatr
     return _seed_state(selector)
 
 
+def _config(args, resolved: dict) -> dict:
+    """A report's config: the subcommand, every parsed option that has a
+    value and is not in NOT_CONFIG, and the values the handler resolved
+    (which replace an option of the same name), each in its report form."""
+    given = {n: v for n, v in vars(args).items() if v is not None and n not in NOT_CONFIG}
+    entries = {"subcommand": args.command, **given, **resolved}
+    return {name: report_json(value) for name, value in entries.items()}
+
+
 def _cmd_verify_free(args):
     pair = _build_pair(args)
     report = freeness_scan(pair, args.max_len, node_budget=args.budget)
-    config = {
-        "subcommand": "verify-free",
-        "rotation": pair.params.to_json_dict(),
-        "max_len": args.max_len,
-        "force": bool(args.force),
-        "budget": args.budget,
-    }
     if not report.is_empty:
         code = EXIT_COLLISION
     elif report.truncated:
         code = EXIT_EXHAUSTED  # no collision, but only up to scanned_max_len
     else:
         code = EXIT_OK
-    return code, config, {}, report.to_json_dict(), {}
+    return code, {"rotation": pair.params}, {}, report.to_json_dict(), {}
 
 
 def _cmd_solve_pcp(args):
     inst, hashes = _load_instance(args)
     outcome = pcp.solve_bounded(inst, args.depth, node_budget=args.budget)
-    config = {
-        "subcommand": "solve-pcp",
-        "instance": args.instance,
-        "depth": args.depth,
-        "budget": args.budget,
-    }
     code = EXIT_OK if outcome.status == pcp.FOUND else EXIT_EXHAUSTED
-    return code, config, hashes, outcome.to_json_dict(), {}
+    return code, {}, hashes, outcome.to_json_dict(), {}
 
 
 def _cmd_compile(args):
-    gens, config, hashes = _compiled(args)
-    return EXIT_OK, config, hashes, gens.to_json_dict(), {}
+    gens, resolved, hashes = _compiled(args)
+    return EXIT_OK, resolved, hashes, gens.to_json_dict(), {}
 
 
 def _cmd_membership(args):
     if args.depth < 2:  # the shortest scalar word, G_i H_i, has two letters
         raise ValueError(f"membership --depth must be at least 2, got {args.depth}")
-    gens, config, hashes = _compiled(args)
+    gens, resolved, hashes = _compiled(args)
     result = reduction.membership_search(
         gens, args.depth, mode=args.mode, node_budget=args.budget
     )
@@ -166,7 +162,6 @@ def _cmd_membership(args):
     agree = (result.status == reduction.FOUND) == (oracle.status == pcp.FOUND)
     if not agree and (result.truncated or oracle.truncated):
         agree = None  # a budget cut, not a disagreement
-    config.update({"depth": args.depth, "mode": args.mode, "budget": args.budget})
     outcome = {
         "membership": result.to_json_dict(),
         "oracle": oracle.to_json_dict(),
@@ -178,20 +173,17 @@ def _cmd_membership(args):
         code = EXIT_OK
     else:
         code = EXIT_EXHAUSTED
-    return code, config, hashes, outcome, {}
+    return code, resolved, hashes, outcome, {}
 
 
 def _cmd_reach(args):
-    gens, config, hashes = _compiled(args)
+    gens, resolved, hashes = _compiled(args)
     source = _seed_state(args.from_state)
     target = _target_state(args.to, source)
     graph = resourcegraph.explore(
         gens.channels(), [source], args.depth, node_budget=args.budget
     )
     outcome_obj = resourcegraph.reach(graph, source, target)
-    config.update(
-        {"depth": args.depth, "from": args.from_state, "to": args.to, "budget": args.budget}
-    )
     outcome = {
         "reach": outcome_obj.to_json_dict(),
         "graph_nodes": len(graph.nodes),
@@ -202,7 +194,7 @@ def _cmd_reach(args):
     if args.dot:
         extra[args.dot] = graph.to_dot()
     code = EXIT_OK if outcome_obj.status == resourcegraph.REACHABLE else EXIT_EXHAUSTED
-    return code, config, hashes, outcome, extra
+    return code, {**resolved, "from": args.from_state}, hashes, outcome, extra
 
 
 def _cmd_monotones(args):
@@ -215,24 +207,23 @@ def _cmd_monotones(args):
         if given:
             raise ValueError(f"--graph demo does not take {', '.join(given)}")
         graph = resourcegraph.demo_graph()
-        config, hashes = {"subcommand": "monotones", "graph": "demo"}, {}
+        resolved, hashes = {}, {}
     else:
         for name, default in MONOTONES_INSTANCE_DEFAULTS.items():
             if getattr(args, name) is None:
                 setattr(args, name, default)
-        gens, config, hashes = _compiled(args)
+        gens, resolved, hashes = _compiled(args)
         seed = _seed_state(args.seed)
         graph = resourcegraph.explore(
             gens.channels(), [seed], args.depth, node_budget=args.budget
         )
-        config.update({"depth": args.depth, "seed": args.seed, "budget": args.budget})
     q = resourcegraph.quotient(graph)
     family = resourcegraph.monotone_family(q)
     compatible = resourcegraph.check_compatible(graph, family)
     complete = resourcegraph.check_complete(graph, family)
     outcome = {
         "classes": q.to_json_dict(),
-        "tables": family.to_json_dict()["tables"],
+        "tables": family.to_json_dict(),
         "compatible": compatible.ok,
         "complete": complete.ok,
         "compatible_counterexample": compatible.counterexample,
@@ -244,12 +235,12 @@ def _cmd_monotones(args):
     if args.dot:
         extra[args.dot] = q.to_dot()
     code = EXIT_OK if compatible.ok and complete.ok else EXIT_MISMATCH
-    return code, config, hashes, outcome, extra
+    return code, resolved, hashes, outcome, extra
 
 
 def _cmd_diff(args):
-    gens, config, hashes = _compiled(args)
-    damping = rat_from_str(args.damping)
+    gens, resolved, hashes = _compiled(args)
+    damping = resolved["damping"]
     if args.target_damping:
         target_damping = rat_from_str(args.target_damping)
     else:
@@ -266,15 +257,9 @@ def _cmd_diff(args):
     outcome_obj = reduction.theory_diff(
         gens.channels(), (psi,), args.depth, node_budget=args.budget
     )
-    config.update(
-        {
-            "target_damping": rat_to_str(target_damping),
-            "depth": args.depth,
-            "budget": args.budget,
-        }
-    )
     code = EXIT_OK if outcome_obj.status == reduction.DISTINCT else EXIT_EXHAUSTED
-    return code, config, hashes, outcome_obj.to_json_dict(), {}
+    resolved = {**resolved, "target_damping": target_damping}
+    return code, resolved, hashes, outcome_obj.to_json_dict(), {}
 
 
 def _add_rotation_args(p, defaults=ROTATION_DEFAULTS):
@@ -384,9 +369,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        code, config, hashes, outcome, extra = args.handler(args)
+        code, resolved, hashes, outcome, extra = args.handler(args)
         report = {
-            "config": config,
+            "config": _config(args, resolved),
             "input_hashes": hashes,
             "outcome": outcome,
             "wall_time_s": round(time.perf_counter() - start, 6),

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Tuple
 
-from .exact import ExactMatrix, GaussianRational, block_diag, rat_to_str
-from .util import level_pairs
+from .exact import ExactMatrix, GaussianRational, block_diag
+from .util import Report, level_pairs
 
 Axis = Tuple[Fraction, Fraction, Fraction]
 # Integer numerators, four per 2x2 block, then one positive denominator.
@@ -48,28 +48,20 @@ class PythagoreanError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class RotationParams:
+class RotationParams(Report):
     """Angle (as an exact cosine/sine pair) and the two rotation axes."""
 
-    cos_theta: Fraction
-    sin_theta: Fraction
+    cos: Fraction
+    sin: Fraction
     axis_a: Axis
     axis_b: Axis
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cos": rat_to_str(self.cos_theta),
-            "sin": rat_to_str(self.sin_theta),
-            "axis_a": [rat_to_str(c) for c in self.axis_a],
-            "axis_b": [rat_to_str(c) for c in self.axis_b],
-        }
 
 
 def standard_params() -> RotationParams:
     """The 3-4-5 pair: cos = 3/5 about +z, the partner about +x."""
     return RotationParams(
-        cos_theta=Fraction(3, 5),
-        sin_theta=Fraction(4, 5),
+        cos=Fraction(3, 5),
+        sin=Fraction(4, 5),
         axis_a=(Fraction(0), Fraction(0), Fraction(1)),
         axis_b=(Fraction(1), Fraction(0), Fraction(0)),
     )
@@ -104,7 +96,7 @@ def _dot(u: Axis, v: Axis) -> Fraction:
 
 def make_free_pair(params: RotationParams) -> FreePair:
     """Validate the freeness conditions and build the exact pair."""
-    c, s = params.cos_theta, params.sin_theta
+    c, s = params.cos, params.sin
     if c in EXCLUDED_COSINES:
         raise FreenessError(f"cos = {c} is in the excluded set {{0, +-1, +-1/2}}")
     if c * c + s * s != 1:
@@ -209,29 +201,26 @@ def q_phase_key(x: Quaternions) -> Quaternions:
 
 
 @dataclass(frozen=True, slots=True)
-class CollisionReport:
+class Collision(Report):
+    """Two distinct words with exactly equal products, the earlier first."""
+
+    word_a: str
+    word_b: str
+
+
+@dataclass(frozen=True, slots=True)
+class CollisionReport(Report):
     """Outcome of an exhaustive word scan up to a length bound."""
 
     scanned_max_len: int
     word_count: int
-    collisions: Tuple[Tuple[str, str], ...]
+    collisions: Tuple[Collision, ...]
     scalar_words: Tuple[str, ...]
     truncated: bool
 
     @property
     def is_empty(self) -> bool:
         return not self.collisions and not self.scalar_words
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scanned_max_len": self.scanned_max_len,
-            "word_count": self.word_count,
-            "collisions": [
-                {"word_a": a, "word_b": b} for a, b in self.collisions
-            ],
-            "scalar_words": list(self.scalar_words),
-            "truncated": self.truncated,
-        }
 
 
 def freeness_scan(
@@ -270,7 +259,7 @@ def freeness_scan(
             if prev is None:
                 seen[child] = child_word
             else:
-                collisions.append((prev, child_word))
+                collisions.append(Collision(prev, child_word))
             next_level.append((child_word, child))
         if truncated:
             break

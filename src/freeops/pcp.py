@@ -18,10 +18,11 @@ TileWord = Tuple[int, ...]
 
 
 class InstanceParseError(ValueError):
-    """Malformed instance text; carries the offending 1-based line number."""
+    """Malformed instance text; carries the offending 1-based line number,
+    or None when the fault is in no one line."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -44,10 +45,6 @@ class PCPInstance(Report):
                 if any(ch not in "01" for ch in side):
                     raise ValueError(f"tile {idx}: words must be over {{0,1}}")
 
-    @property
-    def size(self) -> int:
-        return len(self.tiles)
-
     def to_text(self) -> str:
         return "".join(f"{t}|{b}\n" for t, b in self.tiles)
 
@@ -68,7 +65,7 @@ def parse_instance(text: str) -> PCPInstance:
                 raise InstanceParseError(lineno, f"non-binary character {bad!r}")
         tiles.append((top, bottom))
     if not tiles:
-        raise InstanceParseError(0, "no tiles in instance")
+        raise InstanceParseError(None, "no tiles in instance")
     return PCPInstance(tuple(tiles))
 
 

@@ -121,24 +121,6 @@ def labeled(channel: ChannelElement, label: str) -> ChannelElement:
     return dataclasses.replace(channel, word=(label,))
 
 
-def choi(channel) -> ExactMatrix:
-    """Choi operator: apply the channel to one half of the unnormalized
-    maximally entangled operator.  Output factor first, so trace
-    preservation reads as partial_trace_first(...) == identity."""
-    d = channel.dim
-    entries = [GaussianRational(Fraction(0))] * (d * d * d * d)
-    side = d * d
-    for i in range(d):
-        for j in range(d):
-            basis = [0] * (d * d)
-            basis[i * d + j] = 1
-            out = channel.apply_to_matrix(ExactMatrix(d, d, basis))
-            for a in range(d):
-                for b in range(d):
-                    entries[(a * d + i) * side + (b * d + j)] = out.entry(a, b)
-    return ExactMatrix(side, side, entries)
-
-
 @dataclass(frozen=True, slots=True)
 class GeneratorSet:
     """The compiled channels of an instance: one H and one G per tile."""

@@ -28,7 +28,6 @@ from .exact import (
     ShapeError,
     rat_to_str,
 )
-from .reduction import choi
 from .util import Report, level_pairs
 
 
@@ -72,6 +71,24 @@ class KrausChannel:
 
     def apply(self, state: ExactDensityMatrix) -> ExactDensityMatrix:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))
+
+
+def choi(channel) -> ExactMatrix:
+    """Choi operator: apply the channel to one half of the unnormalized
+    maximally entangled operator.  Output factor first, so trace
+    preservation reads as partial_trace_first(...) == identity."""
+    d = channel.dim
+    entries = [GaussianRational(Fraction(0))] * (d * d * d * d)
+    side = d * d
+    for i in range(d):
+        for j in range(d):
+            basis = [0] * (d * d)
+            basis[i * d + j] = 1
+            out = channel.apply_to_matrix(ExactMatrix(d, d, basis))
+            for a in range(d):
+                for b in range(d):
+                    entries[(a * d + i) * side + (b * d + j)] = out.entry(a, b)
+    return ExactMatrix(side, side, entries)
 
 
 def certify_cptp(channel) -> ExactMatrix:
@@ -480,10 +497,10 @@ class MonotoneFamily:
                     dominated[c] &= at_least
         return dominated
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self) -> list:
         q = self.quotient
         reps = [q.representative(c) for c in range(q.size)]
-        return {"tables": [t.to_json_dict(reps) for t in self.tables]}
+        return [t.to_json_dict(reps) for t in self.tables]
 
 
 def monotone_family(q: QuotientDAG) -> MonotoneFamily:

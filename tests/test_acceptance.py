@@ -29,7 +29,6 @@ from freeops.reduction import (
     FOUND,
     compile_generators,
     compose,
-    choi,
     labeled,
     make_target,
     membership_search,
@@ -38,6 +37,7 @@ from freeops.reduction import (
 from freeops.resourcegraph import (
     check_compatible,
     check_complete,
+    choi,
     demo_graph,
     explore,
     generic_seed,

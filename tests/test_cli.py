@@ -93,6 +93,12 @@ def test_solve_pcp_missing_file(tmp_path):
     assert code == 2
 
 
+def test_solve_pcp_empty_instance(tmp_path, capsys):
+    inst = write_instance(tmp_path, "# no tiles\n\n")
+    assert run(["solve-pcp", "--instance", inst, "--depth", "3"]) == 2
+    assert capsys.readouterr().err == "error: no tiles in instance\n"
+
+
 def test_solve_pcp_parse_error(tmp_path):
     inst = write_instance(tmp_path, "0|2\n")
     code = run(["solve-pcp", "--instance", inst, "--depth", "3"])
@@ -165,6 +171,17 @@ def test_membership_structured_mode(tmp_path):
     )
     assert code == 0
     assert load(out)["outcome"]["membership"]["mode"] == "structured"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="unsound reduction (ROADMAP item 2): an adjacent H_i G_i cancels its index"
+    " block, so generic membership finds H1 G1 H2 G2 and exits 12",
+)
+def test_membership_unsolvable_cancelling_pair_is_exhausted(tmp_path):
+    # 0|01 + 01|0 has no tile solution; structured mode already exits 10.
+    inst = write_instance(tmp_path, "0|01\n01|0\n")
+    assert run(["membership", "--instance", inst, "--depth", "8"]) == 10
 
 
 def test_membership_degenerate_tile_errors(tmp_path):
@@ -523,6 +540,80 @@ def test_diff_rejects_depth_below_one(tmp_path, capsys):
         assert run(["diff", "--instance", inst, "--depth", depth, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: max_depth must be at least 1\n"
         assert not out.exists()
+
+
+# --- config -----------------------------------------------------------------------------------
+
+ROTATION = {"cos": "3/5", "sin": "4/5", "axis_a": ["0", "0", "1"], "axis_b": ["1", "0", "0"]}
+Y_AXIS = ["--cos", "5/13", "--sin", "12/13", "--axis-a", "0,1,0", "--axis-b", "0,0,1"]
+# Each run's `config`, as the reports wrote it before one function built
+# them all; "@" stands for the instance path.
+CONFIG_PINS = {
+    "verify-free": (
+        ["verify-free", "--max-len", "6"],
+        {"subcommand": "verify-free", "rotation": ROTATION, "max_len": 6, "force": False,
+         "budget": 1_000_000},
+    ),
+    "verify-free-force": (
+        ["verify-free", "--force", "--cos", "1/2", "--sin", "0"],
+        {"subcommand": "verify-free", "max_len": 12, "force": True, "budget": 1_000_000,
+         "rotation": {**ROTATION, "cos": "1/2", "sin": "0"}},
+    ),
+    "solve-pcp": (
+        ["solve-pcp", "--instance", "@", "--depth", "4"],
+        {"subcommand": "solve-pcp", "instance": "@", "depth": 4, "budget": 200_000},
+    ),
+    "compile-y-axis": (
+        ["compile", "--instance", "@", "--damping", "2/4", *Y_AXIS],
+        {"subcommand": "compile", "instance": "@", "damping": "1/2",
+         "rotation": {"cos": "5/13", "sin": "12/13", "axis_a": ["0", "1", "0"],
+                      "axis_b": ["0", "0", "1"]}},
+    ),
+    "membership": (
+        ["membership", "--instance", "@", "--depth", "8"],
+        {"subcommand": "membership", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+         "depth": 8, "mode": "generic", "budget": 500_000},
+    ),
+    "membership-structured": (
+        ["membership", "--instance", "@", "--depth", "16", "--mode", "structured"],
+        {"subcommand": "membership", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+         "depth": 16, "mode": "structured", "budget": 500_000},
+    ),
+    "reach": (
+        ["reach", "--instance", "@", "--depth", "2", "--from", "spread", "--to", "target:1/4"],
+        {"subcommand": "reach", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+         "depth": 2, "from": "spread", "to": "target:1/4", "budget": 100_000},
+    ),
+    "monotones-demo": (
+        ["monotones", "--graph", "demo"],
+        {"subcommand": "monotones", "graph": "demo"},
+    ),
+    "monotones-instance": (
+        ["monotones", "--instance", "@"],
+        {"subcommand": "monotones", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+         "depth": 3, "seed": "basis:0", "budget": 100_000},
+    ),
+    "diff": (
+        ["diff", "--instance", "@", "--depth", "4"],
+        {"subcommand": "diff", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+         "target_damping": "1/4", "depth": 4, "budget": 500_000},
+    ),
+    "diff-target-damping": (
+        ["diff", "--instance", "@", "--depth", "4", "--target-damping", "2/6"],
+        {"subcommand": "diff", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+         "target_damping": "1/3", "depth": 4, "budget": 500_000},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_PINS))
+def test_config_pinned(tmp_path, name):
+    argv, want = CONFIG_PINS[name]
+    inst = write_instance(tmp_path, CLASSIC)
+    out = tmp_path / "r.json"
+    assert run([inst if a == "@" else a for a in argv] + ["--out", str(out)]) in (0, 10, 11)
+    want = {k: inst if v == "@" else v for k, v in want.items()}
+    assert load(out)["config"] == want
 
 
 # --- reproducibility ---------------------------------------------------------------------------

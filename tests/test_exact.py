@@ -34,7 +34,8 @@ from freeops.freerot import (
     quaternion_matrix,
     standard_params,
 )
-from freeops.reduction import ChannelElement, choi, compile_generators, make_target
+from freeops.reduction import ChannelElement, compile_generators, make_target
+from freeops.resourcegraph import choi
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=97)
 gaussians = st.builds(GaussianRational, rationals, rationals)

@@ -12,6 +12,7 @@ from oracles import det, is_unitary, mat_pow, trace
 from freeops.exact import ExactMatrix, GaussianRational, block_diag, gr
 from freeops.freerot import (
     AxisError,
+    Collision,
     FreenessError,
     FreePair,
     PythagoreanError,
@@ -85,8 +86,8 @@ def test_standard_pair_is_special_unitary():
 
 def test_excluded_cosine_rejected():
     params = RotationParams(
-        cos_theta=Fraction(1, 2),
-        sin_theta=Fraction(1, 2),
+        cos=Fraction(1, 2),
+        sin=Fraction(1, 2),
         axis_a=(Fraction(0), Fraction(0), Fraction(1)),
         axis_b=(Fraction(1), Fraction(0), Fraction(0)),
     )
@@ -96,8 +97,8 @@ def test_excluded_cosine_rejected():
 
 def test_parallel_axes_rejected():
     params = RotationParams(
-        cos_theta=Fraction(3, 5),
-        sin_theta=Fraction(4, 5),
+        cos=Fraction(3, 5),
+        sin=Fraction(4, 5),
         axis_a=(Fraction(0), Fraction(0), Fraction(1)),
         axis_b=(Fraction(0), Fraction(0), Fraction(1)),
     )
@@ -107,8 +108,8 @@ def test_parallel_axes_rejected():
 
 def test_non_unit_axis_rejected():
     params = RotationParams(
-        cos_theta=Fraction(3, 5),
-        sin_theta=Fraction(4, 5),
+        cos=Fraction(3, 5),
+        sin=Fraction(4, 5),
         axis_a=(Fraction(0), Fraction(0), Fraction(2)),
         axis_b=(Fraction(1), Fraction(0), Fraction(0)),
     )
@@ -118,8 +119,8 @@ def test_non_unit_axis_rejected():
 
 def test_non_pythagorean_rejected():
     params = RotationParams(
-        cos_theta=Fraction(3, 5),
-        sin_theta=Fraction(3, 5),
+        cos=Fraction(3, 5),
+        sin=Fraction(3, 5),
         axis_a=(Fraction(0), Fraction(0), Fraction(1)),
         axis_b=(Fraction(1), Fraction(0), Fraction(0)),
     )
@@ -129,15 +130,15 @@ def test_non_pythagorean_rejected():
 
 def test_other_pythagorean_triple_accepted():
     params = RotationParams(
-        cos_theta=Fraction(5, 13),
-        sin_theta=Fraction(12, 13),
+        cos=Fraction(5, 13),
+        sin=Fraction(12, 13),
         axis_a=(Fraction(0), Fraction(0), Fraction(1)),
         axis_b=(Fraction(3, 5), Fraction(4, 5), Fraction(0)),
     )
     pair = make_free_pair(params)
     assert is_unitary(quaternion_matrix(pair.a)) and is_unitary(quaternion_matrix(pair.b))
     for q, axis in ((pair.a, params.axis_a), (pair.b, params.axis_b)):
-        assert quaternion_matrix(q) == reference_rotation(params.cos_theta, params.sin_theta, axis)
+        assert quaternion_matrix(q) == reference_rotation(params.cos, params.sin, axis)
 
 
 ONE, ZERO = Fraction(1), Fraction(0)
@@ -211,8 +212,8 @@ Y_AXIS = make_free_pair(
 @given(words, st.sampled_from([PAIR, Y_AXIS]))
 def test_encode_word_matches_matrix_product(bits, pair):
     p = pair.params
-    a = reference_rotation(p.cos_theta, p.sin_theta, p.axis_a)
-    b = reference_rotation(p.cos_theta, p.sin_theta, p.axis_b)
+    a = reference_rotation(p.cos, p.sin, p.axis_a)
+    b = reference_rotation(p.cos, p.sin, p.axis_b)
     q = encode_word(pair, bits)
     assert is_canonical(q)
     assert quaternion_matrix(q) == reference_word(a, b, bits)
@@ -268,10 +269,10 @@ def test_scan_determinant_one_everywhere():
 
 def _inverse_pair() -> FreePair:
     params = standard_params()
-    a = rotation_quaternion(params.cos_theta, params.sin_theta, params.axis_a)
+    a = rotation_quaternion(params.cos, params.sin, params.axis_a)
     b = rotation_quaternion(
-        params.cos_theta,
-        params.sin_theta,
+        params.cos,
+        params.sin,
         (Fraction(0), Fraction(0), Fraction(-1)),
     )
     return FreePair(a=a, b=b, params=params)
@@ -283,7 +284,7 @@ def test_scan_flags_engineered_cancellation():
     report = freeness_scan(pair, 2)
     assert "01" in report.scalar_words
     assert "10" in report.scalar_words
-    assert ("01", "10") in report.collisions
+    assert Collision("01", "10") in report.collisions
 
 
 def test_scan_budget_truncation():
@@ -331,8 +332,8 @@ def _letter_sets():
     in sign."""
     p = PAIR.params
     rotations = [
-        (PAIR.a, reference_rotation(p.cos_theta, p.sin_theta, p.axis_a)),
-        (PAIR.b, reference_rotation(p.cos_theta, p.sin_theta, p.axis_b)),
+        (PAIR.a, reference_rotation(p.cos, p.sin, p.axis_a)),
+        (PAIR.b, reference_rotation(p.cos, p.sin, p.axis_b)),
     ]
     sets = [rotations + [(q_adjoint(q), m.dagger()) for q, m in rotations]]
     flip = (

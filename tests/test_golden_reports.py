@@ -37,6 +37,7 @@ from hypothesis import given, settings, strategies as st
 from corpus import random_digraph
 from freeops import cli
 from freeops.exact import GaussianRational
+from freeops.freerot import FreePair, RotationParams, freeness_scan, rotation_quaternion
 from freeops.pcp import PCPInstance, SearchOutcome
 from freeops.reduction import DiffOutcome, MembershipOutcome
 from freeops.resourcegraph import ReachOutcome, monotone_family, quotient
@@ -242,6 +243,9 @@ def test_canonical_json_rejects_what_stdlib_rejects(data):
 # Each result next to the dict that its own hand-written to_json_dict
 # returned before util.report_json replaced those methods.
 DIGEST = "ab" * 16
+ZERO, ONE = Fraction(0), Fraction(1)
+Z, X = (ZERO, ZERO, ONE), (ONE, ZERO, ZERO)
+HALF_I = rotation_quaternion(ONE / 2, ZERO, Z)
 RULE_PINS = [
     (
         MembershipOutcome(
@@ -309,13 +313,37 @@ RULE_PINS = [
         PCPInstance((("1", "101"), ("10", "00"), ("", "1"))),
         {"tiles": [["1", "101"], ["10", "00"], ["", "1"]]},
     ),
+    (
+        RotationParams(Fraction(5, 13), Fraction(12, 13), (ZERO, ONE, ZERO), Z),
+        {"cos": "5/13", "sin": "12/13", "axis_a": ["0", "1", "0"], "axis_b": ["0", "0", "1"]},
+    ),
+    (
+        # The forced cos 1/2, sin 0 pair: a = b = I/2, so every word is
+        # scalar and collides with the first word of its length.
+        freeness_scan(FreePair(HALF_I, HALF_I, RotationParams(ONE / 2, ZERO, Z, X)), 3),
+        {
+            "scanned_max_len": 3,
+            "word_count": 14,
+            "collisions": [
+                {"word_a": a, "word_b": b}
+                for a, b in [("0", "1"), ("00", "01"), ("00", "10"), ("00", "11")]
+                + [("000", w) for w in ("001", "010", "011", "100", "101", "110", "111")]
+            ],
+            "scalar_words": ["0", "1", "00", "01", "10", "11"]
+            + ["000", "001", "010", "011", "100", "101", "110", "111"],
+            "truncated": False,
+        },
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "result, expected",
     RULE_PINS,
-    ids=["membership-found", "membership-cut", "search", "diff", "reach", "reach-none", "instance"],
+    ids=[
+        "membership-found", "membership-cut", "search", "diff", "reach", "reach-none",
+        "instance", "rotation-y-axis", "collisions-forced-cos-1-2",
+    ],
 )
 def test_report_json_rule_matches_hand_written_exports(result, expected):
     assert report_json(result) == expected
@@ -343,7 +371,8 @@ def test_handler_reports_encode_as_stdlib(tmp_path, argv):
     path = tmp_path / "classic.pcp"
     path.write_text(CLASSIC)
     args = cli.build_parser().parse_args([str(path) if a == "@" else a for a in argv])
-    _, config, hashes, outcome, _ = args.handler(args)
+    _, resolved, hashes, outcome, _ = args.handler(args)
+    config = cli._config(args, resolved)
     report = {"config": config, "input_hashes": hashes, "outcome": outcome, "wall_time_s": 0.5}
     assert written(report) == stdlib_json(report)
 

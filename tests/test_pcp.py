@@ -50,8 +50,10 @@ def test_parse_error_line_number():
 
 
 def test_parse_rejects_empty_instance():
-    with pytest.raises(InstanceParseError):
+    with pytest.raises(InstanceParseError) as err:
         parse_instance("# nothing here\n")
+    assert err.value.line is None
+    assert str(err.value) == "no tiles in instance"
 
 
 def test_parse_rejects_missing_separator():

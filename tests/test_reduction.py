@@ -36,7 +36,6 @@ from freeops.reduction import (
     INDISTINGUISHABLE,
     ChannelElement,
     _closure,
-    choi,
     compile_generators,
     compose,
     labeled,
@@ -45,7 +44,7 @@ from freeops.reduction import (
     phase_canonical,
     theory_diff,
 )
-from freeops.resourcegraph import explore
+from freeops.resourcegraph import choi, explore
 
 PAIR = make_free_pair(standard_params())
 A = quaternion_matrix(PAIR.a)
