@@ -162,6 +162,14 @@ PINS = {
         "5c096f5e77bf2156960e648b7eba0c3f482c5045466985c4f4bf66f5fb612789",
         "b7e7a0e3f432d3afd3c335a1fe54f926b4ab1c1f1eeb07ed769db2ef1dd6f056",
     ),
+    # The benchmark's monotone query in its first tile order: 910 classes
+    # and a 42.6 MB report.
+    "monotones-classic3-depth4": (
+        ["monotones", "--instance", "@", "--depth", "4"],
+        0,
+        "7ed092afbcd1a960efbca2391db51adb5ae4b7bf6e760627fe63106d2a02ff99",
+        "8ba824bcf0c09025b6263f364d3c92123106023b9274b408a0ef3a7c885be9e6",
+    ),
     # cos 0 fails the freeness preconditions; --force scans it anyway.
     "verify-free-force-cos0": (
         ["verify-free", "--max-len", "4", "--force", "--cos", "0", "--sin", "1"],
