@@ -241,7 +241,7 @@ def _cmd_monotones(args):
 def _cmd_diff(args):
     gens, resolved, hashes = _compiled(args)
     damping = resolved["damping"]
-    if args.target_damping:
+    if args.target_damping is not None:
         target_damping = rat_from_str(args.target_damping)
     else:
         # Match the target to the shortest tile solution realizable within

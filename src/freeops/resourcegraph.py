@@ -17,7 +17,7 @@ export JSON and DOT, and monotone tables JSON.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +28,7 @@ from .exact import (
     ShapeError,
     rat_to_str,
 )
-from .util import Report, level_pairs
+from .util import Report, SharedKeyDict, level_pairs
 
 
 class NotCPTPError(ValueError):
@@ -324,7 +324,8 @@ class QuotientDAG:
     """Strongly-connected components of a reach graph; acyclic by collapse.
 
     Edges are the sorted distinct (u, v) class pairs with u != v; like the
-    graph's edges they have unit length.
+    graph's edges they have unit length.  Classes are numbered by ascending
+    representative (least member), so representatives strictly increase.
     """
 
     classes: Tuple[Tuple[str, ...], ...]
@@ -439,13 +440,14 @@ class MonotoneTable:
         """1/(l+1) at longest distance l, UNREACHABLE_VALUE off the region."""
         return _distance_value(self.dist[c])
 
-    def to_json_dict(self, reps: Sequence[str]) -> dict:
-        """The table keyed by class representative; reps[c] is class c's."""
+    def to_json_dict(self, reps: Tuple[str, ...]) -> dict:
+        """The table keyed by class representative; reps[c] is class c's, and
+        the family shares the one ascending tuple."""
         # One string per distinct distance, shared by every class at it.
         text = {d: rat_to_str(_distance_value(d)) for d in set(self.dist)}
         return {
             "base": reps[self.base],
-            "values": dict(zip(reps, map(text.__getitem__, self.dist))),
+            "values": SharedKeyDict(reps, tuple(map(text.__getitem__, self.dist))),
         }
 
 
@@ -473,15 +475,16 @@ def monotone(q: QuotientDAG, base: int) -> MonotoneTable:
 
 @dataclass(frozen=True, slots=True)
 class MonotoneFamily:
-    """One table per class of the quotient: the overcomplete family."""
+    """One table per class of the quotient: the overcomplete family.  Bit s
+    of dominance[r] is set when class r dominates class s; it is built once."""
 
     quotient: QuotientDAG
     tables: Tuple[MonotoneTable, ...]
+    dominance: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def dominance(self) -> List[int]:
-        """Bit s of entry r is set when class r dominates class s.  Each table
-        clears, at every class c it reaches, the classes below c's distance;
-        a class it cannot reach (-1) gains no constraint."""
+    def __post_init__(self):
+        """Each table clears, at every class c it reaches, the classes below
+        c's distance; a class it cannot reach (-1) gains no constraint."""
         n = self.quotient.size
         dominated = [(1 << n) - 1] * n
         for table in self.tables:
@@ -495,11 +498,11 @@ class MonotoneFamily:
                     at_least |= 1 << c
                 for c in levels[d]:
                     dominated[c] &= at_least
-        return dominated
+        object.__setattr__(self, "dominance", tuple(dominated))
 
     def to_json_dict(self) -> list:
         q = self.quotient
-        reps = [q.representative(c) for c in range(q.size)]
+        reps = tuple(q.representative(c) for c in range(q.size))
         return [t.to_json_dict(reps) for t in self.tables]
 
 
@@ -529,7 +532,7 @@ def check_compatible(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
     target class; only then are the tables scanned, for the first one whose
     distance drops."""
     class_of = family.quotient.class_of
-    dominated = family.dominance()
+    dominated = family.dominance
     for u, v, lab in g.edges:
         cu = class_of[u]
         cv = class_of[v]
@@ -550,18 +553,26 @@ def check_compatible(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
 
 
 def _closure_bitsets(q: QuotientDAG) -> List[int]:
-    """Reflexive-transitive closure over the class DAG, matrix style."""
-    n = q.size
-    reach_bits = [1 << i for i in range(n)]
+    """Reflexive-transitive closure over the class DAG: a class's row is its
+    own bit ORed with its successors' rows, filled in a depth-first
+    post-order of q.edges that owes nothing to the tables it checks."""
+    out: List[List[int]] = [[] for _ in range(q.size)]
     for u, v in q.edges:
-        reach_bits[u] |= 1 << v
-    for k in range(n):
-        mask = 1 << k
-        row_k = reach_bits[k]
-        for i in range(n):
-            if reach_bits[i] & mask:
-                reach_bits[i] |= row_k
-    return reach_bits
+        out[u].append(v)
+    rows, seen = [0] * q.size, [False] * q.size
+    stack = [(c, False) for c in range(q.size)]  # (class, successors done)
+    while stack:
+        u, done = stack.pop()
+        if done:
+            row = 1 << u
+            for v in out[u]:
+                row |= rows[v]
+            rows[u] = row
+        elif not seen[u]:
+            seen[u] = True
+            stack.append((u, True))
+            stack.extend((v, False) for v in out[u] if not seen[v])
+    return rows
 
 
 def check_complete(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
@@ -572,7 +583,7 @@ def check_complete(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
     in (r, s) order.
     """
     q = family.quotient
-    dominated = family.dominance()
+    dominated = family.dominance
     closure = _closure_bitsets(q)
     for r in range(q.size):
         diff = dominated[r] ^ closure[r]

@@ -7,12 +7,10 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Iterator, Sized, Tuple
 
 from .exact import GaussianRational
-
-_CONTAINERS = (dict, list, tuple)
 
 
 def report_json(value):
@@ -37,6 +35,20 @@ class Report:
         return report_json(self)
 
 
+class SharedKeyDict:
+    """The flat dict dict(zip(keys, values)) with str values, where many such
+    dicts share one strictly increasing key tuple.  canonical_json encodes
+    each key once per tuple and each distinct value once per dict."""
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys, values):
+        self.keys, self.values = keys, values
+
+
+_CONTAINERS = (dict, list, tuple, SharedKeyDict)
+
+
 def canonical_json(data, fp) -> None:
     """Write data to the stream fp exactly as
     json.dump(data, fp, indent=2, sort_keys=True) followed by a newline.
@@ -49,10 +61,32 @@ def canonical_json(data, fp) -> None:
     writes, apart from the newline and indent after the opening bracket and
     before the closing one, which are added back here.  Output is still
     streamed: the largest string held is one flat container.
+
+    A SharedKeyDict is written in one join of values and key prefixes, the
+    prefixes built once per key tuple and nesting level; the tuple is held
+    for the whole call, so its id cannot be reused.
     """
     write = fp.write
+    templates = {}  # (id(keys), level) -> (keys, key prefixes, closing text)
 
     def emit(obj, level):
+        inner = "\n" + "  " * (level + 1)
+        if isinstance(obj, SharedKeyDict):
+            keys = obj.keys
+            entry = templates.get((id(keys), level))
+            if entry is None:
+                if not all(a < b for a, b in zip(keys, keys[1:])):
+                    raise ValueError("shared keys must be strictly increasing")
+                seps = ["{" + inner] + ["," + inner] * (len(keys) - 1)
+                prefixes = [sep + json.dumps({k: 0})[1:-4] + ": " for sep, k in zip(seps, keys)]
+                close = "\n" + "  " * level + "}" if keys else "{}"
+                entry = templates[id(keys), level] = (keys, prefixes, close)
+            text = {v: json.dumps(v) for v in set(obj.values)}
+            if not all(type(v) is str for v in text):
+                raise TypeError("shared-key dict values must be str")
+            write("".join(chain.from_iterable(zip(entry[1], map(text.__getitem__, obj.values)))))
+            write(entry[2])
+            return
         if isinstance(obj, dict):
             values, brackets = obj.values(), "{}"
         elif isinstance(obj, (list, tuple)):
@@ -63,7 +97,6 @@ def canonical_json(data, fp) -> None:
         if not obj:
             write(brackets)
             return
-        inner = "\n" + "  " * (level + 1)
         close = "\n" + "  " * level + brackets[1]
         # one subclass test per distinct value type, not one per value
         if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):

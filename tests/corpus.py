@@ -308,6 +308,16 @@ def random_digraph(rng: random.Random, n_nodes: int, n_edges: int) -> ReachGraph
     return ReachGraph.synthetic(nodes, edges, seeds=(nodes[0],))
 
 
+def random_graphs(seed: int, count: int) -> List[ReachGraph]:
+    """count random digraphs of 1 to 12 nodes and at most 3n edges."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        graphs.append(random_digraph(rng, n, rng.randint(0, min(n * n, 3 * n))))
+    return graphs
+
+
 def bfs_reachable(graph: ReachGraph, start: str) -> set:
     adj = {}
     for u, v, _ in graph.edges:

@@ -513,6 +513,17 @@ def test_unwritable_dot_exits_2(tmp_path, capsys):
 # --- diff ------------------------------------------------------------------------------------
 
 
+def test_diff_empty_target_damping_is_not_a_rational(tmp_path, capsys):
+    """An empty value is malformed like any other, not a request for the
+    computed target."""
+    inst = write_instance(tmp_path, TRIVIAL)
+    out = tmp_path / "r.json"
+    argv = ["diff", "--instance", inst, "--depth", "2", "--target-damping", "", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: not a rational literal: ''\n"
+    assert not out.exists()
+
+
 def test_diff_solvable_indistinguishable(tmp_path):
     inst = write_instance(tmp_path, TRIVIAL)
     out = tmp_path / "r.json"

@@ -28,20 +28,19 @@ stdlib's indenting encoder writes them.
 import hashlib
 import io
 import json
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import random_digraph
+from corpus import random_graphs
 from freeops import cli
 from freeops.exact import GaussianRational
 from freeops.freerot import FreePair, RotationParams, freeness_scan, rotation_quaternion
 from freeops.pcp import PCPInstance, SearchOutcome
 from freeops.reduction import DiffOutcome, MembershipOutcome
 from freeops.resourcegraph import ReachOutcome, monotone_family, quotient
-from freeops.util import canonical_json, report_json
+from freeops.util import SharedKeyDict, canonical_json, report_json
 
 CLASSIC = "1|101\n10|00\n011|11\n"
 CLASSIC_MINUS = "1|101\n10|00\n"
@@ -184,10 +183,18 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def expand_shared(obj):
+    """json.dump's default: a SharedKeyDict is the dict it stands for, and
+    any other type is rejected as json.dump rejects it."""
+    if isinstance(obj, SharedKeyDict):
+        return dict(zip(obj.keys, obj.values))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def stdlib_json(data) -> str:
     """What canonical_json must write: the stdlib's indenting encoder."""
     buf = io.StringIO()
-    json.dump(data, buf, indent=2, sort_keys=True)
+    json.dump(data, buf, indent=2, sort_keys=True, default=expand_shared)
     return buf.getvalue() + "\n"
 
 
@@ -227,6 +234,61 @@ DATA = st.recursive(
 @given(DATA)
 def test_canonical_json_matches_stdlib(data):
     assert written(data) == stdlib_json(data)
+
+
+# Shared keys: arbitrary text plus what a %-template or str.format would
+# misread, and the empty key.
+SHARED_KEYS = st.lists(
+    st.one_of(TEXT, st.sampled_from(ESCAPES + ["%", "%s", "%%", "{}", "{0}", ""])), unique=True
+).map(lambda keys: tuple(sorted(keys)))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_shared_key_dict_matches_stdlib(data):
+    keys = data.draw(SHARED_KEYS)
+    rows = data.draw(
+        st.lists(st.lists(TEXT, min_size=len(keys), max_size=len(keys)), min_size=1, max_size=3)
+    )
+    shared = [SharedKeyDict(keys, tuple(values)) for values in rows]
+    # The same key tuple at nesting levels 1 and 3, and again at level 3.
+    report = {"first": shared[0], "tables": [{"values": s} for s in shared]}
+    assert written(report) == stdlib_json(report)
+    assert written(shared[0]) == stdlib_json(shared[0])
+
+
+PERCENT = SharedKeyDict(("a", "b%s", "c"), ("1", "%d", "2"))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        SharedKeyDict((), ()),
+        [SharedKeyDict((), ()), {"a": SharedKeyDict((), ())}],
+        # one key tuple at levels 1, 2 and 4
+        [PERCENT, [PERCENT], {"x": [{"y": PERCENT}]}],
+        {"a": SharedKeyDict(("k",), ("v",)), "b": SharedKeyDict(("k",), ("w",))},
+    ],
+    ids=["empty", "empty-nested", "one-tuple-three-levels", "equal-tuples"],
+)
+def test_shared_key_dict_cases(data):
+    assert written(data) == stdlib_json(data)
+
+
+@pytest.mark.parametrize(
+    "keys, values, error",
+    [
+        (("b", "a"), ("1", "2"), ValueError),
+        (("a", "a"), ("1", "2"), ValueError),
+        (("a", "b", "a"), ("1", "2", "3"), ValueError),
+        (("a", "b"), ("1", 1), TypeError),
+        (("a", "b"), (1, True), TypeError),
+    ],
+    ids=["unsorted", "duplicate", "duplicate-apart", "int-value", "int-and-bool"],
+)
+def test_shared_key_dict_rejects(keys, values, error):
+    with pytest.raises(error):
+        written({"t": SharedKeyDict(keys, values)})
 
 
 @pytest.mark.parametrize(
@@ -424,10 +486,7 @@ def longest_paths_brute_force(q, base):
 
 
 def test_distances_match_brute_force_longest_paths():
-    rng = random.Random(2105)
-    for _ in range(60):
-        n = rng.randint(1, 12)
-        g = random_digraph(rng, n, rng.randint(0, min(n * n, 3 * n)))
+    for g in random_graphs(2105, 60):
         q = quotient(g)
         for table in monotone_family(q).tables:
             assert list(table.dist) == longest_paths_brute_force(q, table.base)

@@ -10,6 +10,7 @@ from corpus import (
     check_complete_pairwise,
     mutual_reachability_classes,
     random_digraph,
+    random_graphs,
 )
 from freeops.exact import ExactDensityMatrix, ExactMatrix, gr
 from freeops.freerot import make_free_pair, standard_params
@@ -25,6 +26,7 @@ from freeops.resourcegraph import (
     QuotientDAG,
     ReachGraph,
     UnknownStateError,
+    _closure_bitsets,
     check_compatible,
     check_complete,
     certify_cptp,
@@ -260,10 +262,13 @@ def test_monotone_rejects_cycles():
 def test_monotone_table_json():
     q = quotient(demo_graph())
     table = monotone(q, q.class_of["rho"])
-    data = table.to_json_dict([q.representative(c) for c in range(q.size)])
+    reps = tuple(q.representative(c) for c in range(q.size))
+    data = table.to_json_dict(reps)
     assert data["base"] == "rho"
-    assert data["values"]["sigma"] == "1/7"
-    assert data["values"]["omega"] == "2"
+    assert data["values"].keys is reps
+    values = dict(zip(data["values"].keys, data["values"].values))
+    assert values["sigma"] == "1/7"
+    assert values["omega"] == "2"
 
 
 def test_family_compatible_and_complete_on_demo():
@@ -359,6 +364,29 @@ def test_family_checks_on_explored_graph():
     table = monotone(q, base)
     assert table.value(base) == 1
 
+
+
+def test_closure_bitsets_match_bfs():
+    """The completeness oracle's rows against plain BFS over the class edges,
+    on the random quotients of the longest-path check and on classic3's."""
+    gens = compile_generators(parse_instance("1|101\n10|00\n011|11\n"), PAIR, HALF)
+    graphs = random_graphs(2105, 60)
+    graphs.append(explore(gens.channels(), [ExactDensityMatrix.basis_state(4, 0)], 3))
+    for g in graphs:
+        q = quotient(g)
+        out = {c: [] for c in range(q.size)}
+        for u, v in q.edges:
+            out[u].append(v)
+        rows = _closure_bitsets(q)
+        assert len(rows) == q.size
+        for r in range(q.size):
+            seen = {r}
+            frontier = [r]
+            while frontier:
+                frontier = [v for u in frontier for v in out[u] if v not in seen]
+                seen.update(frontier)
+            assert rows[r] == sum(1 << s for s in seen)
+    assert q.size > 100 and len(q.edges) > q.size
 
 
 def family_variants(rng, family):
