@@ -81,11 +81,12 @@ def canonical_json(data, fp) -> None:
                 prefixes = [sep + json.dumps({k: 0})[1:-4] + ": " for sep, k in zip(seps, keys)]
                 close = "\n" + "  " * level + "}" if keys else "{}"
                 entry = templates[id(keys), level] = (keys, prefixes, close)
+            _, prefixes, close = entry
             text = {v: json.dumps(v) for v in set(obj.values)}
             if not all(type(v) is str for v in text):
                 raise TypeError("shared-key dict values must be str")
-            write("".join(chain.from_iterable(zip(entry[1], map(text.__getitem__, obj.values)))))
-            write(entry[2])
+            write("".join(chain.from_iterable(zip(prefixes, map(text.__getitem__, obj.values)))))
+            write(close)
             return
         if isinstance(obj, dict):
             values, brackets = obj.values(), "{}"
