@@ -8,11 +8,11 @@ A matrix keeps its entries as Gaussian-integer numerators over a single
 positive denominator with gcd(numerators, denominator) = 1.  That canonical
 form makes structural equality exact and lets the hot operations run on
 plain integers: the positive-semidefinite test is a fraction-free (Bareiss)
-symmetric-pivot elimination of the numerator matrix, O(n^3) with exact
-divisions, unit trace compares the diagonal numerators with the denominator,
-and a depolarising channel step (`depolarised`) reads its block-diagonal
-unitary as a quaternion tuple, touching only the two nonzeros in each row,
-and normalises its result once.
+symmetric-pivot elimination of the numerator matrix that updates only the
+upper triangle, O(n^3) with exact divisions, unit trace compares the diagonal
+numerators with the denominator, and a depolarising channel step
+(`depolarised`) maps each 2x2 block in quaternion coordinates by one cached
+integer 4x4 map per block pair, and normalises its result once.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
@@ -169,6 +170,37 @@ def _matmul_int(n: int, m: int, p: int, a: Sequence[int], b: Sequence[int]) -> l
     return out
 
 
+def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple:
+    """Product of two integer quaternions in the basis (1, i sigma_z,
+    i sigma_y, i sigma_x), which multiply as Hamilton's (1, i, j, k)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+@lru_cache(maxsize=64)
+def _depolarising_maps(q: tuple, p: int, r: int) -> tuple:
+    """What ExactMatrix.depolarised needs of q and the damping p/r: per block
+    row k, the row-major 4x4 maps x -> p*n * u_k x conj(u_l), then the trace
+    coefficient and the output denominator, both doubled like the coordinates."""
+    n = (len(q) - 1) // 2
+    d2 = q[-1] * q[-1]
+    blocks = [q[k : k + 4] for k in range(0, 2 * n, 4)]
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    maps = []
+    for u in blocks:
+        maps.append([])
+        for a, b, c, d in blocks:
+            cols = [hamilton(hamilton(u, e), (a, -b, -c, -d)) for e in units]
+            maps[-1].append(tuple(p * n * col[i] for i in range(4) for col in cols))
+    return maps, 2 * (r - p) * d2, 2 * r * n * d2
+
+
 class ExactMatrix:
     """Immutable dense matrix over Gaussian rationals.
 
@@ -198,12 +230,7 @@ class ExactMatrix:
     # -- construction helpers -------------------------------------------------
 
     def _init_raw(self, rows: int, cols: int, nums: list, den: int) -> None:
-        g = den
-        for v in nums:
-            if v:
-                g = gcd(g, v)
-                if g == 1:
-                    break
+        g = gcd(den, *nums)
         if g > 1:
             nums = [v // g for v in nums]
             den //= g
@@ -325,49 +352,48 @@ class ExactMatrix:
         """damping * U @ self @ U^dag + (1 - damping) * trace(self)/n * I.
 
         U is the block-diagonal unitary of the quaternion tuple q (see
-        freerot.Quaternions).  Rows 2k and 2k+1 of U are nonzero only in
-        columns 2k and 2k+1, so each entry of U @ self, and of that times
-        U^dag read off q conjugated, is two complex multiply-adds.  Accepts
-        any square operator, Hermitian or not.  Everything runs on integer
-        numerators over one common denominator, normalised once.
+        freerot.Quaternions).  A 2x2 block X of self is P + iR, P and R real
+        quaternions in doubled, integral coordinates, and block (k, l) of
+        U X U^dag is u_k P conj(u_l) + i u_k R conj(u_l): one cached 4x4
+        integer map on two 4-vectors.  Any square operator is accepted,
+        Hermitian or not; normalising the result cancels the doubling.
         """
         n = self.rows
         if self.cols != n or len(q) != 2 * n + 1:
             raise ShapeError("operator must be square and match the unitary's blocks")
+        maps, c, den = _depolarising_maps(tuple(q), damping.numerator, damping.denominator)
         num = self._num
         w = 2 * n
-        p, r = damping.numerator, damping.denominator
-        s = p * n
-        blocks = [q[k : k + 4] for k in range(0, w, 4)]
-        # t = s * U @ self.  Block k of U is [[alpha, beta], [-conj(beta),
-        # conj(alpha)]] with alpha = a + bi, beta = c + di.
-        t = []
-        for k, (a, b, c, d) in enumerate(blocks):
-            a, b, c, d = s * a, s * b, s * c, s * d
-            top = 2 * w * k
-            lower = []
-            for j in range(top, top + w, 2):
-                mr, mi, pr, pi = num[j], num[j + 1], num[j + w], num[j + w + 1]
-                t += (a * mr - b * mi + c * pr - d * pi, a * mi + b * mr + c * pi + d * pr)
-                lower += (a * pr + b * pi - c * mr - d * mi, a * pi - b * pr - c * mi + d * mr)
-            t += lower
-        # t @ U^dag: columns 2k and 2k+1 take conj(alpha), conj(beta) and
-        # -beta, alpha from block k.
         nums = []
-        for row in range(0, w * n, w):
-            for k, (a, b, c, d) in enumerate(blocks):
-                ar, ai, br, bi = t[row + 4 * k : row + 4 * k + 4]
-                nums += (ar * a + ai * b + br * c + bi * d, ai * a - ar * b + bi * c - br * d,
-                         br * a - bi * b - ar * c + ai * d, bi * a + br * b - ai * c - ar * d)
-        d2 = q[-1] * q[-1]
-        if p != r:
+        for top, row in zip(range(0, w * n, 2 * w), maps):
+            lower = []
+            for j, (m00, m01, m02, m03, m10, m11, m12, m13,
+                    m20, m21, m22, m23, m30, m31, m32, m33) in zip(range(top, top + w, 4), row):
+                ar, ai, br, bi = num[j : j + 4]  # x00, x01
+                cr, ci, dr, di = num[j + w : j + w + 4]  # x10, x11
+                p0, p1, p2, p3 = ar + dr, ai - di, br - cr, bi + ci
+                r0, r1, r2, r3 = ai + di, dr - ar, bi - ci, -br - cr
+                p0, p1, p2, p3, r0, r1, r2, r3 = (
+                    m00 * p0 + m01 * p1 + m02 * p2 + m03 * p3,
+                    m10 * p0 + m11 * p1 + m12 * p2 + m13 * p3,
+                    m20 * p0 + m21 * p1 + m22 * p2 + m23 * p3,
+                    m30 * p0 + m31 * p1 + m32 * p2 + m33 * p3,
+                    m00 * r0 + m01 * r1 + m02 * r2 + m03 * r3,
+                    m10 * r0 + m11 * r1 + m12 * r2 + m13 * r3,
+                    m20 * r0 + m21 * r1 + m22 * r2 + m23 * r3,
+                    m30 * r0 + m31 * r1 + m32 * r2 + m33 * r3,
+                )
+                nums += (p0 - r1, p1 + r0, p2 - r3, p3 + r2)
+                lower += (-p2 - r3, p3 - r2, p0 + r1, r0 - p1)
+            nums += lower
+        if c:
             # The real parts of the diagonal sit 2n + 2 apart in _num.
-            tr = (r - p) * d2 * sum(num[0 :: w + 2])
-            ti = (r - p) * d2 * sum(num[1 :: w + 2])
+            tr = c * sum(num[0 :: w + 2])
+            ti = c * sum(num[1 :: w + 2])
             for k in range(0, w * n, w + 2):
                 nums[k] += tr
                 nums[k + 1] += ti
-        return ExactMatrix._raw(n, n, nums, r * n * self._den * d2)
+        return ExactMatrix._raw(n, n, nums, den * self._den)
 
     def partial_trace_first(self, dim_first: int, dim_second: int) -> "ExactMatrix":
         """Trace out the first tensor factor of a (d1*d2)-dimensional operator."""
@@ -435,7 +461,10 @@ class ExactMatrix:
         far, whose leading block is positive definite.  So a negative
         remaining diagonal entry means the matrix is not PSD, and when every
         remaining diagonal entry is zero the matrix is PSD exactly when the
-        whole remainder is zero.  O(n^3) integer operations.
+        whole remainder is zero.  The Schur complement of a Hermitian matrix
+        is Hermitian, so each step computes only the entries (i, j) with
+        j >= i and mirrors their conjugates to (j, i).  O(n^3) integer
+        operations.
         """
         if self.rows != self.cols:
             raise ShapeError("is_psd requires a square matrix")
@@ -461,20 +490,20 @@ class ExactMatrix:
             p = re[k][k]
             kre = re[k]
             kim = im[k]
-            for i in rest:
+            for t, i in enumerate(rest):
                 ire = re[i]
                 iim = im[i]
                 ar = ire[k]
                 ai = iim[k]
-                for j in rest:
+                for j in rest[t:]:
                     br = kre[j]
                     bi = kim[j]
                     xr, rr = divmod(p * ire[j] - ar * br + ai * bi, prev)
                     xi, ri = divmod(p * iim[j] - ar * bi - ai * br, prev)
                     if rr or ri:
                         raise ArithmeticError("inexact division in Bareiss elimination")
-                    ire[j] = xr
-                    iim[j] = xi
+                    ire[j] = re[j][i] = xr
+                    iim[j], im[j][i] = xi, -xi
             prev = p
         return True
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Tuple
 
-from .exact import ExactMatrix, GaussianRational, block_diag
+from .exact import ExactMatrix, GaussianRational, block_diag, hamilton
 from .util import Report, level_pairs
 
 Axis = Tuple[Fraction, Fraction, Fraction]
@@ -169,14 +169,7 @@ def q_mul(x: Quaternions, y: Quaternions) -> Quaternions:
     """
     nums = []
     for k in range(0, len(x) - 1, 4):
-        a1, b1, c1, d1 = x[k : k + 4]
-        a2, b2, c2, d2 = y[k : k + 4]
-        nums += (
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
+        nums += hamilton(x[k : k + 4], y[k : k + 4])
     return _reduced(nums, x[-1] * y[-1])
 
 

@@ -286,11 +286,12 @@ def _generic_search(
         canon = {}
         for q, word in level.items():
             canon.setdefault(q_phase_key(q), word)
+        keyed = [(q_phase_key(q_adjoint(q)), word) for q, word in level.items()]
         for m, back in ((2 * j - 1, canon_prev), (2 * j, canon)):
             if m > max_depth:
                 continue
-            for q, word in level.items():
-                hit = back.get(q_phase_key(q_adjoint(q)))
+            for key, word in keyed:
+                hit = back.get(key)
                 if hit is not None:
                     return _found_outcome(gens, "generic", word + hit, m, expanded)
             checked = m

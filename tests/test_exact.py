@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +36,16 @@ from freeops.freerot import (
     standard_params,
 )
 from freeops.reduction import ChannelElement, compile_generators, make_target
-from freeops.resourcegraph import choi
+from freeops.resourcegraph import choi, explore, generic_seed
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=97)
 gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+FREE_PAIR = make_free_pair(standard_params())
+# A product of the free pair, up to eight letters long.
+free_words = st.text(alphabet="01", max_size=8).map(lambda bits: encode_word(FREE_PAIR, bits))
+dampings = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 2) ** 5])
 
 
 def small_matrix_st(n):
@@ -235,14 +242,47 @@ def test_psd_agrees_with_sturm_oracle_on_singular_and_sparse_matrices():
     rng = random.Random(4128)
     seen = {True: 0, False: 0}
     kinds = ("gram", "shifted", "zero_diagonal", "spectrum", "hermitian")
-    for trial in range(600):
-        n = 1 + trial % 6
-        kind = kinds[(trial // 6) % len(kinds)]
+    for trial in range(800):
+        n = 1 + trial % 8
+        kind = kinds[(trial // 8) % len(kinds)]
         m = random_psd_candidate(rng, n, kind)
         expected = sturm_is_psd(m)
         assert m.is_psd() == expected, (kind, m)
         seen[expected] += 1
     assert min(seen.values()) > 100, seen
+
+
+def explored_states(monkeypatch):
+    """The distinct 4x4 states that explore re-validates on the benchmark's
+    `reach --depth 5 --from spread` query over classic3, in discovery order."""
+    checked = []
+    is_psd = ExactMatrix.is_psd
+
+    def recording(m):
+        checked.append(m)
+        return is_psd(m)
+
+    monkeypatch.setattr(ExactMatrix, "is_psd", recording)
+    classic3 = next(e for e in CORPUS if e.name == "classic3")
+    gens = compile_generators(classic3.instance, FREE_PAIR, Fraction(1, 2))
+    explore(gens.channels(), [generic_seed(4)], 5)
+    monkeypatch.undo()
+    return list(dict.fromkeys(m for m in checked if m.rows == 4))
+
+
+def test_psd_agrees_with_sturm_oracle_on_explored_states(monkeypatch):
+    states = explored_states(monkeypatch)
+    assert len(states) > 8000
+    sample = states[:: len(states) // 200][:200]
+    for m in sample:
+        assert m.is_psd() and sturm_is_psd(m)
+        negated = m.scale(-1)
+        assert not negated.is_psd() and not sturm_is_psd(negated)
+    # Distinct unit-trace states differ by a nonzero traceless, so
+    # indefinite, matrix, whose diagonal need not give it away.
+    for a, b in zip(sample, sample[1:]):
+        d = a - b
+        assert not d.is_psd() and not sturm_is_psd(d)
 
 
 def test_psd_zero_pivot_cases():
@@ -407,6 +447,46 @@ def test_depolarised_matches_dense_oracle():
                     assert m.depolarised(q, damping) == depolarised_oracle(m, q, damping)
 
 
+def big_operator_st(n):
+    """Any n x n operator, Hermitian or not, with entries up to 2^100 over a
+    random denominator, the size of explored states and beyond."""
+    def build(nums, den):
+        return ExactMatrix(n, n, [gr(Fraction(a, den), Fraction(b, den)) for a, b in nums])
+
+    big = st.integers(-(2**100), 2**100)
+    return st.builds(
+        build, st.lists(st.tuples(big, big), min_size=n * n, max_size=n * n), st.integers(1, 2**64)
+    )
+
+
+@given(
+    st.lists(free_words, min_size=1, max_size=3).flatmap(
+        lambda units: st.tuples(st.just(q_blocks(*units)), big_operator_st(2 * len(units)))
+    ),
+    dampings,
+)
+def test_depolarised_matches_dense_oracle_at_explored_sizes(q_and_m, damping):
+    q, m = q_and_m
+    assert m.depolarised(q, damping) == depolarised_oracle(m, q, damping)
+
+
+def test_depolarised_cache_keys_on_q_and_damping():
+    q = q_blocks(encode_word(FREE_PAIR, "0110"), encode_word(FREE_PAIR, "1"))
+    m = ExactMatrix(4, 4, [gr(k, 15 - k) for k in range(16)])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert m.depolarised(q, half) == depolarised_oracle(m, q, half)
+    assert m.depolarised(q, third) == depolarised_oracle(m, q, third)
+    assert m.depolarised(q, half) != m.depolarised(q, third)
+    mixed = ExactMatrix.identity(4).scale(Fraction(1, 4))
+    assert mixed.depolarised(q, half) == mixed.depolarised(q, third) == mixed
+    assert m.depolarised(list(q), half) == m.depolarised(q, half)
+    for bad in (ExactMatrix.identity(2), ExactMatrix.identity(6)):
+        with pytest.raises(ShapeError):
+            bad.depolarised(q, half)
+        with pytest.raises(ShapeError):
+            bad.depolarised(list(q), half)
+
+
 def test_depolarised_shape_checked():
     half = Fraction(1, 2)
     two_blocks = q_blocks((3, 4, 0, 0, 5), (1, 0, 0, 0, 1))
@@ -416,6 +496,46 @@ def test_depolarised_shape_checked():
         ExactMatrix.identity(6).depolarised(two_blocks, half)
     with pytest.raises(ShapeError, match="square"):
         ExactMatrix.zeros(4, 2).depolarised(two_blocks, half)
+
+
+# --- canonical form ------------------------------------------------------------------
+
+# Entries that cancel: zeros, small values and 100-bit numerators.
+canonical_entries = st.one_of(
+    st.just(gr(0)),
+    gaussians,
+    st.builds(
+        lambda a, b, den: gr(Fraction(a, den), Fraction(b, den)),
+        st.integers(-(2**100), 2**100),
+        st.integers(-(2**100), 2**100),
+        st.integers(1, 2**40),
+    ),
+)
+
+
+@given(
+    st.sampled_from([2, 4]).flatmap(
+        lambda n: st.tuples(
+            *(st.lists(canonical_entries, min_size=n * n, max_size=n * n) for _ in range(2)),
+            st.lists(free_words, min_size=n // 2, max_size=n // 2),
+        )
+    ),
+    canonical_entries,
+    dampings,
+)
+def test_every_operation_returns_canonical_form(operands, z, damping):
+    """den >= 1 and gcd(den, numerators) = 1, which equality and digests rely on."""
+    a_entries, b_entries, units = operands
+    n = 2 * len(units)
+    a, b = ExactMatrix(n, n, a_entries), ExactMatrix(n, n, b_entries)
+    q = q_blocks(*units)
+    outputs = [
+        a @ b, a + b, a - a, a.scale(z), a.scale(0), a.dagger(),
+        a.depolarised(q, damping), (a - a).depolarised(q, damping),
+        a.partial_trace_first(2, n // 2), a.partial_trace_first(n // 2, 2),
+    ]
+    for m in outputs:
+        assert m._den >= 1 and gcd(m._den, *m._num) == 1, m
 
 
 # --- density matrices ---------------------------------------------------------------
