@@ -17,7 +17,10 @@ sin * n_y term of the rotation at zero, and the forced cos 0 pair fails the
 freeness preconditions, so the older pins reach neither path.  The three
 channel-step pins (`reach` at depth 5, `reach` with a y axis at damping
 2/3, `monotones` at damping 1/3) were taken before the channel step moved
-from dense 4x4 products to the blocks of the quaternion pair.
+from dense 4x4 products to the blocks of the quaternion pair.  The
+benchmark's `verify-free --max-len 15`, `membership @minus --depth 14` and
+`diff --depth 5` pins were taken before the quaternion product became
+straight-line Hamilton formulas and the closure's dampings integer pairs.
 
 The pins hash a re-encoding of the parsed outcome, so the report writer
 itself is checked separately: the raw `--out` bytes, every subcommand's
@@ -168,6 +171,27 @@ PINS = {
         0,
         "7ed092afbcd1a960efbca2391db51adb5ae4b7bf6e760627fe63106d2a02ff99",
         "8ba824bcf0c09025b6263f364d3c92123106023b9274b408a0ef3a7c885be9e6",
+    ),
+    # The benchmark's three semigroup-search bounds that no pin above covers:
+    # 65,534 words, a 14-deep exhausted meet-in-the-middle and 9,120 closure
+    # expansions.
+    "verify-free-len15": (
+        ["verify-free", "--max-len", "15"],
+        0,
+        "dcdf5496f30cc73cca263f93dd8683547b50cf7d4474ba45e3d891bb9644717f",
+        None,
+    ),
+    "membership-minus-depth14-exhausted": (
+        ["membership", "--instance", "@minus", "--depth", "14"],
+        10,
+        "b5502386bd8637772680ab6ed884ab9235a02be09da79ba3df130f9c0dadf53a",
+        None,
+    ),
+    "diff-classic3-depth5": (
+        ["diff", "--instance", "@", "--depth", "5"],
+        0,
+        "3faac3e7e7d6b917ba90ff7116644e6d3245f3b882baf02c473e850d62dbc777",
+        None,
     ),
     # cos 0 fails the freeness preconditions; --force scans it anyway.
     "verify-free-force-cos0": (
