@@ -171,16 +171,42 @@ def _matmul_int(n: int, m: int, p: int, a: Sequence[int], b: Sequence[int]) -> l
 
 
 def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple:
-    """Product of two integer quaternions in the basis (1, i sigma_z,
-    i sigma_y, i sigma_x), which multiply as Hamilton's (1, i, j, k)."""
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
+    """Blockwise product of integer quaternions in the basis (1, i sigma_z,
+    i sigma_y, i sigma_x), which multiply as Hamilton's (1, i, j, k).
+
+    x and y are laid out as freerot.Quaternions: four numerators per block,
+    then a denominator.  The result has the same layout over the product of
+    the denominators, not reduced.  One and two blocks, the only shapes the
+    program builds, are written out; more go one block at a time.
+    """
+    if len(x) == 5:
+        a1, b1, c1, d1, n1 = x
+        a2, b2, c2, d2, n2 = y
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            n1 * n2,
+        )
+    if len(x) == 9:
+        a1, b1, c1, d1, e1, f1, g1, h1, n1 = x
+        a2, b2, c2, d2, e2, f2, g2, h2, n2 = y
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            e1 * e2 - f1 * f2 - g1 * g2 - h1 * h2,
+            e1 * f2 + f1 * e2 + g1 * h2 - h1 * g2,
+            e1 * g2 - f1 * h2 + g1 * e2 + h1 * f2,
+            e1 * h2 + f1 * g2 - g1 * f2 + h1 * e2,
+            n1 * n2,
+        )
+    nums = []
+    for k in range(0, len(x) - 1, 4):
+        nums += hamilton((*x[k : k + 4], 1), (*y[k : k + 4], 1))[:4]
+    return (*nums, x[-1] * y[-1])
 
 
 @lru_cache(maxsize=64)
@@ -190,13 +216,13 @@ def _depolarising_maps(q: tuple, p: int, r: int) -> tuple:
     coefficient and the output denominator, both doubled like the coordinates."""
     n = (len(q) - 1) // 2
     d2 = q[-1] * q[-1]
-    blocks = [q[k : k + 4] for k in range(0, 2 * n, 4)]
-    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    blocks = [(*q[k : k + 4], 1) for k in range(0, 2 * n, 4)]
+    units = ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
     maps = []
     for u in blocks:
         maps.append([])
-        for a, b, c, d in blocks:
-            cols = [hamilton(hamilton(u, e), (a, -b, -c, -d)) for e in units]
+        for a, b, c, d, _ in blocks:
+            cols = [hamilton(hamilton(u, e), (a, -b, -c, -d, 1)) for e in units]
             maps[-1].append(tuple(p * n * col[i] for i in range(4) for col in cols))
     return maps, 2 * (r - p) * d2, 2 * r * n * d2
 

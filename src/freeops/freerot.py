@@ -165,17 +165,23 @@ def q_mul(x: Quaternions, y: Quaternions) -> Quaternions:
     """Blockwise product: 16 integer multiplies per quaternion.
 
     (alpha1, beta1)(alpha2, beta2) =
-    (alpha1 alpha2 - beta1 conj(beta2), alpha1 beta2 + beta1 conj(alpha2)).
+    (alpha1 alpha2 - beta1 conj(beta2), alpha1 beta2 + beta1 conj(alpha2)),
+    which is exact.hamilton's straight-line formula for one block (a rotation
+    word) or two (a compiled channel), then one gcd over the numerators and
+    the denominator.
     """
-    nums = []
-    for k in range(0, len(x) - 1, 4):
-        nums += hamilton(x[k : k + 4], y[k : k + 4])
-    return _reduced(nums, x[-1] * y[-1])
+    r = hamilton(x, y)
+    g = gcd(*r)
+    return r if g == 1 else tuple(v // g for v in r)
 
 
 def q_adjoint(x: Quaternions) -> Quaternions:
-    """Conjugate transpose: conjugate every quaternion."""
-    return tuple(-v if k % 4 else v for k, v in enumerate(x[:-1])) + x[-1:]
+    """Conjugate transpose: conjugate every quaternion.  Every entry is
+    negated, then each block's real part and the denominator, which sits at
+    index 4 * blocks, are copied back with one stride-4 slice."""
+    out = [-v for v in x]
+    out[::4] = x[::4]
+    return tuple(out)
 
 
 def q_is_scalar(x: Quaternions) -> bool:
@@ -189,8 +195,11 @@ def q_phase_key(x: Quaternions) -> Quaternions:
     For unitaries in SU(2) x SU(2), equal keys mean equal up to a global
     phase, exactly as equal phase-canonical forms do.
     """
-    lead = next(v for v in x if v)  # at worst the positive denominator
-    return x if lead > 0 else tuple(-v for v in x[:-1]) + x[-1:]
+    if (x[0] or next(filter(None, x))) > 0:  # at worst the positive denominator
+        return x
+    out = [-v for v in x]
+    out[-1] = x[-1]
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)

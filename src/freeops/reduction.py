@@ -383,30 +383,42 @@ class DiffOutcome(Report):
 def _closure(
     channels: Sequence[ChannelElement], max_depth: int, node_budget: int
 ):
-    """All canonical channel forms (phase key of the unitary, damping)
-    reachable by words of length <= max_depth, with shortest word kept.
+    """All canonical channel forms reachable by words of length <=
+    max_depth, with shortest word kept.  A form is keyed as (phase key of
+    the unitary, damping numerator, damping denominator): the damping is
+    carried as a reduced integer pair, not as a Fraction, whose product
+    normalises through extra calls and whose hash computes a modular
+    inverse on every call.
 
     Returns the forms, the expansion count, whether the budget cut the
     search, and the deepest level that was fully enumerated."""
     if not channels:
         raise ValueError("need at least one channel")
-    letters = [(ch.unitary, ch.label, ch.damping) for ch in channels]
+    letters = [
+        (ch.unitary, ch.label, ch.damping.numerator, ch.damping.denominator)
+        for ch in channels
+    ]
     ident = q_identity(channels[0].dim // 2)
-    elems = {(q_phase_key(ident), Fraction(1)): ((), 0)}
-    frontier = [(ident, (), Fraction(1))]
+    elems = {(q_phase_key(ident), 1, 1): ((), 0)}
+    frontier = [(ident, (), 1, 1)]
     expanded = 0
     for depth in range(1, max_depth + 1):
         pairs, truncated = level_pairs(frontier, letters, node_budget - expanded)
         nxt = []
-        for (q, word, damp), (u, label, d) in pairs:
+        for (q, word, p, r), (u, label, dp, dr) in pairs:
             expanded += 1
             child = q_mul(q, u)
-            child_damp = damp * d
-            key = (q_phase_key(child), child_damp)
+            p *= dp
+            r *= dr
+            g = gcd(p, r)
+            if g > 1:
+                p //= g
+                r //= g
+            key = (q_phase_key(child), p, r)
             if key not in elems:
                 child_word = word + (label,)
                 elems[key] = (child_word, depth)
-                nxt.append((child, child_word, child_damp))
+                nxt.append((child, child_word, p, r))
         if truncated:
             return elems, expanded, True, depth - 1
         frontier = nxt
@@ -439,7 +451,8 @@ def theory_diff(
     witness = None
     for side, own in ((2, tuple(f1) + tuple(extra)), (1, f1)):
         for ch in own:
-            hit = elems.get((q_phase_key(ch.unitary), ch.damping))
+            damp = ch.damping
+            hit = elems.get((q_phase_key(ch.unitary), damp.numerator, damp.denominator))
             if hit is not None:
                 matches.setdefault(
                     f"f{side}:{ch.label}", {"realized_by": list(hit[0]), "at_depth": hit[1]}

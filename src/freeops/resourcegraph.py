@@ -165,7 +165,9 @@ def explore(
 
     Every channel is Choi-certified before exploration; node identity is
     exact state equality (digest keyed, equality confirmed); the states are
-    held only for that confirmation and the graph keeps digests.  The budget
+    held only for that confirmation and the graph keeps digests.  A child is
+    validated as a density matrix only when its digest is new: a duplicate
+    equals a state that was validated when it was first found.  The budget
     counts expansions (one channel applied to one stored state), so at most
     node_budget states join the seeds.
     """
@@ -201,13 +203,14 @@ def explore(
         next_frontier = []
         for (nid, state), ch in pairs:
             expanded += 1
-            out = ExactDensityMatrix(ch.apply_to_matrix(state.mat))
-            oid = out.digest()
+            m = ch.apply_to_matrix(state.mat)
+            oid = m.digest()
             existing = states.get(oid)
             if existing is None:
+                out = ExactDensityMatrix(m)
                 states[oid] = out
                 next_frontier.append((oid, out))
-            elif existing.mat != out.mat:
+            elif existing.mat != m:
                 raise RuntimeError("digest collision between distinct states")
             edges[(nid, oid, ch.label)] = None
         if truncated:

@@ -326,20 +326,26 @@ def test_report_json_shape():
 
 def _letter_sets():
     """Letter sets for random words, each letter a (quaternions, matrix)
-    pair: the free pair with the rotation formula's matrices, and each corpus
-    instance's compiled unitaries, all with their adjoints, the corpus sets
-    also with diag(I, -I), so that words can cancel and blocks can disagree
-    in sign."""
+    pair: the free pair with the rotation formula's matrices, each corpus
+    instance's compiled unitaries, and three-block diagonals of the rotations
+    (the kernel's block-by-block path), all with their adjoints, the corpus
+    and three-block sets also with a sign flip on one block, so that words
+    can cancel and blocks can disagree in sign."""
     p = PAIR.params
     rotations = [
         (PAIR.a, reference_rotation(p.cos, p.sin, p.axis_a)),
         (PAIR.b, reference_rotation(p.cos, p.sin, p.axis_b)),
     ]
     sets = [rotations + [(q_adjoint(q), m.dagger()) for q, m in rotations]]
-    flip = (
-        (1, 0, 0, 0, -1, 0, 0, 0, 1),
-        block_diag(ExactMatrix.identity(2), ExactMatrix.identity(2).scale(-1)),
-    )
+    ident, minus = ExactMatrix.identity(2), ExactMatrix.identity(2).scale(-1)
+    flip = ((1, 0, 0, 0, -1, 0, 0, 0, 1), block_diag(ident, minus))
+    ra, rb = rotations
+    triples = [
+        (q_blocks(*(q for q, _ in t)), block_diag(*(m for _, m in t)))
+        for t in ((ra, rb, ra), (rb, rb, ra))
+    ]
+    flip3 = ((1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 1), block_diag(ident, ident, minus))
+    sets.append(triples + [(q_adjoint(q), m.dagger()) for q, m in triples] + [flip3])
     for entry in CORPUS:
         gens = compile_generators(entry.instance, PAIR, Fraction(1, 2))
         units = [(ch.unitary, quaternion_matrix(ch.unitary)) for ch in gens.channels()]
@@ -380,6 +386,30 @@ def test_quaternion_kernel_matches_matrix_oracle(data):
     for qa, ma, qb, mb in ((qu, mu, qv, mv), (qu, mu, neg, mu.scale(-1))):
         same_key = q_phase_key(qa) == q_phase_key(qb)
         assert same_key == (phase_canonical(ma) == phase_canonical(mb))
+
+
+# Real part 0 and a negative imaginary lead, so the phase key cannot stop
+# at x[0]: one block, two blocks, and a lead in the second block.
+ZERO_REAL = [
+    (0, -3, 4, 0, 5),
+    (0, 0, 0, -1, 1),
+    (0, -3, 4, 0, 0, 0, 5, 0, 5),
+    (0, 0, -4, 3, 3, 0, 0, -4, 5),
+    (0, 0, 0, 0, 0, 0, -1, 0, 1),
+]
+
+
+@pytest.mark.parametrize("q", ZERO_REAL)
+def test_phase_key_and_adjoint_with_zero_real_part(q):
+    neg = tuple(-v for v in q[:-1]) + q[-1:]
+    assert q_phase_key(q) == neg
+    assert q_phase_key(neg) == neg
+    assert quaternion_matrix(neg) == quaternion_matrix(q).scale(-1)
+    for x in (q, neg):
+        # Real parts and the denominator (index 4 * blocks) keep their sign.
+        conj = tuple(v if k % 4 == 0 else -v for k, v in enumerate(x))
+        assert q_adjoint(x) == conj
+        assert quaternion_matrix(conj) == quaternion_matrix(x).dagger()
 
 
 def test_quaternion_scalar_needs_equal_real_blocks():

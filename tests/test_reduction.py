@@ -1,8 +1,10 @@
 """Generator compilation, channel algebra, membership search, and diffing."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -24,6 +26,7 @@ from freeops.freerot import (
     freeness_scan,
     make_free_pair,
     q_identity,
+    q_mul,
     q_phase_key,
     quaternion_matrix,
     standard_params,
@@ -604,7 +607,8 @@ def _two_closure_diff(f1, extra, depth):
     matches, witness = {}, None
     for side, own, other in ((2, f2, e1), (1, f1, e2)):
         for ch in own:
-            hit = other.get((q_phase_key(ch.unitary), ch.damping))
+            d = ch.damping
+            hit = other.get((q_phase_key(ch.unitary), d.numerator, d.denominator))
             if hit is not None:
                 matches.setdefault(
                     f"f{side}:{ch.label}",
@@ -619,6 +623,37 @@ def _two_closure_diff(f1, extra, depth):
                 }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE
     return status, witness, matches, min(done1, done2)
+
+
+def test_closure_damping_keys_are_reduced_letter_products():
+    """Every closure element's integer damping is the Fraction product of
+    its word's letter dampings, in lowest terms, next to the phase key of
+    its word's product.  The letters mix 1/2, 2/3 and 3/4 (given as 6/8),
+    so that products such as 2/3 * 3/4 = 6/12 need reducing."""
+    dampings = [HALF, Fraction(2, 3), Fraction(6, 8)]
+    gens = compiled("1|101\n10|00\n011|11")
+    letters = [
+        dataclasses.replace(ch, damping=dampings[k % 3])
+        for k, ch in enumerate(gens.channels())
+    ]
+    by_label = {ch.label: ch for ch in letters}
+    elems, expanded, truncated, done = _closure(letters, 3, 500_000)
+    assert (expanded, truncated, done) == (6 + 36 + 216, False, 3)
+    unreduced = 0
+    for (key, p, r), (word, depth) in elems.items():
+        assert depth == len(word)
+        unitary, damping = q_identity(2), Fraction(1)
+        nums = dens = 1
+        for label in word:
+            ch = by_label[label]
+            unitary = q_mul(unitary, ch.unitary)
+            damping *= ch.damping
+            nums *= ch.damping.numerator
+            dens *= ch.damping.denominator
+        assert (p, r) == (damping.numerator, damping.denominator)
+        assert key == q_phase_key(unitary)
+        unreduced += gcd(nums, dens) > 1
+    assert unreduced > 0
 
 
 def test_one_closure_diff_matches_two_closures():

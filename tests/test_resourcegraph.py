@@ -1,5 +1,6 @@
 """Exploration, quotienting, and the longest-path monotone family."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from corpus import (
     random_digraph,
     random_graphs,
 )
+from freeops import cli
 from freeops.exact import ExactDensityMatrix, ExactMatrix, gr
 from freeops.freerot import make_free_pair, standard_params
 from freeops.pcp import parse_instance
@@ -146,6 +148,34 @@ def test_explore_worker_counts_agree():
     seed = ExactDensityMatrix.basis_state(4, 2)
     runs = [explore(gens.channels(), [seed], 3) for _ in range(3)]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_explore_validates_each_new_state_once(tmp_path, monkeypatch):
+    """On `reach --depth 3` over classic3, is_psd runs on the source, the
+    target and each channel's Choi operator, then once per new state: a
+    child whose digest is already known is not validated again."""
+    checked = []
+    is_psd = ExactMatrix.is_psd
+
+    def recording(m):
+        checked.append(m)
+        return is_psd(m)
+
+    monkeypatch.setattr(ExactMatrix, "is_psd", recording)
+    path = tmp_path / "classic3.pcp"
+    path.write_text("1|101\n10|00\n011|11\n")
+    out = tmp_path / "r.json"
+    argv = ["reach", "--instance", str(path), "--depth", "3", "--from", "spread",
+            "--to", "target:1/4", "--out", str(out)]
+    assert cli.main(argv) == 10
+    monkeypatch.undo()
+    nodes = json.loads(out.read_text())["outcome"]["graph_nodes"]
+    states = [m for m in checked if m.rows == 4]
+    assert sum(m.rows == 16 for m in checked) == 6  # one Choi operator per channel
+    assert len(checked) == 6 + len(states)
+    new = states[2:]  # after the source and the target
+    assert len(new) == nodes - 1 > 100
+    assert len(set(new)) == len(new)
 
 
 # --- reach queries -----------------------------------------------------------------
