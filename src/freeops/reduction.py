@@ -408,12 +408,9 @@ def _closure(
         for (q, word, p, r), (u, label, dp, dr) in pairs:
             expanded += 1
             child = q_mul(q, u)
-            p *= dp
-            r *= dr
+            p, r = p * dp, r * dr
             g = gcd(p, r)
-            if g > 1:
-                p //= g
-                r //= g
+            p, r = p // g, r // g
             key = (q_phase_key(child), p, r)
             if key not in elems:
                 child_word = word + (label,)
