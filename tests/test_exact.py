@@ -253,7 +253,7 @@ def test_psd_agrees_with_sturm_oracle_on_singular_and_sparse_matrices():
 
 
 def explored_states(monkeypatch):
-    """The distinct 4x4 states that explore re-validates on the benchmark's
+    """The distinct 4x4 states that explore validates on the benchmark's
     `reach --depth 5 --from spread` query over classic3, in discovery order."""
     checked = []
     is_psd = ExactMatrix.is_psd
