@@ -6,7 +6,6 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     ShapeError,
-    block_diag,
     gr,
 )
 from .freerot import (
@@ -37,7 +36,6 @@ from .reduction import (
     theory_diff,
 )
 from .resourcegraph import (
-    KrausChannel,
     MonotoneFamily,
     MonotoneTable,
     QuotientDAG,

@@ -15,11 +15,12 @@ import sys
 import time
 from pathlib import Path
 
-from . import pcp, reduction, resourcegraph
+from . import __version__, pcp, reduction, resourcegraph
 from .exact import ExactDensityMatrix, rat_from_str
 from .freerot import (
     FreePair,
     RotationParams,
+    freeness_certificate,
     freeness_scan,
     make_free_pair,
     rotation_quaternion,
@@ -119,9 +120,10 @@ def _target_state(selector: str, source: ExactDensityMatrix) -> ExactDensityMatr
 def _config(args, resolved: dict) -> dict:
     """A report's config: the subcommand, every parsed option that has a
     value and is not in NOT_CONFIG, and the values the handler resolved
-    (which replace an option of the same name), each in its report form."""
+    (which replace an option of the same name), each in its report form,
+    and the package version."""
     given = {n: v for n, v in vars(args).items() if v is not None and n not in NOT_CONFIG}
-    entries = {"subcommand": args.command, **given, **resolved}
+    entries = {"subcommand": args.command, **given, **resolved, "version": __version__}
     return {name: report_json(value) for name, value in entries.items()}
 
 
@@ -134,7 +136,8 @@ def _cmd_verify_free(args):
         code = EXIT_EXHAUSTED  # no collision, but only up to scanned_max_len
     else:
         code = EXIT_OK
-    return code, {"rotation": pair.params}, {}, report.to_json_dict(), {}
+    outcome = {**report.to_json_dict(), "certificate": report_json(freeness_certificate(pair))}
+    return code, {"rotation": pair.params}, {}, outcome, {}
 
 
 def _cmd_solve_pcp(args):

@@ -294,10 +294,6 @@ class ExactMatrix:
         return cls._raw(n, n, nums, 1)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls._raw(rows, cols, [0] * (2 * rows * cols), 1)
-
-    @classmethod
     def diagonal(cls, values: Sequence[EntryLike]) -> "ExactMatrix":
         n = len(values)
         entries = [GR_ZERO] * (n * n)
@@ -456,6 +452,11 @@ class ExactMatrix:
                     return False
         return True
 
+    def has_unit_trace(self) -> bool:
+        """Whether a square matrix has trace exactly 1, on its numerators."""
+        step = 2 * self.rows + 2
+        return sum(self._num[::step]) == self._den and not sum(self._num[1::step])
+
     def as_scalar(self):
         """Return c when the matrix equals c * identity, else None."""
         if self.rows != self.cols:
@@ -573,47 +574,21 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, digest={self.digest()[:8]})"
 
 
-def block_diag(*blocks: ExactMatrix) -> ExactMatrix:
-    if not blocks:
-        raise ShapeError("block_diag needs at least one block")
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    den = 1
-    for b in blocks:
-        den = lcm(den, b._den)
-    nums = [0] * (2 * rows * cols)
-    r0 = 0
-    c0 = 0
-    for b in blocks:
-        f = den // b._den
-        for i in range(b.rows):
-            for j in range(b.cols):
-                src = 2 * (i * b.cols + j)
-                dst = 2 * ((r0 + i) * cols + (c0 + j))
-                nums[dst] = b._num[src] * f
-                nums[dst + 1] = b._num[src + 1] * f
-        r0 += b.rows
-        c0 += b.cols
-    return ExactMatrix._raw(rows, cols, nums, den)
-
-
 @dataclass(frozen=True, slots=True)
 class ExactDensityMatrix:
     """Density operator: Hermitian, unit trace, positive semidefinite, exact.
 
-    Unit trace is checked on the canonical numerators: the diagonal sums to
-    the denominator with zero imaginary part.  is_psd rejects a non-Hermitian
-    matrix (ValueError), so that is not checked twice here.
+    is_psd rejects a non-Hermitian matrix (ValueError), so that is not
+    checked twice here.
     """
 
     mat: ExactMatrix
 
     def __post_init__(self):
         m = self.mat
-        n = m.rows
-        if m.cols != n:
+        if m.cols != m.rows:
             raise ShapeError("density matrix must be square")
-        if sum(m._num[0 :: 2 * n + 2]) != m._den or sum(m._num[1 :: 2 * n + 2]):
+        if not m.has_unit_trace():
             raise ValueError("density matrix must have unit trace")
         if not m.is_psd():
             raise ValueError("density matrix must be positive semidefinite")
@@ -627,9 +602,7 @@ class ExactDensityMatrix:
 
     @classmethod
     def basis_state(cls, dim: int, k: int) -> "ExactDensityMatrix":
-        m = [0] * (dim * dim)
-        m[k * dim + k] = 1
-        return cls(ExactMatrix(dim, dim, [as_gaussian(v) for v in m]))
+        return cls(ExactMatrix.diagonal([int(i == k) for i in range(dim)]))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "ExactDensityMatrix":

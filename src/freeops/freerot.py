@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Tuple
+from typing import Dict, Optional, Tuple
 
-from .exact import ExactMatrix, GaussianRational, block_diag, hamilton
+from .exact import ExactMatrix, GaussianRational, hamilton
 from .util import Report, level_pairs
 
 Axis = Tuple[Fraction, Fraction, Fraction]
@@ -138,15 +138,17 @@ def _reduced(nums: list, den: int) -> Quaternions:
 
 
 def quaternion_matrix(q: Quaternions) -> ExactMatrix:
-    """The block-diagonal matrix that a quaternion tuple stands for."""
-    den = q[-1]
-    blocks = []
-    for k in range(0, len(q) - 1, 4):
-        alpha = GaussianRational(Fraction(q[k], den), Fraction(q[k + 1], den))
-        beta = GaussianRational(Fraction(q[k + 2], den), Fraction(q[k + 3], den))
-        rows = [[alpha, beta], [-beta.conjugate(), alpha.conjugate()]]
-        blocks.append(ExactMatrix.from_rows(rows))
-    return block_diag(*blocks)
+    """The block-diagonal matrix that a quaternion tuple stands for: block k
+    is [[alpha, beta], [-conj(beta), conj(alpha)]], read from q[4k : 4k + 4]."""
+    n = (len(q) - 1) // 2
+    entries = [0] * (n * n)
+    for k in range(0, 2 * n, 4):
+        a, b, c, d = (Fraction(v, q[-1]) for v in q[k : k + 4])
+        alpha, beta = GaussianRational(a, b), GaussianRational(c, d)
+        top = k // 2 * (n + 1)  # the block's top-left entry
+        entries[top : top + 2] = alpha, beta
+        entries[top + n : top + n + 2] = -beta.conjugate(), alpha.conjugate()
+    return ExactMatrix(n, n, entries)
 
 
 def q_blocks(*qs: Quaternions) -> Quaternions:
@@ -274,3 +276,52 @@ def freeness_scan(
         scalar_words=tuple(scalar_words),
         truncated=truncated,
     )
+
+
+@dataclass(frozen=True, slots=True)
+class FreenessCertificate(Report):
+    """A prime p and, per two-letter reduced word over a, A = a^dag, b and
+    B = b^dag, the product of the letters' numerators mod p."""
+
+    prime: int
+    pairs: Dict[str, Tuple[int, ...]]
+
+
+def _small_odd_primes(n: int):
+    """The odd primes up to 2^16 that divide n > 0, ascending."""
+    for p in range(3, min(n, 1 << 16) + 1, 2):
+        if n % p == 0:  # p is prime: its prime factors are divided out
+            yield p
+            while n % p == 0:
+                n //= p
+
+
+def freeness_certificate(pair: FreePair) -> Optional[FreenessCertificate]:
+    """A proof that no nonempty reduced word over a, a^dag, b, b^dag is a
+    scalar, or None when no prime gives one.
+
+    Take an odd prime p that divides each letter's norm numerator (the sum
+    of its squared numerators).  Mod p the quaternions are the 2x2 matrices
+    over F_p, and a letter is 0 or of rank 1: u v^T.  A word's numerator
+    u_1 (v_1 . u_2) ... (v_(n-1) . u_n) v_n^T is nonzero mod p when each
+    adjacent pair's product is, so when all 12 products of letters s, t with
+    t != s^dag are, every reduced word is.  A scalar word's numerator
+    (m, 0, 0, 0) has m^2 equal to the product of the letters' norms, so it
+    vanishes mod p: no reduced word is scalar (the argument of
+    Lubotzky-Phillips-Sarnak, Combinatorica 1988).  Odd primes up to 2^16
+    that divide both denominators too are tried in ascending order; for
+    unit letters, whose norm is the denominator squared, none is lost.
+    """
+    a, b = pair.a, pair.b
+    letters = {"a": a, "A": q_adjoint(a), "b": b, "B": q_adjoint(b)}
+    norms = (sum(v * v for v in q[:4]) for q in (a, b))
+    for p in _small_odd_primes(gcd(a[4], b[4], *norms)):
+        pairs = {
+            s + t: tuple(v % p for v in hamilton(x, y)[:4])
+            for s, x in letters.items()
+            for t, y in letters.items()
+            if t != s.swapcase()
+        }
+        if all(map(any, pairs.values())):
+            return FreenessCertificate(p, pairs)
+    return None

@@ -15,12 +15,15 @@ from .exact import GaussianRational
 
 def report_json(value):
     """The report form of a result: a dataclass becomes a dict of its fields
-    by name, a tuple a list, and a Fraction or GaussianRational its canonical
-    string (what rat_to_str and gr_to_str write); anything else is kept."""
+    by name, a dict keeps its keys, a tuple becomes a list, and a Fraction or
+    GaussianRational its canonical string (what rat_to_str and gr_to_str
+    write); anything else is kept."""
     if isinstance(value, (Fraction, GaussianRational)):
         return str(value)
     if dataclasses.is_dataclass(value):
         return {f.name: report_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: report_json(v) for k, v in value.items()}
     if isinstance(value, tuple):
         return [report_json(v) for v in value]
     return value

@@ -53,6 +53,22 @@ def _product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     )
 
 
+def zeros(rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix(rows, cols, [0] * (rows * cols))
+
+
+def block_diag(*blocks: ExactMatrix) -> ExactMatrix:
+    """The block-diagonal matrix with the given blocks in order."""
+    cols = sum(b.cols for b in blocks)
+    rows, c0 = [], 0
+    for b in blocks:
+        for i in range(b.rows):
+            row = [b.entry(i, j) for j in range(b.cols)]
+            rows.append([ZERO] * c0 + row + [ZERO] * (cols - c0 - b.cols))
+        c0 += b.cols
+    return ExactMatrix.from_rows(rows)
+
+
 def block(m: ExactMatrix, row0: int, col0: int, rows: int, cols: int) -> ExactMatrix:
     """The rows x cols submatrix whose top-left entry is (row0, col0)."""
     return ExactMatrix.from_rows(
@@ -147,3 +163,25 @@ def matrix_from_json(data: dict) -> ExactMatrix:
     """Inverse of ExactMatrix.to_json_dict."""
     entries = [gr_from_str(s) for s in data["entries"]]
     return ExactMatrix(int(data["rows"]), int(data["cols"]), entries)
+
+
+class KrausChannel:
+    """The channel rho -> sum_k K rho K^dag of a finite Kraus list.
+
+    The state layer takes any object with `dim`, `label` and a linear
+    `apply_to_matrix`; the program itself only builds quaternion channels,
+    so this one lives with the oracles and drives the small explore and
+    Choi tests.
+    """
+
+    def __init__(self, ops, label: str):
+        d = ops[0].rows
+        if any(k.rows != d or k.cols != d for k in ops):
+            raise ShapeError("Kraus operators must be square and same-sized")
+        self.ops = tuple(ops)
+        self.label = label
+        self.dim = d
+
+    def apply_to_matrix(self, m: ExactMatrix) -> ExactMatrix:
+        terms = [list(_product(_product(k, m), k.dagger()).entries()) for k in self.ops]
+        return ExactMatrix(self.dim, self.dim, [sum(zs, ZERO) for zs in zip(*terms)])

@@ -464,7 +464,7 @@ def test_monotones_instance_options_default(tmp_path):
 def test_monotones_demo_config_has_no_budget(tmp_path):
     out = tmp_path / "r.json"
     assert run(["monotones", "--graph", "demo", "--out", str(out)]) == 0
-    assert load(out)["config"] == {"graph": "demo", "subcommand": "monotones"}
+    assert load(out)["config"] == {"graph": "demo", "subcommand": "monotones", "version": "0.1.0"}
 
 
 @pytest.mark.parametrize(
@@ -558,60 +558,69 @@ def test_diff_rejects_depth_below_one(tmp_path, capsys):
 ROTATION = {"cos": "3/5", "sin": "4/5", "axis_a": ["0", "0", "1"], "axis_b": ["1", "0", "0"]}
 Y_AXIS = ["--cos", "5/13", "--sin", "12/13", "--axis-a", "0,1,0", "--axis-b", "0,0,1"]
 # Each run's `config`, as the reports wrote it before one function built
-# them all; "@" stands for the instance path.
+# them all, plus the package version; "@" stands for the instance path.
 CONFIG_PINS = {
     "verify-free": (
         ["verify-free", "--max-len", "6"],
-        {"subcommand": "verify-free", "rotation": ROTATION, "max_len": 6, "force": False,
+        {"subcommand": "verify-free", "version": "0.1.0",
+         "rotation": ROTATION, "max_len": 6, "force": False,
          "budget": 1_000_000},
     ),
     "verify-free-force": (
         ["verify-free", "--force", "--cos", "1/2", "--sin", "0"],
-        {"subcommand": "verify-free", "max_len": 12, "force": True, "budget": 1_000_000,
+        {"subcommand": "verify-free", "version": "0.1.0",
+         "max_len": 12, "force": True, "budget": 1_000_000,
          "rotation": {**ROTATION, "cos": "1/2", "sin": "0"}},
     ),
     "solve-pcp": (
         ["solve-pcp", "--instance", "@", "--depth", "4"],
-        {"subcommand": "solve-pcp", "instance": "@", "depth": 4, "budget": 200_000},
+        {"subcommand": "solve-pcp", "version": "0.1.0",
+         "instance": "@", "depth": 4, "budget": 200_000},
     ),
     "compile-y-axis": (
         ["compile", "--instance", "@", "--damping", "2/4", *Y_AXIS],
-        {"subcommand": "compile", "instance": "@", "damping": "1/2",
+        {"subcommand": "compile", "version": "0.1.0", "instance": "@", "damping": "1/2",
          "rotation": {"cos": "5/13", "sin": "12/13", "axis_a": ["0", "1", "0"],
                       "axis_b": ["0", "0", "1"]}},
     ),
     "membership": (
         ["membership", "--instance", "@", "--depth", "8"],
-        {"subcommand": "membership", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+        {"subcommand": "membership", "version": "0.1.0",
+         "instance": "@", "rotation": ROTATION, "damping": "1/2",
          "depth": 8, "mode": "generic", "budget": 500_000},
     ),
     "membership-structured": (
         ["membership", "--instance", "@", "--depth", "16", "--mode", "structured"],
-        {"subcommand": "membership", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+        {"subcommand": "membership", "version": "0.1.0",
+         "instance": "@", "rotation": ROTATION, "damping": "1/2",
          "depth": 16, "mode": "structured", "budget": 500_000},
     ),
     "reach": (
         ["reach", "--instance", "@", "--depth", "2", "--from", "spread", "--to", "target:1/4"],
-        {"subcommand": "reach", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+        {"subcommand": "reach", "version": "0.1.0",
+         "instance": "@", "rotation": ROTATION, "damping": "1/2",
          "depth": 2, "from": "spread", "to": "target:1/4", "budget": 100_000},
     ),
     "monotones-demo": (
         ["monotones", "--graph", "demo"],
-        {"subcommand": "monotones", "graph": "demo"},
+        {"subcommand": "monotones", "version": "0.1.0", "graph": "demo"},
     ),
     "monotones-instance": (
         ["monotones", "--instance", "@"],
-        {"subcommand": "monotones", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+        {"subcommand": "monotones", "version": "0.1.0",
+         "instance": "@", "rotation": ROTATION, "damping": "1/2",
          "depth": 3, "seed": "basis:0", "budget": 100_000},
     ),
     "diff": (
         ["diff", "--instance", "@", "--depth", "4"],
-        {"subcommand": "diff", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+        {"subcommand": "diff", "version": "0.1.0",
+         "instance": "@", "rotation": ROTATION, "damping": "1/2",
          "target_damping": "1/4", "depth": 4, "budget": 500_000},
     ),
     "diff-target-damping": (
         ["diff", "--instance", "@", "--depth", "4", "--target-damping", "2/6"],
-        {"subcommand": "diff", "instance": "@", "rotation": ROTATION, "damping": "1/2",
+        {"subcommand": "diff", "version": "0.1.0",
+         "instance": "@", "rotation": ROTATION, "damping": "1/2",
          "target_damping": "1/3", "depth": 4, "budget": 500_000},
     ),
 }

@@ -15,13 +15,22 @@ from corpus import (
     random_hermitian_with_spectrum,
     sturm_is_psd,
 )
-from oracles import block, char_poly, gr_from_str, kron, mat_pow, matrix_from_json, trace
+from oracles import (
+    block,
+    block_diag,
+    char_poly,
+    gr_from_str,
+    kron,
+    mat_pow,
+    matrix_from_json,
+    trace,
+    zeros,
+)
 from freeops.exact import (
     ExactDensityMatrix,
     ExactMatrix,
     GaussianRational,
     ShapeError,
-    block_diag,
     gr,
     gr_to_str,
     rat_from_str,
@@ -213,7 +222,7 @@ def random_psd_candidate(rng, n, kind):
     if kind in ("gram", "shifted", "zero_diagonal"):
         rank = rng.randint(0, n)
         if rank == 0:
-            m = ExactMatrix.zeros(n, n)
+            m = zeros(n, n)
         else:
             x = ExactMatrix(n, rank, [small_gaussian(rng) for _ in range(n * rank)])
             m = x @ x.dagger()
@@ -252,37 +261,45 @@ def test_psd_agrees_with_sturm_oracle_on_singular_and_sparse_matrices():
     assert min(seen.values()) > 100, seen
 
 
-def explored_states(monkeypatch):
-    """The distinct 4x4 states that explore validates on the benchmark's
-    `reach --depth 5 --from spread` query over classic3, in discovery order."""
-    checked = []
-    is_psd = ExactMatrix.is_psd
+def explored_states(monkeypatch, seed):
+    """Every state of the `reach --depth 4` graph over classic3 from the
+    seed, in discovery order: the seed and the channel outputs that are
+    graph nodes.  explore trusts these to be PSD by the channels' Choi
+    certificates and runs no PSD test on them itself."""
+    outputs = []
+    apply = ChannelElement.apply_to_matrix
 
-    def recording(m):
-        checked.append(m)
-        return is_psd(m)
+    def recording(ch, m):
+        out = apply(ch, m)
+        outputs.append(out)
+        return out
 
-    monkeypatch.setattr(ExactMatrix, "is_psd", recording)
+    monkeypatch.setattr(ChannelElement, "apply_to_matrix", recording)
     classic3 = next(e for e in CORPUS if e.name == "classic3")
     gens = compile_generators(classic3.instance, FREE_PAIR, Fraction(1, 2))
-    explore(gens.channels(), [generic_seed(4)], 5)
+    g = explore(gens.channels(), [seed], 4)
     monkeypatch.undo()
-    return list(dict.fromkeys(m for m in checked if m.rows == 4))
+    nodes = set(g.nodes)
+    states = list(dict.fromkeys([seed.mat] + [m for m in outputs if m.digest() in nodes]))
+    assert [m.digest() for m in states] == list(g.nodes)
+    return states
 
 
 def test_psd_agrees_with_sturm_oracle_on_explored_states(monkeypatch):
-    states = explored_states(monkeypatch)
-    assert len(states) > 8000
-    sample = states[:: len(states) // 200][:200]
-    for m in sample:
-        assert m.is_psd() and sturm_is_psd(m)
-        negated = m.scale(-1)
-        assert not negated.is_psd() and not sturm_is_psd(negated)
-    # Distinct unit-trace states differ by a nonzero traceless, so
-    # indefinite, matrix, whose diagonal need not give it away.
-    for a, b in zip(sample, sample[1:]):
-        d = a - b
-        assert not d.is_psd() and not sturm_is_psd(d)
+    # The seed and its 1,519 or 909 new states.
+    for seed, new in ((generic_seed(4), 1519), (ExactDensityMatrix.basis_state(4, 0), 909)):
+        states = explored_states(monkeypatch, seed)
+        assert len(states) == 1 + new
+        for m in states:
+            assert m.is_hermitian() and trace(m) == gr(1)
+            assert m.is_psd() and sturm_is_psd(m)
+        # Negated, and less one another: distinct unit-trace states differ by
+        # a nonzero traceless, so indefinite, matrix, whose diagonal need not
+        # give it away.  The oracle checks every 8th pair.
+        for k, (a, b) in enumerate(zip(states, states[1:])):
+            for bad in (a.scale(-1), a - b):
+                assert not bad.is_psd()
+                assert k % 8 or not sturm_is_psd(bad)
 
 
 def test_psd_zero_pivot_cases():
@@ -379,7 +396,7 @@ def test_block_diag_blocks_recoverable():
     m = block_diag(a, b)
     assert block(m, 0, 0, 2, 2) == a
     assert block(m, 2, 2, 2, 2) == b
-    assert block(m, 0, 2, 2, 2) == ExactMatrix.zeros(2, 2)
+    assert block(m, 0, 2, 2, 2) == zeros(2, 2)
 
 
 def test_kron_and_partial_trace():
@@ -495,7 +512,7 @@ def test_depolarised_shape_checked():
     with pytest.raises(ShapeError):
         ExactMatrix.identity(6).depolarised(two_blocks, half)
     with pytest.raises(ShapeError, match="square"):
-        ExactMatrix.zeros(4, 2).depolarised(two_blocks, half)
+        zeros(4, 2).depolarised(two_blocks, half)
 
 
 # --- canonical form ------------------------------------------------------------------

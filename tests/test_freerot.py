@@ -5,11 +5,11 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from corpus import CORPUS
-from oracles import det, is_unitary, mat_pow, trace
-from freeops.exact import ExactMatrix, GaussianRational, block_diag, gr
+from oracles import block_diag, det, is_unitary, mat_pow, trace
+from freeops.exact import ExactMatrix, GaussianRational, gr, hamilton
 from freeops.freerot import (
     AxisError,
     Collision,
@@ -18,6 +18,7 @@ from freeops.freerot import (
     PythagoreanError,
     RotationParams,
     encode_word,
+    freeness_certificate,
     freeness_scan,
     make_free_pair,
     q_adjoint,
@@ -421,3 +422,88 @@ def test_quaternion_scalar_needs_equal_real_blocks():
     ):
         assert q_is_scalar(q) is scalar
         assert (quaternion_matrix(q).as_scalar() is not None) is scalar
+
+
+# --- the freeness certificate for group words ------------------------------------------------
+
+
+def reduced_words(pair, max_len, prime):
+    """(word, product, numerators mod prime) for every nonempty reduced word
+    over a, A = a^dag, b, B = b^dag up to max_len, shortest first.  The
+    residues are of the unreduced product of the letters' numerators."""
+    letters = {"a": pair.a, "A": q_adjoint(pair.a), "b": pair.b, "B": q_adjoint(pair.b)}
+    level = [("", q_identity(1), (1, 0, 0, 0))]
+    for _ in range(max_len):
+        level = [
+            (w + s, q_mul(q, x), tuple(v % prime for v in hamilton((*r, 1), x)[:4]))
+            for w, q, r in level
+            for s, x in letters.items()
+            if not w or w[-1] != s.swapcase()
+        ]
+        yield from level
+
+
+def test_default_pair_certified_and_brute_forced_to_length_10():
+    cert = freeness_certificate(PAIR)
+    assert cert.prime == 5
+    assert len(cert.pairs) == 12 and all(map(any, cert.pairs.values()))
+    assert set(cert.pairs) == {s + t for s in "aAbB" for t in "aAbB" if t != s.swapcase()}
+    count = 0
+    for word, q, residues in reduced_words(PAIR, 10, cert.prime):
+        assert not q_is_scalar(q), word
+        assert any(residues), word  # the lemma itself: nonzero mod p
+        count += 1
+    assert count == sum(4 * 3 ** (n - 1) for n in range(1, 11))
+
+
+AXES = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1), "d": ("3/5", "4/5", 0)}
+
+
+@pytest.mark.parametrize(
+    "cos, sin, axes, prime",
+    [
+        ("3/5", "4/5", "zx", 5),
+        ("7/25", "24/25", "zx", 5),
+        ("-3/5", "4/5", "zx", 5),
+        ("4/5", "3/5", "zx", 5),
+        ("5/13", "12/13", "zx", 13),
+        ("5/13", "12/13", "yz", 13),
+        ("15/17", "8/17", "zx", 17),
+        ("3/5", "4/5", "dz", None),
+    ],
+)
+def test_freeness_certificate_table(cos, sin, axes, prime):
+    axis_a, axis_b = (tuple(Fraction(v) for v in AXES[k]) for k in axes)
+    params = RotationParams(Fraction(cos), Fraction(sin), axis_a, axis_b)
+    cert = freeness_certificate(make_free_pair(params))
+    assert (cert and cert.prime) == prime
+
+
+@st.composite
+def rotation_pairs(draw):
+    """A Pythagorean angle about two orthogonal rational axes: the first two
+    columns of the rotation matrix of a small integer quaternion."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, m - 1).filter(lambda n: gcd(m, n) == 1 and (m - n) % 2))
+    c, s = Fraction(m * m - n * n, m * m + n * n), Fraction(2 * m * n, m * m + n * n)
+    if draw(st.booleans()):
+        c, s = s, c
+    c *= draw(st.sampled_from((1, -1)))
+    w, x, y, z = draw(st.tuples(*[st.integers(-3, 3)] * 4).filter(any))
+    norm = w * w + x * x + y * y + z * z
+    cols = (
+        (w * w + x * x - y * y - z * z, 2 * (x * y + w * z), 2 * (x * z - w * y)),
+        (2 * (x * y - w * z), w * w - x * x + y * y - z * z, 2 * (y * z + w * x)),
+    )
+    axis_a, axis_b = (tuple(Fraction(v, norm) for v in col) for col in cols)
+    return make_free_pair(RotationParams(c, s, axis_a, axis_b))
+
+
+@given(rotation_pairs())
+@settings(max_examples=25, deadline=None)
+def test_certified_pair_has_no_scalar_reduced_word(pair):
+    cert = freeness_certificate(pair)
+    assume(cert is not None)
+    for word, q, residues in reduced_words(pair, 8, cert.prime):
+        assert not q_is_scalar(q), word
+        assert any(residues), word

@@ -21,6 +21,10 @@ from dense 4x4 products to the blocks of the quaternion pair.  The
 benchmark's `verify-free --max-len 15`, `membership @minus --depth 14` and
 `diff --depth 5` pins were taken before the quaternion product became
 straight-line Hamilton formulas and the closure's dampings integer pairs.
+The three `verify-free` pins were re-taken when the outcome gained its
+`certificate` key (the mod-p freeness certificate, null for the forced
+cos 0 pair); with that key removed, each outcome still hashes to its old
+pin.
 
 The pins hash a re-encoding of the parsed outcome, so the report writer
 itself is checked separately: the raw `--out` bytes, every subcommand's
@@ -80,7 +84,7 @@ PINS = {
     "verify-free-len10": (
         ["verify-free", "--max-len", "10"],
         0,
-        "1ad7be38f5afb59ceab0fe03a9dbbbfdf9429280ea6dabcf9ccf6c02bdb7a9b8",
+        "c389d0bdb1a7e053172ce3bf2558329bee178fcc72be9eb92186cdd596ed5c48",
         None,
     ),
     "compile-classic3": (
@@ -178,7 +182,7 @@ PINS = {
     "verify-free-len15": (
         ["verify-free", "--max-len", "15"],
         0,
-        "dcdf5496f30cc73cca263f93dd8683547b50cf7d4474ba45e3d891bb9644717f",
+        "66dd2190ad9a137d007426d2d89c911d7bad30100021e3c599eb42f023a25885",
         None,
     ),
     "membership-minus-depth14-exhausted": (
@@ -197,7 +201,7 @@ PINS = {
     "verify-free-force-cos0": (
         ["verify-free", "--max-len", "4", "--force", "--cos", "0", "--sin", "1"],
         11,
-        "56ab12d7fce0cfc51cea63c1ee3de458171f2ce801489242a3e740803c56d4d3",
+        "c33c6b6221d11241204f550c6aea08ad28d8c0c83045d0345d9d2cc8be8669a7",
         None,
     ),
 }

@@ -9,20 +9,20 @@ from math import gcd
 import pytest
 
 from corpus import CORPUS, random_density
-from oracles import block, det, is_unitary, mat_pow, matrix_from_json, trace
+from oracles import block, block_diag, det, is_unitary, mat_pow, matrix_from_json, trace, zeros
 from freeops import cli
 from freeops.exact import (
     ExactDensityMatrix,
     ExactMatrix,
     GaussianRational,
     ShapeError,
-    block_diag,
     gr,
     rat_to_str,
 )
 from freeops.freerot import (
     RotationParams,
     encode_word,
+    freeness_certificate,
     freeness_scan,
     make_free_pair,
     q_identity,
@@ -48,6 +48,7 @@ from freeops.reduction import (
     theory_diff,
 )
 from freeops.resourcegraph import choi, explore
+from freeops.util import report_json
 
 PAIR = make_free_pair(standard_params())
 A = quaternion_matrix(PAIR.a)
@@ -218,7 +219,7 @@ def test_apply_to_matrix_matches_reference_formula():
     for _ in range(5):  # zero trace
         m = ExactMatrix(4, 4, [entry() for _ in range(16)])
         operators.append(m - ExactMatrix.identity(4).scale(trace(m) * gr(Fraction(1, 4))))
-    operators.append(ExactMatrix.zeros(4, 4))
+    operators.append(zeros(4, 4))
     assert any(trace(m).im != 0 for m in operators)
     assert sum(trace(m) == gr(0) for m in operators) >= 6
     for ch in channels:
@@ -299,8 +300,8 @@ def test_products_keep_block_structure():
         product = ExactMatrix.identity(4)
         for _ in range(length):
             product = product @ quaternion_matrix(rng.choice(channels).unitary)
-        assert block(product, 0, 2, 2, 2) == ExactMatrix.zeros(2, 2)
-        assert block(product, 2, 0, 2, 2) == ExactMatrix.zeros(2, 2)
+        assert block(product, 0, 2, 2, 2) == zeros(2, 2)
+        assert block(product, 2, 0, 2, 2) == zeros(2, 2)
         for corner in (block(product, 0, 0, 2, 2), block(product, 2, 2, 2, 2)):
             assert is_unitary(corner)
             assert det(corner) == gr(1)
@@ -410,7 +411,8 @@ def test_budget_boundary_table(tmp_path, search, depth, budget, expected):
         out = tmp_path / "r.json"
         argv = ["verify-free", "--max-len", str(depth), "--budget", str(budget)]
         code = cli.main(argv + ["--out", str(out)])
-        assert json.loads(out.read_text())["outcome"] == r.to_json_dict()
+        want = {**r.to_json_dict(), "certificate": report_json(freeness_certificate(PAIR))}
+        assert json.loads(out.read_text())["outcome"] == want
         assert (r.scanned_max_len, r.word_count, r.truncated, code) == expected
         return
     if search == "explore":

@@ -13,6 +13,7 @@ from corpus import (
     random_digraph,
     random_graphs,
 )
+from oracles import KrausChannel
 from freeops import cli
 from freeops.exact import ExactDensityMatrix, ExactMatrix, gr
 from freeops.freerot import make_free_pair, standard_params
@@ -21,7 +22,6 @@ from freeops.reduction import compile_generators, make_target
 from freeops.resourcegraph import (
     NOT_REACHABLE,
     REACHABLE,
-    KrausChannel,
     MonotoneFamily,
     MonotoneTable,
     NotCPTPError,
@@ -151,17 +151,28 @@ def test_explore_worker_counts_agree():
 
 
 def test_explore_validates_each_new_state_once(tmp_path, monkeypatch):
-    """On `reach --depth 3` over classic3, is_psd runs on the source, the
-    target and each channel's Choi operator, then once per new state: a
-    child whose digest is already known is not validated again."""
-    checked = []
-    is_psd = ExactMatrix.is_psd
+    """On `reach --depth 3` over classic3, is_psd runs only on the source,
+    the target and each channel's Choi operator: a child is a density matrix
+    because its channel is certified.  Each new state goes once through the
+    Hermitian and unit-trace checks; a child whose state is already known is
+    not checked again."""
+    psd, trace_checked, hermitian = [], [], set()
+    is_psd, has_unit_trace, is_hermitian = (
+        ExactMatrix.is_psd, ExactMatrix.has_unit_trace, ExactMatrix.is_hermitian
+    )
 
-    def recording(m):
-        checked.append(m)
-        return is_psd(m)
+    def recording(log, check):
+        def wrapped(m):
+            log(m)
+            return check(m)
 
-    monkeypatch.setattr(ExactMatrix, "is_psd", recording)
+        return wrapped
+
+    monkeypatch.setattr(ExactMatrix, "is_psd", recording(psd.append, is_psd))
+    monkeypatch.setattr(
+        ExactMatrix, "has_unit_trace", recording(trace_checked.append, has_unit_trace)
+    )
+    monkeypatch.setattr(ExactMatrix, "is_hermitian", recording(hermitian.add, is_hermitian))
     path = tmp_path / "classic3.pcp"
     path.write_text("1|101\n10|00\n011|11\n")
     out = tmp_path / "r.json"
@@ -170,12 +181,39 @@ def test_explore_validates_each_new_state_once(tmp_path, monkeypatch):
     assert cli.main(argv) == 10
     monkeypatch.undo()
     nodes = json.loads(out.read_text())["outcome"]["graph_nodes"]
-    states = [m for m in checked if m.rows == 4]
-    assert sum(m.rows == 16 for m in checked) == 6  # one Choi operator per channel
-    assert len(checked) == 6 + len(states)
-    new = states[2:]  # after the source and the target
+    assert [m.rows for m in psd] == [4, 4] + [16] * 6  # source, target, one Choi per channel
+    new = trace_checked[2:]  # after the source and the target
     assert len(new) == nodes - 1 > 100
     assert len(set(new)) == len(new)
+    assert all(m in hermitian for m in new)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda m: m + m,  # Hermitian, trace 2
+        lambda m: m + ExactMatrix(4, 4, [int(k == 1) for k in range(16)]),  # trace 1
+    ],
+    ids=["trace-2", "not-hermitian"],
+)
+def test_explore_rejects_a_child_that_is_not_a_state(monkeypatch, corrupt):
+    """A channel kernel that still passes Choi certification (the seed is
+    not a matrix unit) but maps the seed to a non-state is caught by the
+    per-child checks."""
+    seed = generic_seed(4)
+    gens = compile_generators(parse_instance("1|101\n10|00\n011|11\n"), PAIR, HALF)
+    channels = gens.channels()
+    depolarised = ExactMatrix.depolarised
+
+    def faulty(m, q, damping):
+        out = depolarised(m, q, damping)
+        return corrupt(out) if m == seed.mat else out
+
+    monkeypatch.setattr(ExactMatrix, "depolarised", faulty)
+    for ch in channels:
+        certify_cptp(ch)
+    with pytest.raises(ValueError, match="not Hermitian of unit trace"):
+        explore(channels, [seed], 1)
 
 
 # --- reach queries -----------------------------------------------------------------
