@@ -6,7 +6,6 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     ShapeError,
-    gr,
 )
 from .freerot import (
     CollisionReport,
@@ -15,7 +14,6 @@ from .freerot import (
     encode_word,
     freeness_scan,
     make_free_pair,
-    standard_params,
 )
 from .pcp import (
     PCPInstance,
@@ -30,7 +28,6 @@ from .reduction import (
     GeneratorSet,
     MembershipOutcome,
     compile_generators,
-    compose,
     make_target,
     membership_search,
     theory_diff,
@@ -44,7 +41,6 @@ from .resourcegraph import (
     check_complete,
     choi,
     explore,
-    monotone,
     monotone_family,
     quotient,
     reach,

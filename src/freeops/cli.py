@@ -379,13 +379,14 @@ def main(argv=None) -> int:
             "outcome": outcome,
             "wall_time_s": round(time.perf_counter() - start, 6),
         }
+        # Extra files first: a run that fails to write one leaves no report.
+        for path, content in extra.items():
+            Path(path).write_text(content)
         if args.out:
             with open(args.out, "w") as fp:
                 canonical_json(report, fp)
         else:
             canonical_json(report, sys.stdout)
-        for path, content in extra.items():
-            Path(path).write_text(content)
     except (ValueError, OSError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR

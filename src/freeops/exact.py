@@ -82,33 +82,8 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
-    def __add__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return as_gaussian(other) - self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * as_gaussian(other).inverse()
 
     def __str__(self) -> str:
         return gr_to_str(self)
@@ -121,15 +96,6 @@ def as_gaussian(value: EntryLike) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
     return GaussianRational(_as_fraction(value))
-
-
-def gr(re, im=0) -> GaussianRational:
-    """Shorthand constructor accepting ints, Fractions or "p/q" strings."""
-    if isinstance(re, str):
-        re = rat_from_str(re)
-    if isinstance(im, str):
-        im = rat_from_str(im)
-    return GaussianRational(_as_fraction(re), _as_fraction(im))
 
 
 GR_ZERO = GaussianRational(Fraction(0))
@@ -176,8 +142,9 @@ def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple:
 
     x and y are laid out as freerot.Quaternions: four numerators per block,
     then a denominator.  The result has the same layout over the product of
-    the denominators, not reduced.  One and two blocks, the only shapes the
-    program builds, are written out; more go one block at a time.
+    the denominators, not reduced.  One block (a rotation word) and two (a
+    channel) are the only shapes the program builds; any other length fails
+    to unpack.
     """
     if len(x) == 5:
         a1, b1, c1, d1, n1 = x
@@ -189,24 +156,19 @@ def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple:
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
             n1 * n2,
         )
-    if len(x) == 9:
-        a1, b1, c1, d1, e1, f1, g1, h1, n1 = x
-        a2, b2, c2, d2, e2, f2, g2, h2, n2 = y
-        return (
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-            e1 * e2 - f1 * f2 - g1 * g2 - h1 * h2,
-            e1 * f2 + f1 * e2 + g1 * h2 - h1 * g2,
-            e1 * g2 - f1 * h2 + g1 * e2 + h1 * f2,
-            e1 * h2 + f1 * g2 - g1 * f2 + h1 * e2,
-            n1 * n2,
-        )
-    nums = []
-    for k in range(0, len(x) - 1, 4):
-        nums += hamilton((*x[k : k + 4], 1), (*y[k : k + 4], 1))[:4]
-    return (*nums, x[-1] * y[-1])
+    a1, b1, c1, d1, e1, f1, g1, h1, n1 = x
+    a2, b2, c2, d2, e2, f2, g2, h2, n2 = y
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        e1 * e2 - f1 * f2 - g1 * g2 - h1 * h2,
+        e1 * f2 + f1 * e2 + g1 * h2 - h1 * g2,
+        e1 * g2 - f1 * h2 + g1 * e2 + h1 * f2,
+        e1 * h2 + f1 * g2 - g1 * f2 + h1 * e2,
+        n1 * n2,
+    )
 
 
 @lru_cache(maxsize=64)
@@ -328,20 +290,6 @@ class ExactMatrix:
             )
         nums = _matmul_int(self.rows, self.cols, other.cols, self._num, other._num)
         return ExactMatrix._raw(self.rows, other.cols, nums, self._den * other._den)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in addition")
-        den = lcm(self._den, other._den)
-        fa = den // self._den
-        fb = den // other._den
-        nums = [fa * x + fb * y for x, y in zip(self._num, other._num)]
-        return ExactMatrix._raw(self.rows, self.cols, nums, den)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other.scale(-1)
 
     def scale(self, value: EntryLike) -> "ExactMatrix":
         z = as_gaussian(value)

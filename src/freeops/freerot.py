@@ -57,16 +57,6 @@ class RotationParams(Report):
     axis_b: Axis
 
 
-def standard_params() -> RotationParams:
-    """The 3-4-5 pair: cos = 3/5 about +z, the partner about +x."""
-    return RotationParams(
-        cos=Fraction(3, 5),
-        sin=Fraction(4, 5),
-        axis_a=(Fraction(0), Fraction(0), Fraction(1)),
-        axis_b=(Fraction(1), Fraction(0), Fraction(0)),
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class FreePair:
     """Two exact SU(2) rotations as quaternions; letter 0 maps to `a`,

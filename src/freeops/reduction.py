@@ -9,9 +9,9 @@ channels with exact damping turns word search into membership search for
 the channel semigroup.
 
 Every compiled unitary lies in SU(2) x SU(2), so a channel carries its
-unitary as an integer quaternion pair (see freerot): compilation, composition
-and the searches multiply quaternions, and phase equivalence is equality up
-to sign.  A channel acts on states and Choi operators block by block, straight
+unitary as an integer quaternion pair (see freerot): compilation and the
+searches multiply quaternions, and phase equivalence is equality up to sign.
+A channel acts on states and Choi operators block by block, straight
 from its quaternion pair (ExactMatrix.depolarised).  Only the compile report,
 the independent cross-check of a membership witness and the digest of a diff
 witness build the 4x4 ExactMatrix, with freerot.quaternion_matrix.  Each search
@@ -60,31 +60,27 @@ INDISTINGUISHABLE = "indistinguishable_up_to_depth"
 
 @dataclass(frozen=True, slots=True)
 class ChannelElement:
-    """The map rho -> damping * U rho U^dag + (1 - damping) * I/d.
+    """The map rho -> damping * U rho U^dag + (1 - damping) * I/4.
 
-    U is a quaternion pair (or any number of blocks) in SU(2) x SU(2).
-    Composition multiplies the unitaries, multiplies the dampings, and
-    concatenates the generator words, so a composite is again of this form.
+    U is a quaternion pair in SU(2) x SU(2).  A product of two such maps
+    multiplies the unitaries, multiplies the dampings, and concatenates the
+    generator words, so it is again of this form; the searches form it
+    inline.
     """
 
     unitary: Quaternions
     damping: Fraction
     word: Tuple[str, ...] = ()
+    dim = 4
 
     def __post_init__(self):
         q = self.unitary
-        blocks, rest = divmod(len(q) - 1, 4)
-        if rest or not blocks or q[-1] < 1 or gcd(*q) != 1:
-            raise ValueError("channel unitary must be quaternions over a reduced denominator")
-        norms = (sum(v * v for v in q[k : k + 4]) for k in range(0, len(q) - 1, 4))
-        if any(n != q[-1] ** 2 for n in norms):
+        if len(q) != 9 or q[-1] < 1 or gcd(*q) != 1:
+            raise ValueError("channel unitary must be a quaternion pair over a reduced denominator")
+        if any(sum(v * v for v in q[k : k + 4]) != q[-1] ** 2 for k in (0, 4)):
             raise ValueError("channel unitary blocks must be unit quaternions")
         if not (0 < self.damping <= 1):
             raise ValueError("damping must lie in (0, 1]")
-
-    @property
-    def dim(self) -> int:
-        return (len(self.unitary) - 1) // 2
 
     @property
     def label(self) -> str:
@@ -98,15 +94,6 @@ class ChannelElement:
 
     def apply(self, state: ExactDensityMatrix) -> ExactDensityMatrix:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))
-
-
-def compose(x: ChannelElement, y: ChannelElement) -> ChannelElement:
-    """(x compose y)(rho) = x(y(rho)); dampings multiply, words concatenate."""
-    return ChannelElement(
-        unitary=q_mul(x.unitary, y.unitary),
-        damping=x.damping * y.damping,
-        word=x.word + y.word,
-    )
 
 
 def make_target(damping: Fraction) -> ChannelElement:
@@ -398,7 +385,7 @@ def _closure(
         (ch.unitary, ch.label, ch.damping.numerator, ch.damping.denominator)
         for ch in channels
     ]
-    ident = q_identity(channels[0].dim // 2)
+    ident = q_identity(2)
     elems = {(q_phase_key(ident), 1, 1): ((), 0)}
     frontier = [(ident, (), 1, 1)]
     expanded = 0

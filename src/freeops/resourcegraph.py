@@ -16,7 +16,6 @@ export JSON and DOT, and monotone tables JSON.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -252,7 +251,8 @@ def reach(g: ReachGraph, source, target) -> ReachOutcome:
 
 
 def _tarjan_scc(nodes: Sequence[str], adj: Dict[str, List[str]]) -> List[List[str]]:
-    """Tarjan's strongly connected components, on an explicit frame stack."""
+    """Tarjan's strongly connected components, on an explicit frame stack,
+    each emitted after every component it reaches: sinks first."""
     index: Dict[str, int] = {}
     low: Dict[str, int] = {}
     onstack = set()
@@ -297,11 +297,21 @@ class QuotientDAG:
     Edges are the sorted distinct (u, v) class pairs with u != v; like the
     graph's edges they have unit length.  Classes are numbered by ascending
     representative (least member), so representatives strictly increase.
+    `order` lists every class once with every edge running forward, or
+    construction raises ValueError.
     """
 
     classes: Tuple[Tuple[str, ...], ...]
     class_of: Dict[str, int]
     edges: Tuple[Tuple[int, int], ...]
+    order: Tuple[int, ...]
+
+    def __post_init__(self):
+        pos = {c: i for i, c in enumerate(self.order)}
+        if sorted(self.order) != list(range(self.size)) or any(
+            pos[u] >= pos[v] for u, v in self.edges
+        ):
+            raise ValueError("quotient order is not topological: the graph has a cycle")
 
     @property
     def size(self) -> int:
@@ -315,26 +325,6 @@ class QuotientDAG:
         for u, v in self.edges:
             out[u].append(v)
         return out
-
-    def topological_order(self) -> List[int]:
-        """Kahn order, smallest ready class first; raises ValueError on a
-        cycle."""
-        indeg = [0] * self.size
-        for _, v in self.edges:
-            indeg[v] += 1
-        out = self.successors()
-        ready = [i for i in range(self.size) if indeg[i] == 0]  # ascending: a heap
-        order = []
-        while ready:
-            u = heapq.heappop(ready)
-            order.append(u)
-            for v in out[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(ready, v)
-        if len(order) != self.size:
-            raise ValueError("quotient graph contains a cycle")
-        return order
 
     def to_json_dict(self) -> dict:
         return {
@@ -367,27 +357,27 @@ class QuotientDAG:
 
 def quotient(g: ReachGraph) -> QuotientDAG:
     """Collapse mutually reachable nodes; two nodes share a class exactly
-    when each is reachable from the other."""
+    when each is reachable from the other.  The order is Tarjan's emission
+    order reversed."""
     nodes = sorted(g.nodes)
     adj: Dict[str, List[str]] = {n: [] for n in nodes}
     for u, v, _ in g.edges:
         adj[u].append(v)
     for n in adj:
         adj[n] = sorted(set(adj[n]))
-    sccs = [sorted(c) for c in _tarjan_scc(nodes, adj)]
-    sccs.sort(key=lambda c: c[0])
+    emitted = [sorted(c) for c in _tarjan_scc(nodes, adj)]
+    sccs = sorted(emitted, key=lambda c: c[0])
     class_of = {}
     for i, comp in enumerate(sccs):
         for n in comp:
             class_of[n] = i
     class_edges = {(class_of[u], class_of[v]) for u, v, _ in g.edges}
-    q = QuotientDAG(
+    return QuotientDAG(
         classes=tuple(tuple(c) for c in sccs),
         class_of=class_of,
         edges=tuple(sorted((u, v) for u, v in class_edges if u != v)),
+        order=tuple(class_of[c[0]] for c in reversed(emitted)),
     )
-    q.topological_order()  # collapse guarantees acyclicity; fail loudly if not
-    return q
 
 
 UNREACHABLE_VALUE = Fraction(2)
@@ -438,12 +428,6 @@ def _longest_distances(
     return MonotoneTable(base=base, dist=tuple(dist))
 
 
-def monotone(q: QuotientDAG, base: int) -> MonotoneTable:
-    """Longest-path monotone: 1/(l+1) on classes at longest distance l from
-    the base, 2 on classes the base cannot reach."""
-    return _longest_distances(base, q.topological_order(), q.successors())
-
-
 @dataclass(frozen=True, slots=True)
 class MonotoneFamily:
     """One table per class of the quotient: the overcomplete family.  Bit s
@@ -478,11 +462,10 @@ class MonotoneFamily:
 
 
 def monotone_family(q: QuotientDAG) -> MonotoneFamily:
-    order = q.topological_order()
     out = q.successors()
     return MonotoneFamily(
         quotient=q,
-        tables=tuple(_longest_distances(c, order, out) for c in range(q.size)),
+        tables=tuple(_longest_distances(c, q.order, out) for c in range(q.size)),
     )
 
 
@@ -490,9 +473,6 @@ def monotone_family(q: QuotientDAG) -> MonotoneFamily:
 class CheckResult:
     ok: bool
     counterexample: Optional[dict] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_compatible(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
@@ -526,10 +506,9 @@ def check_compatible(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
 def _closure_bitsets(q: QuotientDAG) -> List[int]:
     """Reflexive-transitive closure over the class DAG: a class's row is its
     own bit ORed with its successors' rows, filled in a depth-first
-    post-order of q.edges that owes nothing to the tables it checks."""
-    out: List[List[int]] = [[] for _ in range(q.size)]
-    for u, v in q.edges:
-        out[u].append(v)
+    post-order of q.edges that owes nothing to the tables it checks or to
+    q.order."""
+    out = q.successors()
     rows, seen = [0] * q.size, [False] * q.size
     stack = [(c, False) for c in range(q.size)]  # (class, successors done)
     while stack:

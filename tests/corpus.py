@@ -1,7 +1,8 @@
-"""Shared test fixtures: the instance corpus and independent oracles.
+"""Shared test fixtures: the instance corpus, the default rotation pair,
+channel composition and independent oracles.
 
-Everything here stays deliberately separate from the package code paths it
-checks: solutions are found by exhaustive enumeration, positivity by Sturm
+The oracles stay deliberately separate from the package code paths they
+check: solutions are found by exhaustive enumeration, positivity by Sturm
 chains on the characteristic polynomial of `oracles.char_poly`,
 characteristic polynomials also by Leibniz expansion, and graph
 reachability by pairwise BFS.
@@ -13,12 +14,27 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
-from oracles import char_poly, trace
+from oracles import add, char_poly, mul, trace
+from freeops import cli
 from freeops.exact import ExactDensityMatrix, ExactMatrix, GaussianRational, rat_to_str
+from freeops.freerot import make_free_pair, q_mul
 from freeops.pcp import PCPInstance
+from freeops.reduction import ChannelElement
 from freeops.resourcegraph import CheckResult, MonotoneFamily, ReachGraph, _closure_bitsets
+
+
+# The pair every subcommand builds by default (3-4-5 about +z and +x), read
+# from the CLI's defaults so that the default is stated in one place.
+DEFAULT_PAIR = make_free_pair(cli._rotation_params(SimpleNamespace(**cli.ROTATION_DEFAULTS)))
+
+
+def compose(x: ChannelElement, y: ChannelElement) -> ChannelElement:
+    """(x compose y)(rho) = x(y(rho)): unitaries and dampings multiply, words
+    concatenate.  The searches form this product inline."""
+    return ChannelElement(q_mul(x.unitary, y.unitary), x.damping * y.damping, x.word + y.word)
 
 
 @dataclass(frozen=True)
@@ -200,7 +216,7 @@ def charpoly_by_expansion(matrix: ExactMatrix):
         out = [zero] * (len(p) + len(q) - 1)
         for i, a in enumerate(p):
             for j, b in enumerate(q):
-                out[i + j] = out[i + j] + a * b
+                out[i + j] = add(out[i + j], mul(a, b))
         return out
 
     # entry polynomials of x*I - M
@@ -222,7 +238,7 @@ def charpoly_by_expansion(matrix: ExactMatrix):
         for i in range(n):
             term = poly_mul(term, entry_polys[i, perm[i]])
         for k, c in enumerate(term):
-            total[k] = total[k] + c
+            total[k] = add(total[k], c)
     return tuple(total)
 
 

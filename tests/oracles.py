@@ -2,8 +2,10 @@
 
 Each helper reads and builds a matrix through `entries()`, `entry()`, the
 constructor, `from_rows`, `identity` and `dagger`, and multiplies with its
-own loop over Gaussian-integer numerators, not with `@`.  So an oracle
-shares no code with the kernel it checks.
+own loop over Gaussian-integer numerators, not with `@`.  Sums and products
+of Gaussian rationals, and so matrix sums and differences entry by entry,
+are written here on a GaussianRational's `re` and `im`: the package has no
+such arithmetic.  So an oracle shares no code with the kernel it checks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,37 @@ from math import lcm
 from freeops.exact import ExactMatrix, GaussianRational, ShapeError, rat_from_str
 
 ZERO = GaussianRational(Fraction(0))
+
+
+def gr(re, im=0) -> GaussianRational:
+    """Shorthand constructor accepting ints, Fractions or "p/q" strings."""
+    return GaussianRational(*(rat_from_str(v) if isinstance(v, str) else v for v in (re, im)))
+
+
+def add(*zs: GaussianRational) -> GaussianRational:
+    return GaussianRational(sum(z.re for z in zs), sum(z.im for z in zs))
+
+
+def sub(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    return GaussianRational(a.re - b.re, a.im - b.im)
+
+
+def mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    return GaussianRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def _entrywise(op, a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ShapeError(f"cannot combine {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    return ExactMatrix(a.rows, a.cols, list(map(op, a.entries(), b.entries())))
+
+
+def mat_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return _entrywise(add, a, b)
+
+
+def mat_sub(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return _entrywise(sub, a, b)
 
 
 def _numerators(m: ExactMatrix):
@@ -89,7 +122,7 @@ def mat_pow(m: ExactMatrix, exponent: int) -> ExactMatrix:
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_rows(
         [
-            [a.entry(i1, j1) * b.entry(i2, j2) for j1 in range(a.cols) for j2 in range(b.cols)]
+            [mul(a.entry(i1, j1), b.entry(i2, j2)) for j1 in range(a.cols) for j2 in range(b.cols)]
             for i1 in range(a.rows)
             for i2 in range(b.rows)
         ]
@@ -99,7 +132,7 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def trace(m: ExactMatrix) -> GaussianRational:
     if m.rows != m.cols:
         raise ShapeError("trace requires a square matrix")
-    return sum((m.entry(i, i) for i in range(m.rows)), ZERO)
+    return add(*(m.entry(i, i) for i in range(m.rows)))
 
 
 def is_unitary(m: ExactMatrix) -> bool:
@@ -184,4 +217,4 @@ class KrausChannel:
 
     def apply_to_matrix(self, m: ExactMatrix) -> ExactMatrix:
         terms = [list(_product(_product(k, m), k.dagger()).entries()) for k in self.ops]
-        return ExactMatrix(self.dim, self.dim, [sum(zs, ZERO) for zs in zip(*terms)])
+        return ExactMatrix(self.dim, self.dim, [add(*zs) for zs in zip(*terms)])

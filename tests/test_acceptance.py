@@ -12,15 +12,17 @@ from fractions import Fraction
 
 from corpus import (
     CORPUS,
+    DEFAULT_PAIR,
     SOLVABLE,
     UNSOLVABLE,
     bfs_reachable,
+    compose,
     random_density,
     random_digraph,
 )
 from freeops import cli
 from freeops.exact import ExactDensityMatrix, ExactMatrix
-from freeops.freerot import freeness_scan, make_free_pair, standard_params
+from freeops.freerot import freeness_scan
 from freeops.pcp import FOUND as PCP_FOUND
 from freeops.pcp import solve_bounded, verify_solution
 from freeops.reduction import (
@@ -28,7 +30,6 @@ from freeops.reduction import (
     INDISTINGUISHABLE,
     FOUND,
     compile_generators,
-    compose,
     labeled,
     make_target,
     membership_search,
@@ -41,13 +42,12 @@ from freeops.resourcegraph import (
     demo_graph,
     explore,
     generic_seed,
-    monotone,
     monotone_family,
     quotient,
     reach,
 )
 
-PAIR = make_free_pair(standard_params())
+PAIR = DEFAULT_PAIR
 HALF = Fraction(1, 2)
 
 
@@ -206,9 +206,9 @@ def test_criterion_5_monotone_correctness():
         if q.size > 200:
             failures.append((kind, "too many classes"))
         family = monotone_family(q)
-        if not check_compatible(graph, family):
+        if not check_compatible(graph, family).ok:
             failures.append((kind, "compatibility"))
-        if not check_complete(graph, family):
+        if not check_complete(graph, family).ok:
             failures.append((kind, "completeness"))
         if len(graph.nodes) <= 60:
             # extra independence: dominance against plain pairwise BFS
@@ -223,7 +223,7 @@ def test_criterion_5_monotone_correctness():
 
     fixture = demo_graph()
     q = quotient(fixture)
-    table = monotone(q, q.class_of["rho"])
+    table = monotone_family(q).tables[q.class_of["rho"]]
     if table.value(q.class_of["sigma"]) != Fraction(1, 7):
         failures.append(("fixture", "sigma value"))
     if table.value(q.class_of["omega"]) != 2:

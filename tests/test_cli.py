@@ -501,13 +501,21 @@ def test_unwritable_report_exits_2(tmp_path, capsys):
 
 
 def test_unwritable_dot_exits_2(tmp_path, capsys):
+    """The DOT file is written before the report, so a run that fails to
+    write it leaves no report behind."""
     out = tmp_path / "r.json"
     dot = tmp_path / "missing" / "q.dot"
-    code = run(["monotones", "--graph", "demo", "--out", str(out), "--dot", str(dot)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    inst = write_instance(tmp_path, CLASSIC)
+    for argv in (
+        ["monotones", "--graph", "demo"],
+        ["reach", "--instance", inst, "--depth", "1", "--to", "target:1/4"],
+    ):
+        code = run(argv + ["--out", str(out), "--dot", str(dot)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 # --- diff ------------------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from corpus import CORPUS
-from oracles import block_diag, det, is_unitary, mat_pow, trace
-from freeops.exact import ExactMatrix, GaussianRational, gr, hamilton
+from corpus import CORPUS, DEFAULT_PAIR
+from oracles import block_diag, det, gr, is_unitary, mat_pow, trace
+from freeops.exact import ExactMatrix, GaussianRational, hamilton
 from freeops.freerot import (
     AxisError,
     Collision,
@@ -29,12 +29,11 @@ from freeops.freerot import (
     q_phase_key,
     quaternion_matrix,
     rotation_quaternion,
-    standard_params,
 )
 from freeops.reduction import compile_generators, phase_canonical
 from freeops.util import level_pairs
 
-PAIR = make_free_pair(standard_params())
+PAIR = DEFAULT_PAIR
 A = quaternion_matrix(PAIR.a)
 B = quaternion_matrix(PAIR.b)
 
@@ -269,7 +268,7 @@ def test_scan_determinant_one_everywhere():
 
 
 def _inverse_pair() -> FreePair:
-    params = standard_params()
+    params = PAIR.params
     a = rotation_quaternion(params.cos, params.sin, params.axis_a)
     b = rotation_quaternion(
         params.cos,
@@ -327,11 +326,10 @@ def test_report_json_shape():
 
 def _letter_sets():
     """Letter sets for random words, each letter a (quaternions, matrix)
-    pair: the free pair with the rotation formula's matrices, each corpus
-    instance's compiled unitaries, and three-block diagonals of the rotations
-    (the kernel's block-by-block path), all with their adjoints, the corpus
-    and three-block sets also with a sign flip on one block, so that words
-    can cancel and blocks can disagree in sign."""
+    pair: the free pair with the rotation formula's matrices and each corpus
+    instance's compiled unitaries, all with their adjoints, the corpus sets
+    also with a sign flip on one block, so that words can cancel and blocks
+    can disagree in sign."""
     p = PAIR.params
     rotations = [
         (PAIR.a, reference_rotation(p.cos, p.sin, p.axis_a)),
@@ -340,13 +338,6 @@ def _letter_sets():
     sets = [rotations + [(q_adjoint(q), m.dagger()) for q, m in rotations]]
     ident, minus = ExactMatrix.identity(2), ExactMatrix.identity(2).scale(-1)
     flip = ((1, 0, 0, 0, -1, 0, 0, 0, 1), block_diag(ident, minus))
-    ra, rb = rotations
-    triples = [
-        (q_blocks(*(q for q, _ in t)), block_diag(*(m for _, m in t)))
-        for t in ((ra, rb, ra), (rb, rb, ra))
-    ]
-    flip3 = ((1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 1), block_diag(ident, ident, minus))
-    sets.append(triples + [(q_adjoint(q), m.dagger()) for q, m in triples] + [flip3])
     for entry in CORPUS:
         gens = compile_generators(entry.instance, PAIR, Fraction(1, 2))
         units = [(ch.unitary, quaternion_matrix(ch.unitary)) for ch in gens.channels()]

@@ -9,8 +9,10 @@ test oracles stay off those internals and off the kernel product
 `_matmul_int`, so they share no code with what they check.
 
 Every non-dunder function, method and class in the package must be reached
-from a module-level statement, an `__init__` export or a `[project.scripts]`
-entry point; test-only helpers belong in tests/oracles.py.
+from a module-level statement or a `[project.scripts]` entry point; an
+`__init__` export alone reaches nothing, so every exported name has a caller
+in the package.  Test-only helpers belong in tests/oracles.py.  The guard
+matches names, so it does not see operators: a dunder is never reported.
 """
 
 import ast
@@ -81,7 +83,8 @@ def unreached(sources, entry_points=()):
     reached, iterated to a fixed point; names are matched, not bindings.
     Decorators, defaults and base classes count where the definition
     stands, and a dunder's body counts as part of its enclosing class.
-    The names `__init__` imports and the `entry_points` count as reached.
+    The `entry_points` count as reached; the names `__init__` imports do
+    not, since importing a name does not load it.
     """
     definitions = []  # (label, name, names loaded in its body)
 
@@ -108,12 +111,7 @@ def unreached(sources, entry_points=()):
 
     reached = set(entry_points)
     for module, text in sources.items():
-        tree = ast.parse(text)
-        if module == "__init__":
-            for node in tree.body:
-                if isinstance(node, ast.ImportFrom):
-                    reached.update(alias.name for alias in node.names)
-        visit(tree.body, reached, f"{module}.")
+        visit(ast.parse(text).body, reached, f"{module}.")
     pending = definitions
     while True:
         hit = [d for d in pending if d[1] in reached]
@@ -152,23 +150,23 @@ def test_guard_flags_a_function_called_only_from_an_uncalled_one():
     assert unreached(sources) == ["m.K", "m.K.method"]
 
 
-def test_guard_counts_init_exports_and_entry_points():
+def test_guard_counts_entry_points_not_init_exports():
     sources = {
         "__init__": "from .m import Exported\n",
         "m": "class Exported:\n    def method(self):\n        pass\n\n"
-        "def entry():\n    pass\n",
+        "def entry():\n    return Exported()\n",
     }
-    assert unreached(sources) == ["m.Exported.method", "m.entry"]
+    # An export alone reaches nothing; the entry point reaches what it calls.
+    assert unreached(sources) == ["m.Exported", "m.Exported.method", "m.entry"]
     assert unreached(sources, ["entry"]) == ["m.Exported.method"]
 
 
 def test_guard_skips_dunders_and_reads_their_bodies():
     sources = {
-        "__init__": "from .m import K\n",
-        "m": "class K:\n    def __post_init__(self):\n        self.check()\n\n"
+        "m": "K()\n\nclass K:\n    def __post_init__(self):\n        self.check()\n\n"
         "    def check(self):\n        pass\n\n"
         "    def __repr__(self):\n        return 'K'\n",
     }
     assert unreached(sources) == []
     # Unreached class: its dunder is not reported, and what it calls is not reached.
-    assert unreached({"m": sources["m"]}) == ["m.K", "m.K.check"]
+    assert unreached({"m": sources["m"].replace("K()\n", "")}) == ["m.K", "m.K.check"]

@@ -8,15 +8,27 @@ from math import gcd
 
 import pytest
 
-from corpus import CORPUS, random_density
-from oracles import block, block_diag, det, is_unitary, mat_pow, matrix_from_json, trace, zeros
+from corpus import CORPUS, DEFAULT_PAIR, compose, random_density
+from oracles import (
+    block,
+    block_diag,
+    det,
+    gr,
+    is_unitary,
+    mat_add,
+    mat_pow,
+    mat_sub,
+    matrix_from_json,
+    mul,
+    trace,
+    zeros,
+)
 from freeops import cli
 from freeops.exact import (
     ExactDensityMatrix,
     ExactMatrix,
     GaussianRational,
     ShapeError,
-    gr,
     rat_to_str,
 )
 from freeops.freerot import (
@@ -29,7 +41,6 @@ from freeops.freerot import (
     q_mul,
     q_phase_key,
     quaternion_matrix,
-    standard_params,
 )
 from freeops.pcp import parse_instance, solve_bounded, verify_solution
 from freeops.reduction import (
@@ -40,7 +51,6 @@ from freeops.reduction import (
     ChannelElement,
     _closure,
     compile_generators,
-    compose,
     labeled,
     make_target,
     membership_search,
@@ -50,7 +60,7 @@ from freeops.reduction import (
 from freeops.resourcegraph import choi, explore
 from freeops.util import report_json
 
-PAIR = make_free_pair(standard_params())
+PAIR = DEFAULT_PAIR
 A = quaternion_matrix(PAIR.a)
 B = quaternion_matrix(PAIR.b)
 HALF = Fraction(1, 2)
@@ -193,9 +203,10 @@ def test_apply_identity_channel():
 def reference_apply(ch, m):
     """The channel formula spelled out in ExactMatrix operations."""
     mix = ExactMatrix.identity(ch.dim).scale(
-        trace(m) * GaussianRational((1 - ch.damping) / ch.dim)
+        mul(trace(m), GaussianRational((1 - ch.damping) / ch.dim))
     )
-    return (quaternion_matrix(ch.unitary) @ m @ quaternion_matrix(ch.unitary).dagger()).scale(ch.damping) + mix
+    u = quaternion_matrix(ch.unitary)
+    return mat_add((u @ m @ u.dagger()).scale(ch.damping), mix)
 
 
 def test_apply_to_matrix_matches_reference_formula():
@@ -218,7 +229,7 @@ def test_apply_to_matrix_matches_reference_formula():
         operators.append(ExactMatrix(4, 4, [entry() for _ in range(16)]))
     for _ in range(5):  # zero trace
         m = ExactMatrix(4, 4, [entry() for _ in range(16)])
-        operators.append(m - ExactMatrix.identity(4).scale(trace(m) * gr(Fraction(1, 4))))
+        operators.append(mat_sub(m, ExactMatrix.identity(4).scale(mul(trace(m), gr(Fraction(1, 4))))))
     operators.append(zeros(4, 4))
     assert any(trace(m).im != 0 for m in operators)
     assert sum(trace(m) == gr(0) for m in operators) >= 6
@@ -471,8 +482,9 @@ def test_channel_element_construction_check():
     good = compiled("0|100").g_gens[0].unitary
     ch = ChannelElement(good, HALF, ("G1",))
     assert quaternion_matrix(ch.unitary) == quaternion_matrix(good) and ch.dim == 4
-    assert ChannelElement(q_identity(1), Fraction(1)).dim == 2
     for bad in (
+        q_identity(1),  # one block
+        q_identity(3),  # three blocks
         (1, 1, 0, 0, 1, 0, 0, 0, 1),  # first block of norm 2
         (1, 0, 0, 0, 0, 0, 0, 0, 1),  # second block zero
         (3, 4, 0, 0, 5, 0, 0, 0, 1),  # norm 25 over denominator 1

@@ -7,16 +7,16 @@ from fractions import Fraction
 import pytest
 
 from corpus import (
+    DEFAULT_PAIR,
     check_compatible_pairwise,
     check_complete_pairwise,
     mutual_reachability_classes,
     random_digraph,
     random_graphs,
 )
-from oracles import KrausChannel
+from oracles import KrausChannel, gr, mat_add
 from freeops import cli
-from freeops.exact import ExactDensityMatrix, ExactMatrix, gr
-from freeops.freerot import make_free_pair, standard_params
+from freeops.exact import ExactDensityMatrix, ExactMatrix
 from freeops.pcp import parse_instance
 from freeops.reduction import compile_generators, make_target
 from freeops.resourcegraph import (
@@ -35,13 +35,12 @@ from freeops.resourcegraph import (
     demo_graph,
     explore,
     generic_seed,
-    monotone,
     monotone_family,
     quotient,
     reach,
 )
 
-PAIR = make_free_pair(standard_params())
+PAIR = DEFAULT_PAIR
 HALF = Fraction(1, 2)
 
 X2 = KrausChannel(
@@ -191,8 +190,8 @@ def test_explore_validates_each_new_state_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda m: m + m,  # Hermitian, trace 2
-        lambda m: m + ExactMatrix(4, 4, [int(k == 1) for k in range(16)]),  # trace 1
+        lambda m: mat_add(m, m),  # Hermitian, trace 2
+        lambda m: mat_add(m, ExactMatrix(4, 4, [int(k == 1) for k in range(16)])),  # trace 1
     ],
     ids=["trace-2", "not-hermitian"],
 )
@@ -302,6 +301,9 @@ def test_quotient_matches_mutual_reachability_oracle():
         q = quotient(g)
         assert sorted(q.classes) == sorted(mutual_reachability_classes(g))
         assert kahn_is_acyclic(q)
+        pos = {c: i for i, c in enumerate(q.order)}
+        assert sorted(q.order) == list(range(q.size))
+        assert all(pos[u] < pos[v] for u, v in q.edges)
 
 
 # --- monotones ---------------------------------------------------------------------------
@@ -309,7 +311,7 @@ def test_quotient_matches_mutual_reachability_oracle():
 
 def test_monotone_demo_values():
     q = quotient(demo_graph())
-    table = monotone(q, q.class_of["rho"])
+    table = monotone_family(q).tables[q.class_of["rho"]]
     assert table.value(q.class_of["rho"]) == 1
     assert table.value(q.class_of["sigma"]) == Fraction(1, 7)
     assert table.value(q.class_of["g1"]) == Fraction(1, 8)
@@ -317,19 +319,19 @@ def test_monotone_demo_values():
     assert table.value(q.class_of["a"]) == Fraction(1, 2)
 
 
-def test_monotone_rejects_cycles():
-    bogus = QuotientDAG(
-        classes=(("u",), ("v",)),
-        class_of={"u": 0, "v": 1},
-        edges=((0, 1), (1, 0)),
-    )
-    with pytest.raises(ValueError):
-        monotone(bogus, 0)
+def test_quotient_dag_rejects_an_order_that_is_not_topological():
+    classes, class_of = (("u",), ("v",)), {"u": 0, "v": 1}
+    with pytest.raises(ValueError, match="cycle"):
+        QuotientDAG(classes, class_of, edges=((0, 1), (1, 0)), order=(0, 1))
+    assert QuotientDAG(classes, class_of, edges=((0, 1),), order=(0, 1)).order == (0, 1)
+    for order in ((1, 0), (0, 0), (0,), (0, 1, 2)):
+        with pytest.raises(ValueError):
+            QuotientDAG(classes, class_of, edges=((0, 1),), order=order)
 
 
 def test_monotone_table_json():
     q = quotient(demo_graph())
-    table = monotone(q, q.class_of["rho"])
+    table = monotone_family(q).tables[q.class_of["rho"]]
     reps = tuple(q.representative(c) for c in range(q.size))
     data = table.to_json_dict(reps)
     assert data["base"] == "rho"
@@ -343,8 +345,8 @@ def test_family_compatible_and_complete_on_demo():
     g = demo_graph()
     q = quotient(g)
     family = monotone_family(q)
-    assert check_compatible(g, family)
-    assert check_complete(g, family)
+    assert check_compatible(g, family).ok
+    assert check_complete(g, family).ok
 
 
 def test_compatibility_catches_injected_violation():
@@ -373,7 +375,7 @@ def test_completeness_needs_every_base():
     )
     q = quotient(g)
     family = monotone_family(q)
-    assert check_complete(g, family)
+    assert check_complete(g, family).ok
     dropped = MonotoneFamily(
         quotient=q,
         tables=tuple(t for t in family.tables if t.base != q.class_of["a"]),
@@ -388,8 +390,8 @@ def test_single_node_graph_vacuous_checks():
     g = ReachGraph.synthetic(["only"], [])
     q = quotient(g)
     family = monotone_family(q)
-    assert check_compatible(g, family)
-    assert check_complete(g, family)
+    assert check_compatible(g, family).ok
+    assert check_complete(g, family).ok
 
 
 def test_monotone_values_strictly_decrease_in_reachable_region():
@@ -416,8 +418,8 @@ def test_family_checks_on_random_graphs():
         g = random_digraph(rng, n, rng.randint(n // 2, 3 * n))
         q = quotient(g)
         family = monotone_family(q)
-        assert check_compatible(g, family)
-        assert check_complete(g, family)
+        assert check_compatible(g, family).ok
+        assert check_complete(g, family).ok
 
 
 def test_family_checks_on_explored_graph():
@@ -426,10 +428,10 @@ def test_family_checks_on_explored_graph():
     g = explore(gens.channels(), [seed], 4)
     q = quotient(g)
     family = monotone_family(q)
-    assert check_compatible(g, family)
-    assert check_complete(g, family)
+    assert check_compatible(g, family).ok
+    assert check_complete(g, family).ok
     base = q.class_of[seed.digest()]
-    table = monotone(q, base)
+    table = monotone_family(q).tables[base]
     assert table.value(base) == 1
 
 
