@@ -48,7 +48,7 @@ MONOTONES_INSTANCE_DEFAULTS = {
 # output paths, and the options that a handler resolves into a value of its
 # own (the rotation flags into `rotation`, --from into `from`).
 NOT_CONFIG = frozenset(
-    {"command", "handler", "out", "dot", "cos", "sin", "axis_a", "axis_b", "from_state"}
+    {"command", "handler", "out", "dot", "tables", "cos", "sin", "axis_a", "axis_b", "from_state"}
 )
 
 
@@ -226,7 +226,7 @@ def _cmd_monotones(args):
     complete = resourcegraph.check_complete(graph, family)
     outcome = {
         "classes": q.to_json_dict(),
-        "tables": family.to_json_dict(),
+        "table_summary": family.summary_json(),
         "compatible": compatible.ok,
         "complete": complete.ok,
         "compatible_counterexample": compatible.counterexample,
@@ -234,9 +234,9 @@ def _cmd_monotones(args):
         "graph_nodes": len(graph.nodes),
         "truncated": graph.truncated,
     }
-    extra = {}
-    if args.dot:
-        extra[args.dot] = q.to_dot()
+    extra = {args.dot: q.to_dot()} if args.dot else {}
+    if args.tables:
+        extra[args.tables] = family.to_json_dict()
     code = EXIT_OK if compatible.ok and complete.ok else EXIT_MISMATCH
     return code, resolved, hashes, outcome, extra
 
@@ -353,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int)
     p.add_argument("--seed")
     p.add_argument("--dot", default=None, help="write the quotient as DOT here")
+    p.add_argument("--tables", default=None, help="write the full monotone tables as JSON here")
     _add_common_args(p, budget=None)
     p.set_defaults(handler=_cmd_monotones)
 
@@ -368,10 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args) -> None:
+    """Reject two output options that name one file, as one write would undo another."""
+    seen = {}
+    for option in ("out", "dot", "tables"):
+        path = getattr(args, option, None)
+        if path:  # an empty path writes no file
+            other = seen.setdefault(Path(path).resolve(), option)
+            if other != option:
+                raise ValueError(f"--{other} and --{option} name the same file: {path}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        _check_output_paths(args)
         code, resolved, hashes, outcome, extra = args.handler(args)
         report = {
             "config": _config(args, resolved),
@@ -379,13 +392,16 @@ def main(argv=None) -> int:
             "outcome": outcome,
             "wall_time_s": round(time.perf_counter() - start, 6),
         }
-        # Extra files first: a run that fails to write one leaves no report.
-        for path, content in extra.items():
-            Path(path).write_text(content)
-        if args.out:
-            with open(args.out, "w") as fp:
-                canonical_json(report, fp)
-        else:
+        # The report goes last: a run that fails to write an extra file leaves
+        # no report.  Text (DOT) is written as it is, data as canonical JSON.
+        files = {**extra, args.out: report} if args.out else extra
+        for path, content in files.items():
+            with open(path, "w") as fp:
+                if isinstance(content, str):
+                    fp.write(content)
+                else:
+                    canonical_json(content, fp)
+        if not args.out:
             canonical_json(report, sys.stdout)
     except (ValueError, OSError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

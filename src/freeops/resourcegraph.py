@@ -460,6 +460,15 @@ class MonotoneFamily:
         reps = tuple(q.representative(c) for c in range(q.size))
         return [t.to_json_dict(reps) for t in self.tables]
 
+    def summary_json(self) -> list:
+        """Per table: its base, how many classes it reaches, its longest distance."""
+        rep = self.quotient.representative
+        return [
+            {"base": rep(t.base), "reachable": len(t.dist) - t.dist.count(-1),
+             "max_distance": max(t.dist)}
+            for t in self.tables
+        ]
+
 
 def monotone_family(q: QuotientDAG) -> MonotoneFamily:
     out = q.successors()

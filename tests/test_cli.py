@@ -5,7 +5,7 @@ import json
 import pytest
 
 from freeops import cli
-from freeops import reduction
+from freeops import reduction, resourcegraph
 
 CLASSIC = "1|101\n10|00\n011|11\n"
 TRIVIAL = "0|0\n"
@@ -371,18 +371,30 @@ def test_zero_denominator_is_not_a_rational(tmp_path, capsys, argv):
 def test_monotones_demo(tmp_path):
     out = tmp_path / "r.json"
     dot = tmp_path / "q.dot"
+    tables = tmp_path / "t.json"
     code = run(
-        ["monotones", "--graph", "demo", "--out", str(out), "--dot", str(dot)]
+        ["monotones", "--graph", "demo", "--out", str(out), "--dot", str(dot),
+         "--tables", str(tables)]
     )
     assert code == 0
     report = load(out)
     assert report["outcome"]["compatible"] is True
     assert report["outcome"]["complete"] is True
-    rho_table = next(
-        t for t in report["outcome"]["tables"] if t["base"] == "rho"
-    )
+    assert "tables" not in report["outcome"]
+    assert report["config"] == {"graph": "demo", "subcommand": "monotones", "version": "0.1.0"}
+    rho_table = next(t for t in load(tables) if t["base"] == "rho")
     assert rho_table["values"]["sigma"] == "1/7"
     assert rho_table["values"]["omega"] == "2"
+    q = resourcegraph.quotient(resourcegraph.demo_graph())
+    dist = resourcegraph.monotone_family(q).tables[q.class_of["rho"]].dist
+    summary = report["outcome"]["table_summary"]
+    assert [line["base"] for line in summary] == [t["base"] for t in load(tables)]
+    rho_line = next(line for line in summary if line["base"] == "rho")
+    assert rho_line == {
+        "base": "rho",
+        "reachable": sum(d >= 0 for d in dist),
+        "max_distance": max(dist),
+    }
     assert "subgraph cluster_" in dot.read_text()
 
 
@@ -516,6 +528,57 @@ def test_unwritable_dot_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+def test_unwritable_tables_exits_2(tmp_path, capsys):
+    """The tables file is written before the report, as the DOT file is."""
+    out = tmp_path / "r.json"
+    tables = tmp_path / "missing" / "t.json"
+    code = run(["monotones", "--graph", "demo", "--out", str(out), "--tables", str(tables)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, first, second",
+    [
+        ("monotones", "--out", "--dot"),
+        ("monotones", "--dot", "--out"),
+        ("monotones", "--out", "--tables"),
+        ("monotones", "--dot", "--tables"),
+        ("reach", "--out", "--dot"),
+        ("reach", "--dot", "--out"),
+    ],
+)
+def test_output_paths_must_differ(tmp_path, capsys, monkeypatch, subcommand, first, second):
+    """Two output options that name one file, even spelled differently, exit
+    2 before any work and write nothing."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    inst = write_instance(tmp_path, CLASSIC)
+    argv = {
+        "monotones": ["monotones", "--graph", "demo"],
+        "reach": ["reach", "--instance", inst, "--depth", "1", "--to", "target:1/4"],
+    }[subcommand]
+    code = run(argv + [first, "x.json", second, str(tmp_path / "sub" / ".." / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --")
+    assert "name the same file" in err
+    assert first in err and second in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_output_paths_all_three_distinct(tmp_path):
+    paths = [tmp_path / name for name in ("r.json", "q.dot", "t.json")]
+    argv = ["monotones", "--graph", "demo"]
+    for option, path in zip(("--out", "--dot", "--tables"), paths):
+        argv += [option, str(path)]
+    assert run(argv) == 0
+    assert all(path.exists() for path in paths)
 
 
 # --- diff ------------------------------------------------------------------------------------

@@ -24,7 +24,10 @@ straight-line Hamilton formulas and the closure's dampings integer pairs.
 The three `verify-free` pins were re-taken when the outcome gained its
 `certificate` key (the mod-p freeness certificate, null for the forced
 cos 0 pair); with that key removed, each outcome still hashes to its old
-pin.
+pin.  The four `monotones` pins were re-taken when the report came to hold
+one summary line per table and the full tables moved to the `--tables`
+file; REASSEMBLED keeps their old hashes, which the outcome with its
+summary replaced by the parsed file still reproduces.
 
 The pins hash a re-encoding of the parsed outcome, so the report writer
 itself is checked separately: the raw `--out` bytes, every subcommand's
@@ -59,13 +62,13 @@ PINS = {
     "monotones-demo": (
         ["monotones", "--graph", "demo"],
         0,
-        "ce200600cf730844f13347a2d73965eac81b1b501d83b251078ed0366fe9f81b",
+        "96f14511bc35e380a1549147ab626780bf58434a5e4412f551b15a84d0bd73b5",
         "da7657f502b0bbe74b44fd795c9135cd2808e0a1f108438c2e6cce501875c4bd",
     ),
     "monotones-classic3-depth3": (
         ["monotones", "--instance", "@", "--depth", "3"],
         0,
-        "0acd35485e8e78cb2d070be60cbad9de1660bdc284ac757926176d128bc150ce",
+        "520f91585cc1faad7304e3b5ef92dc3c3eff59aa34e09c192fea5dd1c975d317",
         "eefa6a4849bf56e50a335a07fa04eb9b90b513124b0b4a8efcca90f5d9900dca",
     ),
     "reach-classic3-depth2": (
@@ -165,15 +168,15 @@ PINS = {
     "monotones-classic3-depth3-damping-1-3": (
         ["monotones", "--instance", "@", "--depth", "3", "--seed", "spread", "--damping", "1/3"],
         0,
-        "5c096f5e77bf2156960e648b7eba0c3f482c5045466985c4f4bf66f5fb612789",
+        "8c7f6e864cb655592876f8ef382bf774468ef72423f31292237ecfffb08e7481",
         "b7e7a0e3f432d3afd3c335a1fe54f926b4ab1c1f1eeb07ed769db2ef1dd6f056",
     ),
-    # The benchmark's monotone query in its first tile order: 910 classes
-    # and a 42.6 MB report.
+    # The benchmark's monotone query in its first tile order: 910 classes,
+    # a 331 KB report and 910 x 910 table values in its --tables file.
     "monotones-classic3-depth4": (
         ["monotones", "--instance", "@", "--depth", "4"],
         0,
-        "7ed092afbcd1a960efbca2391db51adb5ae4b7bf6e760627fe63106d2a02ff99",
+        "9489ac593b494eb172d88a53aca5c0c5feaafadb2b7fb7c2a7e151d96c2229db",
         "8ba824bcf0c09025b6263f364d3c92123106023b9274b408a0ef3a7c885be9e6",
     ),
     # The benchmark's three semigroup-search bounds that no pin above covers:
@@ -204,6 +207,18 @@ PINS = {
         "c33c6b6221d11241204f550c6aea08ad28d8c0c83045d0345d9d2cc8be8669a7",
         None,
     ),
+}
+
+
+# The `monotones` pins' outcome hashes from before the full tables left the
+# report for the --tables file.
+REASSEMBLED = {
+    "monotones-demo": "ce200600cf730844f13347a2d73965eac81b1b501d83b251078ed0366fe9f81b",
+    "monotones-classic3-depth3": "0acd35485e8e78cb2d070be60cbad9de1660bdc284ac757926176d128bc150ce",
+    "monotones-classic3-depth3-damping-1-3": (
+        "5c096f5e77bf2156960e648b7eba0c3f482c5045466985c4f4bf66f5fb612789"
+    ),
+    "monotones-classic3-depth4": "7ed092afbcd1a960efbca2391db51adb5ae4b7bf6e760627fe63106d2a02ff99",
 }
 
 
@@ -460,42 +475,78 @@ def test_report_json_rule_matches_hand_written_exports(result, expected):
         ["reach", "--instance", "@", "--depth", "2", "--from", "spread", "--to", "target:1/4"],
         ["monotones", "--graph", "demo"],
         ["monotones", "--instance", "@", "--depth", "2"],
+        ["monotones", "--graph", "demo", "--tables", "t.json"],
+        ["monotones", "--instance", "@", "--depth", "2", "--tables", "t.json"],
         ["diff", "--instance", "@", "--depth", "4"],
     ],
     ids=lambda argv: "-".join(a for a in argv if a != "@"),
 )
 def test_handler_reports_encode_as_stdlib(tmp_path, argv):
-    """The in-memory report, as cli.main builds it, not a parsed copy."""
+    """The in-memory report, as cli.main builds it, not a parsed copy, and
+    the data of the extra files (the --tables SharedKeyDicts)."""
     path = tmp_path / "classic.pcp"
     path.write_text(CLASSIC)
     args = cli.build_parser().parse_args([str(path) if a == "@" else a for a in argv])
-    _, resolved, hashes, outcome, _ = args.handler(args)
+    _, resolved, hashes, outcome, extra = args.handler(args)
     config = cli._config(args, resolved)
     report = {"config": config, "input_hashes": hashes, "outcome": outcome, "wall_time_s": 0.5}
     assert written(report) == stdlib_json(report)
+    data = [content for content in extra.values() if not isinstance(content, str)]
+    assert len(data) == ("--tables" in argv)
+    for content in data:
+        assert written(content) == stdlib_json(content)
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_report_bytes_pinned(tmp_path, name):
-    argv, want_code, outcome_hash, dot_hash = PINS[name]
+def pinned_argv(tmp_path, name):
+    """The pin's argv with its instance files written, and its exit code."""
+    argv, want_code, _, _ = PINS[name]
     files = {"@": CLASSIC, "@minus": CLASSIC_MINUS}
     for token, text in files.items():
         path = tmp_path / f"{token[1:] or 'classic'}.pcp"
         path.write_text(text)
         files[token] = str(path)
+    return [files.get(a, a) for a in argv], want_code
+
+
+def outcome_sha256(outcome) -> str:
+    buf = io.StringIO()
+    canonical_json(outcome, buf)
+    return sha256(buf.getvalue().encode())
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_report_bytes_pinned(tmp_path, name):
+    _, _, outcome_hash, dot_hash = PINS[name]
+    argv, want_code = pinned_argv(tmp_path, name)
     out = tmp_path / "r.json"
     dot = tmp_path / "g.dot"
-    argv = [files.get(a, a) for a in argv] + ["--out", str(out)]
+    argv += ["--out", str(out)]
     if dot_hash is not None:
         argv += ["--dot", str(dot)]
     assert cli.main(argv) == want_code
     text = out.read_text()
     assert text == stdlib_json(json.loads(text))
-    buf = io.StringIO()
-    canonical_json(json.loads(text)["outcome"], buf)
-    assert sha256(buf.getvalue().encode()) == outcome_hash
+    assert outcome_sha256(json.loads(text)["outcome"]) == outcome_hash
     if dot_hash is not None:
         assert sha256(dot.read_bytes()) == dot_hash
+
+
+@pytest.mark.parametrize("name", sorted(REASSEMBLED))
+def test_tables_file_reassembles_old_pins(tmp_path, name):
+    """The --tables file holds the full tables byte for byte: put in place
+    of the summary lines, it gives back the outcome of the old pin."""
+    argv, want_code = pinned_argv(tmp_path, name)
+    out = tmp_path / "r.json"
+    tables = tmp_path / "t.json"
+    assert cli.main(argv + ["--out", str(out), "--tables", str(tables)]) == want_code
+    raw = tables.read_bytes()
+    parsed = json.loads(raw)
+    assert raw == (json.dumps(parsed, indent=2, sort_keys=True) + "\n").encode()
+    outcome = json.loads(out.read_text())["outcome"]
+    assert outcome_sha256(outcome) == PINS[name][2]
+    del outcome["table_summary"]
+    outcome["tables"] = parsed
+    assert outcome_sha256(outcome) == REASSEMBLED[name]
 
 
 def longest_paths_brute_force(q, base):
