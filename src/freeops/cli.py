@@ -34,6 +34,7 @@ EXIT_COLLISION = 11
 EXIT_MISMATCH = 12
 
 ROTATION_DEFAULTS = {"cos": "3/5", "sin": "4/5", "axis_a": "0,0,1", "axis_b": "1,0,0"}
+ROTATION_FLAGS = {"--" + name.replace("_", "-") for name in ROTATION_DEFAULTS}
 # The rotation flags and --damping of every subcommand that compiles an instance.
 INSTANCE_DEFAULTS = {**ROTATION_DEFAULTS, "damping": "1/2"}
 # Options that only `monotones --instance` reads, with their defaults; they
@@ -381,6 +382,10 @@ def _check_output_paths(args) -> None:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse takes "-3/5" for an option: join it with "="
+        if argv[i - 1] in ROTATION_FLAGS and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:

@@ -136,15 +136,19 @@ def _matmul_int(n: int, m: int, p: int, a: Sequence[int], b: Sequence[int]) -> l
     return out
 
 
+UNIT_QUATERNIONS = ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
+
+
 def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple:
     """Blockwise product of integer quaternions in the basis (1, i sigma_z,
     i sigma_y, i sigma_x), which multiply as Hamilton's (1, i, j, k).
 
     x and y are laid out as freerot.Quaternions: four numerators per block,
     then a denominator.  The result has the same layout over the product of
-    the denominators, not reduced.  One block (a rotation word) and two (a
-    channel) are the only shapes the program builds; any other length fails
-    to unpack.
+    the denominators, not reduced.  Callers: freerot.q_mul (one block, a
+    rotation word, or two, a channel), freerot.freeness_certificate, and on
+    UNIT_QUATERNIONS freerot._right_map and _depolarising_maps; any other
+    length fails to unpack.
     """
     if len(x) == 5:
         a1, b1, c1, d1, n1 = x
@@ -179,12 +183,11 @@ def _depolarising_maps(q: tuple, p: int, r: int) -> tuple:
     n = (len(q) - 1) // 2
     d2 = q[-1] * q[-1]
     blocks = [(*q[k : k + 4], 1) for k in range(0, 2 * n, 4)]
-    units = ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
     maps = []
     for u in blocks:
         maps.append([])
         for a, b, c, d, _ in blocks:
-            cols = [hamilton(hamilton(u, e), (a, -b, -c, -d, 1)) for e in units]
+            cols = [hamilton(hamilton(u, e), (a, -b, -c, -d, 1)) for e in UNIT_QUATERNIONS]
             maps[-1].append(tuple(p * n * col[i] for i in range(4) for col in cols))
     return maps, 2 * (r - p) * d2, 2 * r * n * d2
 

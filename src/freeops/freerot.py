@@ -12,18 +12,22 @@ matrix of such blocks as its quaternions side by side over one denominator.
 The rotations, their words and every compiled generator are kept in this
 form; quaternion_matrix gives the ExactMatrix that one stands for.  The only
 scalars in SU(2) x SU(2) are +-I, so equality up to a global phase reduces
-to equality up to sign.
+to equality up to sign.  The freeness scan multiplies each level as four
+integer columns, the child of word i by letter bit at index 2i + bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import compress, islice, repeat
 from math import gcd, lcm
+from operator import add, mul, ne, not_
 from typing import Dict, Optional, Tuple
 
-from .exact import ExactMatrix, GaussianRational, hamilton
-from .util import Report, level_pairs
+from .exact import UNIT_QUATERNIONS, ExactMatrix, GaussianRational, hamilton
+from .util import Report, level_cut
 
 Axis = Tuple[Fraction, Fraction, Fraction]
 # Integer numerators, four per 2x2 block, then one positive denominator.
@@ -107,15 +111,9 @@ def encode_word(pair: FreePair, bits: str) -> Quaternions:
     The empty word maps to the identity, 0 to `a`, 1 to `b`, and
     concatenation to multiplication.
     """
-    result = q_identity(1)
-    for ch in bits:
-        if ch == "0":
-            result = q_mul(result, pair.a)
-        elif ch == "1":
-            result = q_mul(result, pair.b)
-        else:
-            raise ValueError(f"binary words may only contain 0 and 1, got {ch!r}")
-    return result
+    if any(ch not in "01" for ch in bits):
+        raise ValueError(f"binary words may only contain 0 and 1, got {bits!r}")
+    return reduce(q_mul, (pair.b if ch == "1" else pair.a for ch in bits), q_identity(1))
 
 
 def _reduced(nums: list, den: int) -> Quaternions:
@@ -217,6 +215,18 @@ class CollisionReport(Report):
         return not self.collisions and not self.scalar_words
 
 
+def _right_map(q: Quaternions, den: int) -> list:
+    """Rows of x -> x q with q over den, read off hamilton on UNIT_QUATERNIONS."""
+    g = (*(v * (den // q[4]) for v in q[:4]), 1)
+    return list(zip(*(hamilton(e, g)[:4] for e in UNIT_QUATERNIONS)))
+
+
+def _combine(row, cols, stop: int) -> list:
+    """The entrywise sum of row[j] * cols[j][:stop], one map per nonzero row[j]."""
+    terms = [map(mul, repeat(c), islice(col, stop)) for c, col in zip(row, cols) if c]
+    return list(reduce(partial(map, add), terms)) if terms else [0] * stop
+
+
 def freeness_scan(
     pair: FreePair,
     max_len: int,
@@ -229,38 +239,41 @@ def freeness_scan(
     report certifies that no collision exists up to the scanned bound,
     scanned_max_len, which is the last length scanned in full when the
     budget cuts the scan; it never claims anything beyond it.
-    """
+
+    Level L is four integer columns, the words' numerators over D^L, D the
+    lcm of the letters' denominators.  Child 2i + bit of word i is word i
+    times letter bit, one map per nonzero coefficient of its _right_map, so
+    word k spells k in L binary digits and is kept as the code 2^L + k.  Keys
+    are the numerators and D^L over their gcd: the reduced q_mul product."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    gens = (("0", pair.a), ("1", pair.b))
-    seen = {}
-    collisions = []
-    scalar_words = []
+    den = lcm(pair.a[4], pair.b[4])
+    maps = [_right_map(pair.a, den), _right_map(pair.b, den)]
+    cols = [[1], [0], [0], [0]]  # the empty word: the identity
+    seen, collisions, scalar_words = {}, [], []
     count = 0
-    scanned = 0
-    truncated = False
-    level = [("", q_identity(1))]
     for length in range(1, max_len + 1):
-        pairs, truncated = level_pairs(level, gens, node_budget - count)
-        next_level = []
-        for (word, q), (bit, g) in pairs:
-            count += 1
-            child = q_mul(q, g)
-            child_word = word + bit
-            if q_is_scalar(child):
-                scalar_words.append(child_word)
-            prev = seen.get(child)
-            if prev is None:
-                seen[child] = child_word
-            else:
-                collisions.append(Collision(prev, child_word))
-            next_level.append((child_word, child))
+        kept, truncated = level_cut(len(cols[0]), len(maps), node_budget - count)
+        kids = [[_combine(row, cols, (kept + 1) // 2) for row in m] for m in maps]
+        cols = [c0 + c1 for c0, c1 in zip(*kids)]  # the right length, filled next
+        for col, c0, c1 in zip(cols, *kids):
+            col[::2], col[1::2] = c0, c1
+            del col[kept:]
+        codes = range(1 << length, (1 << length) + kept)
+        keys = list(zip(*cols, repeat(den**length)))
+        common = reduce(partial(map, gcd), cols, repeat(den))  # gcd with D is 1 iff with D^L
+        for k in compress(range(kept), map(ne, common, repeat(1))):
+            g = gcd(*keys[k])
+            keys[k] = tuple(v // g for v in keys[k])
+        x1_zero = compress(range(kept), map(not_, cols[1]))
+        scalar_words += (bin(codes[k])[3:] for k in x1_zero if not (cols[2][k] or cols[3][k]))
+        firsts = list(map(seen.setdefault, keys, codes))  # the first code with each key
+        collisions += (Collision(bin(a)[3:], bin(b)[3:]) for a, b in zip(firsts, codes) if a != b)
+        count += kept
         if truncated:
             break
-        scanned = length
-        level = next_level
     return CollisionReport(
-        scanned_max_len=scanned,
+        scanned_max_len=length - 1 if truncated else length,
         word_count=count,
         collisions=tuple(collisions),
         scalar_words=tuple(scalar_words),

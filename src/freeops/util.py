@@ -127,14 +127,16 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def level_cut(frontier_len: int, letter_count: int, budget: int) -> Tuple[int, bool]:
+    """The budget rule of every bounded search, in expansions (one letter on
+    one stored item): a level keeps the first max(budget, 0) of its frontier_len
+    x letter_count, frontier-major, and is truncated exactly when one more was due."""
+    kept = min(frontier_len * letter_count, max(budget, 0))
+    return kept, frontier_len * letter_count > kept
+
+
 def level_pairs(frontier: Sized, letters: Sized, budget: int) -> Tuple[Iterator, bool]:
     """One breadth-first level: the (item, letter) pairs of frontier x letters
-    in that order, cut after `budget` pairs, and whether the cut dropped any.
-
-    This is the budget rule of every bounded search: the budget counts
-    expansions (one letter applied to one stored item), and a search is
-    truncated exactly when one more expansion was due.
-    """
-    budget = max(budget, 0)
-    pairs = islice(product(frontier, letters), budget)
-    return pairs, len(frontier) * len(letters) > budget
+    in that order, cut by level_cut, and whether the cut dropped any."""
+    kept, truncated = level_cut(len(frontier), len(letters), budget)
+    return islice(product(frontier, letters), kept), truncated

@@ -11,9 +11,11 @@ such arithmetic.  So an oracle shares no code with the kernel it checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from freeops.exact import ExactMatrix, GaussianRational, ShapeError, rat_from_str
+from freeops.freerot import Collision, CollisionReport
 
 ZERO = GaussianRational(Fraction(0))
 
@@ -190,6 +192,51 @@ def gr_from_str(text: str) -> GaussianRational:
                 rat_from_str(body[:idx]), rat_from_str(body[idx] + body[idx + 1 :])
             )
     return GaussianRational(Fraction(0), rat_from_str(body))
+
+
+def _block(q) -> tuple:
+    """The 2x2 matrix ((alpha, beta), (-conj(beta), conj(alpha))) that the
+    quaternion tuple q stands for: alpha = (q0 + i q1) / q4, beta = (q2 + i q3) / q4."""
+    alpha = GaussianRational(Fraction(q[0], q[4]), Fraction(q[1], q[4]))
+    beta = GaussianRational(Fraction(q[2], q[4]), Fraction(q[3], q[4]))
+    return ((alpha, beta), (-beta.conjugate(), alpha.conjugate()))
+
+
+def _mul_2x2(x: tuple, y: tuple) -> tuple:
+    return tuple(
+        tuple(add(mul(x[i][0], y[0][j]), mul(x[i][1], y[1][j])) for j in (0, 1)) for i in (0, 1)
+    )
+
+
+def reference_scan(pair, max_len: int, node_budget: int) -> CollisionReport:
+    """The freeness scan word by word: each word's 2x2 matrix multiplied out
+    from the identity with this module's Gaussian-rational arithmetic, the
+    words of each length in lexicographic order, and the scan cut short at
+    the first word past the budget.  A word is scalar when its matrix is
+    c * I for any c, zero included; a collision is an exactly equal matrix."""
+    letters = {"0": _block(pair.a), "1": _block(pair.b)}
+    one = gr(1)
+    seen, collisions, scalar_words = {}, [], []
+    count = scanned = 0
+    for length in range(1, max_len + 1):
+        for bits in product("01", repeat=length):
+            if count >= node_budget:
+                return CollisionReport(
+                    scanned, count, tuple(collisions), tuple(scalar_words), True
+                )
+            word = "".join(bits)
+            m = ((one, ZERO), (ZERO, one))
+            for ch in word:
+                m = _mul_2x2(m, letters[ch])
+            count += 1
+            (a, b), (c, d) = m
+            if not b and not c and a == d:
+                scalar_words.append(word)
+            first = seen.setdefault(m, word)
+            if first != word:
+                collisions.append(Collision(first, word))
+        scanned = length
+    return CollisionReport(scanned, count, tuple(collisions), tuple(scalar_words), False)
 
 
 def matrix_from_json(data: dict) -> ExactMatrix:

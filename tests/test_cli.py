@@ -71,6 +71,35 @@ def test_verify_free_rejects_bad_params(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-free", "--max-len", "3"],
+        ["compile", "--instance", "@"],
+        ["membership", "--instance", "@", "--depth", "2"],
+        ["reach", "--instance", "@", "--depth", "1", "--to", "basis:1"],
+        ["monotones", "--instance", "@", "--depth", "1"],
+        ["diff", "--instance", "@", "--depth", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_rotation_values_take_either_form(tmp_path, argv):
+    # argparse reads a token like -3/5 as an option unless it is joined
+    # with "="; every subcommand with rotation flags takes both forms.
+    inst = write_instance(tmp_path, CLASSIC)
+    argv = [inst if a == "@" else a for a in argv]
+    flags = [("--cos", "-3/5"), ("--sin", "-4/5"), ("--axis-a", "0,0,-1"), ("--axis-b", "-1,0,0")]
+    runs = []
+    for form in ([f for pair in flags for f in pair], [f"{f}={v}" for f, v in flags]):
+        out = tmp_path / f"{len(runs)}.json"
+        runs.append((run(argv + form + ["--out", str(out)]), normalized(load(out))))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 10)
+    assert load(out)["config"]["rotation"] == {
+        "cos": "-3/5", "sin": "-4/5", "axis_a": ["0", "0", "-1"], "axis_b": ["-1", "0", "0"]
+    }
+
+
 # --- solve-pcp ----------------------------------------------------------------------
 
 

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from corpus import CORPUS, DEFAULT_PAIR
-from oracles import block_diag, det, gr, is_unitary, mat_pow, trace
+from oracles import block_diag, det, gr, is_unitary, mat_pow, reference_scan, trace
 from freeops.exact import ExactMatrix, GaussianRational, hamilton
 from freeops.freerot import (
     AxisError,
     Collision,
+    CollisionReport,
     FreenessError,
     FreePair,
     PythagoreanError,
@@ -295,6 +296,18 @@ def test_scan_budget_truncation():
     assert report.scanned_max_len == 5
 
 
+def test_scan_odd_budget_splits_a_parents_children():
+    # Level 2 of the inverse pair is 00, 01, 10, 11, and 01 = 10 = I.  A
+    # budget of 5 keeps 00, 01 and 10: word 1's children are split, 10 still
+    # collides with 01, and 11 is never computed.
+    pair = _inverse_pair()
+    expected = CollisionReport(1, 5, (Collision("01", "10"),), ("01", "10"), True)
+    assert freeness_scan(pair, 3, node_budget=5) == expected
+    assert freeness_scan(pair, 3, node_budget=3) == CollisionReport(1, 3, (), (), True)
+    # 6 words fill lengths 1-2; 3 of length 3 are kept, the last a 0-child
+    assert freeness_scan(PAIR, 4, node_budget=9) == CollisionReport(2, 9, (), (), True)
+
+
 def test_level_pairs_cut_at_budget():
     frontier, letters = ["u", "v"], "xyz"
     everything = [(f, l) for f in frontier for l in letters]
@@ -498,3 +511,63 @@ def test_certified_pair_has_no_scalar_reduced_word(pair):
     for word, q, residues in reduced_words(pair, 8, cert.prime):
         assert not q_is_scalar(q), word
         assert any(residues), word
+
+
+# --- the columnar scan against the word-by-word reference ---------------------------------
+
+
+def forced_pair(cos, sin, axes) -> FreePair:
+    """The pair that `verify-free --force` builds: no freeness checks."""
+    axis_a, axis_b = (tuple(Fraction(v) for v in AXES[k]) for k in axes)
+    params = RotationParams(Fraction(cos), Fraction(sin), axis_a, axis_b)
+    a, b = (rotation_quaternion(params.cos, params.sin, axis) for axis in (axis_a, axis_b))
+    return FreePair(a, b, params)
+
+
+def half_i_pair() -> FreePair:
+    """The forced cos 1/2, sin 0 pair of the golden pins: a = b = I/2, so the
+    letters are not unit and every word is scalar, with gcd 1 and den 2^L."""
+    pair = forced_pair("1/2", 0, "zx")
+    assert pair.a == pair.b == (1, 0, 0, 0, 2)
+    return pair
+
+
+SCAN_PAIRS = {
+    "default": lambda: PAIR,
+    "inverse": _inverse_pair,
+    "cos0-sin1": lambda: forced_pair(0, 1, "zx"),
+    "same-axis": lambda: forced_pair("3/5", "4/5", "zz"),
+    "half-i": half_i_pair,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_PAIRS))
+def test_scan_matches_reference_at_every_budget(name):
+    pair = SCAN_PAIRS[name]()
+    for budget in range(32):
+        assert freeness_scan(pair, 4, node_budget=budget) == reference_scan(pair, 4, budget)
+
+
+@pytest.mark.parametrize(
+    "cos, sin, axes", [("3/5", "4/5", "zx"), ("5/13", "12/13", "yz"), ("15/17", "8/17", "zx")]
+)
+def test_scan_matches_reference_on_certified_pairs(cos, sin, axes):
+    pair = make_free_pair(forced_pair(cos, sin, axes).params)
+    assert freeness_certificate(pair) is not None
+    report = freeness_scan(pair, 8)
+    assert report == reference_scan(pair, 8, 1_000_000)
+    assert report.is_empty and report.word_count == 510 and not report.truncated
+
+
+@pytest.mark.parametrize("name", sorted(set(SCAN_PAIRS) - {"default"}))
+def test_scan_matches_reference_on_forced_pairs(name):
+    pair = SCAN_PAIRS[name]()
+    report = freeness_scan(pair, 6)
+    assert report == reference_scan(pair, 6, 1_000_000)
+    assert not report.is_empty and report.word_count == 126
+
+
+@given(rotation_pairs(), st.integers(0, 70))
+@settings(max_examples=25, deadline=None)
+def test_scan_matches_reference_on_random_pairs(pair, budget):
+    assert freeness_scan(pair, 5, node_budget=budget) == reference_scan(pair, 5, budget)
