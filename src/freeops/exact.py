@@ -13,6 +13,9 @@ upper triangle, O(n^3) with exact divisions, unit trace compares the diagonal
 numerators with the denominator, and a depolarising channel step
 (`depolarised`) maps each 2x2 block in quaternion coordinates by one cached
 integer 4x4 map per block pair, and normalises its result once.
+A Hermitian matrix is also a reduced integer key (`hermitian_key`), and a
+Choi operator gives its channel's integer map on keys (`choi_key_map`),
+which the state exploration applies.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter, neg
 from typing import Iterator, Sequence, Union
 
 EntryLike = Union["GaussianRational", Fraction, int]
@@ -192,6 +196,21 @@ def _depolarising_maps(q: tuple, p: int, r: int) -> tuple:
     return maps, 2 * (r - p) * d2, 2 * r * n * d2
 
 
+@lru_cache(maxsize=8)
+def _key_slots(d: int) -> tuple:
+    """Where a d x d Hermitian key's numerators sit in _num, and the getter
+    of _num from the key followed by its negated imaginary parts and a zero."""
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    slots = [2 * (i * d + i) for i in range(d)]
+    slots += [2 * (i * d + j) + part for part in (0, 1) for i, j in upper]
+    spread = [d * d + len(upper) + 1] * (2 * d * d)  # the zero
+    for k, slot in enumerate(slots):
+        spread[slot] = k
+    for t, (i, j) in enumerate(upper):  # the lower triangle
+        spread[2 * (j * d + i)], spread[2 * (j * d + i) + 1] = d + t, d * d + 1 + t
+    return tuple(slots), itemgetter(*spread)
+
+
 class ExactMatrix:
     """Immutable dense matrix over Gaussian rationals.
 
@@ -266,6 +285,14 @@ class ExactMatrix:
             entries[i * n + i] = as_gaussian(v)
         return cls(n, n, entries)
 
+    @classmethod
+    def from_hermitian_key(cls, d: int, key: Sequence[int]) -> "ExactMatrix":
+        """The d x d Hermitian matrix a key spells (see hermitian_key); a key
+        need not be reduced."""
+        n = d * d
+        ext = (*key, *map(neg, key[(n + d) // 2 : n]), 0)
+        return cls._raw(d, d, _key_slots(d)[1](ext), key[-1])
+
     # -- element access -------------------------------------------------------
 
     def entry(self, i: int, j: int) -> GaussianRational:
@@ -330,6 +357,8 @@ class ExactMatrix:
         U X U^dag is u_k P conj(u_l) + i u_k R conj(u_l): one cached 4x4
         integer map on two 4-vectors.  Any square operator is accepted,
         Hermitian or not; normalising the result cancels the doubling.
+        Callers: ChannelElement.apply_to_matrix, for choi and
+        ChannelElement.apply; explore applies Choi key maps instead.
         """
         n = self.rows
         if self.cols != n or len(q) != 2 * n + 1:
@@ -367,6 +396,37 @@ class ExactMatrix:
                 nums[k] += tr
                 nums[k + 1] += ti
         return ExactMatrix._raw(n, n, nums, den * self._den)
+
+    def hermitian_key(self) -> tuple:
+        """A Hermitian matrix's reduced integer coordinates: the diagonal's
+        numerators, the real and then the imaginary parts of the upper
+        triangle (row-major), the denominator.  Equal keys mean equal
+        matrices, and a key spells only Hermitian ones."""
+        return (*(self._num[k] for k in _key_slots(self.rows)[0]), self._den)
+
+    def choi_key_map(self, d: int) -> tuple:
+        """The map on Hermitian keys of the channel with this Choi operator J,
+        Phi(E_ij)[a, b] = J[a*d + i, b*d + j], as integer rows over J's
+        denominator (the last row scales the key's).  A Hermitian J keeps
+        images Hermitian, so their upper triangle is all; others raise ValueError."""
+        n = d * d
+        if (self.rows, self.cols) != (n, n):
+            raise ShapeError("a Choi operator of a d-dimensional channel is d^2 x d^2")
+        if not self.is_hermitian():
+            raise ValueError("Choi operator is not Hermitian")
+        slots, num = _key_slots(d)[0], self._num
+
+        def at(i, j, s, flip=0):  # Phi(E_ij) at key slot s, or at its other part
+            e, part = divmod(s, 2)
+            return num[2 * ((e // d * d + i) * n + e % d * d + j) + (part ^ flip)]
+
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        cols = [[at(i, i, s) for s in slots] for i in range(d)]
+        cols += [[at(i, j, s) + at(j, i, s) for s in slots] for i, j in pairs]
+        # Im z_ij enters as i E_ij - i E_ji; times i, a real part is -Im and an imaginary Re
+        cols += [[(s % 2 * 2 - 1) * (at(i, j, s, 1) - at(j, i, s, 1)) for s in slots]
+                 for i, j in pairs]
+        return (*((*row, 0) for row in zip(*cols)), (0,) * n + (self._den,))
 
     def partial_trace_first(self, dim_first: int, dim_second: int) -> "ExactMatrix":
         """Trace out the first tensor factor of a (d1*d2)-dimensional operator."""

@@ -21,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, mul, ne, not_
+from operator import ne, not_
 from typing import Dict, Optional, Tuple
 
 from .exact import UNIT_QUATERNIONS, ExactMatrix, GaussianRational, hamilton
-from .util import Report, level_cut
+from .util import Report, combine, level_cut
 
 Axis = Tuple[Fraction, Fraction, Fraction]
 # Integer numerators, four per 2x2 block, then one positive denominator.
@@ -221,12 +221,6 @@ def _right_map(q: Quaternions, den: int) -> list:
     return list(zip(*(hamilton(e, g)[:4] for e in UNIT_QUATERNIONS)))
 
 
-def _combine(row, cols, stop: int) -> list:
-    """The entrywise sum of row[j] * cols[j][:stop], one map per nonzero row[j]."""
-    terms = [map(mul, repeat(c), islice(col, stop)) for c, col in zip(row, cols) if c]
-    return list(reduce(partial(map, add), terms)) if terms else [0] * stop
-
-
 def freeness_scan(
     pair: FreePair,
     max_len: int,
@@ -254,7 +248,7 @@ def freeness_scan(
     count = 0
     for length in range(1, max_len + 1):
         kept, truncated = level_cut(len(cols[0]), len(maps), node_budget - count)
-        kids = [[_combine(row, cols, (kept + 1) // 2) for row in m] for m in maps]
+        kids = [[combine(row, cols, (kept + 1) // 2) for row in m] for m in maps]
         cols = [c0 + c1 for c0, c1 in zip(*kids)]  # the right length, filled next
         for col, c0, c1 in zip(cols, *kids):
             col[::2], col[1::2] = c0, c1

@@ -11,12 +11,13 @@ the channel semigroup.
 Every compiled unitary lies in SU(2) x SU(2), so a channel carries its
 unitary as an integer quaternion pair (see freerot): compilation and the
 searches multiply quaternions, and phase equivalence is equality up to sign.
-A channel acts on states and Choi operators block by block, straight
-from its quaternion pair (ExactMatrix.depolarised).  Only the compile report,
-the independent cross-check of a membership witness and the digest of a diff
-witness build the 4x4 ExactMatrix, with freerot.quaternion_matrix.  Each search
-expands one level at a time through util.level_pairs, so a node budget
-counts expansions in all of them.
+A channel acts on an operator (the matrix units choi reads, a target's
+source) block by block, straight from its quaternion pair
+(ExactMatrix.depolarised); explore applies its Choi key map.  Only the
+compile report, the independent cross-check of a membership witness and the
+digest of a diff witness build the 4x4 ExactMatrix, with
+freerot.quaternion_matrix.  Each search expands one level at a time through
+util.level_pairs, so a node budget counts expansions in all of them.
 
 Comparing a generator set F with F + {T} needs only F's closure.  Every
 generator of F lies in both sets and realizes itself in either closure, so

@@ -10,14 +10,19 @@ every edge and reproduces the reachability partial order exactly on the
 explored graph.  Both checks read one dominance relation: class r dominates
 class s when no table's distance at s is below its distance at r.
 
-A reach graph keeps only state digests and exports DOT only; quotients
-export JSON and DOT, and monotone tables JSON.
+The exploration applies each channel's certified Choi operator to integer
+columns of state keys, a level at a time.  A reach graph keeps only state
+digests and exports DOT only; quotients export JSON and DOT, and monotone
+tables JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import gcd
+from operator import floordiv
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
@@ -27,7 +32,7 @@ from .exact import (
     ShapeError,
     rat_to_str,
 )
-from .util import Report, SharedKeyDict, level_pairs
+from .util import Report, SharedKeyDict, combine, level_cut
 
 
 class NotCPTPError(ValueError):
@@ -133,19 +138,23 @@ def explore(
 ) -> ReachGraph:
     """Breadth-first closure of the seeds under the channels.
 
-    A channel is any object with `dim`, `label` and a linear
-    `apply_to_matrix`.  States are keyed by their exact canonical matrix; a
-    node id, the state's digest, is computed once, when the state is found.
-    The budget counts expansions (one channel applied to one stored state),
-    so at most node_budget states join the seeds.
+    A channel is any object with `dim`, `label` and an `apply_to_matrix`
+    for choi.  A state is kept as its Hermitian key, and its node id, the
+    digest, is computed once, when it is found.  The budget counts
+    expansions (one channel applied to one stored state), so at most
+    node_budget states join the seeds.  A level is one integer column per
+    key coordinate; each channel's children of the kept parents are its key
+    map on the columns (util.combine), reduced by their gcd, and taken in
+    the frontier-major order that util.level_cut keeps.
 
-    No child is put through the PSD test, by proof: each channel is
-    Choi-certified through the apply_to_matrix that makes the children; a
-    linear map with a PSD Choi operator is completely positive (Choi 1975)
-    and, with partial trace I, trace preserving, so by induction from the
-    validated seeds every child is a density matrix.  Each new state still
-    gets the O(n^2) Hermitian and unit-trace checks, which raise ValueError;
-    the test suite runs the PSD oracles over explored states.
+    No child is put through the PSD test, by proof: a child is its parent
+    under Phi_J(X) = sum_ij X_ij Phi(E_ij), Phi(E_ij)[a, b] = J[a*d + i,
+    b*d + j], the linear map whose Choi operator is the J that certify_cptp
+    returns.  That J is PSD with partial trace I, so Phi_J is completely
+    positive and trace preserving (Choi 1975), and by induction from the
+    validated seeds every child is a density matrix.  A key spells only
+    Hermitian matrices, and a Hermitian J keeps images Hermitian.  Each new
+    state still gets the O(d) unit-trace check, which raises ValueError.
     """
     if not channels:
         raise ValueError("need at least one channel")
@@ -154,46 +163,45 @@ def explore(
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     dim = channels[0].dim
-    for ch in channels:
-        if ch.dim != dim:
-            raise ShapeError("all channels must act on the same dimension")
-        certify_cptp(ch)
-    for s in seeds:
-        if s.dim != dim:
-            raise ShapeError("seed dimension does not match the channels")
+    if any(ch.dim != dim for ch in channels):
+        raise ShapeError("all channels must act on the same dimension")
+    maps = [certify_cptp(ch).choi_key_map(dim) for ch in channels]
+    labels = [ch.label for ch in channels]
+    if any(s.dim != dim for s in seeds):
+        raise ShapeError("seed dimension does not match the channels")
 
-    states: Dict[ExactMatrix, str] = {}  # state -> digest, in discovery order
-    seed_ids = []
-    frontier = []
-    for s in seeds:
-        nid = states.get(s.mat)
-        if nid is None:
-            nid = states[s.mat] = s.digest()
-            frontier.append((nid, s.mat))
-        seed_ids.append(nid)
+    states = {s.mat.hermitian_key(): s.digest() for s in seeds}  # in discovery order
+    keys, ids = list(states), list(states.values())  # the frontier
+    seed_ids = tuple(ids)
     edges: Dict[Tuple[str, str, str], None] = {}  # insertion-ordered set
     expanded = 0
     truncated = False
     for _ in range(max_depth):
-        pairs, truncated = level_pairs(frontier, channels, node_budget - expanded)
-        next_frontier = []
-        for (nid, state), ch in pairs:
-            expanded += 1
-            m = ch.apply_to_matrix(state)
-            oid = states.get(m)
+        kept, truncated = level_cut(len(ids), len(maps), node_budget - expanded)
+        expanded += kept
+        cols = list(zip(*keys))
+        children = [None] * kept  # frontier-major: parent p, channel c at p * len(maps) + c
+        for c, rows in enumerate(maps):
+            kids = [combine(row, cols, len(range(c, kept, len(maps)))) for row in rows]
+            common = list(map(gcd, *kids))
+            children[c::len(maps)] = zip(*(map(floordiv, col, common) for col in kids))
+        parents, ids, keys = ids, [], []
+        for (nid, label), key in zip(product(parents, labels), children):
+            oid = states.get(key)
             if oid is None:
-                if not (m.is_hermitian() and m.has_unit_trace()):
-                    raise ValueError(f"channel {ch.label}: a child is not Hermitian of unit trace")
-                oid = states[m] = m.digest()
-                next_frontier.append((oid, m))
-            edges[(nid, oid, ch.label)] = None
+                m = ExactMatrix.from_hermitian_key(dim, key)
+                if not m.has_unit_trace():
+                    raise ValueError(f"channel {label}: a child is not Hermitian of unit trace")
+                oid = states[key] = m.digest()
+                ids.append(oid)
+                keys.append(key)
+            edges[(nid, oid, label)] = None
         if truncated:
             break
-        frontier = next_frontier
     return ReachGraph(
         nodes=tuple(states.values()),
         edges=tuple(edges),
-        seeds=tuple(dict.fromkeys(seed_ids)),
+        seeds=seed_ids,
         truncated=truncated,
     )
 

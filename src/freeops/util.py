@@ -1,5 +1,5 @@
-"""Small shared helpers: the report JSON rule, canonical JSON, hashing and
-the breadth-first level loop of every bounded search."""
+"""Small shared helpers: the report JSON rule, canonical JSON, hashing,
+the breadth-first level loop of every bounded search and its column form."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
-from itertools import chain, islice, product
+from functools import partial, reduce
+from itertools import chain, islice, product, repeat
+from operator import add, mul
 from typing import Iterator, Sized, Tuple
 
 from .exact import GaussianRational
@@ -140,3 +142,9 @@ def level_pairs(frontier: Sized, letters: Sized, budget: int) -> Tuple[Iterator,
     in that order, cut by level_cut, and whether the cut dropped any."""
     kept, truncated = level_cut(len(frontier), len(letters), budget)
     return islice(product(frontier, letters), kept), truncated
+
+
+def combine(row, cols, stop: int) -> list:
+    """The entrywise sum of row[j] * cols[j][:stop], one map per nonzero row[j]."""
+    terms = [map(mul, repeat(c), islice(col, stop)) for c, col in zip(row, cols) if c]
+    return list(reduce(partial(map, add), terms)) if terms else [0] * stop

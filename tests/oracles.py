@@ -16,6 +16,8 @@ from math import lcm
 
 from freeops.exact import ExactMatrix, GaussianRational, ShapeError, rat_from_str
 from freeops.freerot import Collision, CollisionReport
+from freeops.resourcegraph import ReachGraph, certify_cptp
+from freeops.util import level_pairs
 
 ZERO = GaussianRational(Fraction(0))
 
@@ -265,3 +267,47 @@ class KrausChannel:
     def apply_to_matrix(self, m: ExactMatrix) -> ExactMatrix:
         terms = [list(_product(_product(k, m), k.dagger()).entries()) for k in self.ops]
         return ExactMatrix(self.dim, self.dim, [add(*zs) for zs in zip(*terms)])
+
+
+def reference_states(channels, seeds, max_depth: int, node_budget: int = 100_000):
+    """The exploration child by child: every channel certified, then each
+    kept (state, channel) pair of util.level_pairs through the channel's own
+    apply_to_matrix, and each new child checked Hermitian of unit trace.
+    Returns the graph and its states, as matrices, in discovery order."""
+    for ch in channels:
+        certify_cptp(ch)
+    states = {}  # matrix -> digest, in discovery order
+    frontier = []
+    for s in seeds:
+        if s.mat not in states:
+            states[s.mat] = s.digest()
+            frontier.append((states[s.mat], s.mat))
+    edges = {}
+    expanded = 0
+    truncated = False
+    for _ in range(max_depth):
+        pairs, truncated = level_pairs(frontier, channels, node_budget - expanded)
+        next_frontier = []
+        for (nid, state), ch in pairs:
+            expanded += 1
+            m = ch.apply_to_matrix(state)
+            if m not in states:
+                if not (m.is_hermitian() and trace(m) == GaussianRational(1)):
+                    raise ValueError(f"channel {ch.label}: a child is not Hermitian of unit trace")
+                states[m] = m.digest()
+                next_frontier.append((states[m], m))
+            edges[(nid, states[m], ch.label)] = None
+        if truncated:
+            break
+        frontier = next_frontier
+    graph = ReachGraph(
+        nodes=tuple(states.values()),
+        edges=tuple(edges),
+        seeds=tuple(dict.fromkeys(states[s.mat] for s in seeds)),
+        truncated=truncated,
+    )
+    return graph, tuple(states)
+
+
+def reference_explore(channels, seeds, max_depth: int, node_budget: int = 100_000) -> ReachGraph:
+    return reference_states(channels, seeds, max_depth, node_budget)[0]

@@ -17,6 +17,7 @@ from corpus import (
     sturm_is_psd,
 )
 from oracles import (
+    KrausChannel,
     block,
     block_diag,
     char_poly,
@@ -28,6 +29,7 @@ from oracles import (
     mat_sub,
     matrix_from_json,
     mul,
+    reference_states,
     trace,
     zeros,
 )
@@ -42,7 +44,7 @@ from freeops.exact import (
 )
 from freeops.freerot import encode_word, q_blocks, q_identity, quaternion_matrix
 from freeops.reduction import ChannelElement, compile_generators, make_target
-from freeops.resourcegraph import choi, explore, generic_seed
+from freeops.resourcegraph import certify_cptp, choi, explore, generic_seed
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=97)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -248,34 +250,23 @@ def test_psd_agrees_with_sturm_oracle_on_singular_and_sparse_matrices():
     assert min(seen.values()) > 100, seen
 
 
-def explored_states(monkeypatch, seed):
+def explored_states(seed):
     """Every state of the `reach --depth 4` graph over classic3 from the
-    seed, in discovery order: the seed and the channel outputs that are
-    graph nodes.  explore trusts these to be PSD by the channels' Choi
-    certificates and runs no PSD test on them itself."""
-    outputs = []
-    apply = ChannelElement.apply_to_matrix
-
-    def recording(ch, m):
-        out = apply(ch, m)
-        outputs.append(out)
-        return out
-
-    monkeypatch.setattr(ChannelElement, "apply_to_matrix", recording)
+    seed, in discovery order, as the child-by-child reference exploration
+    finds them; explore gives the same graph.  explore trusts these to be
+    PSD by the channels' Choi certificates and runs no PSD test on them."""
     classic3 = next(e for e in CORPUS if e.name == "classic3")
-    gens = compile_generators(classic3.instance, DEFAULT_PAIR, Fraction(1, 2))
-    g = explore(gens.channels(), [seed], 4)
-    monkeypatch.undo()
-    nodes = set(g.nodes)
-    states = list(dict.fromkeys([seed.mat] + [m for m in outputs if m.digest() in nodes]))
+    channels = compile_generators(classic3.instance, DEFAULT_PAIR, Fraction(1, 2)).channels()
+    g, states = reference_states(channels, [seed], 4)
+    assert explore(channels, [seed], 4) == g
     assert [m.digest() for m in states] == list(g.nodes)
     return states
 
 
-def test_psd_agrees_with_sturm_oracle_on_explored_states(monkeypatch):
+def test_psd_agrees_with_sturm_oracle_on_explored_states():
     # The seed and its 1,519 or 909 new states.
     for seed, new in ((generic_seed(4), 1519), (ExactDensityMatrix.basis_state(4, 0), 909)):
-        states = explored_states(monkeypatch, seed)
+        states = explored_states(seed)
         assert len(states) == 1 + new
         for m in states:
             assert m.is_hermitian() and trace(m) == gr(1)
@@ -500,6 +491,91 @@ def test_depolarised_shape_checked():
         ExactMatrix.identity(6).depolarised(two_blocks, half)
     with pytest.raises(ShapeError, match="square"):
         zeros(4, 2).depolarised(two_blocks, half)
+
+
+# --- Hermitian keys and the Choi key map ------------------------------------------------
+
+
+def hermitian_st(n, small=False):
+    """A + A^dag for an n x n operator A: any Hermitian operator, any trace.
+    Small draws a few numerators over denominators 1 and 2, so that equal
+    matrices come up; otherwise numerators up to 2^100 over a random
+    denominator."""
+    nums = st.integers(-2, 2) if small else st.integers(-(2**100), 2**100)
+    dens = st.integers(1, 2) if small else st.integers(1, 2**64)
+
+    def build(pairs, den):
+        a = ExactMatrix(n, n, [gr(Fraction(x, den), Fraction(y, den)) for x, y in pairs])
+        return mat_add(a, a.dagger())
+
+    return st.builds(build, st.lists(st.tuples(nums, nums), min_size=n * n, max_size=n * n), dens)
+
+
+def apply_key_map(rows, key):
+    """Each row's dot product with the key: the image's key, not reduced."""
+    return tuple(sum(c * v for c, v in zip(row, key)) for row in rows)
+
+
+@given(st.integers(1, 5).flatmap(hermitian_st))
+def test_hermitian_key_round_trip(m):
+    key = m.hermitian_key()
+    d = m.rows
+    assert len(key) == d * d + 1 and key[-1] > 0 and gcd(*key) == 1
+    assert ExactMatrix.from_hermitian_key(d, key) == m
+    # An unreduced key spells the same matrix.
+    assert ExactMatrix.from_hermitian_key(d, tuple(3 * v for v in key)) == m
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(hermitian_st(n, True), hermitian_st(n, True))))
+def test_hermitian_keys_equal_exactly_when_matrices_are(pair):
+    a, b = pair
+    assert (a.hermitian_key() == b.hermitian_key()) == (a == b)
+    assert a.hermitian_key() == a.scale(Fraction(7, 7)).hermitian_key()
+
+
+def test_hermitian_key_layout():
+    m = ExactMatrix.from_rows([
+        [gr(1), gr(2, 3), gr(4, -5)],
+        [gr(2, -3), gr(6), gr(7, 8)],
+        [gr(4, 5), gr(7, -8), gr(-9)],
+    ]).scale(Fraction(1, 10))
+    assert m.hermitian_key() == (1, 6, -9, 2, 4, 7, 3, -5, 8, 10)
+
+
+def key_map_channels():
+    """Every channel classic3 compiles to, a target, a y-axis pair at damping
+    2/7, and a 2x2 Kraus channel with imaginary Kraus entries."""
+    classic3 = next(e for e in CORPUS if e.name == "classic3")
+    channels = compile_generators(classic3.instance, DEFAULT_PAIR, Fraction(1, 2)).channels()
+    y_axis = q_blocks((5, 0, 12, 0, 13), (12, 0, 0, 5, 13))
+    rotation = ExactMatrix.from_rows([[gr("3/5"), gr(0, "4/5")], [gr(0, "4/5"), gr("3/5")]])
+    return [*channels, make_target(Fraction(1, 3)), ChannelElement(y_axis, Fraction(2, 7)),
+            KrausChannel((rotation,), "R")]
+
+
+KEY_MAP_CHANNELS = key_map_channels()
+
+
+@given(
+    st.sampled_from(KEY_MAP_CHANNELS).flatmap(
+        lambda ch: st.tuples(st.just(ch), hermitian_st(ch.dim))
+    )
+)
+def test_choi_key_map_matches_apply_to_matrix(ch_and_m):
+    ch, m = ch_and_m
+    rows = certify_cptp(ch).choi_key_map(ch.dim)
+    image = ExactMatrix.from_hermitian_key(ch.dim, apply_key_map(rows, m.hermitian_key()))
+    assert image == ch.apply_to_matrix(m)
+
+
+def test_choi_key_map_rejects_a_non_hermitian_operator():
+    for ch in KEY_MAP_CHANNELS:
+        j = choi(ch)
+        unit = ExactMatrix(j.rows, j.cols, [int(k == 1) for k in range(j.rows * j.cols)])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            mat_add(j, unit).choi_key_map(ch.dim)
+    with pytest.raises(ShapeError):
+        choi(KEY_MAP_CHANNELS[0]).choi_key_map(2)
 
 
 # --- canonical form ------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,9 +15,10 @@ from corpus import (
     random_digraph,
     random_graphs,
 )
-from oracles import KrausChannel, gr, mat_add
-from freeops import cli
+from oracles import KrausChannel, gr, mat_add, reference_explore
+from freeops import cli, resourcegraph
 from freeops.exact import ExactDensityMatrix, ExactMatrix
+from freeops.freerot import make_free_pair
 from freeops.pcp import parse_instance
 from freeops.reduction import compile_generators, make_target
 from freeops.resourcegraph import (
@@ -42,11 +44,33 @@ from freeops.resourcegraph import (
 
 PAIR = DEFAULT_PAIR
 HALF = Fraction(1, 2)
+CLASSIC3 = "1|101\n10|00\n011|11\n"
 
 X2 = KrausChannel(
     (ExactMatrix.from_rows([[gr(0), gr(1)], [gr(1), gr(0)]]),), "X"
 )
 ID2 = KrausChannel((ExactMatrix.identity(2),), "id")
+
+
+def _kraus(*rows_list):
+    return tuple(ExactMatrix.from_rows(rows) for rows in rows_list)
+
+
+# A 3-4-5 rotation with imaginary off-diagonal entries, and amplitude
+# damping with Kraus operators diag(1, 3/5) and 4/5 |0><1|.
+ROTATION2 = KrausChannel(
+    _kraus([[gr("3/5"), gr(0, "4/5")], [gr(0, "4/5"), gr("3/5")]]), "R"
+)
+DAMP2 = KrausChannel(
+    _kraus([[gr(1), gr(0)], [gr(0), gr("3/5")]], [[gr(0), gr("4/5")], [gr(0), gr(0)]]), "A"
+)
+Y_AXIS_PAIR = make_free_pair(cli._rotation_params(
+    SimpleNamespace(cos="5/13", sin="12/13", axis_a="0,1,0", axis_b="0,0,1")
+))
+
+
+def classic3(pair=PAIR, damping=HALF):
+    return compile_generators(parse_instance(CLASSIC3), pair, damping).channels()
 
 
 def kahn_is_acyclic(q: QuotientDAG) -> bool:
@@ -152,10 +176,12 @@ def test_explore_worker_counts_agree():
 def test_explore_validates_each_new_state_once(tmp_path, monkeypatch):
     """On `reach --depth 3` over classic3, is_psd runs only on the source,
     the target and each channel's Choi operator: a child is a density matrix
-    because its channel is certified.  Each new state goes once through the
-    Hermitian and unit-trace checks; a child whose state is already known is
-    not checked again."""
-    psd, trace_checked, hermitian = [], [], set()
+    because its channel is certified.  A child is J applied to a Hermitian
+    key, so it is Hermitian by construction: the Hermitian test runs on the
+    Choi operators (certification and the map reader) and on no explored
+    state.  Each new state goes once through the unit-trace check; a child
+    whose state is already known is not checked again."""
+    psd, trace_checked, hermitian = [], [], []
     is_psd, has_unit_trace, is_hermitian = (
         ExactMatrix.is_psd, ExactMatrix.has_unit_trace, ExactMatrix.is_hermitian
     )
@@ -171,9 +197,9 @@ def test_explore_validates_each_new_state_once(tmp_path, monkeypatch):
     monkeypatch.setattr(
         ExactMatrix, "has_unit_trace", recording(trace_checked.append, has_unit_trace)
     )
-    monkeypatch.setattr(ExactMatrix, "is_hermitian", recording(hermitian.add, is_hermitian))
+    monkeypatch.setattr(ExactMatrix, "is_hermitian", recording(hermitian.append, is_hermitian))
     path = tmp_path / "classic3.pcp"
-    path.write_text("1|101\n10|00\n011|11\n")
+    path.write_text(CLASSIC3)
     out = tmp_path / "r.json"
     argv = ["reach", "--instance", str(path), "--depth", "3", "--from", "spread",
             "--to", "target:1/4", "--out", str(out)]
@@ -181,38 +207,87 @@ def test_explore_validates_each_new_state_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     nodes = json.loads(out.read_text())["outcome"]["graph_nodes"]
     assert [m.rows for m in psd] == [4, 4] + [16] * 6  # source, target, one Choi per channel
+    source, target = psd[:2]
     new = trace_checked[2:]  # after the source and the target
     assert len(new) == nodes - 1 > 100
     assert len(set(new)) == len(new)
-    assert all(m in hermitian for m in new)
+    assert {m for m in hermitian if m.rows == 16} == set(psd[2:])
+    assert {m for m in hermitian if m.rows == 4} == {source, target}
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda m: mat_add(m, m),  # Hermitian, trace 2
-        lambda m: mat_add(m, ExactMatrix(4, 4, [int(k == 1) for k in range(16)])),  # trace 1
-    ],
-    ids=["trace-2", "not-hermitian"],
-)
-def test_explore_rejects_a_child_that_is_not_a_state(monkeypatch, corrupt):
-    """A channel kernel that still passes Choi certification (the seed is
-    not a matrix unit) but maps the seed to a non-state is caught by the
-    per-child checks."""
+def test_explore_children_come_from_the_choi_operator(monkeypatch):
+    """A faulty channel kernel that spares the matrix units, so that choi
+    still reads the honest operator, no longer reaches the children."""
     seed = generic_seed(4)
-    gens = compile_generators(parse_instance("1|101\n10|00\n011|11\n"), PAIR, HALF)
-    channels = gens.channels()
+    channels = classic3()
+    honest = explore(channels, [seed], 2)
     depolarised = ExactMatrix.depolarised
 
     def faulty(m, q, damping):
         out = depolarised(m, q, damping)
-        return corrupt(out) if m == seed.mat else out
+        return mat_add(out, out) if m == seed.mat else out
 
     monkeypatch.setattr(ExactMatrix, "depolarised", faulty)
-    for ch in channels:
-        certify_cptp(ch)
-    with pytest.raises(ValueError, match="not Hermitian of unit trace"):
-        explore(channels, [seed], 1)
+    assert explore(channels, [seed], 2) == honest
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda j: j.scale(2), "not Hermitian of unit trace"),  # Hermitian, PSD, trace 2
+        (lambda j: mat_add(j, ExactMatrix(16, 16, [int(k == 1) for k in range(256)])),
+         "Choi operator is not Hermitian"),
+    ],
+    ids=["trace-2", "not-hermitian"],
+)
+def test_explore_rejects_a_child_that_is_not_a_state(monkeypatch, corrupt, message):
+    """A certificate that does not describe a channel is caught: by the
+    unit-trace check on the first new state, or by the map reader."""
+    certify = resourcegraph.certify_cptp
+    monkeypatch.setattr(resourcegraph, "certify_cptp", lambda ch: corrupt(certify(ch)))
+    with pytest.raises(ValueError, match=message):
+        explore(classic3(), [generic_seed(4)], 1)
+
+
+SEEDS = {
+    "spread": lambda: generic_seed(4),
+    "basis:0": lambda: ExactDensityMatrix.basis_state(4, 0),
+    "maxmixed": lambda: ExactDensityMatrix.maximally_mixed(4),
+}
+EXPLORE_CASES = {
+    **{f"classic3-{name}-depth4": (classic3, [seed], 4) for name, seed in SEEDS.items()},
+    "classic3-y-axis-damping-2-3-depth3": (
+        lambda: classic3(Y_AXIS_PAIR, Fraction(2, 3)), [SEEDS["spread"]], 3
+    ),
+    "classic3-two-seeds-depth2": (
+        classic3, [SEEDS["basis:0"], SEEDS["spread"], SEEDS["basis:0"]], 2
+    ),
+    "kraus-id": (lambda: [ID2], [lambda: ExactDensityMatrix.basis_state(2, 0)], 3),
+    "kraus-bit-flip": (lambda: [X2], [lambda: ExactDensityMatrix.basis_state(2, 0)], 4),
+    "kraus-rotation-damping": (
+        lambda: [X2, ROTATION2, DAMP2], [lambda: ExactDensityMatrix.maximally_mixed(2)], 5
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EXPLORE_CASES)
+def test_explore_equals_reference(case):
+    """The columnar exploration gives the child-by-child one's graph: the
+    same nodes, the same edges in the same order, seeds and truncation."""
+    channels, seeds, depth = EXPLORE_CASES[case]
+    channels, seeds = channels(), [s() for s in seeds]
+    g = explore(channels, seeds, depth)
+    assert g == reference_explore(channels, seeds, depth)
+
+
+def test_explore_equals_reference_at_every_budget():
+    """Budgets 0 to 43 on classic3 at depth 3 (6 + 36 expansions fill two
+    levels), so the cuts fall inside a parent's six children too."""
+    channels, seeds = classic3(), [generic_seed(4)]
+    for budget in range(44):
+        g = explore(channels, seeds, 3, node_budget=budget)
+        assert g == reference_explore(channels, seeds, 3, node_budget=budget), budget
+        assert len(g.edges) == budget and g.truncated
 
 
 # --- reach queries -----------------------------------------------------------------
