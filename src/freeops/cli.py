@@ -154,15 +154,12 @@ def _cmd_compile(args):
 
 
 def _cmd_membership(args):
-    if args.depth < 2:  # the shortest scalar word, G_i H_i, has two letters
-        raise ValueError(f"membership --depth must be at least 2, got {args.depth}")
     gens, resolved, hashes = _compiled(args)
     result = reduction.membership_search(
         gens, args.depth, mode=args.mode, node_budget=args.budget
     )
-    oracle = pcp.solve_bounded(
-        gens.instance, max(1, args.depth // 2), node_budget=args.budget
-    )
+    # a witness of n letters is a tile solution of length n
+    oracle = pcp.solve_bounded(gens.instance, args.depth, node_budget=args.budget)
     agree = (result.status == reduction.FOUND) == (oracle.status == pcp.FOUND)
     if not agree and (result.truncated or oracle.truncated):
         agree = None  # a budget cut, not a disagreement
@@ -248,8 +245,9 @@ def _cmd_diff(args):
     if args.target_damping is not None:
         target_damping = rat_from_str(args.target_damping)
     else:
-        # Match the target to the shortest tile solution realizable within
-        # the bound when one exists; otherwise any value refutes equally.
+        # A solution of length n <= depth // 2, doubled, is one of length 2n
+        # <= depth, which realizes T_{p^{2n}} within the bound; without one,
+        # any value refutes equally.
         probe = pcp.solve_bounded(
             gens.instance, max(1, args.depth // 2), node_budget=args.budget
         )

@@ -9,10 +9,8 @@ positive denominator with gcd(numerators, denominator) = 1.  That canonical
 form makes structural equality exact and lets the hot operations run on
 plain integers: the positive-semidefinite test is a fraction-free (Bareiss)
 symmetric-pivot elimination of the numerator matrix that updates only the
-upper triangle, O(n^3) with exact divisions, unit trace compares the diagonal
-numerators with the denominator, and a depolarising channel step
-(`depolarised`) maps each 2x2 block in quaternion coordinates by one cached
-integer 4x4 map per block pair, and normalises its result once.
+upper triangle, O(n^3) with exact divisions, and unit trace compares the
+diagonal numerators with the denominator.
 A Hermitian matrix is also a reduced integer key (`hermitian_key`), and a
 Choi operator gives its channel's integer map on keys (`choi_key_map`),
 which the state exploration applies.
@@ -70,9 +68,6 @@ class GaussianRational:
         object.__setattr__(self, "re", _as_fraction(self.re))
         object.__setattr__(self, "im", _as_fraction(self.im))
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         """Squared modulus; always a plain rational."""
         return self.re * self.re + self.im * self.im
@@ -85,12 +80,6 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __str__(self) -> str:
-        return gr_to_str(self)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -150,9 +139,9 @@ def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple:
     x and y are laid out as freerot.Quaternions: four numerators per block,
     then a denominator.  The result has the same layout over the product of
     the denominators, not reduced.  Callers: freerot.q_mul (one block, a
-    rotation word, or two, a channel), freerot.freeness_certificate, and on
-    UNIT_QUATERNIONS freerot._right_map and _depolarising_maps; any other
-    length fails to unpack.
+    rotation word or a reset vector, or two, a channel's pair),
+    freerot.freeness_certificate, and on UNIT_QUATERNIONS freerot._right_map
+    and ChannelElement.operator; any other length fails to unpack.
     """
     if len(x) == 5:
         a1, b1, c1, d1, n1 = x
@@ -177,23 +166,6 @@ def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple:
         e1 * h2 + f1 * g2 - g1 * f2 + h1 * e2,
         n1 * n2,
     )
-
-
-@lru_cache(maxsize=64)
-def _depolarising_maps(q: tuple, p: int, r: int) -> tuple:
-    """What ExactMatrix.depolarised needs of q and the damping p/r: per block
-    row k, the row-major 4x4 maps x -> p*n * u_k x conj(u_l), then the trace
-    coefficient and the output denominator, both doubled like the coordinates."""
-    n = (len(q) - 1) // 2
-    d2 = q[-1] * q[-1]
-    blocks = [(*q[k : k + 4], 1) for k in range(0, 2 * n, 4)]
-    maps = []
-    for u in blocks:
-        maps.append([])
-        for a, b, c, d, _ in blocks:
-            cols = [hamilton(hamilton(u, e), (a, -b, -c, -d, 1)) for e in UNIT_QUATERNIONS]
-            maps[-1].append(tuple(p * n * col[i] for i in range(4) for col in cols))
-    return maps, 2 * (r - p) * d2, 2 * r * n * d2
 
 
 @lru_cache(maxsize=8)
@@ -321,6 +293,17 @@ class ExactMatrix:
         nums = _matmul_int(self.rows, self.cols, other.cols, self._num, other._num)
         return ExactMatrix._raw(self.rows, other.cols, nums, self._den * other._den)
 
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeError(
+                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
+            )
+        a, b = other._den, self._den
+        nums = [x * a + y * b for x, y in zip(self._num, other._num)]
+        return ExactMatrix._raw(self.rows, self.cols, nums, a * b)
+
     def scale(self, value: EntryLike) -> "ExactMatrix":
         z = as_gaussian(value)
         den = lcm(z.re.denominator, z.im.denominator)
@@ -347,55 +330,6 @@ class ExactMatrix:
                 nums[dst] = num[src]
                 nums[dst + 1] = -num[src + 1]
         return ExactMatrix._raw(self.cols, self.rows, nums, self._den)
-
-    def depolarised(self, q: Sequence[int], damping: Fraction) -> "ExactMatrix":
-        """damping * U @ self @ U^dag + (1 - damping) * trace(self)/n * I.
-
-        U is the block-diagonal unitary of the quaternion tuple q (see
-        freerot.Quaternions).  A 2x2 block X of self is P + iR, P and R real
-        quaternions in doubled, integral coordinates, and block (k, l) of
-        U X U^dag is u_k P conj(u_l) + i u_k R conj(u_l): one cached 4x4
-        integer map on two 4-vectors.  Any square operator is accepted,
-        Hermitian or not; normalising the result cancels the doubling.
-        Callers: ChannelElement.apply_to_matrix, for choi and
-        ChannelElement.apply; explore applies Choi key maps instead.
-        """
-        n = self.rows
-        if self.cols != n or len(q) != 2 * n + 1:
-            raise ShapeError("operator must be square and match the unitary's blocks")
-        maps, c, den = _depolarising_maps(tuple(q), damping.numerator, damping.denominator)
-        num = self._num
-        w = 2 * n
-        nums = []
-        for top, row in zip(range(0, w * n, 2 * w), maps):
-            lower = []
-            for j, (m00, m01, m02, m03, m10, m11, m12, m13,
-                    m20, m21, m22, m23, m30, m31, m32, m33) in zip(range(top, top + w, 4), row):
-                ar, ai, br, bi = num[j : j + 4]  # x00, x01
-                cr, ci, dr, di = num[j + w : j + w + 4]  # x10, x11
-                p0, p1, p2, p3 = ar + dr, ai - di, br - cr, bi + ci
-                r0, r1, r2, r3 = ai + di, dr - ar, bi - ci, -br - cr
-                p0, p1, p2, p3, r0, r1, r2, r3 = (
-                    m00 * p0 + m01 * p1 + m02 * p2 + m03 * p3,
-                    m10 * p0 + m11 * p1 + m12 * p2 + m13 * p3,
-                    m20 * p0 + m21 * p1 + m22 * p2 + m23 * p3,
-                    m30 * p0 + m31 * p1 + m32 * p2 + m33 * p3,
-                    m00 * r0 + m01 * r1 + m02 * r2 + m03 * r3,
-                    m10 * r0 + m11 * r1 + m12 * r2 + m13 * r3,
-                    m20 * r0 + m21 * r1 + m22 * r2 + m23 * r3,
-                    m30 * r0 + m31 * r1 + m32 * r2 + m33 * r3,
-                )
-                nums += (p0 - r1, p1 + r0, p2 - r3, p3 + r2)
-                lower += (-p2 - r3, p3 - r2, p0 + r1, r0 - p1)
-            nums += lower
-        if c:
-            # The real parts of the diagonal sit 2n + 2 apart in _num.
-            tr = c * sum(num[0 :: w + 2])
-            ti = c * sum(num[1 :: w + 2])
-            for k in range(0, w * n, w + 2):
-                nums[k] += tr
-                nums[k + 1] += ti
-        return ExactMatrix._raw(n, n, nums, den * self._den)
 
     def hermitian_key(self) -> tuple:
         """A Hermitian matrix's reduced integer coordinates: the diagonal's
@@ -463,28 +397,17 @@ class ExactMatrix:
                     return False
         return True
 
+    def trace(self) -> GaussianRational:
+        if self.rows != self.cols:
+            raise ShapeError("trace requires a square matrix")
+        step = 2 * self.rows + 2  # the diagonal's real parts sit this far apart in _num
+        re, im = sum(self._num[::step]), sum(self._num[1::step])
+        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
+
     def has_unit_trace(self) -> bool:
         """Whether a square matrix has trace exactly 1, on its numerators."""
         step = 2 * self.rows + 2
         return sum(self._num[::step]) == self._den and not sum(self._num[1::step])
-
-    def as_scalar(self):
-        """Return c when the matrix equals c * identity, else None."""
-        if self.rows != self.cols:
-            raise ShapeError("scalar test requires a square matrix")
-        n = self.rows
-        num = self._num
-        dr = num[0]
-        di = num[1]
-        for i in range(n):
-            for j in range(n):
-                k = 2 * (i * n + j)
-                if i == j:
-                    if num[k] != dr or num[k + 1] != di:
-                        return None
-                elif num[k] != 0 or num[k + 1] != 0:
-                    return None
-        return GaussianRational(Fraction(dr, self._den), Fraction(di, self._den))
 
     def is_psd(self) -> bool:
         """Exact positive-semidefiniteness for Hermitian matrices.

@@ -10,10 +10,10 @@ The kernel stores [[alpha, beta], [-conj(beta), conj(alpha)]] as the
 integer quaternion (Re alpha, Im alpha, Re beta, Im beta), a block-diagonal
 matrix of such blocks as its quaternions side by side over one denominator.
 The rotations, their words and every compiled generator are kept in this
-form; quaternion_matrix gives the ExactMatrix that one stands for.  The only
-scalars in SU(2) x SU(2) are +-I, so equality up to a global phase reduces
-to equality up to sign.  The freeness scan multiplies each level as four
-integer columns, the child of word i by letter bit at index 2i + bit.
+form.  The only scalars in SU(2) x SU(2) are +-I, so equality up to a
+global phase reduces to equality up to sign.  The freeness scan multiplies
+each level as four integer columns, the child of word i by letter bit at
+index 2i + bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import ne, not_
 from typing import Dict, Optional, Tuple
 
-from .exact import UNIT_QUATERNIONS, ExactMatrix, GaussianRational, hamilton
+from .exact import UNIT_QUATERNIONS, hamilton
 from .util import Report, combine, level_cut
 
 Axis = Tuple[Fraction, Fraction, Fraction]
@@ -125,20 +125,6 @@ def _reduced(nums: list, den: int) -> Quaternions:
     return (*nums, den)
 
 
-def quaternion_matrix(q: Quaternions) -> ExactMatrix:
-    """The block-diagonal matrix that a quaternion tuple stands for: block k
-    is [[alpha, beta], [-conj(beta), conj(alpha)]], read from q[4k : 4k + 4]."""
-    n = (len(q) - 1) // 2
-    entries = [0] * (n * n)
-    for k in range(0, 2 * n, 4):
-        a, b, c, d = (Fraction(v, q[-1]) for v in q[k : k + 4])
-        alpha, beta = GaussianRational(a, b), GaussianRational(c, d)
-        top = k // 2 * (n + 1)  # the block's top-left entry
-        entries[top : top + 2] = alpha, beta
-        entries[top + n : top + n + 2] = -beta.conjugate(), alpha.conjugate()
-    return ExactMatrix(n, n, entries)
-
-
 def q_blocks(*qs: Quaternions) -> Quaternions:
     """Block-diagonal concatenation: the blocks of each argument in order,
     over one denominator."""
@@ -157,8 +143,8 @@ def q_mul(x: Quaternions, y: Quaternions) -> Quaternions:
     (alpha1, beta1)(alpha2, beta2) =
     (alpha1 alpha2 - beta1 conj(beta2), alpha1 beta2 + beta1 conj(alpha2)),
     which is exact.hamilton's straight-line formula for one block (a rotation
-    word) or two (a compiled channel), then one gcd over the numerators and
-    the denominator.
+    word or a reset vector) or two (a channel's pair), then one gcd over the
+    numerators and the denominator.
     """
     r = hamilton(x, y)
     g = gcd(*r)
@@ -179,16 +165,15 @@ def q_is_scalar(x: Quaternions) -> bool:
     return x[:-1] == (x[0], 0, 0, 0) * ((len(x) - 1) // 4)
 
 
-def q_phase_key(x: Quaternions) -> Quaternions:
-    """Sign-normalised form: the first nonzero numerator made positive.
-
-    For unitaries in SU(2) x SU(2), equal keys mean equal up to a global
-    phase, exactly as equal phase-canonical forms do.
+def q_sign_key(x: Quaternions) -> Quaternions:
+    """x with each nonzero block's first nonzero numerator made positive.
+    A unit vector g and -g share a key, and so do the four pairs
+    (+-q1, +-q2), whose maps x -> q1 x q2^dag are +-M.
     """
-    if (x[0] or next(filter(None, x))) > 0:  # at worst the positive denominator
-        return x
-    out = [-v for v in x]
-    out[-1] = x[-1]
+    out = list(x)
+    for k in range(0, len(x) - 1, 4):
+        if (x[k] or next(filter(None, x[k : k + 4]), 0)) < 0:
+            out[k : k + 4] = (-v for v in x[k : k + 4])
     return tuple(out)
 
 

@@ -1,23 +1,41 @@
 """Compiling tile instances into channel generator sets and searching them.
 
-Each tile i of an instance yields two block unitaries: the H generator
-encodes the tile's top word in its first 2x2 block, the G generator the
-adjoint of the bottom word; the second block tracks the tile index, so a
-product can only collapse to a scalar when the index bookkeeping telescopes
-and the two encoded words agree.  Wrapping the unitaries in depolarising
-channels with exact damping turns word search into membership search for
-the channel semigroup.
+Write psi for freerot.encode_word (0 -> a, 1 -> b), identify R^4 with the
+quaternions in the basis of exact.hamilton, and write |1> for the
+quaternion 1, the state basis:0.  At damping p, tile i = (u_i, v_i) gives
 
-Every compiled unitary lies in SU(2) x SU(2), so a channel carries its
-unitary as an integer quaternion pair (see freerot): compilation and the
-searches multiply quaternions, and phase equivalence is equality up to sign.
-A channel acts on an operator (the matrix units choi reads, a target's
-source) block by block, straight from its quaternion pair
-(ExactMatrix.depolarised); explore applies its Choi key map.  Only the
-compile report, the independent cross-check of a membership witness and the
-digest of a diff witness build the 4x4 ExactMatrix, with
-freerot.quaternion_matrix.  Each search expands one level at a time through
-util.level_pairs, so a node budget counts expansions in all of them.
+- E_i, a unitary channel: rho -> p M_i rho M_i^T + (1 - p) tr(rho) I/4, with
+  M_i the real orthogonal map x -> psi(u_i) x psi(v_i)^dag;
+- R_i, a reset channel: rho -> tr(rho) (p |f_i><f_i| + (1 - p) I/4), with
+  f_i = psi(u_i) psi(v_i)^dag.
+
+The target T_lam is the reset onto lam |1><1| + (1 - lam) I/4.  It lies in
+the generated semigroup exactly when the instance has a solution t of some
+length n with lam = p^n, and the witness is the tile word itself,
+E_{t1} ... E_{t(n-1)} R_{tn}:
+
+1. R o X = R for every trace-preserving X.
+2. Each E_j is unital, so E_j o R is again a reset: g -> M_j g, with the
+   damping multiplied by p.
+3. So a product that contains a reset equals its prefix up to the first
+   reset, E_{t1} o ... o E_{t(n-1)} o R_{tn}: the constant channel onto the
+   p^n-depolarised |g>, g = M_{t1} ... M_{tn} 1 = psi(u_t) psi(v_t)^dag for
+   the tile word t.
+4. A product without a reset is a unitary channel, which is never constant.
+5. g = +-1 exactly when psi(u_t) = +-psi(v_t).  As <a, b> is free, that
+   holds exactly when u_t = v_t: no nontrivial reduced word is +-1 (see
+   freerot.freeness_certificate), and the free monoid embeds in the free
+   group.
+
+A channel carries integer quaternions (see freerot): E_i the pair
+(psi(u_i), psi(v_i)), so that composing E channels multiplies pairs
+blockwise, and R_i its unit vector f_i.  M and -M are one channel, so are
+g and -g: a channel is keyed by its quaternions with each block's sign
+normalised.  A channel acts on an operator (the matrix units choi reads, a
+target's source) by its own definition, through the 4x4 matrix of M or the
+column g (ChannelElement.operator).  Each search expands one level at a
+time through util.level_pairs, so a node budget counts expansions in all
+of them.
 
 Comparing a generator set F with F + {T} needs only F's closure.  Every
 generator of F lies in both sets and realizes itself in either closure, so
@@ -30,14 +48,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, prod
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import pcp
 from .exact import (
+    UNIT_QUATERNIONS,
     ExactDensityMatrix,
     ExactMatrix,
-    GaussianRational,
+    ShapeError,
+    hamilton,
     rat_to_str,
 )
 from .freerot import (
@@ -49,37 +70,60 @@ from .freerot import (
     q_identity,
     q_is_scalar,
     q_mul,
-    q_phase_key,
-    quaternion_matrix,
+    q_sign_key,
 )
 from .pcp import EXHAUSTED, FOUND, PCPInstance, TileWord
 from .util import Report, level_pairs
 
 DISTINCT = "distinct"
 INDISTINGUISHABLE = "indistinguishable_up_to_depth"
+ONE = q_identity(1)
+
+
+@lru_cache(maxsize=256)
+def _operator(q: Quaternions) -> ExactMatrix:
+    """ChannelElement.operator, read off exact.hamilton on UNIT_QUATERNIONS
+    for a pair; cached, as choi applies a channel to 16 matrix units."""
+    if len(q) == 5:
+        return ExactMatrix(4, 1, [Fraction(v, q[4]) for v in q[:4]])
+    left, right = (*q[:4], q[8]), q_adjoint((*q[4:8], q[8]))
+    cols = [hamilton(hamilton(left, e), right) for e in UNIT_QUATERNIONS]
+    return ExactMatrix(4, 4, [Fraction(col[i], col[4]) for i in range(4) for col in cols])
+
+
+@lru_cache(maxsize=1)
+def _matrix_units() -> Tuple[ExactMatrix, ...]:
+    return tuple(ExactMatrix(4, 4, [int(e == k) for e in range(16)]) for k in range(16))
+
+
+def _image(q: Quaternions, x: Quaternions) -> Quaternions:
+    """M x for the pair q = (q1, q2): q1 x q2^dag, reduced."""
+    den = q[8]
+    return q_mul(q_mul((*q[:4], den), x), q_adjoint((*q[4:8], den)))
 
 
 @dataclass(frozen=True, slots=True)
 class ChannelElement:
-    """The map rho -> damping * U rho U^dag + (1 - damping) * I/4.
+    """A unitary channel rho -> p M rho M^T + (1 - p) tr(rho) I/4, M the map
+    x -> q1 x q2^dag of the quaternion pair (q1, q2), or with `reset` the
+    channel rho -> tr(rho) (p |g><g| + (1 - p) I/4) of the unit quaternion
+    g; p is the damping."""
 
-    U is a quaternion pair in SU(2) x SU(2).  A product of two such maps
-    multiplies the unitaries, multiplies the dampings, and concatenates the
-    generator words, so it is again of this form; the searches form it
-    inline.
-    """
-
-    unitary: Quaternions
+    quaternions: Quaternions
     damping: Fraction
     word: Tuple[str, ...] = ()
+    reset: bool = False
     dim = 4
 
     def __post_init__(self):
-        q = self.unitary
-        if len(q) != 9 or q[-1] < 1 or gcd(*q) != 1:
-            raise ValueError("channel unitary must be a quaternion pair over a reduced denominator")
-        if any(sum(v * v for v in q[k : k + 4]) != q[-1] ** 2 for k in (0, 4)):
-            raise ValueError("channel unitary blocks must be unit quaternions")
+        q = self.quaternions
+        if len(q) != (5 if self.reset else 9) or q[-1] < 1 or gcd(*q) != 1:
+            raise ValueError(
+                "a channel needs a quaternion pair, a reset one quaternion,"
+                " over a reduced denominator"
+            )
+        if any(sum(v * v for v in q[k : k + 4]) != q[-1] ** 2 for k in range(0, len(q) - 1, 4)):
+            raise ValueError("channel quaternions must be unit quaternions")
         if not (0 < self.damping <= 1):
             raise ValueError("damping must lie in (0, 1]")
 
@@ -87,21 +131,31 @@ class ChannelElement:
     def label(self) -> str:
         if self.word:
             return "*".join(self.word)
-        return "id" if self.damping == 1 else f"target({self.damping})"
+        return f"target({self.damping})" if self.reset else f"unitary({self.damping})"
+
+    def operator(self) -> ExactMatrix:
+        """The 4x4 matrix of M, its column e the image of the unit quaternion
+        e, or for a reset the column g."""
+        return _operator(self.quaternions)
 
     def apply_to_matrix(self, m: ExactMatrix) -> ExactMatrix:
-        """Linear action on an arbitrary operator (not only states)."""
-        return m.depolarised(self.unitary, self.damping)
+        """p K(m) + (1 - p) tr(m) I/4, with K(m) = M m M^T or tr(m) |g><g|:
+        linear on any 4x4 operator, not only on states."""
+        if (m.rows, m.cols) != (4, 4):
+            raise ShapeError("a channel acts on 4x4 operators")
+        op, t, p = self.operator(), m.trace(), self.damping
+        image = (op @ op.dagger()).scale(t) if self.reset else op @ m @ op.dagger()
+        return image.scale(p) + ExactMatrix.identity(4).scale(t).scale((1 - p) / 4)
 
     def apply(self, state: ExactDensityMatrix) -> ExactDensityMatrix:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))
 
 
 def make_target(damping: Fraction) -> ChannelElement:
-    """The pure depolarising map rho -> damping*rho + (1-damping)*I/4."""
+    """T_damping: the reset onto damping |1><1| + (1 - damping) I/4."""
     if not (0 < damping < 1):
         raise ValueError("target damping must lie strictly inside (0, 1)")
-    return ChannelElement(q_identity(2), damping, ())
+    return ChannelElement(ONE, damping, reset=True)
 
 
 def labeled(channel: ChannelElement, label: str) -> ChannelElement:
@@ -111,15 +165,15 @@ def labeled(channel: ChannelElement, label: str) -> ChannelElement:
 
 @dataclass(frozen=True, slots=True)
 class GeneratorSet:
-    """The compiled channels of an instance: one H and one G per tile."""
+    """The compiled channels of an instance: one E and one R per tile."""
 
     instance: PCPInstance
     pair: FreePair
-    h_gens: Tuple[ChannelElement, ...]
-    g_gens: Tuple[ChannelElement, ...]
+    e_gens: Tuple[ChannelElement, ...]
+    r_gens: Tuple[ChannelElement, ...]
 
     def channels(self) -> Tuple[ChannelElement, ...]:
-        return self.h_gens + self.g_gens
+        return self.e_gens + self.r_gens
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,45 +181,35 @@ class GeneratorSet:
             "instance_text": self.instance.to_text(),
             "rotation": self.pair.params.to_json_dict(),
             "damping": {ch.word[0]: rat_to_str(ch.damping) for ch in self.channels()},
-            "unitaries": {
-                ch.word[0]: quaternion_matrix(ch.unitary).to_json_dict()
-                for ch in self.channels()
-            },
+            "operators": {ch.word[0]: ch.operator().to_json_dict() for ch in self.channels()},
         }
 
 
 def compile_generators(
     inst: PCPInstance, pair: FreePair, damping: Fraction
 ) -> GeneratorSet:
-    """Build the 2k generators for a k-tile instance at the given damping.
-
-    Tile i (1-based) gives H_i = blockdiag(code(top_i), A^i B) and
-    G_i = blockdiag(code(bottom_i), A^i B)^dag.
-    """
+    """Build E_1..E_k and R_1..R_k for a k-tile instance at the given damping."""
     if not (0 < damping < 1):
         raise ValueError("generator damping must lie strictly inside (0, 1)")
-    index_block = pair.b
-    h_gens = []
-    g_gens = []
+    e_gens = []
+    r_gens = []
     for i, (top, bottom) in enumerate(inst.tiles, start=1):
-        index_block = q_mul(pair.a, index_block)
-        h = q_blocks(encode_word(pair, top), index_block)
-        g = q_adjoint(q_blocks(encode_word(pair, bottom), index_block))
-        h_gens.append(ChannelElement(h, damping, (f"H{i}",)))
-        g_gens.append(ChannelElement(g, damping, (f"G{i}",)))
+        q = q_blocks(encode_word(pair, top), encode_word(pair, bottom))
+        e_gens.append(ChannelElement(q, damping, (f"E{i}",)))
+        r_gens.append(ChannelElement(_image(q, ONE), damping, (f"R{i}",), reset=True))
     return GeneratorSet(
-        instance=inst, pair=pair, h_gens=tuple(h_gens), g_gens=tuple(g_gens)
+        instance=inst, pair=pair, e_gens=tuple(e_gens), r_gens=tuple(r_gens)
     )
 
 
 def phase_canonical(m: ExactMatrix) -> ExactMatrix:
     """Scale so the first nonzero entry becomes 1.
 
-    Two unitaries are equal up to a global phase exactly when their
+    Two matrices are equal up to a global phase exactly when their
     canonical forms coincide; dividing by the entry itself (rather than
     its phase) keeps everything inside Q(i).  The searches compare sign
-    keys of quaternion pairs instead; this form only fixes the bytes of
-    the reported unitary digest.
+    keys of quaternions instead; this form only fixes the bytes of the
+    reported digest of a diff witness, whose M or g is defined up to sign.
     """
     for z in m.entries():
         if z:
@@ -181,61 +225,41 @@ class MembershipOutcome(Report):
     nodes_expanded: int
     truncated: bool = False
     witness: Optional[Tuple[str, ...]] = None
-    scalar_value: Optional[GaussianRational] = None
     witness_damping: Optional[Fraction] = None
     extracted: Optional[TileWord] = None
 
 
-def _extract_tile_word(
-    inst: PCPInstance, witness: Tuple[str, ...]
-) -> Optional[TileWord]:
-    """Parse a scalar witness into a tile word when it has (a cyclic
-    rotation of) the shape G_{an}..G_{a1} H_{a1}..H_{an}; the candidate is
-    only returned when it actually solves the instance."""
-    total = len(witness)
-    if total == 0 or total % 2:
-        return None
-    n = total // 2
-    for r in range(total):
-        rot = witness[r:] + witness[:r]
-        if all(lab[0] == "G" for lab in rot[:n]) and all(
-            lab[0] == "H" for lab in rot[n:]
-        ):
-            g_idx = [int(lab[1:]) for lab in rot[:n]]
-            h_idx = [int(lab[1:]) for lab in rot[n:]]
-            if g_idx[::-1] == h_idx:
-                candidate = tuple(h_idx)
-                if pcp.verify_solution(inst, candidate):
-                    return candidate
-    return None
+def _extract_tile_word(inst: PCPInstance, witness: Tuple[str, ...]) -> Optional[TileWord]:
+    """The tile indices of the witness labels, when they solve the instance."""
+    candidate = tuple(int(lab[1:]) for lab in witness)
+    return candidate if pcp.verify_solution(inst, candidate) else None
 
 
 def _found_outcome(
-    gens: GeneratorSet,
-    mode: str,
-    witness: Tuple[str, ...],
-    depth: int,
-    expanded: int,
+    gens: GeneratorSet, mode: str, tiles: TileWord, expanded: int
 ) -> MembershipOutcome:
-    """Cross-check a witness on the 4x4 matrices and report it with its
-    damping monomial."""
-    by_label = {ch.word[0]: ch for ch in gens.channels()}
-    product = ExactMatrix.identity(4)
-    damping = Fraction(1)
-    for lab in witness:
-        product = product @ quaternion_matrix(by_label[lab].unitary)
-        damping *= by_label[lab].damping
-    scalar = product.as_scalar()
-    if scalar is None:
-        raise AssertionError("witness product is not scalar")
+    """Report the witness E_{t1} .. E_{t(n-1)} R_{tn} of the tile word t
+    with its damping monomial, after checking, apart from the search, that
+    its Choi operator is the target's at that damping: block (i, j) of a
+    Choi operator is the image of the matrix unit E_ij (see choi), here
+    through each letter's own definition, the last letter first."""
+    letters = tuple(gens.e_gens[i - 1] for i in tiles[:-1]) + (gens.r_gens[tiles[-1] - 1],)
+    damping = prod(ch.damping for ch in letters)
+    target = make_target(damping)
+    for unit in _matrix_units():
+        image = unit
+        for ch in reversed(letters):
+            image = ch.apply_to_matrix(image)
+        if image != target.apply_to_matrix(unit):
+            raise AssertionError("witness channel is not the target")
+    witness = tuple(ch.word[0] for ch in letters)
     return MembershipOutcome(
         status=FOUND,
         mode=mode,
         witness=witness,
-        scalar_value=scalar,
         witness_damping=damping,
         extracted=_extract_tile_word(gens.instance, witness),
-        depth_reached=depth,
+        depth_reached=len(tiles),
         nodes_expanded=expanded,
     )
 
@@ -243,47 +267,46 @@ def _found_outcome(
 def _generic_search(
     gens: GeneratorSet, max_depth: int, node_budget: int
 ) -> MembershipOutcome:
-    """Shortest scalar word over all 2k generators.
+    """Shortest witness by meeting in the middle.
 
-    Meet-in-the-middle over exact products: u ++ v multiplies to a scalar
-    exactly when the phase key of v's product equals that of the adjoint
-    of u's product.  Levels are deduplicated on the exact product with the
-    first (lexicographically least) word retained, so the result matches a
-    breadth-first scan over all words: the witness is the shortest scalar
-    word, lexicographically least among equals.  Level j meets the
-    canonical levels j - 1 and j, so only those are kept.
+    A witness splits into an E-prefix of at most half the depth, with pair
+    (q1, q2), and a reset-ended suffix onto g; the word resets onto
+    q1 g q2^dag, which is +-1 exactly when g = +-q1^dag q2.  Level s holds
+    the E-words of length s by exact pair, the first (lexicographically
+    least) word kept, and the expansions of level s - 1 are the suffixes of
+    length s too: word w and letter i give E_w R_i, onto the g of the pair
+    of w E_i.  Length 2s - 1 meets the prefixes of length s - 1 with the
+    suffixes of length s, and 2s those of length s.  A word is the channel
+    of its prefix up to its first reset, so a shortest word that realizes a
+    target has one reset, last: the witness is the shortest,
+    lexicographically least among equals, that a breadth-first scan over
+    all generator words finds.
     """
-    letters = [(ch.word[0], ch.unitary) for ch in gens.channels()]
-    ident = q_identity(2)
-    level = {ident: ()}
-    canon_prev = {q_phase_key(ident): ()}
+    letters = [(i, ch.quaternions) for i, ch in enumerate(gens.e_gens, start=1)]
+    level = {q_identity(2): ()}
     expanded = 0
     truncated = False
     checked = 0
-    for j in range(1, (max_depth + 1) // 2 + 1):
+    for s in range(1, (max_depth + 1) // 2 + 1):
         pairs, truncated = level_pairs(level.items(), letters, node_budget - expanded)
         new_level = {}
-        for (q, word), (lab, u) in pairs:
+        suffixes = {}
+        for (q, word), (i, u) in pairs:
             expanded += 1
             child = q_mul(q, u)
-            if child not in new_level:
-                new_level[child] = word + (lab,)
+            suffixes.setdefault(q_sign_key(_image(child, ONE)), word + (i,))
+            new_level.setdefault(child, word + (i,))
         if truncated:
             break
-        level = new_level
-        canon = {}
-        for q, word in level.items():
-            canon.setdefault(q_phase_key(q), word)
-        keyed = [(q_phase_key(q_adjoint(q)), word) for q, word in level.items()]
-        for m, back in ((2 * j - 1, canon_prev), (2 * j, canon)):
+        for m, prefixes in ((2 * s - 1, level), (2 * s, new_level)):
             if m > max_depth:
                 continue
-            for key, word in keyed:
-                hit = back.get(key)
+            for q, word in prefixes.items():
+                hit = suffixes.get(q_sign_key(_image(q_adjoint(q), ONE)))
                 if hit is not None:
-                    return _found_outcome(gens, "generic", word + hit, m, expanded)
+                    return _found_outcome(gens, "generic", word + hit, expanded)
             checked = m
-        canon_prev = canon
+        level = new_level
     return MembershipOutcome(
         EXHAUSTED, "generic", depth_reached=checked, nodes_expanded=expanded, truncated=truncated
     )
@@ -292,38 +315,30 @@ def _generic_search(
 def _structured_search(
     gens: GeneratorSet, max_depth: int, node_budget: int
 ) -> MembershipOutcome:
-    """Search only sandwich words G_{an}..G_{a1} H_{a1}..H_{an}.
+    """Breadth-first over reset vectors.
 
-    Extending the tile word by i wraps the current product between G_i and
-    H_i, which mirrors the overhang search on the instance itself; the index
-    blocks telescope identically, so a scalar can only be the identity and
-    certifies a matching tile word.
+    E_{t1} .. E_{t(n-1)} R_{tn} resets onto g = M_{t1} .. M_{tn} 1, so level
+    n applies each M_j to the vectors of level n - 1, up to sign, and puts j
+    in front of the tile word; the first vector +-1 is a witness.
     """
-    tiles = [
-        (i, g.unitary, h.unitary)
-        for i, (g, h) in enumerate(zip(gens.g_gens, gens.h_gens), start=1)
-    ]
-    ident = q_identity(2)
-    visited = {ident}
-    frontier = [(ident, ())]
+    letters = [(i, ch.quaternions) for i, ch in enumerate(gens.e_gens, start=1)]
+    visited = {ONE}
+    frontier = [(ONE, ())]
     expanded = 0
     truncated = False
     depth_done = 0
-    for n in range(1, max_depth // 2 + 1):
-        pairs, truncated = level_pairs(frontier, tiles, node_budget - expanded)
+    for n in range(1, max_depth + 1):
+        pairs, truncated = level_pairs(frontier, letters, node_budget - expanded)
         next_frontier = []
-        for (q, parent), (i, g, h) in pairs:
+        for (g, word), (i, q) in pairs:
             expanded += 1
-            child = q_mul(q_mul(g, q), h)
-            word = parent + (i,)
+            child = _image(q, g)
             if q_is_scalar(child):
-                witness = tuple(f"G{i}" for i in reversed(word)) + tuple(
-                    f"H{i}" for i in word
-                )
-                return _found_outcome(gens, "structured", witness, 2 * n, expanded)
+                return _found_outcome(gens, "structured", (i,) + word, expanded)
+            child = q_sign_key(child)
             if child not in visited:
                 visited.add(child)
-                next_frontier.append((child, word))
+                next_frontier.append((child, (i,) + word))
         if truncated:
             break
         depth_done = n
@@ -333,7 +348,7 @@ def _structured_search(
     return MembershipOutcome(
         EXHAUSTED,
         "structured",
-        depth_reached=2 * depth_done,
+        depth_reached=depth_done,
         nodes_expanded=expanded,
         truncated=truncated,
     )
@@ -345,10 +360,10 @@ def membership_search(
     mode: str = "generic",
     node_budget: int = 500_000,
 ) -> MembershipOutcome:
-    """Semi-decide whether the depolarising target lies in the generated
-    semigroup, by hunting for a nonempty generator word whose unitary part
-    is a scalar.  Reports the exact damping monomial of any witness so the
-    caller can match the target's damping."""
+    """Semi-decide whether a target T_lam lies in the generated semigroup,
+    by hunting for a generator word of at most max_depth letters that is a
+    constant channel onto a depolarised |1>.  Reports the exact damping
+    monomial lam of any witness."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     if mode == "generic":
@@ -371,39 +386,42 @@ class DiffOutcome(Report):
 def _closure(
     channels: Sequence[ChannelElement], max_depth: int, node_budget: int
 ):
-    """All canonical channel forms reachable by words of length <=
-    max_depth, with shortest word kept.  A form is keyed as (phase key of
-    the unitary, damping numerator, damping denominator): the damping is
-    carried as a reduced integer pair, not as a Fraction, whose product
-    normalises through extra calls and whose hash computes a modular
-    inverse on every call.
+    """All channels that words of length <= max_depth realize, with the
+    shortest word kept.  A channel is keyed as (sign key of its quaternions,
+    damping numerator, damping denominator): the damping is carried as a
+    reduced integer pair, not as a Fraction, whose product normalises
+    through extra calls and whose hash computes a modular inverse on every
+    call.  A word extends on the right: a unitary channel by an E letter
+    multiplies the pairs, by a reset (g) it becomes the reset onto M g, and
+    a reset absorbs any letter, so only unitary channels are expanded.
 
-    Returns the forms, the expansion count, whether the budget cut the
+    Returns the channels, the expansion count, whether the budget cut the
     search, and the deepest level that was fully enumerated."""
     if not channels:
         raise ValueError("need at least one channel")
     letters = [
-        (ch.unitary, ch.label, ch.damping.numerator, ch.damping.denominator)
+        (ch.quaternions, ch.reset, ch.label, ch.damping.numerator, ch.damping.denominator)
         for ch in channels
     ]
     ident = q_identity(2)
-    elems = {(q_phase_key(ident), 1, 1): ((), 0)}
+    elems = {(ident, 1, 1): ((), 0)}
     frontier = [(ident, (), 1, 1)]
     expanded = 0
     for depth in range(1, max_depth + 1):
         pairs, truncated = level_pairs(frontier, letters, node_budget - expanded)
         nxt = []
-        for (q, word, p, r), (u, label, dp, dr) in pairs:
+        for (q, word, p, r), (u, reset, label, dp, dr) in pairs:
             expanded += 1
-            child = q_mul(q, u)
+            child = _image(q, u) if reset else q_mul(q, u)
             p, r = p * dp, r * dr
             g = gcd(p, r)
             p, r = p // g, r // g
-            key = (q_phase_key(child), p, r)
+            key = (q_sign_key(child), p, r)
             if key not in elems:
                 child_word = word + (label,)
                 elems[key] = (child_word, depth)
-                nxt.append((child, child_word, p, r))
+                if not reset:
+                    nxt.append((child, child_word, p, r))
         if truncated:
             return elems, expanded, True, depth - 1
         frontier = nxt
@@ -418,11 +436,11 @@ def theory_diff(
 ) -> DiffOutcome:
     """Bounded refuter for "do f1 and f2 = f1 + extra span the same theory".
 
-    Each generator of f2 is looked up, as an exact canonical channel, in
-    f1's bounded closure, and each generator of f1 in f2's.  A generator
-    absent from a fully enumerated closure witnesses bounded distinctness;
-    if every generator is realized both ways the sets are indistinguishable
-    up to the depth bound.  No outcome ever claims unconditional equality.
+    Each generator of f2 is looked up, as an exact channel, in f1's bounded
+    closure, and each generator of f1 in f2's.  A generator absent from a
+    fully enumerated closure witnesses bounded distinctness; if every
+    generator is realized both ways the sets are indistinguishable up to
+    the depth bound.  No outcome ever claims unconditional equality.
 
     Only f1's closure is built, and it stands in for f2's: f1 is a prefix
     of f2, so a generator of f1 has the same shortest word in both (the
@@ -437,7 +455,7 @@ def theory_diff(
     for side, own in ((2, tuple(f1) + tuple(extra)), (1, f1)):
         for ch in own:
             damp = ch.damping
-            hit = elems.get((q_phase_key(ch.unitary), damp.numerator, damp.denominator))
+            hit = elems.get((q_sign_key(ch.quaternions), damp.numerator, damp.denominator))
             if hit is not None:
                 matches.setdefault(
                     f"f{side}:{ch.label}", {"realized_by": list(hit[0]), "at_depth": hit[1]}
@@ -447,7 +465,7 @@ def theory_diff(
                     "side": side,
                     "label": ch.label,
                     "damping": rat_to_str(ch.damping),
-                    "unitary_digest": phase_canonical(quaternion_matrix(ch.unitary)).digest(),
+                    "digest": phase_canonical(ch.operator()).digest(),
                 }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE
     return DiffOutcome(

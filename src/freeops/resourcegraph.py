@@ -571,11 +571,12 @@ def check_complete(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
 def generic_seed(dim: int = 4) -> ExactDensityMatrix:
     """State with distinct eigenvalues in a deliberately skew eigenbasis.
 
-    Only unitaries commuting with it fix it, and its eigenbasis is mixed
-    across all coordinates, so neither basis states (fixed by diagonal
-    rotations) nor diagonal states (fixed by diagonal block products) can
-    fake reachability of its depolarised image: that reachability then
-    mirrors scalar-word membership on the explored bound.
+    A full-rank source cannot reach a reset state through unitary channels
+    alone: each conjugates and depolarises, which keeps four distinct
+    eigenvalues distinct, while a target lam |1><1| + (1 - lam) I/4 has a
+    threefold one.  So from this state only a word through a reset reaches
+    a target, and reaching it mirrors the target's membership on the
+    explored bound.
     """
     total = dim * (dim + 1) // 2
     diag = ExactMatrix.diagonal([Fraction(dim - i, total) for i in range(dim)])

@@ -12,15 +12,12 @@ from itertools import chain, islice, product, repeat
 from operator import add, mul
 from typing import Iterator, Sized, Tuple
 
-from .exact import GaussianRational
-
 
 def report_json(value):
     """The report form of a result: a dataclass becomes a dict of its fields
-    by name, a dict keeps its keys, a tuple becomes a list, and a Fraction or
-    GaussianRational its canonical string (what rat_to_str and gr_to_str
-    write); anything else is kept."""
-    if isinstance(value, (Fraction, GaussianRational)):
+    by name, a dict keeps its keys, a tuple becomes a list, and a Fraction
+    its canonical string (what rat_to_str writes); anything else is kept."""
+    if isinstance(value, Fraction):
         return str(value)
     if dataclasses.is_dataclass(value):
         return {f.name: report_json(getattr(value, f.name)) for f in dataclasses.fields(value)}

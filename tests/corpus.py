@@ -17,10 +17,10 @@ from itertools import permutations, product
 from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
-from oracles import add, char_poly, mul, trace
+from oracles import add, char_poly, mul, neg, trace
 from freeops import cli
 from freeops.exact import ExactDensityMatrix, ExactMatrix, GaussianRational, rat_to_str
-from freeops.freerot import make_free_pair, q_mul
+from freeops.freerot import make_free_pair, q_adjoint, q_mul
 from freeops.pcp import PCPInstance
 from freeops.reduction import ChannelElement
 from freeops.resourcegraph import CheckResult, MonotoneFamily, ReachGraph, _closure_bitsets
@@ -32,9 +32,18 @@ DEFAULT_PAIR = make_free_pair(cli._rotation_params(SimpleNamespace(**cli.ROTATIO
 
 
 def compose(x: ChannelElement, y: ChannelElement) -> ChannelElement:
-    """(x compose y)(rho) = x(y(rho)): unitaries and dampings multiply, words
-    concatenate.  The searches form this product inline."""
-    return ChannelElement(q_mul(x.unitary, y.unitary), x.damping * y.damping, x.word + y.word)
+    """(x compose y)(rho) = x(y(rho)), words concatenated.  A reset x
+    absorbs y; two unitary channels multiply their pairs and dampings; a
+    unitary x = (q1, q2) on a reset y onto g resets onto q1 g q2^dag, the
+    dampings multiplied.  The searches form these products inline."""
+    word = x.word + y.word
+    if x.reset:
+        return ChannelElement(x.quaternions, x.damping, word, reset=True)
+    q = x.quaternions
+    if not y.reset:
+        return ChannelElement(q_mul(q, y.quaternions), x.damping * y.damping, word)
+    g = q_mul(q_mul((*q[:4], q[8]), y.quaternions), q_adjoint((*q[4:8], q[8])))
+    return ChannelElement(g, x.damping * y.damping, word, reset=True)
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,10 @@ SOLVABLE = [
     CorpusEntry("unary_gap2", (("1", "111"), ("11", "1")), True, 3, (1, 2, 2)),
     CorpusEntry("unary_gap3", (("1", "1111"), ("11", "1")), True, 4, (1, 2, 2, 2)),
     CorpusEntry("unary_gap4", (("1", "11111"), ("11", "1")), True, 5, (1, 2, 2, 2, 2)),
+    # Tile 3's bottom word is a suffix of its top word.
+    CorpusEntry(
+        "textbook3", (("1", "111"), ("10111", "10"), ("10", "0")), True, 4, (2, 1, 1, 3)
+    ),
 ]
 
 UNSOLVABLE = [
@@ -86,19 +99,16 @@ UNSOLVABLE = [
     CorpusEntry("deep_drift", (("0", "011"), ("1", "0")), False, None, None),
     CorpusEntry("parity", (("00", "001"), ("11", "110")), False, None, None),
     CorpusEntry("fig_tile", (("0", "100"),), False, None, None),
+    # Regression: with the tile index carried in a second block and each
+    # bottom word inverted, the word H1 G1 H2 G2 was scalar here.
+    CorpusEntry("cancelling_pair", (("0", "01"), ("01", "0")), False, None, None),
 ]
 
 CORPUS = SOLVABLE + UNSOLVABLE
 
-# Solvable instance whose shortest scalar word (length 6) interleaves H and
-# G letters instead of the canonical two-phase shape: tile 3's bottom word
-# is a suffix of its top word, so H3*G3 collapses to a free first-block
-# letter.  Kept out of CORPUS because the canonical-depth property fails on
-# it; the searches still handle it (shape-agnostic find, extraction
-# declines).  See test_reduction.test_mixed_cancellation_shortcut.
-MIXED_CANCELLATION = CorpusEntry(
-    "textbook3", (("1", "111"), ("10111", "10"), ("10", "0")), True, 4, (2, 1, 1, 3)
-)
+# The solvable instance whose shortest scalar word under the former
+# index-block encoding (length 6) was shorter than 2 x its solution length.
+MIXED_CANCELLATION = next(e for e in SOLVABLE if e.name == "textbook3")
 
 
 # --- enumeration oracle -------------------------------------------------------
@@ -224,7 +234,7 @@ def charpoly_by_expansion(matrix: ExactMatrix):
     for i in range(n):
         for j in range(n):
             m = matrix.entry(i, j)
-            entry_polys[i, j] = [-m, one] if i == j else [-m]
+            entry_polys[i, j] = [neg(m), one] if i == j else [neg(m)]
     total = [zero] * (n + 1)
     for perm in permutations(range(n)):
         sign = 1
@@ -234,7 +244,7 @@ def charpoly_by_expansion(matrix: ExactMatrix):
             1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j]
         )
         sign = -1 if inversions % 2 else 1
-        term = [one if sign == 1 else -one]
+        term = [one if sign == 1 else neg(one)]
         for i in range(n):
             term = poly_mul(term, entry_polys[i, perm[i]])
         for k, c in enumerate(term):

@@ -2,10 +2,11 @@
 
 Each helper reads and builds a matrix through `entries()`, `entry()`, the
 constructor, `from_rows`, `identity` and `dagger`, and multiplies with its
-own loop over Gaussian-integer numerators, not with `@`.  Sums and products
-of Gaussian rationals, and so matrix sums and differences entry by entry,
-are written here on a GaussianRational's `re` and `im`: the package has no
-such arithmetic.  So an oracle shares no code with the kernel it checks.
+own loop over Gaussian-integer numerators, not with `@`.  Sums, products,
+negations and conjugates of Gaussian rationals, and so matrix sums and
+differences entry by entry, are written here on a GaussianRational's `re`
+and `im`: the package has no such scalar arithmetic, and its matrix sum is
+not used here.  So an oracle shares no code with the kernel it checks.
 """
 
 from __future__ import annotations
@@ -37,6 +38,22 @@ def sub(a: GaussianRational, b: GaussianRational) -> GaussianRational:
 
 def mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
     return GaussianRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def conj(z: GaussianRational) -> GaussianRational:
+    return GaussianRational(z.re, -z.im)
+
+
+def neg(z: GaussianRational) -> GaussianRational:
+    return GaussianRational(-z.re, -z.im)
+
+
+def as_scalar(m: ExactMatrix):
+    """c when the square matrix m equals c * identity, else None."""
+    c = m.entry(0, 0)
+    entries = list(m.entries())
+    want = [c if i == j else ZERO for i in range(m.rows) for j in range(m.cols)]
+    return c if m.rows == m.cols and entries == want else None
 
 
 def _entrywise(op, a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -177,7 +194,7 @@ def char_poly(m: ExactMatrix) -> tuple:
 
 def det(m: ExactMatrix) -> GaussianRational:
     c0 = char_poly(m)[0]
-    return c0 if m.rows % 2 == 0 else -c0
+    return c0 if m.rows % 2 == 0 else neg(c0)
 
 
 def gr_from_str(text: str) -> GaussianRational:
@@ -201,13 +218,46 @@ def _block(q) -> tuple:
     quaternion tuple q stands for: alpha = (q0 + i q1) / q4, beta = (q2 + i q3) / q4."""
     alpha = GaussianRational(Fraction(q[0], q[4]), Fraction(q[1], q[4]))
     beta = GaussianRational(Fraction(q[2], q[4]), Fraction(q[3], q[4]))
-    return ((alpha, beta), (-beta.conjugate(), alpha.conjugate()))
+    return ((alpha, beta), (neg(conj(beta)), conj(alpha)))
 
 
 def _mul_2x2(x: tuple, y: tuple) -> tuple:
     return tuple(
         tuple(add(mul(x[i][0], y[0][j]), mul(x[i][1], y[1][j])) for j in (0, 1)) for i in (0, 1)
     )
+
+
+def quaternion_matrix(q) -> ExactMatrix:
+    """The block-diagonal matrix that a quaternion tuple stands for: block k
+    is ((alpha, beta), (-conj(beta), conj(alpha))), read from q[4k : 4k + 4]
+    over the denominator q[-1]."""
+    blocks = []
+    for k in range(0, len(q) - 1, 4):
+        rows = _block((*q[k : k + 4], q[-1]))
+        blocks.append(ExactMatrix.from_rows([list(r) for r in rows]))
+    return block_diag(*blocks)
+
+
+def coordinates(x: ExactMatrix) -> tuple:
+    """The quaternion (Re alpha, Im alpha, Re beta, Im beta) of a 2x2 matrix
+    ((alpha, beta), (-conj(beta), conj(alpha)))."""
+    alpha, beta = x.entry(0, 0), x.entry(0, 1)
+    return (alpha.re, alpha.im, beta.re, beta.im)
+
+
+# The quaternions 1, i, j, k as 2x2 matrices.
+UNIT_BLOCKS = [quaternion_matrix(tuple(int(k == i) for k in range(4)) + (1,)) for i in range(4)]
+
+
+def orthogonal_map(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
+    """The real 4x4 matrix of x -> top x bottom^dag on quaternion coordinates,
+    by 2x2 products: column e holds the coordinates of top e bottom^dag."""
+    cols = [coordinates(_product(_product(top, e), bottom.dagger())) for e in UNIT_BLOCKS]
+    return ExactMatrix.from_rows([[col[i] for col in cols] for i in range(4)])
+
+
+def column(values) -> ExactMatrix:
+    return ExactMatrix(len(values), 1, list(values))
 
 
 def reference_scan(pair, max_len: int, node_budget: int) -> CollisionReport:

@@ -1,11 +1,14 @@
 """End-to-end CLI runs: exit codes, report shape, determinism."""
 
 import json
+from itertools import product
 
 import pytest
 
+from corpus import enumerate_solutions
 from freeops import cli
 from freeops import reduction, resourcegraph
+from freeops.pcp import PCPInstance, verify_solution
 
 CLASSIC = "1|101\n10|00\n011|11\n"
 TRIVIAL = "0|0\n"
@@ -144,7 +147,7 @@ def test_compile_bundle(tmp_path):
     assert code == 0
     bundle = load(out)["outcome"]
     assert bundle["instance"]["tiles"] == [["0", "100"]]
-    assert set(bundle["unitaries"]) == {"H1", "G1"}
+    assert list(bundle["operators"]) == ["E1", "R1"]
     assert bundle["rotation"]["cos"] == "3/5"
 
 
@@ -202,15 +205,50 @@ def test_membership_structured_mode(tmp_path):
     assert load(out)["outcome"]["membership"]["mode"] == "structured"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="unsound reduction (ROADMAP item 2): an adjacent H_i G_i cancels its index"
-    " block, so generic membership finds H1 G1 H2 G2 and exits 12",
-)
 def test_membership_unsolvable_cancelling_pair_is_exhausted(tmp_path):
-    # 0|01 + 01|0 has no tile solution; structured mode already exits 10.
+    # 0|01 + 01|0 has no tile solution; an encoding that lets H_i G_i cancel
+    # a tile-index block found the scalar word H1 G1 H2 G2 here.
     inst = write_instance(tmp_path, "0|01\n01|0\n")
-    assert run(["membership", "--instance", inst, "--depth", "8"]) == 10
+    for mode in ("generic", "structured"):
+        out = tmp_path / f"{mode}.json"
+        argv = ["membership", "--instance", inst, "--depth", "8", "--mode", mode]
+        assert run(argv + ["--out", str(out)]) == 10
+        outcome = load(out)["outcome"]
+        assert outcome["statuses_agree"] is True
+        assert outcome["membership"]["depth_reached"] == 8
+
+
+# Every tile whose words have at most 2 bits, apart from the empty tile.
+SHORT_WORDS = ["", "0", "1", "00", "01", "10", "11"]
+SHORT_TILES = [(top, bottom) for top in SHORT_WORDS for bottom in SHORT_WORDS if top or bottom]
+
+
+def test_two_tile_sweep_agrees_with_the_tile_oracle(tmp_path):
+    """All 2,304 ordered pairs of short tiles at depth 6, in both modes, run
+    through the membership handler: no run is cut by the budget, every run
+    agrees with the tile oracle, and every witness has the length of the
+    shortest solution (by enumeration) and solves the instance."""
+    assert len(SHORT_TILES) ** 2 == 2304
+    path = tmp_path / "pair.pcp"
+    parser = cli.build_parser()
+    solvable = 0
+    for tiles in product(SHORT_TILES, repeat=2):
+        path.write_text("".join(f"{top}|{bottom}\n" for top, bottom in tiles))
+        shortest = min((len(w) for w in enumerate_solutions(tiles, 6)), default=None)
+        solvable += shortest is not None
+        for mode in ("generic", "structured"):
+            args = parser.parse_args(
+                ["membership", "--instance", str(path), "--depth", "6", "--mode", mode]
+            )
+            code, _, _, outcome, _ = args.handler(args)
+            result = outcome["membership"]
+            assert not (result["truncated"] or outcome["oracle"]["truncated"])
+            assert outcome["statuses_agree"] is True, (tiles, mode)
+            assert code == (10 if shortest is None else 0), (tiles, mode)
+            if shortest is not None:
+                assert len(result["witness"]) == result["depth_reached"] == shortest, (tiles, mode)
+                assert verify_solution(PCPInstance(tiles), tuple(result["extracted"]))
+    assert 0 < solvable < 2304
 
 
 def test_membership_degenerate_tile_errors(tmp_path):
@@ -219,21 +257,22 @@ def test_membership_degenerate_tile_errors(tmp_path):
     assert code == 2
 
 
-def test_membership_rejects_depth_below_two(tmp_path, capsys):
-    # A one-letter word cannot hold the shortest witness G1 H1, while the
-    # oracle would still search one tile: no false mismatch is reported.
+def test_membership_rejects_depth_below_one(tmp_path, capsys):
+    # The shortest witness, R1 on a matching tile, has one letter; depth 0
+    # is rejected by the search itself and writes no report.
     inst = write_instance(tmp_path, "1|1\n")
-    for depth in ("1", "0"):
-        out = tmp_path / "r.json"
-        for mode in ("generic", "structured"):
-            argv = ["membership", "--instance", inst, "--depth", depth, "--mode", mode]
-            assert run(argv + ["--out", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert err == f"error: membership --depth must be at least 2, got {depth}\n"
-            assert not out.exists()
     out = tmp_path / "r.json"
-    assert run(["membership", "--instance", inst, "--depth", "2", "--out", str(out)]) == 0
-    assert load(out)["outcome"]["statuses_agree"] is True
+    for mode in ("generic", "structured"):
+        argv = ["membership", "--instance", inst, "--depth", "0", "--mode", mode]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: max_depth must be at least 1\n"
+        assert not out.exists()
+    for mode in ("generic", "structured"):
+        argv = ["membership", "--instance", inst, "--depth", "1", "--mode", mode]
+        assert run(argv + ["--out", str(out)]) == 0
+        outcome = load(out)["outcome"]
+        assert outcome["statuses_agree"] is True
+        assert outcome["membership"]["witness"] == ["R1"]
 
 
 @pytest.mark.parametrize(
@@ -268,8 +307,7 @@ def test_membership_mismatch_alarm(tmp_path, monkeypatch):
         return reduction.MembershipOutcome(
             status=reduction.FOUND,
             mode=out.mode,
-            witness=("H1",),
-            scalar_value=None,
+            witness=("R1",),
             witness_damping=None,
             extracted=None,
             depth_reached=1,
@@ -282,10 +320,12 @@ def test_membership_mismatch_alarm(tmp_path, monkeypatch):
 
 
 def test_membership_budget_cut_is_inconclusive(tmp_path):
-    # the search is cut at depth 6 while the oracle finds the solution
+    # the structured search completes depth 3 (3 + 9 + 27 expansions) and
+    # is cut in depth 4, while the oracle finds the solution after 15
     inst = write_instance(tmp_path, CLASSIC)
     out = tmp_path / "r.json"
-    argv = ["membership", "--instance", inst, "--depth", "10", "--budget", "300"]
+    argv = ["membership", "--instance", inst, "--depth", "10", "--mode", "structured"]
+    argv += ["--budget", "50"]
     assert run(argv + ["--out", str(out)]) == 10
     outcome = load(out)["outcome"]
     assert outcome["membership"]["truncated"] is True

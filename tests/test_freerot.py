@@ -8,7 +8,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from corpus import CORPUS, DEFAULT_PAIR
-from oracles import block_diag, det, gr, is_unitary, mat_pow, reference_scan, trace
+from oracles import (
+    as_scalar,
+    block,
+    block_diag,
+    det,
+    gr,
+    is_unitary,
+    mat_pow,
+    quaternion_matrix,
+    reference_scan,
+    trace,
+)
 from freeops.exact import ExactMatrix, GaussianRational, hamilton
 from freeops.freerot import (
     AxisError,
@@ -27,8 +38,7 @@ from freeops.freerot import (
     q_identity,
     q_is_scalar,
     q_mul,
-    q_phase_key,
-    quaternion_matrix,
+    q_sign_key,
     rotation_quaternion,
 )
 from freeops.reduction import compile_generators, phase_canonical
@@ -340,9 +350,9 @@ def test_report_json_shape():
 def _letter_sets():
     """Letter sets for random words, each letter a (quaternions, matrix)
     pair: the free pair with the rotation formula's matrices and each corpus
-    instance's compiled unitaries, all with their adjoints, the corpus sets
-    also with a sign flip on one block, so that words can cancel and blocks
-    can disagree in sign."""
+    instance's unitary channels as quaternion pairs, all with their
+    adjoints, the corpus sets also with a sign flip on one block, so that
+    words can cancel and blocks can disagree in sign."""
     p = PAIR.params
     rotations = [
         (PAIR.a, reference_rotation(p.cos, p.sin, p.axis_a)),
@@ -353,7 +363,7 @@ def _letter_sets():
     flip = ((1, 0, 0, 0, -1, 0, 0, 0, 1), block_diag(ident, minus))
     for entry in CORPUS:
         gens = compile_generators(entry.instance, PAIR, Fraction(1, 2))
-        units = [(ch.unitary, quaternion_matrix(ch.unitary)) for ch in gens.channels()]
+        units = [(ch.quaternions, quaternion_matrix(ch.quaternions)) for ch in gens.e_gens]
         sets.append(units + [(q_adjoint(q), m.dagger()) for q, m in units] + [flip])
     return sets
 
@@ -384,17 +394,19 @@ def test_quaternion_kernel_matches_matrix_oracle(data):
     assert quaternion_matrix(q_mul(qu, qv)) == mu @ mv
     assert quaternion_matrix(q_adjoint(qu)) == mu.dagger()
     for q, m in ((qu, mu), (q_mul(qu, q_adjoint(qv)), mu @ mv.dagger())):
-        assert q_is_scalar(q) == (m.as_scalar() is not None)
+        assert q_is_scalar(q) == (as_scalar(m) is not None)
     minus_one = tuple(-v for v in q_identity(len(qu) // 4)[:-1]) + (1,)
     neg = q_mul(qu, minus_one)
     assert quaternion_matrix(neg) == mu.scale(-1)
     for qa, ma, qb, mb in ((qu, mu, qv, mv), (qu, mu, neg, mu.scale(-1))):
-        same_key = q_phase_key(qa) == q_phase_key(qb)
-        assert same_key == (phase_canonical(ma) == phase_canonical(mb))
+        # equal keys exactly when each 2x2 block is equal up to a phase
+        same_key = q_sign_key(qa) == q_sign_key(qb)
+        blocks = [(block(ma, k, k, 2, 2), block(mb, k, k, 2, 2)) for k in range(0, ma.rows, 2)]
+        assert same_key == all(phase_canonical(x) == phase_canonical(y) for x, y in blocks)
 
 
-# Real part 0 and a negative imaginary lead, so the phase key cannot stop
-# at x[0]: one block, two blocks, and a lead in the second block.
+# Real part 0 and a negative imaginary lead, so the sign key cannot stop at
+# a block's real part: one block, two blocks, and a lead in the second block.
 ZERO_REAL = [
     (0, -3, 4, 0, 5),
     (0, 0, 0, -1, 1),
@@ -407,8 +419,11 @@ ZERO_REAL = [
 @pytest.mark.parametrize("q", ZERO_REAL)
 def test_phase_key_and_adjoint_with_zero_real_part(q):
     neg = tuple(-v for v in q[:-1]) + q[-1:]
-    assert q_phase_key(q) == neg
-    assert q_phase_key(neg) == neg
+    key = q_sign_key(q)
+    assert q_sign_key(neg) == key and key[-1] == q[-1]
+    for k in range(0, len(q) - 1, 4):  # each block leads positive, up to sign q's
+        assert next(filter(None, key[k : k + 4]), 1) > 0
+        assert key[k : k + 4] in (q[k : k + 4], neg[k : k + 4])
     assert quaternion_matrix(neg) == quaternion_matrix(q).scale(-1)
     for x in (q, neg):
         # Real parts and the denominator (index 4 * blocks) keep their sign.
@@ -425,7 +440,7 @@ def test_quaternion_scalar_needs_equal_real_blocks():
         ((0, 1, 0, 0, 0, 1, 0, 0, 1), False),
     ):
         assert q_is_scalar(q) is scalar
-        assert (quaternion_matrix(q).as_scalar() is not None) is scalar
+        assert (as_scalar(quaternion_matrix(q)) is not None) is scalar
 
 
 # --- the freeness certificate for group words ------------------------------------------------

@@ -8,18 +8,22 @@ from math import gcd
 
 import pytest
 
-from corpus import CORPUS, DEFAULT_PAIR, compose, random_density
+from corpus import CORPUS, DEFAULT_PAIR, MIXED_CANCELLATION, compose, random_density
 from oracles import (
+    KrausChannel,
     block,
     block_diag,
+    column,
+    coordinates,
     det,
     gr,
     is_unitary,
     mat_add,
-    mat_pow,
     mat_sub,
     matrix_from_json,
     mul,
+    orthogonal_map,
+    quaternion_matrix,
     trace,
     zeros,
 )
@@ -33,14 +37,11 @@ from freeops.exact import (
 )
 from freeops.freerot import (
     RotationParams,
-    encode_word,
     freeness_certificate,
     freeness_scan,
     make_free_pair,
     q_identity,
-    q_mul,
-    q_phase_key,
-    quaternion_matrix,
+    q_sign_key,
 )
 from freeops.pcp import parse_instance, solve_bounded, verify_solution
 from freeops.reduction import (
@@ -65,29 +66,37 @@ A = quaternion_matrix(PAIR.a)
 B = quaternion_matrix(PAIR.b)
 HALF = Fraction(1, 2)
 IDENTITY = ChannelElement(q_identity(2), Fraction(1))
+CLASSIC3 = "1|101\n10|00\n011|11"
+E0 = column([1, 0, 0, 0])
 
 
 def compiled(text, damping=HALF):
     return compile_generators(parse_instance(text), PAIR, damping)
 
 
-def reference_generators(inst, a, b):
-    """The compiled unitaries built from the 2x2 rotation matrices a and b:
-    H_i = blockdiag(code(top_i), a^i b) and
-    G_i = blockdiag(code(bottom_i)^dag, (a^i b)^dag)."""
+def code(bits, a=A, b=B):
+    """The 2x2 rotation product of a binary word."""
+    m = ExactMatrix.identity(2)
+    for ch in bits:
+        m = m @ (a if ch == "0" else b)
+    return m
 
-    def code(bits):
-        m = ExactMatrix.identity(2)
-        for ch in bits:
-            m = m @ (a if ch == "0" else b)
-        return m
 
+def reference_operators(inst, a, b):
+    """Each generator's operator built from the 2x2 rotation matrices a and
+    b: M_i of x -> code(top_i) x code(bottom_i)^dag for E_i, and the column
+    of f_i = code(top_i) code(bottom_i)^dag for R_i."""
     out = {}
     for i, (top, bottom) in enumerate(inst.tiles, start=1):
-        index_block = mat_pow(a, i) @ b
-        out[f"H{i}"] = block_diag(code(top), index_block)
-        out[f"G{i}"] = block_diag(code(bottom).dagger(), index_block.dagger())
+        t, u = code(top, a, b), code(bottom, a, b)
+        out[f"E{i}"] = orthogonal_map(t, u)
+        out[f"R{i}"] = column(coordinates(t @ u.dagger()))
     return out
+
+
+def is_target_column(g):
+    """Whether |g><g| = |1><1|: g = +-1."""
+    return g == E0 or g == E0.scale(-1)
 
 
 # --- compilation ------------------------------------------------------------------
@@ -95,14 +104,11 @@ def reference_generators(inst, a, b):
 
 def test_compile_first_tile_blocks():
     gens = compiled("0|100")
-    assert quaternion_matrix(gens.h_gens[0].unitary) == block_diag(A, A @ B)
-    assert quaternion_matrix(gens.g_gens[0].unitary) == block_diag((B @ A @ A).dagger(), (A @ B).dagger())
-
-
-def test_compile_index_blocks_track_tile_number():
-    gens = compiled("0|0\n1|1\n01|10")
-    for i, h in enumerate(gens.h_gens, start=1):
-        assert block(quaternion_matrix(h.unitary), 2, 2, 2, 2) == mat_pow(A, i) @ B
+    (e1,), (r1,) = gens.e_gens, gens.r_gens
+    assert quaternion_matrix(e1.quaternions) == block_diag(A, B @ A @ A)
+    assert not e1.reset and r1.reset
+    assert r1.operator() == column(coordinates(A @ (B @ A @ A).dagger()))
+    assert (e1.label, r1.label) == ("E1", "R1")
 
 
 def test_compile_matches_matrix_construction():
@@ -114,10 +120,10 @@ def test_compile_matches_matrix_construction():
         a, b = quaternion_matrix(pair.a), quaternion_matrix(pair.b)
         for entry in CORPUS:
             gens = compile_generators(entry.instance, pair, HALF)
-            expected = reference_generators(entry.instance, a, b)
-            assert {ch.word[0] for ch in gens.channels()} == set(expected)
+            expected = reference_operators(entry.instance, a, b)
+            assert sorted(ch.word[0] for ch in gens.channels()) == sorted(expected)
             for ch in gens.channels():
-                assert quaternion_matrix(ch.unitary) == expected[ch.word[0]], (entry.name, ch.word)
+                assert ch.operator() == expected[ch.word[0]], (entry.name, ch.word)
 
 
 def test_compile_rejects_bad_damping():
@@ -130,23 +136,32 @@ def test_compile_rejects_bad_damping():
 def test_all_generators_exactly_unitary():
     for entry in CORPUS[:8]:
         gens = compile_generators(entry.instance, PAIR, HALF)
-        for ch in gens.channels():
-            assert is_unitary(quaternion_matrix(ch.unitary))
+        for ch in gens.e_gens:
+            m = ch.operator()
+            assert m @ m.dagger() == ExactMatrix.identity(4) and m.dagger() == _transpose(m)
+        for ch in gens.r_gens:
+            g = ch.operator()
+            assert g.dagger() @ g == ExactMatrix.identity(1)
+
+
+def _transpose(m):
+    return ExactMatrix.from_rows([[m.entry(i, j) for i in range(m.rows)] for j in range(m.cols)])
 
 
 def test_matching_tile_telescopes():
     gens = compiled("0|0")
-    product = quaternion_matrix(gens.g_gens[0].unitary) @ quaternion_matrix(gens.h_gens[0].unitary)
-    assert product == ExactMatrix.identity(4)
+    assert gens.r_gens[0].operator() == E0
+    assert gens.e_gens[0].operator() @ E0 == E0
 
 
 def test_generator_set_json_bundle():
     gens = compiled("0|100")
     data = gens.to_json_dict()
     assert data["instance"]["tiles"] == [["0", "100"]]
-    assert data["damping"]["H1"] == "1/2"
-    assert set(data["unitaries"]) == {"H1", "G1"}
-    assert matrix_from_json(data["unitaries"]["G1"]) == quaternion_matrix(gens.g_gens[0].unitary)
+    assert data["damping"] == {"E1": "1/2", "R1": "1/2"}
+    assert list(data["operators"]) == ["E1", "R1"]
+    assert matrix_from_json(data["operators"]["E1"]) == gens.e_gens[0].operator()
+    assert matrix_from_json(data["operators"]["R1"]) == gens.r_gens[0].operator()
 
 
 # --- channel algebra ----------------------------------------------------------------
@@ -154,25 +169,27 @@ def test_generator_set_json_bundle():
 
 def test_compose_identity_neutral():
     gens = compiled("0|100")
-    ident = IDENTITY
-    x = gens.h_gens[0]
-    assert compose(ident, x) == x
-    assert compose(x, ident) == x
+    for x in gens.channels():
+        assert compose(IDENTITY, x) == x
+        assert compose(x, IDENTITY) == x
 
 
 def test_compose_damping_and_words():
     x = make_target(Fraction(1, 2))
     y = make_target(Fraction(1, 3))
-    z = compose(x, y)
-    assert z.damping == Fraction(1, 6)
-    gens = compiled("0|0")
-    w = compose(gens.h_gens[0], gens.g_gens[0])
-    assert w.word == ("H1", "G1")
+    assert compose(x, y).damping == Fraction(1, 2)  # a reset absorbs what acts first
+    gens = compiled("01|0\n1|11", Fraction(1, 3))
+    e1, e2 = gens.e_gens
+    r1 = gens.r_gens[0]
+    assert compose(e1, e2).damping == Fraction(1, 9) and not compose(e1, e2).reset
+    w = compose(e1, r1)
+    assert w.word == ("E1", "R1") and w.reset and w.damping == Fraction(1, 9)
+    assert compose(r1, e2).damping == Fraction(1, 3) and compose(r1, e2).reset
 
 
 def test_compose_matches_sequential_application():
     rng = random.Random(321)
-    gens = compiled("1|101\n10|00\n011|11")
+    gens = compiled(CLASSIC3)
     channels = gens.channels()
     for _ in range(100):
         x = rng.choice(channels)
@@ -183,15 +200,27 @@ def test_compose_matches_sequential_application():
 
 def test_compose_associative():
     gens = compiled("01|0\n1|11")
-    a, b, c = gens.h_gens[0], gens.g_gens[1], gens.h_gens[1]
-    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    channels = gens.channels()
+    for a in channels:
+        for b in channels:
+            for c in channels:
+                assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
 def test_apply_fixes_maximally_mixed():
     gens = compiled("0|100")
     mixed = ExactDensityMatrix.maximally_mixed(4)
-    for ch in gens.channels():
+    for ch in gens.e_gens:
         assert ch.apply(mixed) == mixed
+
+
+def test_reset_output_ignores_input():
+    rng = random.Random(17)
+    gens = compiled(CLASSIC3)
+    for ch in gens.r_gens + (make_target(Fraction(1, 3)),):
+        outputs = {ch.apply(random_density(rng)) for _ in range(5)}
+        outputs.add(ch.apply(ExactDensityMatrix.maximally_mixed(4)))
+        assert len(outputs) == 1
 
 
 def test_apply_identity_channel():
@@ -201,21 +230,30 @@ def test_apply_identity_channel():
 
 
 def reference_apply(ch, m):
-    """The channel formula spelled out in ExactMatrix operations."""
-    mix = ExactMatrix.identity(ch.dim).scale(
-        mul(trace(m), GaussianRational((1 - ch.damping) / ch.dim))
-    )
-    u = quaternion_matrix(ch.unitary)
-    return mat_add((u @ m @ u.dagger()).scale(ch.damping), mix)
+    """The channel formula spelled out with the oracle's M or g:
+    p K(m) + (1 - p) tr(m) I/4, with K(m) = M m M^T or tr(m) g g^T."""
+    p, t = ch.damping, trace(m)
+    mix = ExactMatrix.identity(4).scale(mul(t, GaussianRational((1 - p) / 4)))
+    q = ch.quaternions
+    if ch.reset:
+        g = column([Fraction(v, q[4]) for v in q[:4]])
+        image = (g @ g.dagger()).scale(t)
+    else:
+        blocks = quaternion_matrix(q)
+        u, v = block(blocks, 0, 0, 2, 2), block(blocks, 2, 2, 2, 2)
+        o = orthogonal_map(u, v)
+        image = o @ m @ o.dagger()
+    return mat_add(image.scale(p), mix)
 
 
 def test_apply_to_matrix_matches_reference_formula():
     rng = random.Random(2105)
-    gens = compiled("1|101\n10|00\n011|11")
+    gens = compiled(CLASSIC3)
     channels = list(gens.channels()) + [
         IDENTITY,
         make_target(Fraction(1, 3)),
-        compose(gens.h_gens[0], gens.g_gens[2]),
+        compose(gens.e_gens[0], gens.e_gens[2]),
+        compose(gens.e_gens[1], gens.r_gens[2]),
     ]
 
     def entry():
@@ -243,8 +281,9 @@ def test_apply_to_matrix_matches_reference_formula():
 
 
 def test_apply_dimension_checked():
-    with pytest.raises(ShapeError):
-        make_target(HALF).apply(ExactDensityMatrix.maximally_mixed(2))
+    for ch in (make_target(HALF), compiled("0|1").e_gens[0]):
+        with pytest.raises(ShapeError):
+            ch.apply(ExactDensityMatrix.maximally_mixed(2))
 
 
 def test_target_on_basis_state():
@@ -253,6 +292,7 @@ def test_target_on_basis_state():
     assert out.mat == ExactMatrix.diagonal(
         [gr("5/8"), gr("1/8"), gr("1/8"), gr("1/8")]
     )
+    assert make_target(HALF).apply(ExactDensityMatrix.basis_state(4, 3)) == out
 
 
 def test_target_domain():
@@ -260,6 +300,7 @@ def test_target_domain():
         with pytest.raises(ValueError):
             make_target(bad)
     assert make_target(HALF).word == ()
+    assert make_target(HALF).label == "target(1/2)"
 
 
 # --- Choi certification ---------------------------------------------------------------
@@ -281,10 +322,11 @@ def test_choi_of_identity_is_maximally_entangled():
 
 def test_choi_trace_is_dimension():
     assert trace(choi(make_target(HALF))) == gr(4)
+    assert trace(choi(compiled("0|1").e_gens[0])) == gr(4)
 
 
 def test_compiled_generators_are_cptp():
-    gens = compiled("1|101\n10|00\n011|11")
+    gens = compiled(CLASSIC3)
     for ch in gens.channels():
         j = choi(ch)
         assert j.is_psd()
@@ -293,27 +335,52 @@ def test_compiled_generators_are_cptp():
 
 def test_composed_channels_stay_cptp():
     gens = compiled("01|0\n1|11")
-    word = compose(compose(gens.h_gens[0], gens.g_gens[1]), gens.h_gens[1])
-    j = choi(word)
-    assert j.is_psd()
-    assert j.partial_trace_first(4, 4) == ExactMatrix.identity(4)
+    for word in (
+        compose(compose(gens.e_gens[0], gens.e_gens[1]), gens.r_gens[1]),
+        compose(gens.r_gens[0], gens.e_gens[1]),
+    ):
+        j = choi(word)
+        assert j.is_psd()
+        assert j.partial_trace_first(4, 4) == ExactMatrix.identity(4)
 
 
-# --- block structure --------------------------------------------------------------------
+def _matrix_unit(a, b):
+    return ExactMatrix(4, 4, [int(k == 4 * a + b) for k in range(16)])
+
+
+def test_choi_matches_kraus_definition():
+    """Each compiled channel of classic3 against a Kraus list written from
+    the definitions at damping p = 9/25, where p = (3/5)^2 and
+    (1 - p)/4 = (2/5)^2 give rational Kraus operators: (3/5) M for E_i,
+    (3/5) |f_i><b| per basis vector b for R_i, and (2/5) |a><b| per matrix
+    unit for the depolarising part."""
+    gens = compiled(CLASSIC3, Fraction(9, 25))
+    mixing = [_matrix_unit(a, b).scale(Fraction(2, 5)) for a in range(4) for b in range(4)]
+    expected = reference_operators(gens.instance, A, B)
+    for ch in gens.channels():
+        op = expected[ch.word[0]]
+        if ch.reset:
+            main = [op @ column([int(k == b) for k in range(4)]).dagger() for b in range(4)]
+        else:
+            main = [op]
+        kraus = KrausChannel([k.scale(Fraction(3, 5)) for k in main] + mixing, ch.label)
+        assert choi(ch) == choi(kraus), ch.label
+
+
+# --- pair products -----------------------------------------------------------------------
 
 
 def test_products_keep_block_structure():
     rng = random.Random(99)
-    gens = compiled("1|101\n10|00\n011|11")
-    channels = gens.channels()
+    gens = compiled(CLASSIC3)
     for _ in range(50):
-        length = rng.randint(1, 6)
-        product = ExactMatrix.identity(4)
-        for _ in range(length):
-            product = product @ quaternion_matrix(rng.choice(channels).unitary)
-        assert block(product, 0, 2, 2, 2) == zeros(2, 2)
-        assert block(product, 2, 0, 2, 2) == zeros(2, 2)
-        for corner in (block(product, 0, 0, 2, 2), block(product, 2, 2, 2, 2)):
+        product = IDENTITY
+        for _ in range(rng.randint(1, 6)):
+            product = compose(product, rng.choice(gens.e_gens))
+        m = quaternion_matrix(product.quaternions)
+        assert block(m, 0, 2, 2, 2) == zeros(2, 2)
+        assert block(m, 2, 0, 2, 2) == zeros(2, 2)
+        for corner in (block(m, 0, 0, 2, 2), block(m, 2, 2, 2, 2)):
             assert is_unitary(corner)
             assert det(corner) == gr(1)
 
@@ -321,22 +388,21 @@ def test_products_keep_block_structure():
 # --- membership search -------------------------------------------------------------------
 
 
-def test_membership_trivial_instance_generic():
-    out = membership_search(compiled("0|0"), 2, mode="generic")
+def _check_trivial_instance(mode):
+    out = membership_search(compiled("0|0"), 1, mode=mode)
     assert out.status == FOUND
-    assert out.witness == ("H1", "G1")
-    assert out.scalar_value == gr(1)
+    assert out.witness == ("R1",)
     assert out.extracted == (1,)
-    assert out.witness_damping == Fraction(1, 4)
+    assert out.witness_damping == HALF
+    assert out.depth_reached == 1
+
+
+def test_membership_trivial_instance_generic():
+    _check_trivial_instance("generic")
 
 
 def test_membership_trivial_instance_structured():
-    out = membership_search(compiled("0|0"), 2, mode="structured")
-    assert out.status == FOUND
-    assert out.witness == ("G1", "H1")
-    assert out.scalar_value == gr(1)
-    assert out.extracted == (1,)
-    assert out.witness_damping == Fraction(1, 4)
+    _check_trivial_instance("structured")
 
 
 def test_membership_unsolvable_instance():
@@ -346,19 +412,21 @@ def test_membership_unsolvable_instance():
         assert out.status == EXHAUSTED
         assert out.witness is None
         assert not out.truncated
+        assert out.depth_reached == 8
 
 
 def test_membership_classic_instance():
-    inst = parse_instance("1|101\n10|00\n011|11")
+    inst = parse_instance(CLASSIC3)
     gens = compile_generators(inst, PAIR, HALF)
     oracle = solve_bounded(inst, 4)
     for mode in ("generic", "structured"):
         out = membership_search(gens, 8, mode=mode)
         assert out.status == FOUND
-        assert out.depth_reached == 8 == 2 * len(oracle.witness)
-        assert out.extracted is not None
+        assert out.depth_reached == 4 == len(oracle.witness)
+        assert out.witness == ("E1", "E3", "E2", "R3")
+        assert out.extracted == (1, 3, 2, 3)
         assert verify_solution(inst, out.extracted)
-        assert out.witness_damping == HALF ** 8
+        assert out.witness_damping == HALF ** 4
 
 
 def test_membership_rejects_bad_args():
@@ -370,39 +438,49 @@ def test_membership_rejects_bad_args():
 
 
 def test_membership_budget_truncation():
-    gens = compiled("1|101\n10|00\n011|11")
-    out = membership_search(gens, 8, mode="generic", node_budget=20)
-    assert out.status == EXHAUSTED
-    assert out.truncated
+    gens = compiled(CLASSIC3)
+    for mode in ("generic", "structured"):
+        out = membership_search(gens, 8, mode=mode, node_budget=5)
+        assert out.status == EXHAUSTED
+        assert out.truncated
 
 
 # Budgets at and one below a level boundary: a search is truncated exactly
 # when one more expansion was due, and a level cut short never counts as
-# completed.  The scan, generic and structured rows were taken before those
-# searches shared one level loop; the diff rows count the expansions of f1's
-# closure alone, and the explore and solve rows count expansions, not stored
-# states or visited configurations.  A scan row also runs `verify-free`: a
-# scan cut short with no collision reports the last length scanned in full
-# and exits 10.
+# completed.  The diff rows count the expansions of f1's closure alone,
+# and the explore and solve rows count expansions, not stored states or
+# visited configurations.  A scan row also runs `verify-free`: a scan cut
+# short with no collision reports the last length scanned in full and
+# exits 10.  The generic, structured, diff and explore rows up to the
+# 62-word scan rows were taken at the level boundaries of the former
+# index-block channels; on the current channels their budgets either
+# exceed what the search needs (generic finds classic3's solution at
+# length 4 after 12 expansions) or cut a level short.  The rows after them
+# sit at the current boundaries: on classic3, generic level s expands
+# 3^(s-1) words by 3 letters and checks witness lengths 2s - 1 and 2s;
+# structured level n keeps all 3^n vectors; the closure expands only its
+# unitary channels, 3^(d-1) at depth d, by 6 letters; and explore from
+# basis:0 finds 3 states at depth 1 (E_i and R_i give the same one) and 9
+# at depth 2.
 BUDGET_BOUNDARY = [
     # (search, depth or max_len, budget, expected)
     # scan: (scanned_max_len, words, truncated, verify-free exit code)
     ("scan", 3, 14, (3, 14, False, 0)),
     ("scan", 3, 13, (2, 13, True, 10)),
     ("scan", 4, 14, (3, 14, True, 10)),
-    ("generic", 4, 42, (EXHAUSTED, 4, 42, False)),
-    ("generic", 4, 41, (EXHAUSTED, 2, 41, True)),
-    ("generic", 6, 42, (EXHAUSTED, 4, 42, True)),
-    ("structured", 4, 12, (EXHAUSTED, 4, 12, False)),
-    ("structured", 4, 11, (EXHAUSTED, 2, 11, True)),
-    ("structured", 6, 12, (EXHAUSTED, 4, 12, True)),
-    ("diff", 2, 42, (DISTINCT, 2, 42, False)),
-    ("diff", 2, 41, (INDISTINGUISHABLE, 1, 41, True)),
+    ("generic", 4, 42, (FOUND, 4, 12, False)),
+    ("generic", 4, 41, (FOUND, 4, 12, False)),
+    ("generic", 6, 42, (FOUND, 4, 12, False)),
+    ("structured", 4, 12, (EXHAUSTED, 2, 12, True)),
+    ("structured", 4, 11, (EXHAUSTED, 1, 11, True)),
+    ("structured", 6, 12, (EXHAUSTED, 2, 12, True)),
+    ("diff", 2, 42, (DISTINCT, 2, 24, False)),
+    ("diff", 2, 41, (DISTINCT, 2, 24, False)),
     ("diff", 3, 56, (INDISTINGUISHABLE, 2, 56, True)),
     # explore: (stored states, edges = expansions, truncated)
-    ("explore", 2, 36, (32, 36, False)),
-    ("explore", 2, 35, (31, 35, True)),
-    ("explore", 3, 36, (32, 36, True)),
+    ("explore", 2, 36, (13, 24, False)),
+    ("explore", 2, 35, (13, 24, False)),
+    ("explore", 3, 36, (19, 36, True)),
     ("solve", 3, 9, (EXHAUSTED, 3, 9, False)),
     ("solve", 3, 8, (EXHAUSTED, 2, 8, True)),
     ("solve", 4, 9, (EXHAUSTED, 3, 9, True)),
@@ -411,12 +489,24 @@ BUDGET_BOUNDARY = [
     ("scan", 12, 0, (0, 0, True, 10)),
     ("scan", 6, 126, (6, 126, False, 0)),
     ("scan", 6, 125, (5, 125, True, 10)),
+    ("generic", 3, 12, (EXHAUSTED, 3, 12, False)),
+    ("generic", 3, 11, (EXHAUSTED, 2, 11, True)),
+    ("generic", 3, 3, (EXHAUSTED, 2, 3, True)),
+    ("structured", 3, 39, (EXHAUSTED, 3, 39, False)),
+    ("structured", 3, 38, (EXHAUSTED, 2, 38, True)),
+    ("structured", 4, 39, (EXHAUSTED, 3, 39, True)),
+    ("diff", 2, 24, (DISTINCT, 2, 24, False)),
+    ("diff", 2, 23, (INDISTINGUISHABLE, 1, 23, True)),
+    ("diff", 3, 24, (INDISTINGUISHABLE, 2, 24, True)),
+    ("explore", 2, 24, (13, 24, False)),
+    ("explore", 2, 23, (13, 23, True)),
+    ("explore", 3, 24, (13, 24, True)),
 ]
 
 
 @pytest.mark.parametrize("search,depth,budget,expected", BUDGET_BOUNDARY)
 def test_budget_boundary_table(tmp_path, search, depth, budget, expected):
-    gens = compiled("1|101\n10|00\n011|11")
+    gens = compiled(CLASSIC3)
     if search == "scan":
         r = freeness_scan(PAIR, depth, node_budget=budget)
         out = tmp_path / "r.json"
@@ -449,15 +539,25 @@ def test_membership_repeat_runs_agree():
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-def _bfs_scalar_word(gens, max_depth):
-    """Oracle: the first scalar word in length-then-lexicographic order over
-    the generator list, by plain BFS over ExactMatrix products."""
-    letters = [(ch.word[0], quaternion_matrix(ch.unitary)) for ch in gens.channels()]
-    level = [((), ExactMatrix.identity(4))]
+def _bfs_target_word(gens, max_depth):
+    """Oracle: the first generator word, in length-then-lexicographic order
+    over the generator list, whose channel is a target, by plain BFS over
+    every word.  A word's channel is folded letter by letter from the
+    oracle's own M and g: a unitary prefix with matrix P takes E (M) to
+    P M and R (g) to the reset onto P g, and a reset absorbs every later
+    letter; the channel is a target when it resets onto +-1."""
+    expected = reference_operators(gens.instance, A, B)
+    letters = [(ch.word[0], ch.reset, expected[ch.word[0]]) for ch in gens.channels()]
+    level = [((), False, ExactMatrix.identity(4))]
     for _ in range(max_depth):
-        level = [(w + (lab,), m @ u) for w, m in level for lab, u in letters]
-        for word, m in level:
-            if m.as_scalar() is not None:
+        nxt = []
+        for word, is_reset, m in level:
+            for lab, reset, op in letters:
+                child = (word + (lab,), True, m) if is_reset else (word + (lab,), reset, m @ op)
+                nxt.append(child)
+        level = nxt
+        for word, is_reset, m in level:
+            if is_reset and is_target_column(m):
                 return word
     return None
 
@@ -468,7 +568,7 @@ def test_generic_witness_matches_bruteforce_bfs():
         if entry.size > 3:
             continue
         gens = compile_generators(entry.instance, PAIR, HALF)
-        expected = _bfs_scalar_word(gens, depth)
+        expected = _bfs_target_word(gens, depth)
         out = membership_search(gens, depth, mode="generic")
         if expected is None:
             assert out.status == EXHAUSTED, entry.name
@@ -479,9 +579,9 @@ def test_generic_witness_matches_bruteforce_bfs():
 
 
 def test_channel_element_construction_check():
-    good = compiled("0|100").g_gens[0].unitary
-    ch = ChannelElement(good, HALF, ("G1",))
-    assert quaternion_matrix(ch.unitary) == quaternion_matrix(good) and ch.dim == 4
+    good = compiled("0|100").e_gens[0].quaternions
+    ch = ChannelElement(good, HALF, ("E1",))
+    assert ch.quaternions == good and ch.dim == 4 and not ch.reset
     for bad in (
         q_identity(1),  # one block
         q_identity(3),  # three blocks
@@ -497,6 +597,17 @@ def test_channel_element_construction_check():
     ):
         with pytest.raises(ValueError):
             ChannelElement(bad, HALF)
+    for bad in (
+        q_identity(2),  # a pair
+        (1, 1, 0, 0, 1),  # norm 2
+        (0, 0, 0, 0, 1),  # zero
+        (2, 0, 0, 0, 2),  # not reduced
+        (-1, 0, 0, 0, -1),  # negative denominator
+        (3, 0, 4, 0),  # length 4
+    ):
+        with pytest.raises(ValueError):
+            ChannelElement(bad, HALF, reset=True)
+    assert ChannelElement((3, 0, 4, 0, 5), HALF, reset=True).reset
     for damping in (Fraction(0), Fraction(-1, 2), Fraction(3, 2), 1 + Fraction(1, 10**9)):
         with pytest.raises(ValueError):
             ChannelElement(good, damping)
@@ -512,48 +623,48 @@ def test_witness_channel_acts_like_target():
     channel = by_label[out.witness[0]]
     for lab in out.witness[1:]:
         channel = compose(channel, by_label[lab])
-    target = make_target(channel.damping)
+    target = make_target(out.witness_damping)
     for _ in range(20):
         rho = random_density(rng)
         assert channel.apply(rho) == target.apply(rho)
-    j = choi(channel)
-    assert j.is_psd()
-    assert j.partial_trace_first(4, 4) == ExactMatrix.identity(4)
+    assert choi(channel) == choi(target)
+
+
+def test_found_witness_is_cross_checked(monkeypatch):
+    """A witness whose channel is not the target fails the Choi check."""
+    from freeops import reduction
+
+    gens = compiled("0|0\n1|0")
+    real = reduction._found_outcome
+    monkeypatch.setattr(
+        reduction, "_found_outcome", lambda g, mode, tiles, n: real(g, mode, (2,), n)
+    )
+    with pytest.raises(AssertionError, match="not the target"):
+        membership_search(gens, 2)
 
 
 def test_mixed_cancellation_shortcut():
-    # Tile 3's bottom word is a suffix of its top word, so H3*G3 collapses
-    # to blockdiag(code("1"), I): the shape-agnostic search finds a scalar
-    # word of length 6, below the canonical 2 x (solution length), and
-    # extraction correctly declines to read a tile word out of it.
-    from corpus import MIXED_CANCELLATION
-
+    # Tile 3's bottom word is a suffix of its top word, which let the former
+    # index-block encoding find a scalar word of length 6, below 2 x 4.  Both
+    # modes find the tile solution itself.
     inst = MIXED_CANCELLATION.instance
     gens = compile_generators(inst, PAIR, HALF)
-    h3 = quaternion_matrix(gens.h_gens[2].unitary)
-    g3 = quaternion_matrix(gens.g_gens[2].unitary)
-    assert h3 @ g3 == block_diag(quaternion_matrix(encode_word(PAIR, "1")), ExactMatrix.identity(2))
-    out = membership_search(gens, 8, mode="generic")
-    assert out.status == FOUND
-    assert out.witness == ("H1", "H3", "G3", "H3", "G3", "G1")
-    assert out.depth_reached == 6
-    assert out.scalar_value == gr(1)
-    assert out.extracted is None
-    # confined to the canonical shape, the structured search still finds
-    # the tile solution at its canonical depth
-    structured = membership_search(gens, 8, mode="structured")
-    assert structured.status == FOUND
-    assert structured.depth_reached == 8
-    assert structured.extracted == (2, 1, 1, 3)
-    assert verify_solution(inst, structured.extracted)
+    for mode in ("generic", "structured"):
+        out = membership_search(gens, 8, mode=mode)
+        assert out.status == FOUND
+        assert out.witness == ("E2", "E1", "E1", "R3")
+        assert out.depth_reached == 4
+        assert out.extracted == (2, 1, 1, 3)
+        assert verify_solution(inst, out.extracted)
 
 
 def test_phase_canonical_identifies_phase_multiples():
     gens = compiled("0|100")
-    u = quaternion_matrix(gens.h_gens[0].unitary)
-    for phase in (gr(1), gr(-1), gr(0, 1), gr(0, -1)):
-        assert phase_canonical(u.scale(phase)) == phase_canonical(u)
-    assert phase_canonical(u) != phase_canonical(quaternion_matrix(gens.g_gens[0].unitary))
+    for ch in gens.channels():
+        u = ch.operator()
+        for phase in (gr(1), gr(-1), gr(0, 1), gr(0, -1)):
+            assert phase_canonical(u.scale(phase)) == phase_canonical(u)
+    assert phase_canonical(gens.e_gens[0].operator()) != phase_canonical(IDENTITY.operator())
 
 
 # --- theory diffing ---------------------------------------------------------------------
@@ -568,6 +679,7 @@ def test_diff_unsolvable_distinct_at_depth_one():
         assert out.status == DISTINCT
         assert out.witness["label"] == "PSI"
         assert out.witness["side"] == 2
+        assert out.witness["digest"] == phase_canonical(E0).digest()
         assert not out.truncated
 
 
@@ -586,12 +698,10 @@ def test_diff_solvable_realizes_target():
     out = theory_diff(f1, (psi,), 2)
     assert out.status == INDISTINGUISHABLE
     realized = out.matches["f2:PSI"]
-    assert realized["at_depth"] == 2
-    by_label = {ch.word[0]: quaternion_matrix(ch.unitary) for ch in f1}
-    product = ExactMatrix.identity(4)
-    for lab in realized["realized_by"]:
-        product = product @ by_label[lab]
-    assert product.as_scalar() is not None
+    assert realized == {"realized_by": ["E1", "R1"], "at_depth": 2}
+    by_label = {ch.word[0]: ch for ch in f1}
+    channel = compose(by_label["E1"], by_label["R1"])
+    assert choi(channel) == choi(make_target(Fraction(1, 4)))
 
 
 def test_diff_truncated_reports_completed_depth():
@@ -600,15 +710,19 @@ def test_diff_truncated_reports_completed_depth():
     extra = (labeled(make_target(Fraction(1, 4)), "PSI"),)
     full = theory_diff(f1, extra, 4)
     assert not full.truncated and full.depth_reached == 4
-    # f1's closure (2 letters) completes depth 2 within 7 expansions (2 + 4);
-    # its third level is cut after one
+    # f1's closure (2 letters) expands one unitary channel per level, so it
+    # completes depth 3 within 6 expansions; its fourth level is cut after one
     out = theory_diff(f1, extra, 4, node_budget=7)
     assert out.truncated
-    assert out.depth_reached == 2
+    assert out.depth_reached == 3
     assert out.nodes_expanded == 7
     assert out.status == INDISTINGUISHABLE and out.witness is None
     # a budget that cuts level 1 completes nothing
     assert theory_diff(f1, extra, 4, node_budget=1).depth_reached == 0
+
+
+def _key(ch):
+    return (q_sign_key(ch.quaternions), ch.damping.numerator, ch.damping.denominator)
 
 
 def _two_closure_diff(f1, extra, depth):
@@ -621,8 +735,7 @@ def _two_closure_diff(f1, extra, depth):
     matches, witness = {}, None
     for side, own, other in ((2, f2, e1), (1, f1, e2)):
         for ch in own:
-            d = ch.damping
-            hit = other.get((q_phase_key(ch.unitary), d.numerator, d.denominator))
+            hit = other.get(_key(ch))
             if hit is not None:
                 matches.setdefault(
                     f"f{side}:{ch.label}",
@@ -633,41 +746,42 @@ def _two_closure_diff(f1, extra, depth):
                     "side": side,
                     "label": ch.label,
                     "damping": rat_to_str(ch.damping),
-                    "unitary_digest": phase_canonical(quaternion_matrix(ch.unitary)).digest(),
+                    "digest": phase_canonical(ch.operator()).digest(),
                 }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE
     return status, witness, matches, min(done1, done2)
 
 
 def test_closure_damping_keys_are_reduced_letter_products():
-    """Every closure element's integer damping is the Fraction product of
-    its word's letter dampings, in lowest terms, next to the phase key of
-    its word's product.  The letters mix 1/2, 2/3 and 3/4 (given as 6/8),
-    so that products such as 2/3 * 3/4 = 6/12 need reducing."""
+    """Every closure element's key is that of its word's composed channel
+    (corpus.compose), its damping the Fraction product of the word's letter
+    dampings in lowest terms.  The letters mix 1/2, 2/3 and 3/4 (given as
+    6/8), so that products such as 2/3 * 3/4 = 6/12 need reducing.  A word
+    ends at its first reset, and only unitary channels are expanded."""
     dampings = [HALF, Fraction(2, 3), Fraction(6, 8)]
-    gens = compiled("1|101\n10|00\n011|11")
+    gens = compiled(CLASSIC3)
     letters = [
         dataclasses.replace(ch, damping=dampings[k % 3])
         for k, ch in enumerate(gens.channels())
     ]
     by_label = {ch.label: ch for ch in letters}
     elems, expanded, truncated, done = _closure(letters, 3, 500_000)
-    assert (expanded, truncated, done) == (6 + 36 + 216, False, 3)
-    unreduced = 0
-    for (key, p, r), (word, depth) in elems.items():
+    assert (expanded, truncated, done) == (6 + 18 + 54, False, 3)
+    unreduced = resets = 0
+    for key, (word, depth) in elems.items():
         assert depth == len(word)
-        unitary, damping = q_identity(2), Fraction(1)
+        channel = IDENTITY
         nums = dens = 1
-        for label in word:
+        for k, label in enumerate(word):
             ch = by_label[label]
-            unitary = q_mul(unitary, ch.unitary)
-            damping *= ch.damping
+            assert not (ch.reset and k < len(word) - 1)
+            channel = compose(channel, ch)
             nums *= ch.damping.numerator
             dens *= ch.damping.denominator
-        assert (p, r) == (damping.numerator, damping.denominator)
-        assert key == q_phase_key(unitary)
+        assert key == _key(channel)
         unreduced += gcd(nums, dens) > 1
-    assert unreduced > 0
+        resets += channel.reset
+    assert unreduced > 0 and resets > 0
 
 
 def test_one_closure_diff_matches_two_closures():
@@ -688,7 +802,7 @@ def test_one_closure_diff_matches_two_closures():
 
 
 def test_diff_rejects_depth_below_one():
-    gens = compiled("1|101\n10|00\n011|11")
+    gens = compiled(CLASSIC3)
     psi = labeled(make_target(Fraction(1, 16)), "PSI")
     for depth in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):

@@ -15,12 +15,12 @@ from corpus import (
     random_digraph,
     random_graphs,
 )
-from oracles import KrausChannel, gr, mat_add, reference_explore
+from oracles import KrausChannel, coordinates, gr, mat_add, quaternion_matrix, reference_explore
 from freeops import cli, resourcegraph
 from freeops.exact import ExactDensityMatrix, ExactMatrix
-from freeops.freerot import make_free_pair
+from freeops.freerot import make_free_pair, q_adjoint, q_mul
 from freeops.pcp import parse_instance
-from freeops.reduction import compile_generators, make_target
+from freeops.reduction import ChannelElement, compile_generators, make_target
 from freeops.resourcegraph import (
     NOT_REACHABLE,
     REACHABLE,
@@ -29,6 +29,7 @@ from freeops.resourcegraph import (
     NotCPTPError,
     QuotientDAG,
     ReachGraph,
+    ReachOutcome,
     UnknownStateError,
     _closure_bitsets,
     check_compatible,
@@ -160,9 +161,10 @@ def test_explore_budget_truncation():
     seed = ExactDensityMatrix.basis_state(4, 2)
     g = explore(gens.channels(), [seed], 4, node_budget=5)
     assert g.truncated
-    # 4 expansions complete level 1, the fifth is cut from level 2
+    # 4 expansions complete level 1 with 4 new states, and the fifth, kept
+    # from level 2, finds one more
     assert len(g.edges) == 5
-    assert len(g.nodes) == 5
+    assert len(g.nodes) == 6
 
 
 def test_explore_worker_counts_agree():
@@ -209,7 +211,7 @@ def test_explore_validates_each_new_state_once(tmp_path, monkeypatch):
     assert [m.rows for m in psd] == [4, 4] + [16] * 6  # source, target, one Choi per channel
     source, target = psd[:2]
     new = trace_checked[2:]  # after the source and the target
-    assert len(new) == nodes - 1 > 100
+    assert len(new) == nodes - 1 == 2 * (3 + 9 + 27)  # unitary and reset-ended words
     assert len(set(new)) == len(new)
     assert {m for m in hermitian if m.rows == 16} == set(psd[2:])
     assert {m for m in hermitian if m.rows == 4} == {source, target}
@@ -221,13 +223,13 @@ def test_explore_children_come_from_the_choi_operator(monkeypatch):
     seed = generic_seed(4)
     channels = classic3()
     honest = explore(channels, [seed], 2)
-    depolarised = ExactMatrix.depolarised
+    apply_to_matrix = ChannelElement.apply_to_matrix
 
-    def faulty(m, q, damping):
-        out = depolarised(m, q, damping)
+    def faulty(ch, m):
+        out = apply_to_matrix(ch, m)
         return mat_add(out, out) if m == seed.mat else out
 
-    monkeypatch.setattr(ExactMatrix, "depolarised", faulty)
+    monkeypatch.setattr(ChannelElement, "apply_to_matrix", faulty)
     assert explore(channels, [seed], 2) == honest
 
 
@@ -323,14 +325,20 @@ def test_reach_target_unreachable_when_unsolvable():
 
 
 def test_degenerate_seed_breaks_the_correspondence():
-    # A basis seed is fixed by the diagonal first-block rotation, so its
-    # depolarised image is reached at depth 1 even without a tile solution;
-    # this is exactly why reach demos use the spread seed above.
+    # "0|1" has no solution, yet a pure seed on h = a^dag b, which
+    # M_1: x -> a x b^dag maps to 1, reaches the target's state by E1 alone
+    # at depth 1: reachability from a chosen source is not membership.  From
+    # basis:0 = |1> it is (see generic_seed for the full-rank seed).
     gens = compile_generators(parse_instance("0|1"), PAIR, HALF)
-    rho = ExactDensityMatrix.basis_state(4, 0)
+    h = coordinates(quaternion_matrix(q_mul(q_adjoint(PAIR.a), PAIR.b)))
+    col = ExactMatrix(4, 1, list(h))
+    rho = ExactDensityMatrix(col @ col.dagger())
     g = explore(gens.channels(), [rho], 1)
     psi = make_target(HALF).apply(rho)
-    assert reach(g, rho, psi).status == REACHABLE
+    assert reach(g, rho, psi) == ReachOutcome(REACHABLE, ("E1",))
+    basis = ExactDensityMatrix.basis_state(4, 0)
+    g = explore(gens.channels(), [basis], 1)
+    assert reach(g, basis, make_target(HALF).apply(basis)).status == NOT_REACHABLE
 
 
 def test_reach_unknown_source_raises():
@@ -516,7 +524,7 @@ def test_closure_bitsets_match_bfs():
     on the random quotients of the longest-path check and on classic3's."""
     gens = compile_generators(parse_instance("1|101\n10|00\n011|11\n"), PAIR, HALF)
     graphs = random_graphs(2105, 60)
-    graphs.append(explore(gens.channels(), [ExactDensityMatrix.basis_state(4, 0)], 3))
+    graphs.append(explore(gens.channels(), [generic_seed(4)], 4))
     for g in graphs:
         q = quotient(g)
         out = {c: [] for c in range(q.size)}
