@@ -10,7 +10,9 @@ form makes structural equality exact and lets the hot operations run on
 plain integers: the positive-semidefinite test is a fraction-free (Bareiss)
 symmetric-pivot elimination of the numerator matrix that updates only the
 upper triangle, O(n^3) with exact divisions, and unit trace compares the
-diagonal numerators with the denominator.
+diagonal numerators with the denominator.  A depolarising channel's action
+(`depolarised`) and the assembly of a Choi operator from the images of the
+matrix units (`choi_from_images`) each take one common denominator.
 A Hermitian matrix is also a reduced integer key (`hermitian_key`), and a
 Choi operator gives its channel's integer map on keys (`choi_key_map`),
 which the state exploration applies.
@@ -23,6 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 from operator import itemgetter, neg
 from typing import Iterator, Sequence, Union
@@ -243,11 +246,33 @@ class ExactMatrix:
         return cls(rows, cols, flat)
 
     @classmethod
+    def from_integers(cls, rows: int, cols: int, values: Sequence[int], den=1) -> "ExactMatrix":
+        """The real matrix of the integer numerators `values`, row-major, over
+        the positive denominator den."""
+        if den < 1:
+            raise ValueError("a denominator must be positive")
+        nums = [0] * (2 * rows * cols)
+        nums[::2] = values
+        return cls._raw(rows, cols, nums, den)
+
+    @classmethod
+    def choi_from_images(cls, images: Sequence["ExactMatrix"]) -> "ExactMatrix":
+        """The Choi operator sum_ij Phi(E_ij) (x) E_ij of the map with
+        Phi(E_ij) = images[i*d + j] (matrix_units order), so J[a*d + i,
+        b*d + j] = Phi(E_ij)[a, b]: the images' numerators over one denominator."""
+        d = images[0].rows
+        if len(images) != d * d or any((m.rows, m.cols) != (d, d) for m in images):
+            raise ShapeError("a Choi operator needs the images of all d^2 matrix units")
+        den = lcm(*(m._den for m in images))
+        num = [[den // m._den * v for v in m._num] for m in images]
+        nums = []
+        for a, i, b, j in product(range(d), repeat=4):  # row a*d + i, column b*d + j
+            nums += num[i * d + j][2 * (a * d + b) : 2 * (a * d + b) + 2]
+        return cls._raw(d * d, d * d, nums, den)
+
+    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        nums = [0] * (2 * n * n)
-        for i in range(n):
-            nums[2 * (i * n + i)] = 1
-        return cls._raw(n, n, nums, 1)
+        return cls.from_integers(n, n, [int(k % (n + 1) == 0) for k in range(n * n)])
 
     @classmethod
     def diagonal(cls, values: Sequence[EntryLike]) -> "ExactMatrix":
@@ -293,30 +318,30 @@ class ExactMatrix:
         nums = _matmul_int(self.rows, self.cols, other.cols, self._num, other._num)
         return ExactMatrix._raw(self.rows, other.cols, nums, self._den * other._den)
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(
-                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-        a, b = other._den, self._den
-        nums = [x * a + y * b for x, y in zip(self._num, other._num)]
-        return ExactMatrix._raw(self.rows, self.cols, nums, a * b)
-
     def scale(self, value: EntryLike) -> "ExactMatrix":
         z = as_gaussian(value)
         den = lcm(z.re.denominator, z.im.denominator)
         zr = z.re.numerator * (den // z.re.denominator)
         zi = z.im.numerator * (den // z.im.denominator)
-        num = self._num
-        nums = [0] * len(num)
-        for k in range(0, len(num), 2):
-            ar = num[k]
-            ai = num[k + 1]
-            nums[k] = ar * zr - ai * zi
-            nums[k + 1] = ar * zi + ai * zr
+        re, im = self._num[::2], self._num[1::2]
+        nums = [0] * len(self._num)
+        nums[::2] = [x * zr - y * zi for x, y in zip(re, im)]
+        nums[1::2] = [x * zi + y * zr for x, y in zip(re, im)]
         return ExactMatrix._raw(self.rows, self.cols, nums, self._den * den)
+
+    def depolarised(self, p: Fraction, image: "ExactMatrix") -> "ExactMatrix":
+        """p K + (1 - p) tr(m) I/n for this n x n operator m and K = image,
+        over one denominator."""
+        n = self.rows
+        step = 2 * n + 2  # the diagonal's real parts sit this far apart in _num
+        tr, ti = sum(self._num[::step]), sum(self._num[1::step])
+        pn, pd = p.numerator, p.denominator
+        den = lcm(image._den, self._den)
+        fk, fi = n * pn * (den // image._den), (pd - pn) * (den // self._den)
+        nums = [fk * v for v in image._num]
+        nums[::step] = [v + fi * tr for v in nums[::step]]
+        nums[1::step] = [v + fi * ti for v in nums[1::step]]
+        return ExactMatrix._raw(n, n, nums, n * pd * den)
 
     def dagger(self) -> "ExactMatrix":
         """Conjugate transpose."""
@@ -396,13 +421,6 @@ class ExactMatrix:
                 if num[a] != num[b] or num[a + 1] != -num[b + 1]:
                     return False
         return True
-
-    def trace(self) -> GaussianRational:
-        if self.rows != self.cols:
-            raise ShapeError("trace requires a square matrix")
-        step = 2 * self.rows + 2  # the diagonal's real parts sit this far apart in _num
-        re, im = sum(self._num[::step]), sum(self._num[1::step])
-        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
 
     def has_unit_trace(self) -> bool:
         """Whether a square matrix has trace exactly 1, on its numerators."""
@@ -506,6 +524,13 @@ class ExactMatrix:
             )
             return f"ExactMatrix({self.rows}x{self.cols}: {body})"
         return f"ExactMatrix({self.rows}x{self.cols}, digest={self.digest()[:8]})"
+
+
+@lru_cache(maxsize=8)
+def matrix_units(d: int) -> tuple:
+    """The d x d matrix units E_ij, row-major in (i, j)."""
+    return tuple(ExactMatrix.from_integers(d, d, [int(k == e) for k in range(d * d)])
+                 for e in range(d * d))
 
 
 @dataclass(frozen=True, slots=True)

@@ -59,6 +59,7 @@ from .exact import (
     ExactMatrix,
     ShapeError,
     hamilton,
+    matrix_units,
     rat_to_str,
 )
 from .freerot import (
@@ -81,19 +82,16 @@ ONE = q_identity(1)
 
 
 @lru_cache(maxsize=256)
-def _operator(q: Quaternions) -> ExactMatrix:
-    """ChannelElement.operator, read off exact.hamilton on UNIT_QUATERNIONS
-    for a pair; cached, as choi applies a channel to 16 matrix units."""
+def _operator(q: Quaternions) -> Tuple[ExactMatrix, ExactMatrix]:
+    """ChannelElement.operator and its conjugate transpose, read off exact.hamilton
+    on UNIT_QUATERNIONS for a pair; cached, as choi applies a channel 16 times."""
     if len(q) == 5:
-        return ExactMatrix(4, 1, [Fraction(v, q[4]) for v in q[:4]])
-    left, right = (*q[:4], q[8]), q_adjoint((*q[4:8], q[8]))
-    cols = [hamilton(hamilton(left, e), right) for e in UNIT_QUATERNIONS]
-    return ExactMatrix(4, 4, [Fraction(col[i], col[4]) for i in range(4) for col in cols])
-
-
-@lru_cache(maxsize=1)
-def _matrix_units() -> Tuple[ExactMatrix, ...]:
-    return tuple(ExactMatrix(4, 4, [int(e == k) for e in range(16)]) for k in range(16))
+        op = ExactMatrix.from_integers(4, 1, q[:4], q[4])
+    else:
+        left, right = (*q[:4], q[8]), q_adjoint((*q[4:8], q[8]))
+        cols = [hamilton(hamilton(left, e), right) for e in UNIT_QUATERNIONS]
+        op = ExactMatrix.from_integers(4, 4, [col[i] for i in range(4) for col in cols], cols[0][4])
+    return op, op.dagger()
 
 
 def _image(q: Quaternions, x: Quaternions) -> Quaternions:
@@ -136,16 +134,16 @@ class ChannelElement:
     def operator(self) -> ExactMatrix:
         """The 4x4 matrix of M, its column e the image of the unit quaternion
         e, or for a reset the column g."""
-        return _operator(self.quaternions)
+        return _operator(self.quaternions)[0]
 
     def apply_to_matrix(self, m: ExactMatrix) -> ExactMatrix:
         """p K(m) + (1 - p) tr(m) I/4, with K(m) = M m M^T or tr(m) |g><g|:
         linear on any 4x4 operator, not only on states."""
         if (m.rows, m.cols) != (4, 4):
             raise ShapeError("a channel acts on 4x4 operators")
-        op, t, p = self.operator(), m.trace(), self.damping
-        image = (op @ op.dagger()).scale(t) if self.reset else op @ m @ op.dagger()
-        return image.scale(p) + ExactMatrix.identity(4).scale(t).scale((1 - p) / 4)
+        op, op_dagger = _operator(self.quaternions)
+        x = m.partial_trace_first(4, 1) if self.reset else m  # a reset reads tr(m), 1x1
+        return m.depolarised(self.damping, op @ x @ op_dagger)
 
     def apply(self, state: ExactDensityMatrix) -> ExactDensityMatrix:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))
@@ -229,6 +227,10 @@ class MembershipOutcome(Report):
     extracted: Optional[TileWord] = None
 
 
+class WitnessMismatchError(RuntimeError):
+    """A witness that a search found is not the target channel."""
+
+
 def _extract_tile_word(inst: PCPInstance, witness: Tuple[str, ...]) -> Optional[TileWord]:
     """The tile indices of the witness labels, when they solve the instance."""
     candidate = tuple(int(lab[1:]) for lab in witness)
@@ -246,12 +248,12 @@ def _found_outcome(
     letters = tuple(gens.e_gens[i - 1] for i in tiles[:-1]) + (gens.r_gens[tiles[-1] - 1],)
     damping = prod(ch.damping for ch in letters)
     target = make_target(damping)
-    for unit in _matrix_units():
+    for unit in matrix_units(4):
         image = unit
         for ch in reversed(letters):
             image = ch.apply_to_matrix(image)
         if image != target.apply_to_matrix(unit):
-            raise AssertionError("witness channel is not the target")
+            raise WitnessMismatchError("witness channel is not the target")
     witness = tuple(ch.word[0] for ch in letters)
     return MembershipOutcome(
         status=FOUND,

@@ -30,6 +30,7 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     ShapeError,
+    matrix_units,
     rat_to_str,
 )
 from .util import Report, SharedKeyDict, combine, level_cut
@@ -49,21 +50,12 @@ class UnknownStateError(ValueError):
 
 
 def choi(channel) -> ExactMatrix:
-    """Choi operator: apply the channel to one half of the unnormalized
-    maximally entangled operator.  Output factor first, so trace
-    preservation reads as partial_trace_first(...) == identity."""
-    d = channel.dim
-    entries = [GaussianRational(Fraction(0))] * (d * d * d * d)
-    side = d * d
-    for i in range(d):
-        for j in range(d):
-            basis = [0] * (d * d)
-            basis[i * d + j] = 1
-            out = channel.apply_to_matrix(ExactMatrix(d, d, basis))
-            for a in range(d):
-                for b in range(d):
-                    entries[(a * d + i) * side + (b * d + j)] = out.entry(a, b)
-    return ExactMatrix(side, side, entries)
+    """Choi operator: apply the channel to each matrix unit E_ij, one half of
+    the unnormalized maximally entangled operator.  Output factor first, so
+    trace preservation reads as partial_trace_first(...) == identity."""
+    return ExactMatrix.choi_from_images(
+        [channel.apply_to_matrix(unit) for unit in matrix_units(channel.dim)]
+    )
 
 
 def certify_cptp(channel) -> ExactMatrix:
@@ -580,30 +572,14 @@ def generic_seed(dim: int = 4) -> ExactDensityMatrix:
     """
     total = dim * (dim + 1) // 2
     diag = ExactMatrix.diagonal([Fraction(dim - i, total) for i in range(dim)])
-    triples = [
-        (Fraction(3, 5), Fraction(4, 5)),
-        (Fraction(5, 13), Fraction(12, 13)),
-        (Fraction(8, 17), Fraction(15, 17)),
-    ]
-    units = [GaussianRational(Fraction(1)), GaussianRational(Fraction(0), Fraction(1))]
-    mixer = ExactMatrix.diagonal([units[i % 2] for i in range(dim)])
-    for k in range(dim - 1):
+    triples = [(Fraction(a, h), Fraction(b, h))
+               for a, b, h in ((3, 4, 5), (5, 12, 13), (8, 15, 17))]
+    mixer = ExactMatrix.diagonal([GaussianRational(1 - i % 2, i % 2) for i in range(dim)])
+    for k in range(dim - 1):  # a rotation, for odd k a complex one, of the plane (k, k + 1)
         c, s = triples[k % 3]
-        rows = [
-            [
-                GaussianRational(Fraction(1 if i == j else 0))
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-        rows[k][k] = GaussianRational(c)
-        rows[k + 1][k + 1] = GaussianRational(c)
-        if k % 2:
-            rows[k][k + 1] = GaussianRational(Fraction(0), s)
-            rows[k + 1][k] = GaussianRational(Fraction(0), s)
-        else:
-            rows[k][k + 1] = GaussianRational(s)
-            rows[k + 1][k] = GaussianRational(-s)
+        rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        rows[k][k] = rows[k + 1][k + 1] = c
+        rows[k][k + 1], rows[k + 1][k] = (GaussianRational(0, s),) * 2 if k % 2 else (s, -s)
         mixer = mixer @ ExactMatrix.from_rows(rows)
     return ExactDensityMatrix(mixer @ diag @ mixer.dagger())
 

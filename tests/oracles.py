@@ -319,6 +319,43 @@ class KrausChannel:
         return ExactMatrix(self.dim, self.dim, [add(*zs) for zs in zip(*terms)])
 
 
+def _scaled(m: ExactMatrix, z: GaussianRational) -> ExactMatrix:
+    return ExactMatrix(m.rows, m.cols, [mul(e, z) for e in m.entries()])
+
+
+def reference_apply(channel, m: ExactMatrix) -> ExactMatrix:
+    """A quaternion channel's formula spelled out with this module's M or g:
+    p K(m) + (1 - p) tr(m) I/4, with K(m) = M m M^T or tr(m) g g^T, each
+    product, scaling and sum a matrix of its own."""
+    p, t, q = channel.damping, trace(m), channel.quaternions
+    if channel.reset:
+        g = column([Fraction(v, q[4]) for v in q[:4]])
+        image = _scaled(_product(g, g.dagger()), t)
+    else:
+        blocks = quaternion_matrix(q)
+        o = orthogonal_map(block(blocks, 0, 0, 2, 2), block(blocks, 2, 2, 2, 2))
+        image = _product(_product(o, m), o.dagger())
+    mixing = _scaled(_scaled(ExactMatrix.identity(4), t), gr((1 - p) / 4))
+    return mat_add(_scaled(image, gr(p)), mixing)
+
+
+def reference_choi(channel) -> ExactMatrix:
+    """The Choi operator entry by entry: each matrix unit E_ij built from
+    its entries and put through the channel's apply_to_matrix, and each
+    entry (a, b) of the image read into J[a*d + i, b*d + j]."""
+    d = channel.dim
+    side = d * d
+    entries = [ZERO] * (side * side)
+    for i in range(d):
+        for j in range(d):
+            unit = ExactMatrix(d, d, [int(k == i * d + j) for k in range(side)])
+            out = channel.apply_to_matrix(unit)
+            for a in range(d):
+                for b in range(d):
+                    entries[(a * d + i) * side + (b * d + j)] = out.entry(a, b)
+    return ExactMatrix(side, side, entries)
+
+
 def reference_states(channels, seeds, max_depth: int, node_budget: int = 100_000):
     """The exploration child by child: every channel certified, then each
     kept (state, channel) pair of util.level_pairs through the channel's own

@@ -319,6 +319,19 @@ def test_membership_mismatch_alarm(tmp_path, monkeypatch):
     assert code == 12
 
 
+@pytest.mark.parametrize("mode", ["generic", "structured"])
+def test_membership_witness_cross_check_failure_is_an_error(tmp_path, monkeypatch, capsys, mode):
+    # a target at half the witness's damping: the found witness fails the Choi check
+    inst = write_instance(tmp_path, CLASSIC)
+    out = tmp_path / "r.json"
+    real = reduction.make_target
+    monkeypatch.setattr(reduction, "make_target", lambda damping: real(damping / 2))
+    argv = ["membership", "--instance", inst, "--depth", "8", "--mode", mode]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: witness channel is not the target\n"
+    assert not out.exists()
+
+
 def test_membership_budget_cut_is_inconclusive(tmp_path):
     # the structured search completes depth 3 (3 + 9 + 27 expansions) and
     # is cut in depth 4, while the oracle finds the solution after 15

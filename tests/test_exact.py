@@ -402,7 +402,7 @@ def test_matrix_json_round_trip():
     assert again.digest() == m.digest()
 
 
-# --- sums and traces -------------------------------------------------------------------
+# --- traces ----------------------------------------------------------------------------
 
 
 def big_operator_st(n):
@@ -417,25 +417,20 @@ def big_operator_st(n):
     )
 
 
-@given(
-    st.sampled_from([1, 2, 4]).flatmap(
-        lambda n: st.tuples(big_operator_st(n), big_operator_st(n))
-    )
-)
-def test_sum_and_trace_match_oracles(pair):
-    a, b = pair
-    assert a + b == mat_add(a, b)
-    assert a + a.scale(-1) == zeros(a.rows, a.cols)
-    assert a.trace() == trace(a)
+@given(st.sampled_from([1, 2, 4]).flatmap(big_operator_st))
+def test_unit_trace_matches_oracle(a):
+    assert a.has_unit_trace() == (trace(a) == gr(1))
+    if trace(a):
+        assert a.scale(trace(a).inverse()).has_unit_trace()
 
 
-def test_sum_and_trace_shape_checked():
-    with pytest.raises(ShapeError):
-        ExactMatrix.identity(2) + ExactMatrix.identity(4)
-    with pytest.raises(ShapeError):
-        zeros(4, 1) + zeros(1, 4)
-    with pytest.raises(ShapeError, match="square"):
-        zeros(4, 2).trace()
+def test_partial_trace_and_choi_assembly_shape_checked():
+    with pytest.raises(ShapeError, match="factor dimensions"):
+        zeros(4, 2).partial_trace_first(2, 2)
+    with pytest.raises(ShapeError, match="matrix units"):
+        ExactMatrix.choi_from_images([zeros(2, 2)] * 3)
+    with pytest.raises(ShapeError, match="matrix units"):
+        ExactMatrix.choi_from_images([zeros(2, 2)] * 3 + [zeros(2, 1)])
 
 
 # --- Hermitian keys and the Choi key map ------------------------------------------------
@@ -554,8 +549,10 @@ def test_every_operation_returns_canonical_form(operands, z):
     n = int(len(a_entries) ** 0.5)
     a, b = ExactMatrix(n, n, a_entries), ExactMatrix(n, n, b_entries)
     outputs = [
-        a @ b, a.scale(z), a.scale(0), a.dagger(), a + b, a + a.scale(-1),
+        a @ b, a.scale(z), a.scale(0), a.dagger(),
         a.partial_trace_first(2, n // 2), a.partial_trace_first(n // 2, 2),
+        a.depolarised(Fraction(1, 3), b), a.depolarised(Fraction(1), b),
+        ExactMatrix.choi_from_images([a, b] * (n * n // 2)),
     ]
     for m in outputs:
         assert m._den >= 1 and gcd(m._den, *m._num) == 1, m

@@ -5,8 +5,10 @@ import json
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from corpus import CORPUS, DEFAULT_PAIR, MIXED_CANCELLATION, compose, random_density
 from oracles import (
@@ -18,12 +20,13 @@ from oracles import (
     det,
     gr,
     is_unitary,
-    mat_add,
     mat_sub,
     matrix_from_json,
     mul,
     orthogonal_map,
     quaternion_matrix,
+    reference_apply,
+    reference_choi,
     trace,
     zeros,
 )
@@ -68,6 +71,9 @@ HALF = Fraction(1, 2)
 IDENTITY = ChannelElement(q_identity(2), Fraction(1))
 CLASSIC3 = "1|101\n10|00\n011|11"
 E0 = column([1, 0, 0, 0])
+Y_AXIS_PAIR = make_free_pair(
+    RotationParams(Fraction(5, 13), Fraction(12, 13), (0, 1, 0), (0, 0, 1))
+)
 
 
 def compiled(text, damping=HALF):
@@ -112,11 +118,7 @@ def test_compile_first_tile_blocks():
 
 
 def test_compile_matches_matrix_construction():
-    one, zero = Fraction(1), Fraction(0)
-    y_axis = make_free_pair(
-        RotationParams(Fraction(5, 13), Fraction(12, 13), (zero, one, zero), (zero, zero, one))
-    )
-    for pair in (PAIR, y_axis):
+    for pair in (PAIR, Y_AXIS_PAIR):
         a, b = quaternion_matrix(pair.a), quaternion_matrix(pair.b)
         for entry in CORPUS:
             gens = compile_generators(entry.instance, pair, HALF)
@@ -227,23 +229,6 @@ def test_apply_identity_channel():
     rng = random.Random(7)
     rho = random_density(rng)
     assert IDENTITY.apply(rho) == rho
-
-
-def reference_apply(ch, m):
-    """The channel formula spelled out with the oracle's M or g:
-    p K(m) + (1 - p) tr(m) I/4, with K(m) = M m M^T or tr(m) g g^T."""
-    p, t = ch.damping, trace(m)
-    mix = ExactMatrix.identity(4).scale(mul(t, GaussianRational((1 - p) / 4)))
-    q = ch.quaternions
-    if ch.reset:
-        g = column([Fraction(v, q[4]) for v in q[:4]])
-        image = (g @ g.dagger()).scale(t)
-    else:
-        blocks = quaternion_matrix(q)
-        u, v = block(blocks, 0, 0, 2, 2), block(blocks, 2, 2, 2, 2)
-        o = orthogonal_map(u, v)
-        image = o @ m @ o.dagger()
-    return mat_add(image.scale(p), mix)
 
 
 def test_apply_to_matrix_matches_reference_formula():
@@ -365,6 +350,42 @@ def test_choi_matches_kraus_definition():
             main = [op]
         kraus = KrausChannel([k.scale(Fraction(3, 5)) for k in main] + mixing, ch.label)
         assert choi(ch) == choi(kraus), ch.label
+
+
+def action_channels():
+    """Every E_i and R_i of classic3 under the default pair at damping 1/2
+    and under the y-axis pair at 2/3, and the targets at 1/16 and 9/25."""
+    default = compiled(CLASSIC3).channels()
+    y_axis = compile_generators(parse_instance(CLASSIC3), Y_AXIS_PAIR, Fraction(2, 3)).channels()
+    return {
+        **{f"default-{ch.label}": ch for ch in default},
+        **{f"y-axis-{ch.label}": ch for ch in y_axis},
+        **{f"target-{p}": make_target(Fraction(p)) for p in ("1/16", "9/25")},
+    }
+
+
+ACTION_CHANNELS = action_channels()
+# Entries with independent parts up to 2^64 over denominators up to 2^32:
+# operators that are not Hermitian, with complex traces, on no common denominator.
+RATIONAL_PARTS = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**32))
+OPERATORS = st.lists(
+    st.builds(GaussianRational, RATIONAL_PARTS, RATIONAL_PARTS), min_size=16, max_size=16
+).map(lambda entries: ExactMatrix(4, 4, entries))
+
+
+@given(st.sampled_from(sorted(ACTION_CHANNELS)), OPERATORS)
+def test_apply_to_matrix_equals_reference(name, m):
+    ch = ACTION_CHANNELS[name]
+    assert ch.apply_to_matrix(m) == reference_apply(ch, m)
+
+
+@pytest.mark.parametrize("name", ACTION_CHANNELS)
+def test_choi_equals_reference(name):
+    """The numerator assembly against the entry-by-entry one, on the
+    channel's own action and on the step-by-step reference action."""
+    ch = ACTION_CHANNELS[name]
+    by_reference = SimpleNamespace(dim=4, apply_to_matrix=lambda m: reference_apply(ch, m))
+    assert choi(ch) == reference_choi(ch) == reference_choi(by_reference)
 
 
 # --- pair products -----------------------------------------------------------------------
@@ -639,7 +660,7 @@ def test_found_witness_is_cross_checked(monkeypatch):
     monkeypatch.setattr(
         reduction, "_found_outcome", lambda g, mode, tiles, n: real(g, mode, (2,), n)
     )
-    with pytest.raises(AssertionError, match="not the target"):
+    with pytest.raises(reduction.WitnessMismatchError, match="not the target"):
         membership_search(gens, 2)
 
 

@@ -15,7 +15,15 @@ from corpus import (
     random_digraph,
     random_graphs,
 )
-from oracles import KrausChannel, coordinates, gr, mat_add, quaternion_matrix, reference_explore
+from oracles import (
+    KrausChannel,
+    coordinates,
+    gr,
+    mat_add,
+    quaternion_matrix,
+    reference_choi,
+    reference_explore,
+)
 from freeops import cli, resourcegraph
 from freeops.exact import ExactDensityMatrix, ExactMatrix
 from freeops.freerot import make_free_pair, q_adjoint, q_mul
@@ -35,6 +43,7 @@ from freeops.resourcegraph import (
     check_compatible,
     check_complete,
     certify_cptp,
+    choi,
     demo_graph,
     explore,
     generic_seed,
@@ -126,29 +135,52 @@ def test_explore_rejects_non_cptp():
         (ExactMatrix.diagonal([gr(1), gr(0)]),), "lossy"
     )
     seed = ExactDensityMatrix.basis_state(2, 0)
-    with pytest.raises(NotCPTPError) as err:
+    with pytest.raises(NotCPTPError, match="channel lossy: map is not trace preserving") as err:
         explore([lossy], [seed], 1)
-    assert err.value.choi_matrix.rows == 4
+    assert err.value.choi_matrix == reference_choi(lossy)
+
+
+class Transpose:
+    """m -> m^T: positive and trace preserving, but not completely positive.
+    (A Kraus list is completely positive whatever its operators, so this
+    map cannot be one.)"""
+
+    dim = 2
+    label = "transpose"
+
+    def apply_to_matrix(self, m):
+        return ExactMatrix(2, 2, [m.entry(c, r) for r in range(2) for c in range(2)])
 
 
 def test_explore_rejects_non_positive():
-    # transpose map: trace preserving but not completely positive
-    swap = KrausChannel(
-        (
-            ExactMatrix.from_rows([[gr(1), gr(0)], [gr(0), gr(0)]]),
-            ExactMatrix.from_rows([[gr(0), gr(0)], [gr(0), gr(1)]]),
-            ExactMatrix.from_rows(
-                [[gr(0), gr(Fraction(1, 2))], [gr(Fraction(1, 2)), gr(0)]]
-            ),
-            ExactMatrix.from_rows(
-                [[gr(0), gr(0, Fraction(1, 2))], [gr(0, -Fraction(1, 2)), gr(0)]]
-            ),
-        ),
-        "transpose-ish",
-    )
     seed = ExactDensityMatrix.maximally_mixed(2)
-    with pytest.raises(NotCPTPError):
-        explore([swap], [seed], 1)
+    with pytest.raises(NotCPTPError, match="not positive semidefinite") as err:
+        explore([Transpose()], [seed], 1)
+    assert err.value.label == "transpose"
+    assert err.value.choi_matrix == reference_choi(Transpose())
+
+
+class LeftMultiply:
+    """m -> K m for K = |0><1|: linear, but its Choi operator is not Hermitian."""
+
+    dim = 2
+    label = "left"
+    K = ExactMatrix.from_rows([[gr(0), gr(1)], [gr(0), gr(0)]])
+
+    def apply_to_matrix(self, m):
+        return self.K @ m
+
+
+def test_explore_rejects_non_hermitian():
+    seed = ExactDensityMatrix.maximally_mixed(2)
+    with pytest.raises(NotCPTPError, match="channel left: Choi operator is not Hermitian") as err:
+        explore([LeftMultiply()], [seed], 1)
+    assert err.value.choi_matrix == reference_choi(LeftMultiply())
+
+
+@pytest.mark.parametrize("channel", [ID2, X2, ROTATION2, DAMP2], ids=lambda ch: ch.label)
+def test_choi_of_kraus_channels_equals_reference(channel):
+    assert choi(channel) == reference_choi(channel)
 
 
 def test_certify_accepts_unitary_kraus():
