@@ -33,7 +33,7 @@ from .exact import (
     matrix_units,
     rat_to_str,
 )
-from .util import Report, SharedKeyDict, combine, level_cut
+from .util import Report, combine, level_cut
 
 
 class NotCPTPError(ValueError):
@@ -402,13 +402,12 @@ class MonotoneTable:
         return _distance_value(self.dist[c])
 
     def to_json_dict(self, reps: Tuple[str, ...]) -> dict:
-        """The table keyed by class representative; reps[c] is class c's, and
-        the family shares the one ascending tuple."""
+        """The table keyed by class representative; reps[c] is class c's."""
         # One string per distinct distance, shared by every class at it.
         text = {d: rat_to_str(_distance_value(d)) for d in set(self.dist)}
         return {
             "base": reps[self.base],
-            "values": SharedKeyDict(reps, tuple(map(text.__getitem__, self.dist))),
+            "values": dict(zip(reps, map(text.__getitem__, self.dist))),
         }
 
 

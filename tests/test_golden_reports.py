@@ -56,7 +56,7 @@ from freeops.freerot import FreePair, RotationParams, freeness_scan, rotation_qu
 from freeops.pcp import PCPInstance, SearchOutcome
 from freeops.reduction import DiffOutcome, MembershipOutcome
 from freeops.resourcegraph import ReachOutcome, monotone_family, quotient
-from freeops.util import SharedKeyDict, canonical_json, report_json
+from freeops.util import canonical_json, report_json
 
 CLASSIC = "1|101\n10|00\n011|11\n"
 CLASSIC_MINUS = "1|101\n10|00\n"
@@ -190,8 +190,9 @@ PINS = {
         "ee9eb705f3eba573360ad2f168d652f0e7389f477d10c0f39aa5f9851d6d6db9",
         "fed9010de22bd11c0db882e0da5c0b44b9e9a4a42e655030607c4ad95b15c4f4",
     ),
-    # The benchmark's monotone query in its first tile order: 910 classes,
-    # a 331 KB report and 910 x 910 table values in its --tables file.
+    # The benchmark's monotone query in its first tile order: 83 classes
+    # from 121 states, a 31 KB report and 83 x 83 table values in its
+    # --tables file (331 KB).
     "monotones-classic3-depth4": (
         ["monotones", "--instance", "@", "--depth", "4"],
         0,
@@ -246,18 +247,10 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def expand_shared(obj):
-    """json.dump's default: a SharedKeyDict is the dict it stands for, and
-    any other type is rejected as json.dump rejects it."""
-    if isinstance(obj, SharedKeyDict):
-        return dict(zip(obj.keys, obj.values))
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def stdlib_json(data) -> str:
     """What canonical_json must write: the stdlib's indenting encoder."""
     buf = io.StringIO()
-    json.dump(data, buf, indent=2, sort_keys=True, default=expand_shared)
+    json.dump(data, buf, indent=2, sort_keys=True)
     return buf.getvalue() + "\n"
 
 
@@ -297,61 +290,6 @@ DATA = st.recursive(
 @given(DATA)
 def test_canonical_json_matches_stdlib(data):
     assert written(data) == stdlib_json(data)
-
-
-# Shared keys: arbitrary text plus what a %-template or str.format would
-# misread, and the empty key.
-SHARED_KEYS = st.lists(
-    st.one_of(TEXT, st.sampled_from(ESCAPES + ["%", "%s", "%%", "{}", "{0}", ""])), unique=True
-).map(lambda keys: tuple(sorted(keys)))
-
-
-@settings(max_examples=200)
-@given(st.data())
-def test_shared_key_dict_matches_stdlib(data):
-    keys = data.draw(SHARED_KEYS)
-    rows = data.draw(
-        st.lists(st.lists(TEXT, min_size=len(keys), max_size=len(keys)), min_size=1, max_size=3)
-    )
-    shared = [SharedKeyDict(keys, tuple(values)) for values in rows]
-    # The same key tuple at nesting levels 1 and 3, and again at level 3.
-    report = {"first": shared[0], "tables": [{"values": s} for s in shared]}
-    assert written(report) == stdlib_json(report)
-    assert written(shared[0]) == stdlib_json(shared[0])
-
-
-PERCENT = SharedKeyDict(("a", "b%s", "c"), ("1", "%d", "2"))
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        SharedKeyDict((), ()),
-        [SharedKeyDict((), ()), {"a": SharedKeyDict((), ())}],
-        # one key tuple at levels 1, 2 and 4
-        [PERCENT, [PERCENT], {"x": [{"y": PERCENT}]}],
-        {"a": SharedKeyDict(("k",), ("v",)), "b": SharedKeyDict(("k",), ("w",))},
-    ],
-    ids=["empty", "empty-nested", "one-tuple-three-levels", "equal-tuples"],
-)
-def test_shared_key_dict_cases(data):
-    assert written(data) == stdlib_json(data)
-
-
-@pytest.mark.parametrize(
-    "keys, values, error",
-    [
-        (("b", "a"), ("1", "2"), ValueError),
-        (("a", "a"), ("1", "2"), ValueError),
-        (("a", "b", "a"), ("1", "2", "3"), ValueError),
-        (("a", "b"), ("1", 1), TypeError),
-        (("a", "b"), (1, True), TypeError),
-    ],
-    ids=["unsorted", "duplicate", "duplicate-apart", "int-value", "int-and-bool"],
-)
-def test_shared_key_dict_rejects(keys, values, error):
-    with pytest.raises(error):
-        written({"t": SharedKeyDict(keys, values)})
 
 
 @pytest.mark.parametrize(
@@ -500,7 +438,7 @@ def test_report_json_rule_matches_hand_written_exports(result, expected):
 )
 def test_handler_reports_encode_as_stdlib(tmp_path, argv):
     """The in-memory report, as cli.main builds it, not a parsed copy, and
-    the data of the extra files (the --tables SharedKeyDicts)."""
+    the data of the extra files (the --tables family)."""
     path = tmp_path / "classic.pcp"
     path.write_text(CLASSIC)
     args = cli.build_parser().parse_args([str(path) if a == "@" else a for a in argv])

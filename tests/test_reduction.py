@@ -8,7 +8,7 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from corpus import CORPUS, DEFAULT_PAIR, MIXED_CANCELLATION, compose, random_density
 from oracles import (
@@ -373,6 +373,10 @@ OPERATORS = st.lists(
 ).map(lambda entries: ExactMatrix(4, 4, entries))
 
 
+# No shrinking: shrinking re-runs the Fraction-based reference on 64-bit
+# entries until Hypothesis's five-minute shrink cap, so a failure reports
+# the operator as drawn.
+@settings(phases=[p for p in Phase if p is not Phase.shrink])
 @given(st.sampled_from(sorted(ACTION_CHANNELS)), OPERATORS)
 def test_apply_to_matrix_equals_reference(name, m):
     ch = ACTION_CHANNELS[name]

@@ -450,8 +450,8 @@ def test_monotone_table_json():
     reps = tuple(q.representative(c) for c in range(q.size))
     data = table.to_json_dict(reps)
     assert data["base"] == "rho"
-    assert data["values"].keys is reps
-    values = dict(zip(data["values"].keys, data["values"].values))
+    values = data["values"]
+    assert list(values) == list(reps)
     assert values["sigma"] == "1/7"
     assert values["omega"] == "2"
 
