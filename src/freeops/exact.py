@@ -132,45 +132,6 @@ def _matmul_int(n: int, m: int, p: int, a: Sequence[int], b: Sequence[int]) -> l
     return out
 
 
-UNIT_QUATERNIONS = ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
-
-
-def hamilton(x: Sequence[int], y: Sequence[int]) -> tuple:
-    """Blockwise product of integer quaternions in the basis (1, i sigma_z,
-    i sigma_y, i sigma_x), which multiply as Hamilton's (1, i, j, k).
-
-    x and y are laid out as freerot.Quaternions: four numerators per block,
-    then a denominator.  The result has the same layout over the product of
-    the denominators, not reduced.  Callers: freerot.q_mul (one block, a
-    rotation word or a reset vector, or two, a channel's pair),
-    freerot.freeness_certificate, and on UNIT_QUATERNIONS freerot._right_map
-    and ChannelElement.operator; any other length fails to unpack.
-    """
-    if len(x) == 5:
-        a1, b1, c1, d1, n1 = x
-        a2, b2, c2, d2, n2 = y
-        return (
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-            n1 * n2,
-        )
-    a1, b1, c1, d1, e1, f1, g1, h1, n1 = x
-    a2, b2, c2, d2, e2, f2, g2, h2, n2 = y
-    return (
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        e1 * e2 - f1 * f2 - g1 * g2 - h1 * h2,
-        e1 * f2 + f1 * e2 + g1 * h2 - h1 * g2,
-        e1 * g2 - f1 * h2 + g1 * e2 + h1 * f2,
-        e1 * h2 + f1 * g2 - g1 * f2 + h1 * e2,
-        n1 * n2,
-    )
-
-
 @lru_cache(maxsize=8)
 def _key_slots(d: int) -> tuple:
     """Where a d x d Hermitian key's numerators sit in _num, and the getter

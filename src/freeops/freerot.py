@@ -7,13 +7,14 @@ maps binary words to products, and stress-tests the freeness claim by
 exhaustive collision scanning up to a word-length bound.
 
 The kernel stores [[alpha, beta], [-conj(beta), conj(alpha)]] as the
-integer quaternion (Re alpha, Im alpha, Re beta, Im beta), a block-diagonal
-matrix of such blocks as its quaternions side by side over one denominator.
-The rotations, their words and every compiled generator are kept in this
-form.  The only scalars in SU(2) x SU(2) are +-I, so equality up to a
-global phase reduces to equality up to sign.  The freeness scan multiplies
-each level as four integer columns, the child of word i by letter bit at
-index 2i + bit.
+integer quaternion (Re alpha, Im alpha, Re beta, Im beta, den), reduced
+over its own positive denominator, and multiplies quaternions by
+Hamilton's formula.  The rotations, their words, and every quaternion of a
+compiled channel are kept in this form, and this module alone reads it.
+The only scalars in SU(2) are +-I, so equality up to a global phase
+reduces to equality up to sign.  The freeness scan multiplies each level
+as four integer columns, the child of word i by letter bit at index
+2i + bit.
 """
 
 from __future__ import annotations
@@ -26,12 +27,15 @@ from math import gcd, lcm
 from operator import ne, not_
 from typing import Dict, Optional, Tuple
 
-from .exact import UNIT_QUATERNIONS, hamilton
 from .util import Report, combine, level_cut
 
 Axis = Tuple[Fraction, Fraction, Fraction]
-# Integer numerators, four per 2x2 block, then one positive denominator.
-Quaternions = Tuple[int, ...]
+# Four integer numerators, then one positive denominator.
+Quaternion = Tuple[int, int, int, int, int]
+
+# The quaternions 1, i, j, k: the identity and the basis of R^4.
+UNIT_QUATERNIONS = ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
+Q_IDENTITY = UNIT_QUATERNIONS[0]
 
 # Angles whose rational cosine is known not to yield a free semigroup.
 EXCLUDED_COSINES = frozenset(
@@ -66,14 +70,14 @@ class FreePair:
     """Two exact SU(2) rotations as quaternions; letter 0 maps to `a`,
     letter 1 to `b`."""
 
-    a: Quaternions
-    b: Quaternions
+    a: Quaternion
+    b: Quaternion
     params: RotationParams
 
 
-def rotation_quaternion(cos_t: Fraction, sin_t: Fraction, axis: Axis) -> Quaternions:
+def rotation_quaternion(cos_t: Fraction, sin_t: Fraction, axis: Axis) -> Quaternion:
     """cos*I + i*sin*(axis . sigma): alpha = cos + i*sin*n_z and
-    beta = sin*n_y + i*sin*n_x over one denominator.
+    beta = sin*n_y + i*sin*n_x over one denominator, already reduced.
 
     Performs no freeness or orthogonality checks; use make_free_pair for a
     validated pair.
@@ -81,7 +85,7 @@ def rotation_quaternion(cos_t: Fraction, sin_t: Fraction, axis: Axis) -> Quatern
     nx, ny, nz = axis
     parts = (cos_t, sin_t * nz, sin_t * ny, sin_t * nx)
     den = lcm(*(p.denominator for p in parts))
-    return _reduced([p.numerator * (den // p.denominator) for p in parts], den)
+    return (*(p.numerator * (den // p.denominator) for p in parts), den)
 
 
 def _dot(u: Axis, v: Axis) -> Fraction:
@@ -105,7 +109,7 @@ def make_free_pair(params: RotationParams) -> FreePair:
     return FreePair(a=a, b=b, params=params)
 
 
-def encode_word(pair: FreePair, bits: str) -> Quaternions:
+def encode_word(pair: FreePair, bits: str) -> Quaternion:
     """Homomorphism from binary words to rotation products.
 
     The empty word maps to the identity, 0 to `a`, 1 to `b`, and
@@ -113,68 +117,51 @@ def encode_word(pair: FreePair, bits: str) -> Quaternions:
     """
     if any(ch not in "01" for ch in bits):
         raise ValueError(f"binary words may only contain 0 and 1, got {bits!r}")
-    return reduce(q_mul, (pair.b if ch == "1" else pair.a for ch in bits), q_identity(1))
+    return reduce(q_mul, (pair.b if ch == "1" else pair.a for ch in bits), Q_IDENTITY)
 
 
-def _reduced(nums: list, den: int) -> Quaternions:
-    """Divide out the common gcd, like ExactMatrix's canonical form."""
-    g = gcd(den, *nums)
-    if g > 1:
-        nums = [v // g for v in nums]
-        den //= g
-    return (*nums, den)
+def hamilton(x: Quaternion, y: Quaternion) -> Quaternion:
+    """Product of integer quaternions in the basis (1, i sigma_z, i sigma_y,
+    i sigma_x), which multiply as Hamilton's (1, i, j, k): 16 integer
+    multiplies, over the product of the denominators, not reduced."""
+    a1, b1, c1, d1, n1 = x
+    a2, b2, c2, d2, n2 = y
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        n1 * n2,
+    )
 
 
-def q_blocks(*qs: Quaternions) -> Quaternions:
-    """Block-diagonal concatenation: the blocks of each argument in order,
-    over one denominator."""
-    den = lcm(*(q[-1] for q in qs))
-    return _reduced([v * (den // q[-1]) for q in qs for v in q[:-1]], den)
-
-
-def q_identity(blocks: int) -> Quaternions:
-    """The identity on the given number of 2x2 blocks."""
-    return (1, 0, 0, 0) * blocks + (1,)
-
-
-def q_mul(x: Quaternions, y: Quaternions) -> Quaternions:
-    """Blockwise product: 16 integer multiplies per quaternion.
-
-    (alpha1, beta1)(alpha2, beta2) =
+def q_mul(x: Quaternion, y: Quaternion) -> Quaternion:
+    """The product (alpha1, beta1)(alpha2, beta2) =
     (alpha1 alpha2 - beta1 conj(beta2), alpha1 beta2 + beta1 conj(alpha2)),
-    which is exact.hamilton's straight-line formula for one block (a rotation
-    word or a reset vector) or two (a channel's pair), then one gcd over the
-    numerators and the denominator.
-    """
+    hamilton's formula followed by one gcd over the numerators and the
+    denominator."""
     r = hamilton(x, y)
     g = gcd(*r)
     return r if g == 1 else tuple(v // g for v in r)
 
 
-def q_adjoint(x: Quaternions) -> Quaternions:
-    """Conjugate transpose: conjugate every quaternion.  Every entry is
-    negated, then each block's real part and the denominator, which sits at
-    index 4 * blocks, are copied back with one stride-4 slice."""
-    out = [-v for v in x]
-    out[::4] = x[::4]
-    return tuple(out)
+def q_adjoint(x: Quaternion) -> Quaternion:
+    """Conjugate transpose: the conjugate quaternion."""
+    a, b, c, d, den = x
+    return (a, -b, -c, -d, den)
 
 
-def q_is_scalar(x: Quaternions) -> bool:
-    """Whether the matrix is c * I: every quaternion real and all equal."""
-    return x[:-1] == (x[0], 0, 0, 0) * ((len(x) - 1) // 4)
+def q_is_scalar(x: Quaternion) -> bool:
+    """Whether the matrix is c * I: the quaternion is real."""
+    return not (x[1] or x[2] or x[3])
 
 
-def q_sign_key(x: Quaternions) -> Quaternions:
-    """x with each nonzero block's first nonzero numerator made positive.
-    A unit vector g and -g share a key, and so do the four pairs
-    (+-q1, +-q2), whose maps x -> q1 x q2^dag are +-M.
-    """
-    out = list(x)
-    for k in range(0, len(x) - 1, 4):
-        if (x[k] or next(filter(None, x[k : k + 4]), 0)) < 0:
-            out[k : k + 4] = (-v for v in x[k : k + 4])
-    return tuple(out)
+def q_sign_key(x: Quaternion) -> Quaternion:
+    """x or -x, whichever has a positive first nonzero numerator: a unit
+    quaternion g and -g share a key."""
+    if (x[0] or x[1] or x[2] or x[3]) < 0:
+        return (-x[0], -x[1], -x[2], -x[3], x[4])
+    return x
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,7 +187,7 @@ class CollisionReport(Report):
         return not self.collisions and not self.scalar_words
 
 
-def _right_map(q: Quaternions, den: int) -> list:
+def _right_map(q: Quaternion, den: int) -> list:
     """Rows of x -> x q with q over den, read off hamilton on UNIT_QUATERNIONS."""
     g = (*(v * (den // q[4]) for v in q[:4]), 1)
     return list(zip(*(hamilton(e, g)[:4] for e in UNIT_QUATERNIONS)))

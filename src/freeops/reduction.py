@@ -1,7 +1,7 @@
 """Compiling tile instances into channel generator sets and searching them.
 
 Write psi for freerot.encode_word (0 -> a, 1 -> b), identify R^4 with the
-quaternions in the basis of exact.hamilton, and write |1> for the
+quaternions in the basis of freerot.hamilton, and write |1> for the
 quaternion 1, the state basis:0.  At damping p, tile i = (u_i, v_i) gives
 
 - E_i, a unitary channel: rho -> p M_i rho M_i^T + (1 - p) tr(rho) I/4, with
@@ -27,15 +27,15 @@ E_{t1} ... E_{t(n-1)} R_{tn}:
    freerot.freeness_certificate), and the free monoid embeds in the free
    group.
 
-A channel carries integer quaternions (see freerot): E_i the pair
-(psi(u_i), psi(v_i)), so that composing E channels multiplies pairs
-blockwise, and R_i its unit vector f_i.  M and -M are one channel, so are
-g and -g: a channel is keyed by its quaternions with each block's sign
-normalised.  A channel acts on an operator (the matrix units choi reads, a
-target's source) by its own definition, through the 4x4 matrix of M or the
-column g (ChannelElement.operator).  Each search expands one level at a
-time through util.level_pairs, so a node budget counts expansions in all
-of them.
+A channel carries a tuple of integer quaternions (see freerot): E_i the
+pair (psi(u_i), psi(v_i)), so that composing E channels multiplies pairs
+memberwise, and R_i the one unit vector (f_i,).  The maps of (+-q1, +-q2)
+are +-M, one channel, and g and -g give one reset: a channel is keyed by
+the sign key of each of its quaternions.  A channel acts on an operator
+(the matrix units choi reads, a target's source) by its own definition,
+through the 4x4 matrix of M or the column g (ChannelElement.operator).
+Each search expands one level at a time through util.level_pairs, so a
+node budget counts expansions in all of them.
 
 Comparing a generator set F with F + {T} needs only F's closure.  Every
 generator of F lies in both sets and realizes itself in either closure, so
@@ -53,22 +53,15 @@ from math import gcd, prod
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import pcp
-from .exact import (
-    UNIT_QUATERNIONS,
-    ExactDensityMatrix,
-    ExactMatrix,
-    ShapeError,
-    hamilton,
-    matrix_units,
-    rat_to_str,
-)
+from .exact import ExactDensityMatrix, ExactMatrix, ShapeError, matrix_units, rat_to_str
 from .freerot import (
+    Q_IDENTITY,
+    UNIT_QUATERNIONS,
     FreePair,
-    Quaternions,
+    Quaternion,
     encode_word,
+    hamilton,
     q_adjoint,
-    q_blocks,
-    q_identity,
     q_is_scalar,
     q_mul,
     q_sign_key,
@@ -78,52 +71,68 @@ from .util import Report, level_pairs
 
 DISTINCT = "distinct"
 INDISTINGUISHABLE = "indistinguishable_up_to_depth"
-ONE = q_identity(1)
+# A unitary channel's quaternion pair (q1, q2), or a reset's one quaternion (g,).
+Quaternions = Tuple[Quaternion, ...]
 
 
 @lru_cache(maxsize=256)
-def _operator(q: Quaternions) -> Tuple[ExactMatrix, ExactMatrix]:
-    """ChannelElement.operator and its conjugate transpose, read off exact.hamilton
+def _operator(qs: Quaternions) -> Tuple[ExactMatrix, ExactMatrix]:
+    """ChannelElement.operator and its conjugate transpose, read off hamilton
     on UNIT_QUATERNIONS for a pair; cached, as choi applies a channel 16 times."""
-    if len(q) == 5:
-        op = ExactMatrix.from_integers(4, 1, q[:4], q[4])
+    if len(qs) == 1:
+        (g,) = qs
+        op = ExactMatrix.from_integers(4, 1, g[:4], g[4])
     else:
-        left, right = (*q[:4], q[8]), q_adjoint((*q[4:8], q[8]))
-        cols = [hamilton(hamilton(left, e), right) for e in UNIT_QUATERNIONS]
+        q1, q2 = qs
+        right = q_adjoint(q2)
+        cols = [hamilton(hamilton(q1, e), right) for e in UNIT_QUATERNIONS]
         op = ExactMatrix.from_integers(4, 4, [col[i] for i in range(4) for col in cols], cols[0][4])
     return op, op.dagger()
 
 
-def _image(q: Quaternions, x: Quaternions) -> Quaternions:
-    """M x for the pair q = (q1, q2): q1 x q2^dag, reduced."""
-    den = q[8]
-    return q_mul(q_mul((*q[:4], den), x), q_adjoint((*q[4:8], den)))
+def _image(pair: Quaternions, x: Quaternion) -> Quaternion:
+    """M x for the pair (q1, q2): q1 x q2^dag, reduced."""
+    q1, q2 = pair
+    return q_mul(q_mul(q1, x), q_adjoint(q2))
+
+
+def _pair_mul(x: Quaternions, y: Quaternions) -> Quaternions:
+    """The pair of the composed unitary channel: memberwise products."""
+    return q_mul(x[0], y[0]), q_mul(x[1], y[1])
+
+
+def _sign_key(qs: Quaternions) -> Quaternions:
+    """A channel's key: the sign key of each quaternion."""
+    return tuple(map(q_sign_key, qs))
+
+
+def _is_unit(q: Quaternion) -> bool:
+    """Whether q is a unit quaternion over a reduced, positive denominator."""
+    return len(q) == 5 and q[4] > 0 and gcd(*q) == 1 and sum(v * v for v in q[:4]) == q[4] ** 2
 
 
 @dataclass(frozen=True, slots=True)
 class ChannelElement:
     """A unitary channel rho -> p M rho M^T + (1 - p) tr(rho) I/4, M the map
-    x -> q1 x q2^dag of the quaternion pair (q1, q2), or with `reset` the
-    channel rho -> tr(rho) (p |g><g| + (1 - p) I/4) of the unit quaternion
-    g; p is the damping."""
+    x -> q1 x q2^dag of the quaternion pair (q1, q2), or a reset, the
+    channel rho -> tr(rho) (p |g><g| + (1 - p) I/4) of the one unit
+    quaternion (g,); p is the damping."""
 
     quaternions: Quaternions
     damping: Fraction
     word: Tuple[str, ...] = ()
-    reset: bool = False
     dim = 4
 
     def __post_init__(self):
-        q = self.quaternions
-        if len(q) != (5 if self.reset else 9) or q[-1] < 1 or gcd(*q) != 1:
-            raise ValueError(
-                "a channel needs a quaternion pair, a reset one quaternion,"
-                " over a reduced denominator"
-            )
-        if any(sum(v * v for v in q[k : k + 4]) != q[-1] ** 2 for k in range(0, len(q) - 1, 4)):
-            raise ValueError("channel quaternions must be unit quaternions")
+        qs = self.quaternions
+        if len(qs) not in (1, 2) or not all(map(_is_unit, qs)):
+            raise ValueError("a channel needs one or two reduced unit quaternions")
         if not (0 < self.damping <= 1):
             raise ValueError("damping must lie in (0, 1]")
+
+    @property
+    def reset(self) -> bool:
+        return len(self.quaternions) == 1
 
     @property
     def label(self) -> str:
@@ -153,7 +162,7 @@ def make_target(damping: Fraction) -> ChannelElement:
     """T_damping: the reset onto damping |1><1| + (1 - damping) I/4."""
     if not (0 < damping < 1):
         raise ValueError("target damping must lie strictly inside (0, 1)")
-    return ChannelElement(ONE, damping, reset=True)
+    return ChannelElement((Q_IDENTITY,), damping)
 
 
 def labeled(channel: ChannelElement, label: str) -> ChannelElement:
@@ -192,9 +201,9 @@ def compile_generators(
     e_gens = []
     r_gens = []
     for i, (top, bottom) in enumerate(inst.tiles, start=1):
-        q = q_blocks(encode_word(pair, top), encode_word(pair, bottom))
-        e_gens.append(ChannelElement(q, damping, (f"E{i}",)))
-        r_gens.append(ChannelElement(_image(q, ONE), damping, (f"R{i}",), reset=True))
+        q1, q2 = encode_word(pair, top), encode_word(pair, bottom)
+        e_gens.append(ChannelElement((q1, q2), damping, (f"E{i}",)))
+        r_gens.append(ChannelElement((q_mul(q1, q_adjoint(q2)),), damping, (f"R{i}",)))
     return GeneratorSet(
         instance=inst, pair=pair, e_gens=tuple(e_gens), r_gens=tuple(r_gens)
     )
@@ -285,7 +294,7 @@ def _generic_search(
     all generator words finds.
     """
     letters = [(i, ch.quaternions) for i, ch in enumerate(gens.e_gens, start=1)]
-    level = {q_identity(2): ()}
+    level = {(Q_IDENTITY, Q_IDENTITY): ()}
     expanded = 0
     truncated = False
     checked = 0
@@ -295,16 +304,16 @@ def _generic_search(
         suffixes = {}
         for (q, word), (i, u) in pairs:
             expanded += 1
-            child = q_mul(q, u)
-            suffixes.setdefault(q_sign_key(_image(child, ONE)), word + (i,))
+            child = c1, c2 = _pair_mul(q, u)
+            suffixes.setdefault(q_sign_key(q_mul(c1, q_adjoint(c2))), word + (i,))
             new_level.setdefault(child, word + (i,))
         if truncated:
             break
         for m, prefixes in ((2 * s - 1, level), (2 * s, new_level)):
             if m > max_depth:
                 continue
-            for q, word in prefixes.items():
-                hit = suffixes.get(q_sign_key(_image(q_adjoint(q), ONE)))
+            for (q1, q2), word in prefixes.items():
+                hit = suffixes.get(q_sign_key(q_mul(q_adjoint(q1), q2)))
                 if hit is not None:
                     return _found_outcome(gens, "generic", word + hit, expanded)
             checked = m
@@ -324,8 +333,8 @@ def _structured_search(
     in front of the tile word; the first vector +-1 is a witness.
     """
     letters = [(i, ch.quaternions) for i, ch in enumerate(gens.e_gens, start=1)]
-    visited = {ONE}
-    frontier = [(ONE, ())]
+    visited = {Q_IDENTITY}
+    frontier = [(Q_IDENTITY, ())]
     expanded = 0
     truncated = False
     depth_done = 0
@@ -389,7 +398,7 @@ def _closure(
     channels: Sequence[ChannelElement], max_depth: int, node_budget: int
 ):
     """All channels that words of length <= max_depth realize, with the
-    shortest word kept.  A channel is keyed as (sign key of its quaternions,
+    shortest word kept.  A channel is keyed as (sign keys of its quaternions,
     damping numerator, damping denominator): the damping is carried as a
     reduced integer pair, not as a Fraction, whose product normalises
     through extra calls and whose hash computes a modular inverse on every
@@ -405,7 +414,7 @@ def _closure(
         (ch.quaternions, ch.reset, ch.label, ch.damping.numerator, ch.damping.denominator)
         for ch in channels
     ]
-    ident = q_identity(2)
+    ident = (Q_IDENTITY, Q_IDENTITY)
     elems = {(ident, 1, 1): ((), 0)}
     frontier = [(ident, (), 1, 1)]
     expanded = 0
@@ -414,11 +423,11 @@ def _closure(
         nxt = []
         for (q, word, p, r), (u, reset, label, dp, dr) in pairs:
             expanded += 1
-            child = _image(q, u) if reset else q_mul(q, u)
+            child = (_image(q, u[0]),) if reset else _pair_mul(q, u)
             p, r = p * dp, r * dr
             g = gcd(p, r)
             p, r = p // g, r // g
-            key = (q_sign_key(child), p, r)
+            key = (_sign_key(child), p, r)
             if key not in elems:
                 child_word = word + (label,)
                 elems[key] = (child_word, depth)
@@ -457,7 +466,7 @@ def theory_diff(
     for side, own in ((2, tuple(f1) + tuple(extra)), (1, f1)):
         for ch in own:
             damp = ch.damping
-            hit = elems.get((q_sign_key(ch.quaternions), damp.numerator, damp.denominator))
+            hit = elems.get((_sign_key(ch.quaternions), damp.numerator, damp.denominator))
             if hit is not None:
                 matches.setdefault(
                     f"f{side}:{ch.label}", {"realized_by": list(hit[0]), "at_depth": hit[1]}

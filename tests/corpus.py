@@ -38,12 +38,13 @@ def compose(x: ChannelElement, y: ChannelElement) -> ChannelElement:
     dampings multiplied.  The searches form these products inline."""
     word = x.word + y.word
     if x.reset:
-        return ChannelElement(x.quaternions, x.damping, word, reset=True)
-    q = x.quaternions
+        return ChannelElement(x.quaternions, x.damping, word)
+    q1, q2 = x.quaternions
     if not y.reset:
-        return ChannelElement(q_mul(q, y.quaternions), x.damping * y.damping, word)
-    g = q_mul(q_mul((*q[:4], q[8]), y.quaternions), q_adjoint((*q[4:8], q[8])))
-    return ChannelElement(g, x.damping * y.damping, word, reset=True)
+        r1, r2 = y.quaternions
+        return ChannelElement((q_mul(q1, r1), q_mul(q2, r2)), x.damping * y.damping, word)
+    (g,) = y.quaternions
+    return ChannelElement((q_mul(q_mul(q1, g), q_adjoint(q2)),), x.damping * y.damping, word)
 
 
 @dataclass(frozen=True)

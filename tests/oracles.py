@@ -228,14 +228,12 @@ def _mul_2x2(x: tuple, y: tuple) -> tuple:
 
 
 def quaternion_matrix(q) -> ExactMatrix:
-    """The block-diagonal matrix that a quaternion tuple stands for: block k
-    is ((alpha, beta), (-conj(beta), conj(alpha))), read from q[4k : 4k + 4]
-    over the denominator q[-1]."""
-    blocks = []
-    for k in range(0, len(q) - 1, 4):
-        rows = _block((*q[k : k + 4], q[-1]))
-        blocks.append(ExactMatrix.from_rows([list(r) for r in rows]))
-    return block_diag(*blocks)
+    """The 2x2 matrix that one quaternion (a, b, c, d, den) stands for, or
+    for a channel's tuple of quaternions the block-diagonal matrix of its
+    quaternions in order."""
+    if isinstance(q[0], tuple):
+        return block_diag(*map(quaternion_matrix, q))
+    return ExactMatrix.from_rows([list(r) for r in _block(q)])
 
 
 def coordinates(x: ExactMatrix) -> tuple:
@@ -329,7 +327,7 @@ def reference_apply(channel, m: ExactMatrix) -> ExactMatrix:
     product, scaling and sum a matrix of its own."""
     p, t, q = channel.damping, trace(m), channel.quaternions
     if channel.reset:
-        g = column([Fraction(v, q[4]) for v in q[:4]])
+        g = column([Fraction(v, q[0][4]) for v in q[0][:4]])
         image = _scaled(_product(g, g.dagger()), t)
     else:
         blocks = quaternion_matrix(q)

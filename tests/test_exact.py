@@ -45,7 +45,7 @@ from freeops.exact import (
     rat_from_str,
     rat_to_str,
 )
-from freeops.freerot import q_blocks, q_identity
+from freeops.freerot import Q_IDENTITY
 from freeops.reduction import ChannelElement, compile_generators, make_target
 from freeops.resourcegraph import certify_cptp, choi, explore, generic_seed
 
@@ -305,7 +305,7 @@ def test_psd_zero_pivot_cases():
 
 def test_psd_agrees_with_sturm_oracle_on_choi_operators():
     entries = [e for e in CORPUS if e.name in ("classic3", "classic_minus", "pad_left")]
-    channels = [ChannelElement(q_identity(2), Fraction(1)), make_target(Fraction(1, 3))]
+    channels = [ChannelElement((Q_IDENTITY, Q_IDENTITY), Fraction(1)), make_target(Fraction(1, 3))]
     for entry in entries:
         channels.extend(compile_generators(entry.instance, DEFAULT_PAIR, Fraction(1, 2)).channels())
     for ch in channels:
@@ -488,10 +488,10 @@ def key_map_channels():
     imaginary Kraus entries."""
     classic3 = next(e for e in CORPUS if e.name == "classic3")
     channels = compile_generators(classic3.instance, DEFAULT_PAIR, Fraction(1, 2)).channels()
-    y_axis = q_blocks((5, 0, 12, 0, 13), (12, 0, 0, 5, 13))
+    y_axis = ((5, 0, 12, 0, 13), (12, 0, 0, 5, 13))
     rotation = ExactMatrix.from_rows([[gr("3/5"), gr(0, "4/5")], [gr(0, "4/5"), gr("3/5")]])
     return [*channels, make_target(Fraction(1, 3)), ChannelElement(y_axis, Fraction(2, 7)),
-            ChannelElement((5, 0, 12, 0, 13), Fraction(2, 7), reset=True),
+            ChannelElement(((5, 0, 12, 0, 13),), Fraction(2, 7)),
             KrausChannel((rotation,), "R")]
 
 

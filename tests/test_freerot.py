@@ -20,8 +20,9 @@ from oracles import (
     reference_scan,
     trace,
 )
-from freeops.exact import ExactMatrix, GaussianRational, hamilton
+from freeops.exact import ExactMatrix, GaussianRational
 from freeops.freerot import (
+    Q_IDENTITY,
     AxisError,
     Collision,
     CollisionReport,
@@ -32,10 +33,9 @@ from freeops.freerot import (
     encode_word,
     freeness_certificate,
     freeness_scan,
+    hamilton,
     make_free_pair,
     q_adjoint,
-    q_blocks,
-    q_identity,
     q_is_scalar,
     q_mul,
     q_sign_key,
@@ -172,27 +172,11 @@ def test_rotation_quaternion_matches_matrix_formula():
         assert quaternion_matrix(q) == reference_rotation(cos_t, sin_t, axis), (cos_t, sin_t, axis)
 
 
-def test_q_blocks_matches_block_diag():
-    parts = [
-        rotation_quaternion(Fraction(3, 5), Fraction(4, 5), SIGNED_AXES[0]),
-        rotation_quaternion(Fraction(-5, 13), Fraction(12, 13), SIGNED_AXES[3]),
-        rotation_quaternion(Fraction(8, 17), Fraction(-15, 17), SIGNED_AXES[6]),
-        q_identity(1),
-        encode_word(PAIR, "0110"),
-        q_identity(2),
-    ]
-    for count in (1, 2, 3):
-        for qs in product(parts, repeat=count):
-            q = q_blocks(*qs)
-            assert is_canonical(q)
-            assert quaternion_matrix(q) == block_diag(*(quaternion_matrix(x) for x in qs))
-
-
 # --- the word encoding -----------------------------------------------------------
 
 
 def test_empty_word_is_identity():
-    assert encode_word(PAIR, "") == q_identity(1)
+    assert encode_word(PAIR, "") == Q_IDENTITY
     assert quaternion_matrix(encode_word(PAIR, "")) == ExactMatrix.identity(2)
 
 
@@ -347,24 +331,48 @@ def test_report_json_shape():
 # --- quaternion kernel -------------------------------------------------------------
 
 
+MINUS_ONE = (-1, 0, 0, 0, 1)
+
+
+def _mul(x, y):
+    """Memberwise product of two tuples of quaternions, as a channel's pair
+    composes."""
+    return tuple(map(q_mul, x, y))
+
+
+def _adjoint(x):
+    return tuple(map(q_adjoint, x))
+
+
+def _sign_key(x):
+    return tuple(map(q_sign_key, x))
+
+
+def _is_scalar(x):
+    """Whether the block-diagonal matrix of a tuple of quaternions is c * I:
+    every quaternion real, and all equal."""
+    return all(map(q_is_scalar, x)) and len(set(x)) == 1
+
+
 def _letter_sets():
-    """Letter sets for random words, each letter a (quaternions, matrix)
-    pair: the free pair with the rotation formula's matrices and each corpus
-    instance's unitary channels as quaternion pairs, all with their
-    adjoints, the corpus sets also with a sign flip on one block, so that
-    words can cancel and blocks can disagree in sign."""
+    """Letter sets for random words, each letter a (tuple of quaternions,
+    matrix) pair: the free pair as one-quaternion letters with the rotation
+    formula's 2x2 matrices, and each corpus instance's unitary channels as
+    quaternion pairs, all with their adjoints, the corpus sets also with a
+    sign flip on one member, so that words can cancel and members can
+    disagree in sign."""
     p = PAIR.params
     rotations = [
-        (PAIR.a, reference_rotation(p.cos, p.sin, p.axis_a)),
-        (PAIR.b, reference_rotation(p.cos, p.sin, p.axis_b)),
+        ((PAIR.a,), reference_rotation(p.cos, p.sin, p.axis_a)),
+        ((PAIR.b,), reference_rotation(p.cos, p.sin, p.axis_b)),
     ]
-    sets = [rotations + [(q_adjoint(q), m.dagger()) for q, m in rotations]]
+    sets = [rotations + [(_adjoint(q), m.dagger()) for q, m in rotations]]
     ident, minus = ExactMatrix.identity(2), ExactMatrix.identity(2).scale(-1)
-    flip = ((1, 0, 0, 0, -1, 0, 0, 0, 1), block_diag(ident, minus))
+    flip = ((Q_IDENTITY, MINUS_ONE), block_diag(ident, minus))
     for entry in CORPUS:
         gens = compile_generators(entry.instance, PAIR, Fraction(1, 2))
         units = [(ch.quaternions, quaternion_matrix(ch.quaternions)) for ch in gens.e_gens]
-        sets.append(units + [(q_adjoint(q), m.dagger()) for q, m in units] + [flip])
+        sets.append(units + [(_adjoint(q), m.dagger()) for q, m in units] + [flip])
     return sets
 
 
@@ -375,9 +383,9 @@ def _word_product(letters, word):
     """(ExactMatrix product, quaternion product) of a word over letters."""
     size = letters[0][1].rows
     m = ExactMatrix.identity(size)
-    q = q_identity(size // 2)
+    q = (Q_IDENTITY,) * (size // 2)
     for i in word:
-        q = q_mul(q, letters[i][0])
+        q = _mul(q, letters[i][0])
         m = m @ letters[i][1]
     return m, q
 
@@ -389,30 +397,29 @@ def test_quaternion_kernel_matches_matrix_oracle(data):
     index = st.integers(0, len(letters) - 1)
     mu, qu = _word_product(letters, data.draw(st.lists(index, max_size=6)))
     mv, qv = _word_product(letters, data.draw(st.lists(index, max_size=6)))
-    assert is_canonical(qu)
+    assert all(map(is_canonical, qu))
     assert quaternion_matrix(qu) == mu
-    assert quaternion_matrix(q_mul(qu, qv)) == mu @ mv
-    assert quaternion_matrix(q_adjoint(qu)) == mu.dagger()
-    for q, m in ((qu, mu), (q_mul(qu, q_adjoint(qv)), mu @ mv.dagger())):
-        assert q_is_scalar(q) == (as_scalar(m) is not None)
-    minus_one = tuple(-v for v in q_identity(len(qu) // 4)[:-1]) + (1,)
-    neg = q_mul(qu, minus_one)
+    assert quaternion_matrix(_mul(qu, qv)) == mu @ mv
+    assert quaternion_matrix(_adjoint(qu)) == mu.dagger()
+    for q, m in ((qu, mu), (_mul(qu, _adjoint(qv)), mu @ mv.dagger())):
+        assert _is_scalar(q) == (as_scalar(m) is not None)
+    neg = _mul(qu, (MINUS_ONE,) * len(qu))
     assert quaternion_matrix(neg) == mu.scale(-1)
     for qa, ma, qb, mb in ((qu, mu, qv, mv), (qu, mu, neg, mu.scale(-1))):
         # equal keys exactly when each 2x2 block is equal up to a phase
-        same_key = q_sign_key(qa) == q_sign_key(qb)
+        same_key = _sign_key(qa) == _sign_key(qb)
         blocks = [(block(ma, k, k, 2, 2), block(mb, k, k, 2, 2)) for k in range(0, ma.rows, 2)]
         assert same_key == all(phase_canonical(x) == phase_canonical(y) for x, y in blocks)
 
 
-# Real part 0 and a negative imaginary lead, so the sign key cannot stop at
-# a block's real part: one block, two blocks, and a lead in the second block.
+# Real part 0 and a negative imaginary lead at each index, so the sign key
+# cannot stop at the real part, and the zero quaternion, which has no lead.
 ZERO_REAL = [
     (0, -3, 4, 0, 5),
     (0, 0, 0, -1, 1),
-    (0, -3, 4, 0, 0, 0, 5, 0, 5),
-    (0, 0, -4, 3, 3, 0, 0, -4, 5),
-    (0, 0, 0, 0, 0, 0, -1, 0, 1),
+    (0, 0, -4, 3, 5),
+    (0, 0, -1, 0, 1),
+    (0, 0, 0, 0, 1),
 ]
 
 
@@ -421,26 +428,36 @@ def test_phase_key_and_adjoint_with_zero_real_part(q):
     neg = tuple(-v for v in q[:-1]) + q[-1:]
     key = q_sign_key(q)
     assert q_sign_key(neg) == key and key[-1] == q[-1]
-    for k in range(0, len(q) - 1, 4):  # each block leads positive, up to sign q's
-        assert next(filter(None, key[k : k + 4]), 1) > 0
-        assert key[k : k + 4] in (q[k : k + 4], neg[k : k + 4])
+    assert next(filter(None, key[:4]), 1) > 0  # the key leads positive, up to sign q
+    assert key in (q, neg)
     assert quaternion_matrix(neg) == quaternion_matrix(q).scale(-1)
     for x in (q, neg):
-        # Real parts and the denominator (index 4 * blocks) keep their sign.
+        # The real part and the denominator keep their sign.
         conj = tuple(v if k % 4 == 0 else -v for k, v in enumerate(x))
         assert q_adjoint(x) == conj
         assert quaternion_matrix(conj) == quaternion_matrix(x).dagger()
 
 
 def test_quaternion_scalar_needs_equal_real_blocks():
+    """A quaternion is a scalar exactly when it is real; the matrix of a
+    channel's pair is one exactly when both members are the same real."""
     for q, scalar in (
-        ((1, 0, 0, 0, 1, 0, 0, 0, 1), True),
-        ((-3, 0, 0, 0, -3, 0, 0, 0, 5), True),
-        ((1, 0, 0, 0, -1, 0, 0, 0, 1), False),
-        ((0, 1, 0, 0, 0, 1, 0, 0, 1), False),
+        ((1, 0, 0, 0, 1), True),
+        ((-3, 0, 0, 0, 5), True),
+        ((0, 1, 0, 0, 1), False),
+        ((3, 0, 4, 0, 5), False),
+        ((0, 0, 0, 1, 1), False),
     ):
         assert q_is_scalar(q) is scalar
         assert (as_scalar(quaternion_matrix(q)) is not None) is scalar
+    for qs, scalar in (
+        ((Q_IDENTITY, Q_IDENTITY), True),
+        (((-3, 0, 0, 0, 5), (-3, 0, 0, 0, 5)), True),
+        ((Q_IDENTITY, MINUS_ONE), False),
+        (((0, 1, 0, 0, 1), (0, 1, 0, 0, 1)), False),
+    ):
+        assert _is_scalar(qs) is scalar
+        assert (as_scalar(quaternion_matrix(qs)) is not None) is scalar
 
 
 # --- the freeness certificate for group words ------------------------------------------------
@@ -451,7 +468,7 @@ def reduced_words(pair, max_len, prime):
     over a, A = a^dag, b, B = b^dag up to max_len, shortest first.  The
     residues are of the unreduced product of the letters' numerators."""
     letters = {"a": pair.a, "A": q_adjoint(pair.a), "b": pair.b, "B": q_adjoint(pair.b)}
-    level = [("", q_identity(1), (1, 0, 0, 0))]
+    level = [("", Q_IDENTITY, (1, 0, 0, 0))]
     for _ in range(max_len):
         level = [
             (w + s, q_mul(q, x), tuple(v % prime for v in hamilton((*r, 1), x)[:4]))

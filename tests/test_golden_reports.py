@@ -33,7 +33,9 @@ compiles an instance into channels (`compile`, `membership`, `diff`,
 was re-taken when each tile came to compile into a unitary channel E_i
 and a reset channel R_i in place of the H_i and G_i that carried a
 tile-index block; the `verify-free` and `monotones --graph demo` pins did
-not move.
+not move.  The `solve-pcp` pins and the `reach` pins of a printed path and
+of the maximally mixed seed were taken before a channel came to carry a
+tuple of separately reduced quaternions in place of one flat tuple.
 
 The pins hash a re-encoding of the parsed outcome, so the report writer
 itself is checked separately: the raw `--out` bytes, every subcommand's
@@ -219,6 +221,33 @@ PINS = {
         0,
         "c00293dec54ac75c9a024d0c76655dd7a0bd784f1f577e935443b8a8768efbd6",
         None,
+    ),
+    # The tile search and the reach paths that no pin above runs: a found
+    # witness and an exhausted search, a printed shortest path (the
+    # adjacency walk) and the maximally mixed seed.
+    "solve-pcp-classic3-depth4": (
+        ["solve-pcp", "--instance", "@", "--depth", "4"],
+        0,
+        "5e1391c99fdd31710130fa39410feb523264a4c0f65cf30e3d71d8f884079e79",
+        None,
+    ),
+    "solve-pcp-minus-depth6": (
+        ["solve-pcp", "--instance", "@minus", "--depth", "6"],
+        10,
+        "ad3eb47b723a7d31d8e46d5c01e8b97a1c1048c3cbbfa37da13bb14533ef74ef",
+        None,
+    ),
+    "reach-classic3-depth4-basis0-path": (
+        ["reach", "--instance", "@", "--depth", "4", "--from", "basis:0", "--to", "target:1/16"],
+        0,
+        "eb59732bf9e752d41701c2682effb16f9f306a2769cf5cf59d851554401d8c7e",
+        "dfc908d73defd6999bb9f50a5f3f62c95a4cf947eabf881eb6180efeebf2c703",
+    ),
+    "reach-classic3-depth3-maxmixed": (
+        ["reach", "--instance", "@", "--depth", "3", "--from", "maxmixed", "--to", "target:1/4"],
+        10,
+        "d8c1c481f8b6b368b61fcd751a5b45329c90b8edfca8b7a89057b949ee45995d",
+        "43c0b508818694bc4480c51c6d0e4794ebf09c20e2723a8a5724574143462174",
     ),
     # cos 0 fails the freeness preconditions; --force scans it anyway.
     "verify-free-force-cos0": (

@@ -4,9 +4,11 @@ representation per channel, and no code that nothing runs.
 Only exact.py may touch ExactMatrix internals (the numerators `_num`, the
 denominator `_den` and the raw constructor `_raw`), and no module reads a
 `.matrix` attribute: a channel carries its unitary as a quaternion pair and
-builds a matrix with freerot.quaternion_matrix where one is needed.  The
-test oracles stay off those internals and off the kernel product
-`_matmul_int`, so they share no code with what they check.
+builds a matrix with ChannelElement.operator where one is needed.  Only
+freerot.py defines the quaternion product `hamilton` and the basis
+`UNIT_QUATERNIONS` it is read off.  The test oracles stay off the matrix
+internals and off the kernel product `_matmul_int`, so they share no code
+with what they check.
 
 Every non-dunder function, method and class in the package must be reached
 from a module-level statement or a `[project.scripts]` entry point; an
@@ -30,6 +32,8 @@ MATRIX_ATTRIBUTE = re.compile(r"\.matrix\b")
 NOT_EXACT = [p for p in SOURCES if p.name != "exact.py"]
 ORACLES = [ROOT / "tests" / "oracles.py", ROOT / "tests" / "corpus.py"]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# freerot.py owns the quaternion format.
+QUATERNION_FORMAT = {"hamilton", "UNIT_QUATERNIONS"}
 
 
 def offending_lines(path, pattern):
@@ -57,6 +61,21 @@ def test_no_matrix_attribute(path):
 @pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)
 def test_oracles_stay_off_kernel_internals(path):
     assert offending_lines(path, KERNEL) == []
+
+
+def defined_names(text):
+    """Every name a module binds by a definition or an assignment, at any depth."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, DEFINITIONS):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_quaternion_format_has_one_owner(path):
+    defined = QUATERNION_FORMAT & set(defined_names(path.read_text()))
+    assert defined == (QUATERNION_FORMAT if path.name == "freerot.py" else set())
 
 
 # --- reachability ---------------------------------------------------------------

@@ -39,11 +39,11 @@ from freeops.exact import (
     rat_to_str,
 )
 from freeops.freerot import (
+    Q_IDENTITY,
     RotationParams,
     freeness_certificate,
     freeness_scan,
     make_free_pair,
-    q_identity,
     q_sign_key,
 )
 from freeops.pcp import parse_instance, solve_bounded, verify_solution
@@ -68,7 +68,7 @@ PAIR = DEFAULT_PAIR
 A = quaternion_matrix(PAIR.a)
 B = quaternion_matrix(PAIR.b)
 HALF = Fraction(1, 2)
-IDENTITY = ChannelElement(q_identity(2), Fraction(1))
+IDENTITY = ChannelElement((Q_IDENTITY, Q_IDENTITY), Fraction(1))
 CLASSIC3 = "1|101\n10|00\n011|11"
 E0 = column([1, 0, 0, 0])
 Y_AXIS_PAIR = make_free_pair(
@@ -607,32 +607,31 @@ def test_channel_element_construction_check():
     good = compiled("0|100").e_gens[0].quaternions
     ch = ChannelElement(good, HALF, ("E1",))
     assert ch.quaternions == good and ch.dim == 4 and not ch.reset
-    for bad in (
-        q_identity(1),  # one block
-        q_identity(3),  # three blocks
-        (1, 1, 0, 0, 1, 0, 0, 0, 1),  # first block of norm 2
-        (1, 0, 0, 0, 0, 0, 0, 0, 1),  # second block zero
-        (3, 4, 0, 0, 5, 0, 0, 0, 1),  # norm 25 over denominator 1
-        (2, 0, 0, 0, 2, 0, 0, 0, 2),  # unit, but not reduced
-        (-1, 0, 0, 0, -1, 0, 0, 0, -1),  # unit, negative denominator
-        (1,),  # no block
-        (1, 0, 0, 0),  # length 4
+    one = Q_IDENTITY
+    malformed = [
+        (1, 1, 0, 0, 1),  # norm 2
+        (0, 0, 0, 0, 1),  # zero
+        (3, 4, 0, 0, 1),  # norm 25 over denominator 1
+        (2, 0, 0, 0, 2),  # unit, but not reduced
+        (-1, 0, 0, 0, -1),  # unit, negative denominator
+        (3, 0, 4, 0),  # length 4
         (1, 0, 0, 0, 1, 0),  # length 6
-        (1, 0, 0, 0, 1, 0, 0, 0, 1, 1),  # length 10
+        (*one[:4], *one),  # a flat pair, length 9
+    ]
+    for bad in (
+        (),  # no quaternion
+        (one, one, one),  # three quaternions
+        (*one[:4], *one),  # the flat nine integers of a pair
+        one,  # one quaternion, not in a tuple
+        *((q,) for q in malformed),  # a reset onto a malformed quaternion
+        *((q, one) for q in malformed),  # a pair with its first member malformed
+        *((one, q) for q in malformed),  # a pair with its second member malformed
     ):
         with pytest.raises(ValueError):
             ChannelElement(bad, HALF)
-    for bad in (
-        q_identity(2),  # a pair
-        (1, 1, 0, 0, 1),  # norm 2
-        (0, 0, 0, 0, 1),  # zero
-        (2, 0, 0, 0, 2),  # not reduced
-        (-1, 0, 0, 0, -1),  # negative denominator
-        (3, 0, 4, 0),  # length 4
-    ):
-        with pytest.raises(ValueError):
-            ChannelElement(bad, HALF, reset=True)
-    assert ChannelElement((3, 0, 4, 0, 5), HALF, reset=True).reset
+    reset = ChannelElement(((3, 0, 4, 0, 5),), HALF)
+    assert reset.reset and reset.quaternions == ((3, 0, 4, 0, 5),)
+    assert "reset" not in {f.name for f in dataclasses.fields(ChannelElement)}
     for damping in (Fraction(0), Fraction(-1, 2), Fraction(3, 2), 1 + Fraction(1, 10**9)):
         with pytest.raises(ValueError):
             ChannelElement(good, damping)
@@ -747,7 +746,7 @@ def test_diff_truncated_reports_completed_depth():
 
 
 def _key(ch):
-    return (q_sign_key(ch.quaternions), ch.damping.numerator, ch.damping.denominator)
+    return (tuple(map(q_sign_key, ch.quaternions)), ch.damping.numerator, ch.damping.denominator)
 
 
 def _two_closure_diff(f1, extra, depth):
