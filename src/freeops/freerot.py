@@ -13,21 +13,22 @@ Hamilton's formula.  The rotations, their words, and every quaternion of a
 compiled channel are kept in this form, and this module alone reads it.
 The only scalars in SU(2) are +-I, so equality up to a global phase
 reduces to equality up to sign.  The freeness scan multiplies each level
-as four integer columns, the child of word i by letter bit at index
-2i + bit.
+on the left, as four packed big-integer columns of fixed-width fields
+sized from a proven bound, over one common denominator.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import compress, repeat
+from functools import reduce
+from itertools import compress
 from math import gcd, lcm
-from operator import ne, not_
-from typing import Dict, Optional, Tuple
+from operator import not_
+from typing import Dict, Optional, Sequence, Tuple
 
-from .util import Report, combine, level_cut
+from .util import Report, level_cut
 
 Axis = Tuple[Fraction, Fraction, Fraction]
 # Four integer numerators, then one positive denominator.
@@ -187,10 +188,18 @@ class CollisionReport(Report):
         return not self.collisions and not self.scalar_words
 
 
-def _right_map(q: Quaternion, den: int) -> list:
-    """Rows of x -> x q with q over den, read off hamilton on UNIT_QUATERNIONS."""
-    g = (*(v * (den // q[4]) for v in q[:4]), 1)
-    return list(zip(*(hamilton(e, g)[:4] for e in UNIT_QUATERNIONS)))
+def _fields(col: int, total: int, count: int, width: int) -> Sequence[int]:
+    """The first count of the total width-bit fields packed in col, each a
+    signed value below 2^(width-1) in size.  Adding 2^(width-1) to each makes
+    it a digit with no borrow between fields; flipping each digit's top bit
+    back leaves each field's two's complement in its own bytes."""
+    step = width // 8
+    offset = int.from_bytes((1 << width - 1).to_bytes(step, "little") * total, "little")
+    raw = ((col + offset) ^ offset).to_bytes(step * total, "little")
+    if width == 64:
+        return struct.unpack_from(f"<{count}q", raw)
+    starts = range(0, count * step, step)
+    return [int.from_bytes(raw[i : i + step], "little", signed=True) for i in starts]
 
 
 def freeness_scan(
@@ -206,41 +215,43 @@ def freeness_scan(
     scanned_max_len, which is the last length scanned in full when the
     budget cuts the scan; it never claims anything beyond it.
 
-    Level L is four integer columns, the words' numerators over D^L, D the
-    lcm of the letters' denominators.  Child 2i + bit of word i is word i
-    times letter bit, one map per nonzero coefficient of its _right_map, so
-    word k spells k in L binary digits and is kept as the code 2^L + k.  Keys
-    are the numerators and D^L over their gcd: the reduced q_mul product."""
+    Level L is four packed columns, one int per numerator, word k in signed
+    field k.  Word i's child by letter bit is letter times word, at index
+    bit * 2^(L-1) + i: word k spells k in L binary digits, kept as the code
+    2^L + k.  No key exceeds growth^top, growth = max(D, the letter maps'
+    largest absolute row sum) for D the lcm of the letters' denominators,
+    top the last level that max_len and the budget allow (so a small budget
+    sizes fields, not a huge max_len); scaled by D^(top-L), all levels lie
+    over D^top, so equal keys are equal quaternions."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     den = lcm(pair.a[4], pair.b[4])
-    maps = [_right_map(pair.a, den), _right_map(pair.b, den)]
-    cols = [[1], [0], [0], [0]]  # the empty word: the identity
+    # the rows of x -> g x for each letter g over den, read off hamilton
+    letters = [(*(v * (den // q[4]) for v in q[:4]), 1) for q in (pair.a, pair.b)]
+    maps = [list(zip(*(hamilton(g, e)[:4] for e in UNIT_QUATERNIONS))) for g in letters]
+    top = min(max_len, max(node_budget, 0).bit_length() + 1)
+    growth = max(den, *(sum(map(abs, row)) for m in maps for row in m))
+    width = 64 * ((growth**top).bit_length() // 64 + 1)  # a sign bit to spare
+    cols = [1, 0, 0, 0]  # the empty word: the identity
     seen, collisions, scalar_words = {}, [], []
-    count = 0
     for length in range(1, max_len + 1):
-        kept, truncated = level_cut(len(cols[0]), len(maps), node_budget - count)
-        kids = [[combine(row, cols, (kept + 1) // 2) for row in m] for m in maps]
-        cols = [c0 + c1 for c0, c1 in zip(*kids)]  # the right length, filled next
-        for col, c0, c1 in zip(cols, *kids):
-            col[::2], col[1::2] = c0, c1
-            del col[kept:]
+        n = 1 << length - 1  # words in the last level; 2n - 2 in levels 1 to L-1, all kept
+        kept, truncated = level_cut(n, len(maps), node_budget - (2 * n - 2))
+        used = maps[: 1 + (kept > n)]  # letter 1 only when it has a child kept
+        halves = [[sum(c * x for c, x in zip(row, cols) if c) for row in m] for m in used]
+        cols = halves[0] if kept <= n else [c0 + (c1 << width * n) for c0, c1 in zip(*halves)]
+        scale = den ** (top - length)
+        c0, c1, c2, c3 = (_fields(col * scale, n * len(halves), kept, width) for col in cols)
         codes = range(1 << length, (1 << length) + kept)
-        keys = list(zip(*cols, repeat(den**length)))
-        common = reduce(partial(map, gcd), cols, repeat(den))  # gcd with D is 1 iff with D^L
-        for k in compress(range(kept), map(ne, common, repeat(1))):
-            g = gcd(*keys[k])
-            keys[k] = tuple(v // g for v in keys[k])
-        x1_zero = compress(range(kept), map(not_, cols[1]))
-        scalar_words += (bin(codes[k])[3:] for k in x1_zero if not (cols[2][k] or cols[3][k]))
-        firsts = list(map(seen.setdefault, keys, codes))  # the first code with each key
+        x1_zero = compress(range(kept), map(not_, c1))
+        scalar_words += (bin(codes[k])[3:] for k in x1_zero if not (c2[k] or c3[k]))
+        firsts = list(map(seen.setdefault, zip(c0, c1, c2, c3), codes))  # first code per key
         collisions += (Collision(bin(a)[3:], bin(b)[3:]) for a, b in zip(firsts, codes) if a != b)
-        count += kept
         if truncated:
             break
     return CollisionReport(
         scanned_max_len=length - 1 if truncated else length,
-        word_count=count,
+        word_count=2 * n - 2 + kept,
         collisions=tuple(collisions),
         scalar_words=tuple(scalar_words),
         truncated=truncated,

@@ -262,8 +262,9 @@ def test_scan_determinant_one_everywhere():
             assert det(quaternion_matrix(encode_word(PAIR, "".join(bits)))) == gr(1)
 
 
-def _inverse_pair() -> FreePair:
-    params = PAIR.params
+def _inverse_pair(params: RotationParams = PAIR.params) -> FreePair:
+    """a about axis_a (z in every caller) and b the same angle about -z:
+    ab = I."""
     a = rotation_quaternion(params.cos, params.sin, params.axis_a)
     b = rotation_quaternion(
         params.cos,
@@ -284,10 +285,13 @@ def test_scan_flags_engineered_cancellation():
 
 def test_scan_budget_truncation():
     report = freeness_scan(PAIR, 12, node_budget=100)
+    assert report == reference_scan(PAIR, 12, 100)
     assert report.truncated
     assert report.word_count == 100
     # 62 words fill lengths 1-5; length 6 needs 64 more
     assert report.scanned_max_len == 5
+    # the field width follows the levels a budget of 10 reaches, not max_len
+    assert freeness_scan(PAIR, 100_000, node_budget=10) == reference_scan(PAIR, 100_000, 10)
 
 
 def test_scan_odd_budget_splits_a_parents_children():
@@ -581,7 +585,14 @@ def test_scan_matches_reference_at_every_budget(name):
 
 
 @pytest.mark.parametrize(
-    "cos, sin, axes", [("3/5", "4/5", "zx"), ("5/13", "12/13", "yz"), ("15/17", "8/17", "zx")]
+    "cos, sin, axes",
+    [
+        ("3/5", "4/5", "zx"),
+        ("5/13", "12/13", "yz"),
+        ("15/17", "8/17", "zx"),
+        # keys bounded by 239^8 > 2^63: 128-bit fields
+        ("119/169", "120/169", "zx"),
+    ],
 )
 def test_scan_matches_reference_on_certified_pairs(cos, sin, axes):
     pair = make_free_pair(forced_pair(cos, sin, axes).params)
@@ -589,6 +600,22 @@ def test_scan_matches_reference_on_certified_pairs(cos, sin, axes):
     report = freeness_scan(pair, 8)
     assert report == reference_scan(pair, 8, 1_000_000)
     assert report.is_empty and report.word_count == 510 and not report.truncated
+
+
+def test_scan_matches_reference_on_128_bit_fields():
+    # Keys bounded by 239^8 > 2^63 take 128-bit fields, and words cancel,
+    # so the wide read-out decides which words collide and which are scalar.
+    pair = _inverse_pair(forced_pair("119/169", "120/169", "zx").params)
+    report = freeness_scan(pair, 8)
+    assert report == reference_scan(pair, 8, 1_000_000)
+    assert "01" in report.scalar_words and report.word_count == 510
+
+
+def test_scan_keys_reaching_the_width_bound():
+    # a = b = 512 I: every word of length 7 has the key 512^7 = 2^63, the
+    # bound itself and one past the largest signed 64-bit field.
+    pair = forced_pair(512, 0, "zx")
+    assert freeness_scan(pair, 7) == reference_scan(pair, 7, 1_000_000)
 
 
 @pytest.mark.parametrize("name", sorted(set(SCAN_PAIRS) - {"default"}))

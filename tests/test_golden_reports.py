@@ -202,7 +202,7 @@ PINS = {
         "81ddcd40bca1bbfc5e7814168d506a6d8f960d266226f25a82272dceafd374b8",
     ),
     # The benchmark's three semigroup-search bounds that no pin above covers:
-    # 65,534 words, a 14-deep exhausted meet-in-the-middle and 9,120 closure
+    # 65,534 words, a 14-deep exhausted meet-in-the-middle and 726 closure
     # expansions.
     "verify-free-len15": (
         ["verify-free", "--max-len", "15"],
