@@ -14,19 +14,20 @@ compiled channel are kept in this form, and this module alone reads it.
 The only scalars in SU(2) are +-I, so equality up to a global phase
 reduces to equality up to sign.  The freeness scan multiplies each level
 on the left, as four packed big-integer columns of fixed-width fields
-sized from a proven bound, over one common denominator.
+sized from the norm bound, over one common denominator, and keys each word
+by one bytes object: its four fields' two's complements.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import gcd, lcm
-from operator import not_
-from typing import Dict, Optional, Sequence, Tuple
+from math import gcd, isqrt, lcm
+from operator import ne
+from struct import Struct
+from typing import Dict, Optional, Tuple
 
 from .util import Report, level_cut
 
@@ -188,20 +189,6 @@ class CollisionReport(Report):
         return not self.collisions and not self.scalar_words
 
 
-def _fields(col: int, total: int, count: int, width: int) -> Sequence[int]:
-    """The first count of the total width-bit fields packed in col, each a
-    signed value below 2^(width-1) in size.  Adding 2^(width-1) to each makes
-    it a digit with no borrow between fields; flipping each digit's top bit
-    back leaves each field's two's complement in its own bytes."""
-    step = width // 8
-    offset = int.from_bytes((1 << width - 1).to_bytes(step, "little") * total, "little")
-    raw = ((col + offset) ^ offset).to_bytes(step * total, "little")
-    if width == 64:
-        return struct.unpack_from(f"<{count}q", raw)
-    starts = range(0, count * step, step)
-    return [int.from_bytes(raw[i : i + step], "little", signed=True) for i in starts]
-
-
 def freeness_scan(
     pair: FreePair,
     max_len: int,
@@ -218,11 +205,17 @@ def freeness_scan(
     Level L is four packed columns, one int per numerator, word k in signed
     field k.  Word i's child by letter bit is letter times word, at index
     bit * 2^(L-1) + i: word k spells k in L binary digits, kept as the code
-    2^L + k.  No key exceeds growth^top, growth = max(D, the letter maps'
-    largest absolute row sum) for D the lcm of the letters' denominators,
-    top the last level that max_len and the budget allow (so a small budget
-    sizes fields, not a huge max_len); scaled by D^(top-L), all levels lie
-    over D^top, so equal keys are equal quaternions."""
+    2^L + k.  Quaternion norms multiply, so no key exceeds growth^top,
+    growth = max(D, ceil(sqrt(N))) for D the lcm of the letters'
+    denominators and N the larger sum of a letter's squared numerators over
+    D, top the last level that max_len and the budget allow (so a small
+    budget sizes fields, not a huge max_len); scaled by D^(top-L), all
+    levels lie over D^top.  Adding 2^(width-1) to each field and flipping
+    that bit back leaves each field's two's complement in its own bytes, and
+    word k's key is the bytes of its four fields side by side: equal keys
+    are equal quaternions.  A word is scalar when its field of
+    col1 | col2 | col3 is zero, which one carry through the low bits of
+    every field finds for the whole level."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     den = lcm(pair.a[4], pair.b[4])
@@ -230,8 +223,10 @@ def freeness_scan(
     letters = [(*(v * (den // q[4]) for v in q[:4]), 1) for q in (pair.a, pair.b)]
     maps = [list(zip(*(hamilton(g, e)[:4] for e in UNIT_QUATERNIONS))) for g in letters]
     top = min(max_len, max(node_budget, 0).bit_length() + 1)
-    growth = max(den, *(sum(map(abs, row)) for m in maps for row in m))
+    norm2 = max(sum(v * v for v in g[:4]) for g in letters)
+    growth = max(den, isqrt(norm2) + (isqrt(norm2) ** 2 < norm2))
     width = 64 * ((growth**top).bit_length() // 64 + 1)  # a sign bit to spare
+    step, limbs = width // 8, width // 64
     cols = [1, 0, 0, 0]  # the empty word: the identity
     seen, collisions, scalar_words = {}, [], []
     for length in range(1, max_len + 1):
@@ -240,13 +235,27 @@ def freeness_scan(
         used = maps[: 1 + (kept > n)]  # letter 1 only when it has a child kept
         halves = [[sum(c * x for c, x in zip(row, cols) if c) for row in m] for m in used]
         cols = halves[0] if kept <= n else [c0 + (c1 << width * n) for c0, c1 in zip(*halves)]
-        scale = den ** (top - length)
-        c0, c1, c2, c3 = (_fields(col * scale, n * len(halves), kept, width) for col in cols)
+        total, scale = n * len(halves), den ** (top - length)
+        offset = int.from_bytes((1 << width - 1).to_bytes(step, "little") * total, "little")
+        fields = [(col * scale + offset) ^ offset for col in cols]
+        keys = bytearray(4 * step * kept)
+        into = memoryview(keys).cast("Q")  # limbs are moved, never read, so any byte order
+        for j, f in enumerate(fields):
+            limb = memoryview(f.to_bytes(step * total, "little")).cast("Q")
+            for t in range(limbs):
+                into[j * limbs + t :: 4 * limbs] = limb[t : kept * limbs : limbs]
+        signs = offset & (1 << width * kept) - 1  # the top bit of each kept field
+        low = signs - (signs >> width - 1)
+        x = fields[1] | fields[2] | fields[3]
+        zero = signs ^ ((x & low) + low | x) & signs  # the top bit of each zero field
         codes = range(1 << length, (1 << length) + kept)
-        x1_zero = compress(range(kept), map(not_, c1))
-        scalar_words += (bin(codes[k])[3:] for k in x1_zero if not (c2[k] or c3[k]))
-        firsts = list(map(seen.setdefault, zip(c0, c1, c2, c3), codes))  # first code per key
-        collisions += (Collision(bin(a)[3:], bin(b)[3:]) for a, b in zip(firsts, codes) if a != b)
+        if zero:
+            marks = zero.to_bytes(step * kept, "little")[step - 1 :: step]
+            scalar_words += (bin(code)[3:] for code in compress(codes, marks))
+        firsts = list(map(seen.setdefault, Struct(f"{4 * step}s" * kept).unpack(keys), codes))
+        if len(seen) < 2 * n - 2 + kept:  # some key was seen before: a collision
+            pairs = compress(zip(firsts, codes), map(ne, firsts, codes))
+            collisions += (Collision(bin(a)[3:], bin(b)[3:]) for a, b in pairs)
         if truncated:
             break
     return CollisionReport(

@@ -590,7 +590,7 @@ def test_scan_matches_reference_at_every_budget(name):
         ("3/5", "4/5", "zx"),
         ("5/13", "12/13", "yz"),
         ("15/17", "8/17", "zx"),
-        # keys bounded by 239^8 > 2^63: 128-bit fields
+        # unit letters: keys bounded by 169^8 < 2^63, 64-bit fields
         ("119/169", "120/169", "zx"),
     ],
 )
@@ -603,12 +603,17 @@ def test_scan_matches_reference_on_certified_pairs(cos, sin, axes):
 
 
 def test_scan_matches_reference_on_128_bit_fields():
-    # Keys bounded by 239^8 > 2^63 take 128-bit fields, and words cancel,
-    # so the wide read-out decides which words collide and which are scalar.
-    pair = _inverse_pair(forced_pair("119/169", "120/169", "zx").params)
-    report = freeness_scan(pair, 8)
-    assert report == reference_scan(pair, 8, 1_000_000)
-    assert "01" in report.scalar_words and report.word_count == 510
+    # Keys bounded by 169^9 > 2^63 take 128-bit fields.  The certified pair
+    # scans empty; in the inverse pair words cancel, so the two-limb keys
+    # decide which words collide and which are scalar.
+    certified = make_free_pair(forced_pair("119/169", "120/169", "zx").params)
+    report = freeness_scan(certified, 9)
+    assert report == reference_scan(certified, 9, 1_000_000)
+    assert report.is_empty and report.word_count == 1022
+    pair = _inverse_pair(certified.params)
+    report = freeness_scan(pair, 9)
+    assert report == reference_scan(pair, 9, 1_000_000)
+    assert "01" in report.scalar_words and report.word_count == 1022
 
 
 def test_scan_keys_reaching_the_width_bound():
@@ -630,3 +635,33 @@ def test_scan_matches_reference_on_forced_pairs(name):
 @settings(max_examples=25, deadline=None)
 def test_scan_matches_reference_on_random_pairs(pair, budget):
     assert freeness_scan(pair, 5, node_budget=budget) == reference_scan(pair, 5, budget)
+
+
+@st.composite
+def integer_letters(draw, bits):
+    """A reduced integer quaternion with numerators up to 2^bits in size over
+    a denominator up to 2^20, real in some draws: not a unit, not a rotation."""
+    num = st.integers(-(1 << bits), 1 << bits)
+    a, b, c, d = draw(st.tuples(num, num, num, num))
+    if draw(st.integers(0, 3)) == 0:
+        b = c = d = 0
+    den = draw(st.integers(1, 1 << 20))
+    g = gcd(a, b, c, d, den)
+    return (a // g, b // g, c // g, d // g, den // g)
+
+
+@st.composite
+def integer_pairs(draw):
+    """Two integer letters of one size, b = a in some draws, so that words
+    collide and are scalar at field widths from 64 to past 256 bits."""
+    bits = draw(st.sampled_from((0, 1, 8, 20, 30, 40)))
+    a = draw(integer_letters(bits))
+    b = a if draw(st.integers(0, 3)) == 0 else draw(integer_letters(bits))
+    return FreePair(a, b, PAIR.params)
+
+
+@given(integer_pairs(), st.integers(1, 5), st.integers(0, 70))
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_reference_on_integer_pairs(pair, max_len, budget):
+    report = freeness_scan(pair, max_len, node_budget=budget)
+    assert report == reference_scan(pair, max_len, budget)
