@@ -11,6 +11,7 @@ configuration are byte-identical apart from the timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -45,11 +46,11 @@ MONOTONES_INSTANCE_DEFAULTS = {
     "seed": "basis:0",
     "budget": 100_000,
 }
-# Parsed options that a report's config leaves out: the parser's own entries,
-# output paths, and the options that a handler resolves into a value of its
-# own (the rotation flags into `rotation`, --from into `from`).
+# Parsed options that a report's config leaves out: the subcommand, output
+# paths, and the options that a handler resolves into a value of its own (the
+# rotation flags into `rotation`, --from into `from`).
 NOT_CONFIG = frozenset(
-    {"command", "handler", "out", "dot", "tables", "cos", "sin", "axis_a", "axis_b", "from_state"}
+    {"command", "out", "dot", "tables", "cos", "sin", "axis_a", "axis_b", "from_state"}
 )
 
 
@@ -296,7 +297,9 @@ def _add_common_args(p, budget=200_000):
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="freeops",
         description="Exact channel-semigroup and tile-matching experiments",
@@ -312,18 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the freeness preconditions (for demonstrating collisions)",
     )
     _add_common_args(p, budget=1_000_000)
-    p.set_defaults(handler=_cmd_verify_free)
 
     p = sub.add_parser("solve-pcp", help="bounded search for a tile solution")
     p.add_argument("--instance", required=True)
     p.add_argument("--depth", type=int, required=True)
     _add_common_args(p)
-    p.set_defaults(handler=_cmd_solve_pcp)
 
     p = sub.add_parser("compile", help="compile an instance into channel generators")
     _add_instance_args(p)
     _add_common_args(p, budget=False)
-    p.set_defaults(handler=_cmd_compile)
 
     p = sub.add_parser(
         "membership", help="search for the depolarising target in the semigroup"
@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=("generic", "structured"), default="generic")
     _add_common_args(p, budget=500_000)
-    p.set_defaults(handler=_cmd_membership)
 
     p = sub.add_parser("reach", help="bounded state-reachability query")
     _add_instance_args(p)
@@ -341,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True)
     p.add_argument("--dot", default=None, help="write the graph as DOT here")
     _add_common_args(p, budget=100_000)
-    p.set_defaults(handler=_cmd_reach)
 
     p = sub.add_parser(
         "monotones", help="quotient a graph and build the monotone family"
@@ -354,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", default=None, help="write the quotient as DOT here")
     p.add_argument("--tables", default=None, help="write the full monotone tables as JSON here")
     _add_common_args(p, budget=None)
-    p.set_defaults(handler=_cmd_monotones)
 
     p = sub.add_parser(
         "diff", help="bounded distinguishability of a set and its target extension"
@@ -363,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-damping", default=None)
     p.add_argument("--depth", type=int, required=True)
     _add_common_args(p, budget=500_000)
-    p.set_defaults(handler=_cmd_diff)
 
     return parser
 
@@ -379,6 +375,21 @@ def _check_output_paths(args) -> None:
                 raise ValueError(f"--{other} and --{option} name the same file: {path}")
 
 
+def handler(command: str):
+    """The _cmd_ function of a subcommand, looked up by name on each call,
+    so that one set on this module after the parser was built is the one
+    that runs."""
+    return {
+        "verify-free": _cmd_verify_free,
+        "solve-pcp": _cmd_solve_pcp,
+        "compile": _cmd_compile,
+        "membership": _cmd_membership,
+        "reach": _cmd_reach,
+        "monotones": _cmd_monotones,
+        "diff": _cmd_diff,
+    }[command]
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(1, len(argv))):  # argparse takes "-3/5" for an option: join it with "="
@@ -388,7 +399,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         _check_output_paths(args)
-        code, resolved, hashes, outcome, extra = args.handler(args)
+        code, resolved, hashes, outcome, extra = handler(args.command)(args)
         report = {
             "config": _config(args, resolved),
             "input_hashes": hashes,

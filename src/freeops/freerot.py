@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress, count
 from math import gcd, isqrt, lcm
 from operator import ne
 from struct import Struct
@@ -213,8 +213,12 @@ def freeness_scan(
     levels lie over D^top.  Adding 2^(width-1) to each field and flipping
     that bit back leaves each field's two's complement in its own bytes, and
     word k's key is the bytes of its four fields side by side: equal keys
-    are equal quaternions.  A word is scalar when its field of
-    col1 | col2 | col3 is zero, which one carry through the low bits of
+    are equal quaternions.  Each level's keys go into one set, and only when
+    the set holds fewer keys than words scanned has a key repeated; then one
+    pass over the kept levels' keys, whose codes run on from 2, finds each
+    word's first code and lists the collisions: as levels double, at most
+    twice the words scanned over the scan.  A word is scalar when its field
+    of col1 | col2 | col3 is zero, which one carry through the low bits of
     every field finds for the whole level."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -228,7 +232,7 @@ def freeness_scan(
     width = 64 * ((growth**top).bit_length() // 64 + 1)  # a sign bit to spare
     step, limbs = width // 8, width // 64
     cols = [1, 0, 0, 0]  # the empty word: the identity
-    seen, collisions, scalar_words = {}, [], []
+    seen, levels, collisions, scalar_words = set(), [], [], []
     for length in range(1, max_len + 1):
         n = 1 << length - 1  # words in the last level; 2n - 2 in levels 1 to L-1, all kept
         kept, truncated = level_cut(n, len(maps), node_budget - (2 * n - 2))
@@ -252,10 +256,13 @@ def freeness_scan(
         if zero:
             marks = zero.to_bytes(step * kept, "little")[step - 1 :: step]
             scalar_words += (bin(code)[3:] for code in compress(codes, marks))
-        firsts = list(map(seen.setdefault, Struct(f"{4 * step}s" * kept).unpack(keys), codes))
-        if len(seen) < 2 * n - 2 + kept:  # some key was seen before: a collision
-            pairs = compress(zip(firsts, codes), map(ne, firsts, codes))
-            collisions += (Collision(bin(a)[3:], bin(b)[3:]) for a, b in pairs)
+        levels.append(Struct(f"{4 * step}s" * kept).unpack(keys))
+        seen.update(levels[-1])
+        if len(seen) < 2 * n - 2 + kept:  # some key was seen before: list every collision
+            first = {}
+            firsts = list(map(first.setdefault, chain.from_iterable(levels), count(2)))
+            pairs = compress(zip(firsts, count(2)), map(ne, firsts, count(2)))
+            collisions = [Collision(bin(a)[3:], bin(b)[3:]) for a, b in pairs]
         if truncated:
             break
     return CollisionReport(

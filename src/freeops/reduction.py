@@ -253,16 +253,20 @@ def _found_outcome(
     with its damping monomial, after checking, apart from the search, that
     its Choi operator is the target's at that damping: block (i, j) of a
     Choi operator is the image of the matrix unit E_ij (see choi), here
-    through each letter's own definition, the last letter first."""
+    through each letter's own definition, the last letter first, once per
+    distinct image, and all 16 images are compared with the target's.  The
+    reset maps the 12 off-diagonal units to 0 and the 4 diagonal ones to
+    one state, so a witness of n letters takes 16 + 2(n - 1) letter
+    applications."""
     letters = tuple(gens.e_gens[i - 1] for i in tiles[:-1]) + (gens.r_gens[tiles[-1] - 1],)
     damping = prod(ch.damping for ch in letters)
     target = make_target(damping)
-    for unit in matrix_units(4):
-        image = unit
-        for ch in reversed(letters):
-            image = ch.apply_to_matrix(image)
-        if image != target.apply_to_matrix(unit):
-            raise WitnessMismatchError("witness channel is not the target")
+    images = units = matrix_units(4)
+    for ch in reversed(letters):
+        image_of = {m: ch.apply_to_matrix(m) for m in dict.fromkeys(images)}
+        images = [image_of[m] for m in images]
+    if images != [target.apply_to_matrix(unit) for unit in units]:
+        raise WitnessMismatchError("witness channel is not the target")
     witness = tuple(ch.word[0] for ch in letters)
     return MembershipOutcome(
         status=FOUND,

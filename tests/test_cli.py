@@ -8,6 +8,7 @@ import pytest
 from corpus import enumerate_solutions
 from freeops import cli
 from freeops import reduction, resourcegraph
+from freeops.exact import matrix_units
 from freeops.pcp import PCPInstance, verify_solution
 
 CLASSIC = "1|101\n10|00\n011|11\n"
@@ -240,7 +241,7 @@ def test_two_tile_sweep_agrees_with_the_tile_oracle(tmp_path):
             args = parser.parse_args(
                 ["membership", "--instance", str(path), "--depth", "6", "--mode", mode]
             )
-            code, _, _, outcome, _ = args.handler(args)
+            code, _, _, outcome, _ = cli.handler(args.command)(args)
             result = outcome["membership"]
             assert not (result["truncated"] or outcome["oracle"]["truncated"])
             assert outcome["statuses_agree"] is True, (tiles, mode)
@@ -297,6 +298,51 @@ def test_internal_failures_exit_2(monkeypatch, capsys, exc):
     assert "Traceback" not in captured.err
 
 
+def test_importing_the_cli_builds_no_parser():
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = textwrap.dedent(
+        """
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        import freeops.cli
+        print(len(built))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_runs_a_handler_patched_after_the_parser_is_built(monkeypatch, capsys):
+    assert run(["monotones", "--graph", "demo"]) == 0
+    capsys.readouterr()
+    patched = lambda args: (cli.EXIT_COLLISION, {}, {}, {"patched": True}, {})  # noqa: E731
+    monkeypatch.setattr(cli, "_cmd_monotones", patched)
+    assert run(["monotones", "--graph", "demo"]) == cli.EXIT_COLLISION
+    assert json.loads(capsys.readouterr().out)["outcome"] == {"patched": True}
+
+
 def test_membership_mismatch_alarm(tmp_path, monkeypatch):
     # force a fake Found against an unsolvable oracle: the wiring must trip
     inst = write_instance(tmp_path, IMPOSSIBLE)
@@ -319,13 +365,39 @@ def test_membership_mismatch_alarm(tmp_path, monkeypatch):
     assert code == 12
 
 
-@pytest.mark.parametrize("mode", ["generic", "structured"])
-def test_membership_witness_cross_check_failure_is_an_error(tmp_path, monkeypatch, capsys, mode):
-    # a target at half the witness's damping: the found witness fails the Choi check
-    inst = write_instance(tmp_path, CLASSIC)
-    out = tmp_path / "r.json"
+def _half_damping_target(monkeypatch):
+    """A target at half the witness's damping."""
     real = reduction.make_target
     monkeypatch.setattr(reduction, "make_target", lambda damping: real(damping / 2))
+
+
+def _one_wrong_unit_image(monkeypatch):
+    """The witness's reset maps E_01 where it maps E_00, so that its images
+    are still the two distinct ones of a reset and only one unit's is wrong."""
+    real = reduction.ChannelElement.apply_to_matrix
+    e00, e01 = matrix_units(4)[:2]
+
+    def corrupted(ch, m):
+        return real(ch, e00 if ch.reset and ch.word and m == e01 else m)
+
+    monkeypatch.setattr(reduction.ChannelElement, "apply_to_matrix", corrupted)
+
+
+@pytest.mark.parametrize(
+    "mode, fault",
+    [
+        pytest.param(mode, fault, id=mode + suffix)
+        for fault, suffix in ((_half_damping_target, ""), (_one_wrong_unit_image, "-one-unit"))
+        for mode in ("generic", "structured")
+    ],
+)
+def test_membership_witness_cross_check_failure_is_an_error(
+    tmp_path, monkeypatch, capsys, mode, fault
+):
+    # the found witness fails the Choi check
+    inst = write_instance(tmp_path, CLASSIC)
+    out = tmp_path / "r.json"
+    fault(monkeypatch)
     argv = ["membership", "--instance", inst, "--depth", "8", "--mode", mode]
     assert run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: witness channel is not the target\n"

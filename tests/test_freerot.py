@@ -623,12 +623,25 @@ def test_scan_keys_reaching_the_width_bound():
     assert freeness_scan(pair, 7) == reference_scan(pair, 7, 1_000_000)
 
 
-@pytest.mark.parametrize("name", sorted(set(SCAN_PAIRS) - {"default"}))
-def test_scan_matches_reference_on_forced_pairs(name):
+FORCED_SCANS = [
+    pytest.param(name, 6, 1_000_000, id=name) for name in sorted(set(SCAN_PAIRS) - {"default"})
+]
+# Budgets that cut level 5, 6 or 8 in the middle, on pairs whose words
+# collide from level 1 (a = b) or 2: the collisions are listed again over
+# every kept level, the cut one included, each time a key repeats.
+FORCED_SCANS += [
+    pytest.param(name, 8, budget, id=f"{name}-len8-budget{budget}")
+    for name in ("cos0-sin1", "same-axis")
+    for budget in (40, 100, 300)
+]
+
+
+@pytest.mark.parametrize("name, max_len, budget", FORCED_SCANS)
+def test_scan_matches_reference_on_forced_pairs(name, max_len, budget):
     pair = SCAN_PAIRS[name]()
-    report = freeness_scan(pair, 6)
-    assert report == reference_scan(pair, 6, 1_000_000)
-    assert not report.is_empty and report.word_count == 126
+    report = freeness_scan(pair, max_len, node_budget=budget)
+    assert report == reference_scan(pair, max_len, budget)
+    assert not report.is_empty and report.word_count == min(budget, 2 ** (max_len + 1) - 2)
 
 
 @given(rotation_pairs(), st.integers(0, 70))

@@ -471,7 +471,7 @@ def test_handler_reports_encode_as_stdlib(tmp_path, argv):
     path = tmp_path / "classic.pcp"
     path.write_text(CLASSIC)
     args = cli.build_parser().parse_args([str(path) if a == "@" else a for a in argv])
-    _, resolved, hashes, outcome, extra = args.handler(args)
+    _, resolved, hashes, outcome, extra = cli.handler(args.command)(args)
     config = cli._config(args, resolved)
     report = {"config": config, "input_hashes": hashes, "outcome": outcome, "wall_time_s": 0.5}
     assert written(report) == stdlib_json(report)
