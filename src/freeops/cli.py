@@ -218,7 +218,7 @@ def _cmd_monotones(args):
         seed = _seed_state(args.seed)
         graph = resourcegraph.explore(
             gens.channels(), [seed], args.depth, node_budget=args.budget
-        )
+        ).named()
     q = resourcegraph.quotient(graph)
     family = resourcegraph.monotone_family(q)
     compatible = resourcegraph.check_compatible(graph, family)

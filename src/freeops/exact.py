@@ -15,7 +15,7 @@ diagonal numerators with the denominator.  A depolarising channel's action
 matrix units (`choi_from_images`) each take one common denominator.
 A Hermitian matrix is also a reduced integer key (`hermitian_key`), and a
 Choi operator gives its channel's integer map on keys (`choi_key_map`),
-which the state exploration applies.
+which the state exploration applies, checking unit trace on the key.
 """
 
 from __future__ import annotations
@@ -145,6 +145,11 @@ def _key_slots(d: int) -> tuple:
     for t, (i, j) in enumerate(upper):  # the lower triangle
         spread[2 * (j * d + i)], spread[2 * (j * d + i) + 1] = d + t, d * d + 1 + t
     return tuple(slots), itemgetter(*spread)
+
+
+def key_has_unit_trace(d: int, key: Sequence[int]) -> bool:
+    """Whether the d x d Hermitian matrix a key spells has trace exactly 1."""
+    return sum(key[:d]) == key[-1]
 
 
 class ExactMatrix:

@@ -11,9 +11,9 @@ explored graph.  Both checks read one dominance relation: class r dominates
 class s when no table's distance at s is below its distance at r.
 
 The exploration applies each channel's certified Choi operator to integer
-columns of state keys, a level at a time.  A reach graph keeps only state
-digests and exports DOT only; quotients export JSON and DOT, and monotone
-tables JSON.
+columns of state keys, a level at a time.  A reach graph numbers its states
+by their keys and spells digests only for its DOT export and the quotient;
+quotients export JSON and DOT, and monotone tables JSON.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 from operator import floordiv
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +30,7 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     ShapeError,
+    key_has_unit_trace,
     matrix_units,
     rat_to_str,
 )
@@ -81,14 +82,15 @@ def certify_cptp(channel) -> ExactMatrix:
 class ReachGraph:
     """Bounded closure of seed states under a finite channel set.
 
-    Nodes are state digests in discovery order.  An edge is (source,
-    target, channel label); every edge has unit length.
+    Nodes are 0..n-1 in discovery order (index maps each state's key to its
+    node), or a synthetic graph's strings.  Edges (source, target, label) have unit length.
     """
 
-    nodes: Tuple[str, ...]
-    edges: Tuple[Tuple[str, str, str], ...]
-    seeds: Tuple[str, ...]
+    nodes: Tuple
+    edges: Tuple[Tuple, ...]
+    seeds: Tuple
     truncated: bool = False
+    index: Optional[Dict[tuple, int]] = field(default=None, hash=False)
 
     @classmethod
     def synthetic(
@@ -98,13 +100,24 @@ class ReachGraph:
         seeds: Sequence[str] = (),
     ) -> "ReachGraph":
         known = set(node_ids)
+        if len(known) != len(node_ids) or not known.issuperset(seeds):
+            raise ValueError("node ids must be distinct and include every seed")
         for u, v, _ in edges:
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u}, {v}) references unknown node")
         return cls(nodes=tuple(node_ids), edges=tuple(edges), seeds=tuple(seeds))
 
-    def adjacency(self) -> Dict[str, List[Tuple[str, str]]]:
-        adj: Dict[str, List[Tuple[str, str]]] = {n: [] for n in self.nodes}
+    def named(self) -> "ReachGraph":
+        """The graph with each state's node spelled as its digest, one digest
+        per state; a synthetic graph is returned as it is."""
+        if self.index is None:
+            return self
+        ids = [ExactMatrix.from_hermitian_key(isqrt(len(k) - 1), k).digest() for k in self.index]
+        edges = tuple((ids[u], ids[v], lab) for u, v, lab in self.edges)
+        return ReachGraph(tuple(ids), edges, tuple(ids[s] for s in self.seeds), self.truncated)
+
+    def adjacency(self) -> Dict[object, List[tuple]]:
+        adj: Dict[object, List[tuple]] = {n: [] for n in self.nodes}
         for u, v, lab in self.edges:
             adj[u].append((lab, v))
         for n in adj:
@@ -112,11 +125,12 @@ class ReachGraph:
         return adj
 
     def to_dot(self) -> str:
+        g = self.named()
         lines = ["digraph reach {"]
-        for nid in sorted(self.nodes):
-            shape = "doubleoctagon" if nid in self.seeds else "ellipse"
+        for nid in sorted(g.nodes):
+            shape = "doubleoctagon" if nid in g.seeds else "ellipse"
             lines.append(f'  "{nid}" [label="{nid[:8]}" shape={shape}];')
-        for u, v, lab in sorted(self.edges):
+        for u, v, lab in sorted(g.edges):
             lines.append(f'  "{u}" -> "{v}" [label="{lab}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -131,8 +145,8 @@ def explore(
     """Breadth-first closure of the seeds under the channels.
 
     A channel is any object with `dim`, `label` and an `apply_to_matrix`
-    for choi.  A state is kept as its Hermitian key, and its node id, the
-    digest, is computed once, when it is found.  The budget counts
+    for choi.  A state is kept as its Hermitian key and numbered when it
+    is found; ReachGraph.named spells digests.  The budget counts
     expansions (one channel applied to one stored state), so at most
     node_budget states join the seeds.  A level is one integer column per
     key coordinate; each channel's children of the kept parents are its key
@@ -162,14 +176,14 @@ def explore(
     if any(s.dim != dim for s in seeds):
         raise ShapeError("seed dimension does not match the channels")
 
-    states = {s.mat.hermitian_key(): s.digest() for s in seeds}  # in discovery order
-    keys, ids = list(states), list(states.values())  # the frontier
-    seed_ids = tuple(ids)
-    edges: Dict[Tuple[str, str, str], None] = {}  # insertion-ordered set
+    states = {k: i for i, k in enumerate(dict.fromkeys(s.mat.hermitian_key() for s in seeds))}
+    keys = list(states)  # the frontier, numbered last
+    seed_ids = tuple(states.values())
+    edges: Dict[Tuple[int, int, str], None] = {}  # insertion-ordered set
     expanded = 0
     truncated = False
     for _ in range(max_depth):
-        kept, truncated = level_cut(len(ids), len(maps), node_budget - expanded)
+        kept, truncated = level_cut(len(keys), len(maps), node_budget - expanded)
         expanded += kept
         cols = list(zip(*keys))
         children = [None] * kept  # frontier-major: parent p, channel c at p * len(maps) + c
@@ -177,24 +191,23 @@ def explore(
             kids = [combine(row, cols, len(range(c, kept, len(maps)))) for row in rows]
             common = list(map(gcd, *kids))
             children[c::len(maps)] = zip(*(map(floordiv, col, common) for col in kids))
-        parents, ids, keys = ids, [], []
+        parents, keys = range(len(states) - len(keys), len(states)), []
         for (nid, label), key in zip(product(parents, labels), children):
             oid = states.get(key)
             if oid is None:
-                m = ExactMatrix.from_hermitian_key(dim, key)
-                if not m.has_unit_trace():
+                if not key_has_unit_trace(dim, key):
                     raise ValueError(f"channel {label}: a child is not Hermitian of unit trace")
-                oid = states[key] = m.digest()
-                ids.append(oid)
+                oid = states[key] = len(states)
                 keys.append(key)
             edges[(nid, oid, label)] = None
         if truncated:
             break
     return ReachGraph(
-        nodes=tuple(states.values()),
+        nodes=tuple(range(len(states))),
         edges=tuple(edges),
         seeds=seed_ids,
         truncated=truncated,
+        index=states,
     )
 
 
@@ -208,22 +221,18 @@ class ReachOutcome(Report):
     path: Optional[Tuple[str, ...]]
 
 
-def _resolve_node(g: ReachGraph, state_or_id) -> Optional[str]:
-    nid = state_or_id if isinstance(state_or_id, str) else state_or_id.digest()
-    return nid if nid in g.nodes else None
-
-
 def reach(g: ReachGraph, source, target) -> ReachOutcome:
     """Shortest generator word from source to target inside the graph.
 
     The negative answer is bound-relative: a target outside the explored
     closure is reported as not reachable within the bound, never as
-    unreachable outright.
+    unreachable outright.  States are found by Hermitian key (g.index).
     """
-    src = _resolve_node(g, source)
+    index = g.index or {}
+    src = index.get(source.mat.hermitian_key())
     if src is None:
         raise UnknownStateError("source state is not a node of the graph")
-    dst = _resolve_node(g, target)
+    dst = index.get(target.mat.hermitian_key())
     if dst is None:
         return ReachOutcome(NOT_REACHABLE, None)
     if src == dst:
@@ -356,9 +365,10 @@ class QuotientDAG:
 
 
 def quotient(g: ReachGraph) -> QuotientDAG:
-    """Collapse mutually reachable nodes; two nodes share a class exactly
-    when each is reachable from the other.  The order is Tarjan's emission
-    order reversed."""
+    """Collapse mutually reachable nodes of the digest-named graph; two nodes
+    share a class exactly when each is reachable from the other.  The order
+    is Tarjan's emission order reversed."""
+    g = g.named()
     nodes = sorted(g.nodes)
     adj: Dict[str, List[str]] = {n: [] for n in nodes}
     for u, v, _ in g.edges:
@@ -490,6 +500,7 @@ def check_compatible(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
     An edge breaks that exactly when its source class does not dominate its
     target class; only then are the tables scanned, for the first one whose
     distance drops."""
+    g = g.named()
     class_of = family.quotient.class_of
     dominated = family.dominance
     for u, v, lab in g.edges:

@@ -204,7 +204,7 @@ def test_criterion_5_monotone_correctness():
     ):
         gens = compile_generators(cli.pcp.parse_instance(text), PAIR, HALF)
         seed = ExactDensityMatrix.basis_state(4, 2)
-        graphs.append(("explored", explore(gens.channels(), [seed], depth)))
+        graphs.append(("explored", explore(gens.channels(), [seed], depth).named()))
 
     for kind, graph in graphs:
         q = quotient(graph)

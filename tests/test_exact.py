@@ -258,7 +258,7 @@ def explored_states(seed):
     classic3 = next(e for e in CORPUS if e.name == "classic3")
     channels = compile_generators(classic3.instance, DEFAULT_PAIR, Fraction(1, 2)).channels()
     g, states = reference_states(channels, [seed], 4)
-    assert explore(channels, [seed], 4) == g
+    assert explore(channels, [seed], 4).named() == g
     assert [m.digest() for m in states] == list(g.nodes)
     return states
 

@@ -107,7 +107,7 @@ def kahn_is_acyclic(q: QuotientDAG) -> bool:
 
 def test_explore_identity_channel_self_loop():
     seed = ExactDensityMatrix.basis_state(2, 0)
-    g = explore([ID2], [seed], 3)
+    g = explore([ID2], [seed], 3).named()
     assert len(g.nodes) == 1
     nid = seed.digest()
     assert g.edges == ((nid, nid, "id"),)
@@ -116,7 +116,7 @@ def test_explore_identity_channel_self_loop():
 def test_explore_bit_flip_two_cycle():
     zero = ExactDensityMatrix.basis_state(2, 0)
     one = ExactDensityMatrix.basis_state(2, 1)
-    g = explore([X2], [zero], 4)
+    g = explore([X2], [zero], 4).named()
     assert set(g.nodes) == {zero.digest(), one.digest()}
     assert (zero.digest(), one.digest(), "X") in g.edges
     assert (one.digest(), zero.digest(), "X") in g.edges
@@ -125,7 +125,7 @@ def test_explore_bit_flip_two_cycle():
 def test_explore_reaches_target_state():
     gens = compile_generators(parse_instance("0|0"), PAIR, HALF)
     rho = ExactDensityMatrix.basis_state(4, 0)
-    g = explore(gens.channels(), [rho], 2)
+    g = explore(gens.channels(), [rho], 2).named()
     psi = make_target(Fraction(1, 4)).apply(rho)
     assert psi.digest() in g.nodes
 
@@ -207,46 +207,66 @@ def test_explore_worker_counts_agree():
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+def reach_classic3(tmp_path, *extra):
+    """Run `reach --depth 3 --from spread --to target:1/4` over classic3
+    with the extra options; returns the report's graph_nodes."""
+    path = tmp_path / "classic3.pcp"
+    path.write_text(CLASSIC3)
+    out = tmp_path / "r.json"
+    argv = ["reach", "--instance", str(path), "--depth", "3", "--from", "spread",
+            "--to", "target:1/4", "--out", str(out), *extra]
+    assert cli.main(argv) == 10
+    return json.loads(out.read_text())["outcome"]["graph_nodes"]
+
+
+def recording(log, check):
+    def wrapped(*args):
+        log(args[-1])
+        return check(*args)
+
+    return wrapped
+
+
 def test_explore_validates_each_new_state_once(tmp_path, monkeypatch):
     """On `reach --depth 3` over classic3, is_psd runs only on the source,
     the target and each channel's Choi operator: a child is a density matrix
     because its channel is certified.  A child is J applied to a Hermitian
     key, so it is Hermitian by construction: the Hermitian test runs on the
     Choi operators (certification and the map reader) and on no explored
-    state.  Each new state goes once through the unit-trace check; a child
-    whose state is already known is not checked again."""
-    psd, trace_checked, hermitian = [], [], []
-    is_psd, has_unit_trace, is_hermitian = (
-        ExactMatrix.is_psd, ExactMatrix.has_unit_trace, ExactMatrix.is_hermitian
-    )
-
-    def recording(log, check):
-        def wrapped(m):
-            log(m)
-            return check(m)
-
-        return wrapped
-
-    monkeypatch.setattr(ExactMatrix, "is_psd", recording(psd.append, is_psd))
+    state.  Each new state's key goes once through the key-level unit-trace
+    check; a child whose state is already known is not checked again, and
+    the matrix-level check runs only on the source and the target."""
+    psd, trace_checked, key_checked, hermitian = [], [], [], []
+    monkeypatch.setattr(ExactMatrix, "is_psd", recording(psd.append, ExactMatrix.is_psd))
     monkeypatch.setattr(
-        ExactMatrix, "has_unit_trace", recording(trace_checked.append, has_unit_trace)
+        ExactMatrix, "has_unit_trace", recording(trace_checked.append, ExactMatrix.has_unit_trace)
     )
-    monkeypatch.setattr(ExactMatrix, "is_hermitian", recording(hermitian.append, is_hermitian))
-    path = tmp_path / "classic3.pcp"
-    path.write_text(CLASSIC3)
-    out = tmp_path / "r.json"
-    argv = ["reach", "--instance", str(path), "--depth", "3", "--from", "spread",
-            "--to", "target:1/4", "--out", str(out)]
-    assert cli.main(argv) == 10
-    monkeypatch.undo()
-    nodes = json.loads(out.read_text())["outcome"]["graph_nodes"]
+    monkeypatch.setattr(
+        resourcegraph, "key_has_unit_trace",
+        recording(key_checked.append, resourcegraph.key_has_unit_trace),
+    )
+    monkeypatch.setattr(
+        ExactMatrix, "is_hermitian", recording(hermitian.append, ExactMatrix.is_hermitian)
+    )
+    nodes = reach_classic3(tmp_path)
     assert [m.rows for m in psd] == [4, 4] + [16] * 6  # source, target, one Choi per channel
     source, target = psd[:2]
-    new = trace_checked[2:]  # after the source and the target
-    assert len(new) == nodes - 1 == 2 * (3 + 9 + 27)  # unitary and reset-ended words
-    assert len(set(new)) == len(new)
+    assert trace_checked == [source, target]
+    assert len(key_checked) == nodes - 1 == 2 * (3 + 9 + 27)  # unitary and reset-ended words
+    assert len(set(key_checked)) == len(key_checked)
     assert {m for m in hermitian if m.rows == 16} == set(psd[2:])
     assert {m for m in hermitian if m.rows == 4} == {source, target}
+
+
+@pytest.mark.parametrize("dot", [False, True], ids=["no-dot", "dot"])
+def test_reach_spells_digests_only_for_dot(tmp_path, monkeypatch, dot):
+    """reach finds its source and target by Hermitian key and computes no
+    digest; --dot computes one per node of the report's graph."""
+    digested = []
+    monkeypatch.setattr(ExactMatrix, "digest", recording(digested.append, ExactMatrix.digest))
+    nodes = reach_classic3(tmp_path, *(["--dot", str(tmp_path / "g.dot")] if dot else []))
+    assert len(digested) == (nodes if dot else 0)
+    assert len(set(digested)) == len(digested)
 
 
 def test_explore_children_come_from_the_choi_operator(monkeypatch):
@@ -310,7 +330,7 @@ def test_explore_equals_reference(case):
     same nodes, the same edges in the same order, seeds and truncation."""
     channels, seeds, depth = EXPLORE_CASES[case]
     channels, seeds = channels(), [s() for s in seeds]
-    g = explore(channels, seeds, depth)
+    g = explore(channels, seeds, depth).named()
     assert g == reference_explore(channels, seeds, depth)
 
 
@@ -319,7 +339,7 @@ def test_explore_equals_reference_at_every_budget():
     levels), so the cuts fall inside a parent's six children too."""
     channels, seeds = classic3(), [generic_seed(4)]
     for budget in range(44):
-        g = explore(channels, seeds, 3, node_budget=budget)
+        g = explore(channels, seeds, 3, node_budget=budget).named()
         assert g == reference_explore(channels, seeds, 3, node_budget=budget), budget
         assert len(g.edges) == budget and g.truncated
 
@@ -381,6 +401,15 @@ def test_reach_unknown_source_raises():
 
 
 # --- quotient ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "nodes,seeds", [(["a", "a", "b"], ()), (["a", "b"], ("zz",))],
+    ids=["duplicate-node", "seed-not-a-node"],
+)
+def test_synthetic_graph_rejects_bad_nodes(nodes, seeds):
+    with pytest.raises(ValueError, match="node ids must be distinct and include every seed"):
+        ReachGraph.synthetic(nodes, [("a", "b", "x")], seeds=seeds)
 
 
 def test_quotient_two_cycle_single_class():
@@ -609,7 +638,7 @@ def test_check_complete_matches_pairwise_oracle():
 def test_check_compatible_matches_pairwise_oracle():
     rng = random.Random(2424)
     gens = compile_generators(parse_instance("1|101\n10|00\n011|11\n"), PAIR, HALF)
-    graphs = [explore(gens.channels(), [ExactDensityMatrix.basis_state(4, 0)], 3)]
+    graphs = [explore(gens.channels(), [ExactDensityMatrix.basis_state(4, 0)], 3).named()]
     for _ in range(64):
         n = rng.randint(1, 12)
         graphs.append(random_digraph(rng, n, rng.randint(0, min(n * n, 3 * n))))
