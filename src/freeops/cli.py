@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -26,7 +27,7 @@ from .freerot import (
     make_free_pair,
     rotation_quaternion,
 )
-from .util import canonical_json, report_json, sha256_hex
+from .util import canonical_json, report_json
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -86,7 +87,7 @@ def _build_pair(args) -> FreePair:
 def _load_instance(args):
     text = Path(args.instance).read_text()
     inst = pcp.parse_instance(text)
-    return inst, {"instance": sha256_hex(text.encode())}
+    return inst, {"instance": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def _compiled(args):
@@ -222,7 +223,7 @@ def _cmd_monotones(args):
     q = resourcegraph.quotient(graph)
     family = resourcegraph.monotone_family(q)
     compatible = resourcegraph.check_compatible(graph, family)
-    complete = resourcegraph.check_complete(graph, family)
+    complete = resourcegraph.check_complete(family)
     outcome = {
         "classes": q.to_json_dict(),
         "table_summary": family.summary_json(),

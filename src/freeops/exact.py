@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter, neg
 from typing import Iterator, Sequence, Union
 
@@ -46,10 +46,6 @@ def rat_from_str(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text)
-
-
-def rat_to_str(value: Fraction) -> str:
-    return str(value)
 
 
 def _as_fraction(value) -> Fraction:
@@ -159,7 +155,7 @@ class ExactMatrix:
     denominator; construction always normalizes, never lazily.
     """
 
-    __slots__ = ("rows", "cols", "_num", "_den", "_hash", "_dig")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[EntryLike]):
         entries = [as_gaussian(e) for e in entries]
@@ -189,8 +185,6 @@ class ExactMatrix:
         self.cols = cols
         self._num = tuple(nums)
         self._den = den
-        self._hash = None
-        self._dig = None
 
     @classmethod
     def _raw(cls, rows: int, cols: int, nums: list, den: int) -> "ExactMatrix":
@@ -249,10 +243,13 @@ class ExactMatrix:
         return cls(n, n, entries)
 
     @classmethod
-    def from_hermitian_key(cls, d: int, key: Sequence[int]) -> "ExactMatrix":
-        """The d x d Hermitian matrix a key spells (see hermitian_key); a key
-        need not be reduced."""
+    def from_hermitian_key(cls, key: Sequence[int]) -> "ExactMatrix":
+        """The d x d Hermitian matrix a key of d*d + 1 entries spells (see
+        hermitian_key); a key need not be reduced."""
+        d = isqrt(max(len(key) - 1, 0))
         n = d * d
+        if d < 1 or len(key) != n + 1:
+            raise ShapeError(f"a Hermitian key has d*d + 1 entries, got {len(key)}")
         ext = (*key, *map(neg, key[(n + d) // 2 : n]), 0)
         return cls._raw(d, d, _key_slots(d)[1](ext), key[-1])
 
@@ -465,18 +462,14 @@ class ExactMatrix:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self._den, self._num))
-        return self._hash
+        return hash((self.rows, self.cols, self._den, self._num))
 
     def digest(self) -> str:
         """Run-stable fingerprint of the canonical form (truncated SHA-256)."""
-        if self._dig is None:
-            h = hashlib.sha256()
-            h.update(f"{self.rows},{self.cols},{self._den}:".encode())
-            h.update(",".join(map(str, self._num)).encode())
-            self._dig = h.hexdigest()[:32]
-        return self._dig
+        h = hashlib.sha256()
+        h.update(f"{self.rows},{self.cols},{self._den}:".encode())
+        h.update(",".join(map(str, self._num)).encode())
+        return h.hexdigest()[:32]
 
     def to_json_dict(self) -> dict:
         entries = [gr_to_str(z) for z in self.entries()]
@@ -521,9 +514,6 @@ class ExactDensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.rows
-
-    def digest(self) -> str:
-        return self.mat.digest()
 
     @classmethod
     def basis_state(cls, dim: int, k: int) -> "ExactDensityMatrix":

@@ -53,7 +53,7 @@ from math import gcd, prod
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import pcp
-from .exact import ExactDensityMatrix, ExactMatrix, ShapeError, matrix_units, rat_to_str
+from .exact import ExactDensityMatrix, ExactMatrix, ShapeError, matrix_units
 from .freerot import (
     Q_IDENTITY,
     UNIT_QUATERNIONS,
@@ -187,7 +187,7 @@ class GeneratorSet:
             "instance": self.instance.to_json_dict(),
             "instance_text": self.instance.to_text(),
             "rotation": self.pair.params.to_json_dict(),
-            "damping": {ch.word[0]: rat_to_str(ch.damping) for ch in self.channels()},
+            "damping": {ch.word[0]: str(ch.damping) for ch in self.channels()},
             "operators": {ch.word[0]: ch.operator().to_json_dict() for ch in self.channels()},
         }
 
@@ -479,7 +479,7 @@ def theory_diff(
                 witness = {
                     "side": side,
                     "label": ch.label,
-                    "damping": rat_to_str(ch.damping),
+                    "damping": str(ch.damping),
                     "digest": phase_canonical(ch.operator()).digest(),
                 }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 from operator import floordiv
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +32,6 @@ from .exact import (
     ShapeError,
     key_has_unit_trace,
     matrix_units,
-    rat_to_str,
 )
 from .util import Report, combine, level_cut
 
@@ -112,7 +111,7 @@ class ReachGraph:
         per state; a synthetic graph is returned as it is."""
         if self.index is None:
             return self
-        ids = [ExactMatrix.from_hermitian_key(isqrt(len(k) - 1), k).digest() for k in self.index]
+        ids = [ExactMatrix.from_hermitian_key(k).digest() for k in self.index]
         edges = tuple((ids[u], ids[v], lab) for u, v, lab in self.edges)
         return ReachGraph(tuple(ids), edges, tuple(ids[s] for s in self.seeds), self.truncated)
 
@@ -414,7 +413,7 @@ class MonotoneTable:
     def to_json_dict(self, reps: Tuple[str, ...]) -> dict:
         """The table keyed by class representative; reps[c] is class c's."""
         # One string per distinct distance, shared by every class at it.
-        text = {d: rat_to_str(_distance_value(d)) for d in set(self.dist)}
+        text = {d: str(_distance_value(d)) for d in set(self.dist)}
         return {
             "base": reps[self.base],
             "values": dict(zip(reps, map(text.__getitem__, self.dist))),
@@ -515,8 +514,8 @@ def check_compatible(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
                     {
                         "edge": [u, v, lab],
                         "base": family.quotient.representative(table.base),
-                        "value_from": rat_to_str(table.value(cu)),
-                        "value_to": rat_to_str(table.value(cv)),
+                        "value_from": str(table.value(cu)),
+                        "value_to": str(table.value(cv)),
                     },
                 )
     return CheckResult(True)
@@ -544,7 +543,7 @@ def _closure_bitsets(q: QuotientDAG) -> List[int]:
     return rows
 
 
-def check_complete(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
+def check_complete(family: MonotoneFamily) -> CheckResult:
     """Dominance in every table must coincide with reachability, where
     reachability comes from an independent transitive-closure oracle.
 

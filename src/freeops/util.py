@@ -1,10 +1,9 @@
-"""Small shared helpers: the report JSON rule, canonical JSON, hashing,
+"""Small shared helpers: the report JSON rule, canonical JSON,
 the breadth-first level loop of every bounded search and its column form."""
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from fractions import Fraction
 from functools import partial, reduce
@@ -16,7 +15,7 @@ from typing import Iterator, Sized, Tuple
 def report_json(value):
     """The report form of a result: a dataclass becomes a dict of its fields
     by name, a dict keeps its keys, a tuple becomes a list, and a Fraction
-    its canonical string (what rat_to_str writes); anything else is kept."""
+    its canonical string, str(value); anything else is kept."""
     if isinstance(value, Fraction):
         return str(value)
     if dataclasses.is_dataclass(value):
@@ -42,10 +41,6 @@ def canonical_json(data, fp) -> None:
     json.dump(data, fp, indent=2, sort_keys=True) followed by a newline."""
     json.dump(data, fp, indent=2, sort_keys=True)
     fp.write("\n")
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def level_cut(frontier_len: int, letter_count: int, budget: int) -> Tuple[int, bool]:

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from oracles import add, char_poly, mul, neg, trace
 from freeops import cli
-from freeops.exact import ExactDensityMatrix, ExactMatrix, GaussianRational, rat_to_str
+from freeops.exact import ExactDensityMatrix, ExactMatrix, GaussianRational
 from freeops.freerot import make_free_pair, q_adjoint, q_mul
 from freeops.pcp import PCPInstance
 from freeops.reduction import ChannelElement
@@ -378,7 +378,7 @@ def mutual_reachability_classes(graph: ReachGraph):
     return classes
 
 
-def check_complete_pairwise(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
+def check_complete_pairwise(family: MonotoneFamily) -> CheckResult:
     """Reference completeness check: every class pair against every table,
     O(n^2 T).  r dominates s when no table's distance at s is below its
     distance at r; the first (r, s) where dominance and closure
@@ -427,8 +427,8 @@ def check_compatible_pairwise(g: ReachGraph, family: MonotoneFamily) -> CheckRes
                     {
                         "edge": [u, v, lab],
                         "base": family.quotient.representative(table.base),
-                        "value_from": rat_to_str(table.value(cu)),
-                        "value_to": rat_to_str(table.value(cv)),
+                        "value_from": str(table.value(cu)),
+                        "value_to": str(table.value(cv)),
                     },
                 )
     return CheckResult(True)

@@ -365,7 +365,7 @@ def reference_states(channels, seeds, max_depth: int, node_budget: int = 100_000
     frontier = []
     for s in seeds:
         if s.mat not in states:
-            states[s.mat] = s.digest()
+            states[s.mat] = s.mat.digest()
             frontier.append((states[s.mat], s.mat))
     edges = {}
     expanded = 0

@@ -213,7 +213,7 @@ def test_criterion_5_monotone_correctness():
         family = monotone_family(q)
         if not check_compatible(graph, family).ok:
             failures.append((kind, "compatibility"))
-        if not check_complete(graph, family).ok:
+        if not check_complete(family).ok:
             failures.append((kind, "completeness"))
         if len(graph.nodes) <= 60:
             # extra independence: dominance against plain pairwise BFS

@@ -43,7 +43,6 @@ from freeops.exact import (
     ShapeError,
     gr_to_str,
     rat_from_str,
-    rat_to_str,
 )
 from freeops.freerot import Q_IDENTITY
 from freeops.reduction import ChannelElement, compile_generators, make_target
@@ -72,7 +71,7 @@ def test_rational_round_trip_addition(a, b):
 
 @given(rationals)
 def test_rational_text_round_trip(q):
-    assert rat_from_str(rat_to_str(q)) == q
+    assert rat_from_str(str(q)) == q
 
 
 def test_rational_text_rejects_floats():
@@ -461,9 +460,16 @@ def test_hermitian_key_round_trip(m):
     key = m.hermitian_key()
     d = m.rows
     assert len(key) == d * d + 1 and key[-1] > 0 and gcd(*key) == 1
-    assert ExactMatrix.from_hermitian_key(d, key) == m
+    assert ExactMatrix.from_hermitian_key(key) == m
     # An unreduced key spells the same matrix.
-    assert ExactMatrix.from_hermitian_key(d, tuple(3 * v for v in key)) == m
+    assert ExactMatrix.from_hermitian_key(tuple(3 * v for v in key)) == m
+
+
+@pytest.mark.parametrize("length", [0, 1, 3, 4, 6, 9, 11])
+def test_from_hermitian_key_rejects_a_length_no_dimension_fits(length):
+    # A d x d key has d*d + 1 entries: 2, 5, 10, ... for d = 1, 2, 3.
+    with pytest.raises(ShapeError):
+        ExactMatrix.from_hermitian_key((1,) * length)
 
 
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(hermitian_st(n, True), hermitian_st(n, True))))
@@ -506,7 +512,7 @@ KEY_MAP_CHANNELS = key_map_channels()
 def test_choi_key_map_matches_apply_to_matrix(ch_and_m):
     ch, m = ch_and_m
     rows = certify_cptp(ch).choi_key_map(ch.dim)
-    image = ExactMatrix.from_hermitian_key(ch.dim, apply_key_map(rows, m.hermitian_key()))
+    image = ExactMatrix.from_hermitian_key(apply_key_map(rows, m.hermitian_key()))
     assert image == ch.apply_to_matrix(m)
 
 

@@ -11,10 +11,10 @@ internals and off the kernel product `_matmul_int`, so they share no code
 with what they check.
 
 Every non-dunder function, method and class in the package must be reached
-from a module-level statement or a `[project.scripts]` entry point; an
-`__init__` export alone reaches nothing, so every exported name has a caller
-in the package.  Test-only helpers belong in tests/oracles.py.  The guard
-matches names, so it does not see operators: a dunder is never reported.
+from a module-level statement or a `[project.scripts]` entry point.
+Test-only helpers belong in tests/oracles.py.  The guard matches names, so
+it does not see operators: a dunder is never reported.  The package
+`__init__` binds only `__version__`: a name has one import path, its module.
 """
 
 import ast
@@ -76,6 +76,21 @@ def defined_names(text):
 def test_quaternion_format_has_one_owner(path):
     defined = QUATERNION_FORMAT & set(defined_names(path.read_text()))
     assert defined == (QUATERNION_FORMAT if path.name == "freerot.py" else set())
+
+
+def bound_names(text):
+    """Every name a module binds: definitions, assignments and imports."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((a.asname or a.name).split(".")[0] for a in node.names)
+    yield from defined_names(text)
+
+
+def test_package_init_binds_only_the_version():
+    reexport = "from .exact import ExactMatrix as M\nimport freeops.cli\n__version__ = '0'\n"
+    assert set(bound_names(reexport)) == {"M", "freeops", "__version__"}
+    init = ROOT / "src" / "freeops" / "__init__.py"
+    assert set(bound_names(init.read_text())) == {"__version__"}
 
 
 # --- reachability ---------------------------------------------------------------

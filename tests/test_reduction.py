@@ -36,7 +36,6 @@ from freeops.exact import (
     ExactMatrix,
     GaussianRational,
     ShapeError,
-    rat_to_str,
 )
 from freeops.freerot import (
     Q_IDENTITY,
@@ -769,7 +768,7 @@ def _two_closure_diff(f1, extra, depth):
                 witness = {
                     "side": side,
                     "label": ch.label,
-                    "damping": rat_to_str(ch.damping),
+                    "damping": str(ch.damping),
                     "digest": phase_canonical(ch.operator()).digest(),
                 }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE

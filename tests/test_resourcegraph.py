@@ -109,7 +109,7 @@ def test_explore_identity_channel_self_loop():
     seed = ExactDensityMatrix.basis_state(2, 0)
     g = explore([ID2], [seed], 3).named()
     assert len(g.nodes) == 1
-    nid = seed.digest()
+    nid = seed.mat.digest()
     assert g.edges == ((nid, nid, "id"),)
 
 
@@ -117,9 +117,9 @@ def test_explore_bit_flip_two_cycle():
     zero = ExactDensityMatrix.basis_state(2, 0)
     one = ExactDensityMatrix.basis_state(2, 1)
     g = explore([X2], [zero], 4).named()
-    assert set(g.nodes) == {zero.digest(), one.digest()}
-    assert (zero.digest(), one.digest(), "X") in g.edges
-    assert (one.digest(), zero.digest(), "X") in g.edges
+    assert set(g.nodes) == {zero.mat.digest(), one.mat.digest()}
+    assert (zero.mat.digest(), one.mat.digest(), "X") in g.edges
+    assert (one.mat.digest(), zero.mat.digest(), "X") in g.edges
 
 
 def test_explore_reaches_target_state():
@@ -127,7 +127,7 @@ def test_explore_reaches_target_state():
     rho = ExactDensityMatrix.basis_state(4, 0)
     g = explore(gens.channels(), [rho], 2).named()
     psi = make_target(Fraction(1, 4)).apply(rho)
-    assert psi.digest() in g.nodes
+    assert psi.mat.digest() in g.nodes
 
 
 def test_explore_rejects_non_cptp():
@@ -490,7 +490,7 @@ def test_family_compatible_and_complete_on_demo():
     q = quotient(g)
     family = monotone_family(q)
     assert check_compatible(g, family).ok
-    assert check_complete(g, family).ok
+    assert check_complete(family).ok
 
 
 def test_compatibility_catches_injected_violation():
@@ -519,12 +519,12 @@ def test_completeness_needs_every_base():
     )
     q = quotient(g)
     family = monotone_family(q)
-    assert check_complete(g, family).ok
+    assert check_complete(family).ok
     dropped = MonotoneFamily(
         quotient=q,
         tables=tuple(t for t in family.tables if t.base != q.class_of["a"]),
     )
-    result = check_complete(g, dropped)
+    result = check_complete(dropped)
     assert not result.ok
     assert result.counterexample["dominated"] is True
     assert result.counterexample["reachable"] is False
@@ -535,7 +535,7 @@ def test_single_node_graph_vacuous_checks():
     q = quotient(g)
     family = monotone_family(q)
     assert check_compatible(g, family).ok
-    assert check_complete(g, family).ok
+    assert check_complete(family).ok
 
 
 def test_monotone_values_strictly_decrease_in_reachable_region():
@@ -563,7 +563,7 @@ def test_family_checks_on_random_graphs():
         q = quotient(g)
         family = monotone_family(q)
         assert check_compatible(g, family).ok
-        assert check_complete(g, family).ok
+        assert check_complete(family).ok
 
 
 def test_family_checks_on_explored_graph():
@@ -573,8 +573,8 @@ def test_family_checks_on_explored_graph():
     q = quotient(g)
     family = monotone_family(q)
     assert check_compatible(g, family).ok
-    assert check_complete(g, family).ok
-    base = q.class_of[seed.digest()]
+    assert check_complete(family).ok
+    base = q.class_of[seed.mat.digest()]
     table = monotone_family(q).tables[base]
     assert table.value(base) == 1
 
@@ -629,8 +629,8 @@ def test_check_complete_matches_pairwise_oracle():
     for g in graphs:
         for _ in range(3):
             for family in family_variants(rng, monotone_family(quotient(g))):
-                want = check_complete_pairwise(g, family)
-                assert check_complete(g, family) == want
+                want = check_complete_pairwise(family)
+                assert check_complete(family) == want
                 oks.add(want.ok)
     assert oks == {True, False}
 
