@@ -153,11 +153,6 @@ def q_adjoint(x: Quaternion) -> Quaternion:
     return (a, -b, -c, -d, den)
 
 
-def q_is_scalar(x: Quaternion) -> bool:
-    """Whether the matrix is c * I: the quaternion is real."""
-    return not (x[1] or x[2] or x[3])
-
-
 def q_sign_key(x: Quaternion) -> Quaternion:
     """x or -x, whichever has a positive first nonzero numerator: a unit
     quaternion g and -g share a key."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .util import Report, level_pairs
+from .util import Report, breadth_first
 
 TileWord = Tuple[int, ...]
 
@@ -104,13 +104,14 @@ class SearchOutcome(Report):
     truncated: bool = False
 
 
-def _step(sign: int, over: str, top: str, bottom: str):
-    """Extend a configuration by one tile.
+def _step(config: Tuple[int, str], tile: Tuple[str, str]):
+    """Extend a configuration (sign, over) by one tile (top, bottom).
 
     sign +1 means the top string is ahead by `over`, -1 the bottom, 0
-    balanced.  Returns the successor configuration, "solved", or None when
-    neither string remains a prefix of the other.
+    balanced.  Returns the successor as its own key and child, (0, "") on a
+    match, or None when neither string remains a prefix of the other.
     """
+    (sign, over), (top, bottom) = config, tile
     if sign >= 0:
         p = over + top
         q = bottom
@@ -118,12 +119,14 @@ def _step(sign: int, over: str, top: str, bottom: str):
         p = top
         q = over + bottom
     if p == q:
-        return "solved"
-    if p.startswith(q):
-        return (1, p[len(q):])
-    if q.startswith(p):
-        return (-1, q[len(p):])
-    return None
+        child = (0, "")
+    elif p.startswith(q):
+        child = (1, p[len(q):])
+    elif q.startswith(p):
+        child = (-1, q[len(p):])
+    else:
+        return None
+    return child, child
 
 
 def solve_bounded(
@@ -134,9 +137,9 @@ def solve_bounded(
     """Breadth-first search for a shortest solution of at most max_depth tiles.
 
     Deterministic: tiles are tried in index order and the first solution
-    found is the shortest one, lexicographically least among equals.  The
-    budget counts expansions (one tile laid on one configuration); a level
-    cut short by it does not count as reached.
+    found, back at the balanced root, is the shortest one, lexicographically
+    least among equals.  The budget counts expansions (one tile laid on one
+    configuration); a level cut short by it does not count as reached.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
@@ -146,27 +149,9 @@ def solve_bounded(
                 f"tile {idx} has both sides empty; any word using it alone is a"
                 " trivial solution"
             )
-    tiles = list(enumerate(inst.tiles, start=1))
-    visited = {(0, "")}
-    frontier = [((0, ""), ())]
-    expanded = 0
-    depth_done = 0
-    for depth in range(1, max_depth + 1):
-        pairs, truncated = level_pairs(frontier, tiles, node_budget - expanded)
-        next_frontier = []
-        for ((sign, over), parent), (idx, (top, bottom)) in pairs:
-            expanded += 1
-            result = _step(sign, over, top, bottom)
-            word = parent + (idx,)
-            if result == "solved":
-                return SearchOutcome(FOUND, word, depth, expanded)
-            if result is not None and result not in visited:
-                visited.add(result)
-                next_frontier.append((result, word))
-        if truncated:
-            break
-        depth_done = depth
-        frontier = next_frontier
-        if not frontier:
-            break
-    return SearchOutcome(EXHAUSTED, None, depth_done, expanded, truncated)
+    word, _, expanded, done, truncated = breadth_first(
+        (0, ""), (0, ""), list(enumerate(inst.tiles, start=1)), _step, max_depth, node_budget
+    )
+    if word is not None:
+        return SearchOutcome(FOUND, word, len(word), expanded)
+    return SearchOutcome(EXHAUSTED, None, done, expanded, truncated)

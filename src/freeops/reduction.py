@@ -34,8 +34,9 @@ are +-M, one channel, and g and -g give one reset: a channel is keyed by
 the sign key of each of its quaternions.  A channel acts on an operator
 (the matrix units choi reads, a target's source) by its own definition,
 through the 4x4 matrix of M or the column g (ChannelElement.operator).
-Each search expands one level at a time through util.level_pairs, so a
-node budget counts expansions in all of them.
+The structured search and the closure run util.breadth_first, the generic
+search its own level loop, all cut by util.level_cut: a node budget counts
+expansions in each.
 
 Comparing a generator set F with F + {T} needs only F's closure.  Every
 generator of F lies in both sets and realizes itself in either closure, so
@@ -62,12 +63,11 @@ from .freerot import (
     encode_word,
     hamilton,
     q_adjoint,
-    q_is_scalar,
     q_mul,
     q_sign_key,
 )
 from .pcp import EXHAUSTED, FOUND, PCPInstance, TileWord
-from .util import Report, level_pairs
+from .util import Report, breadth_first, level_pairs
 
 DISTINCT = "distinct"
 INDISTINGUISHABLE = "indistinguishable_up_to_depth"
@@ -327,45 +327,27 @@ def _generic_search(
     )
 
 
-def _structured_search(
-    gens: GeneratorSet, max_depth: int, node_budget: int
-) -> MembershipOutcome:
+def _structured_search(gens: GeneratorSet, max_depth: int, node_budget: int) -> MembershipOutcome:
     """Breadth-first over reset vectors.
 
     E_{t1} .. E_{t(n-1)} R_{tn} resets onto g = M_{t1} .. M_{tn} 1, so level
-    n applies each M_j to the vectors of level n - 1, up to sign, and puts j
-    in front of the tile word; the first vector +-1 is a witness.
+    n applies each M_j to the vectors of level n - 1, up to sign; the first
+    vector +-1, sign key Q_IDENTITY, is a witness, its word the tile word
+    backwards.
     """
     letters = [(i, ch.quaternions) for i, ch in enumerate(gens.e_gens, start=1)]
-    visited = {Q_IDENTITY}
-    frontier = [(Q_IDENTITY, ())]
-    expanded = 0
-    truncated = False
-    depth_done = 0
-    for n in range(1, max_depth + 1):
-        pairs, truncated = level_pairs(frontier, letters, node_budget - expanded)
-        next_frontier = []
-        for (g, word), (i, q) in pairs:
-            expanded += 1
-            child = _image(q, g)
-            if q_is_scalar(child):
-                return _found_outcome(gens, "structured", (i,) + word, expanded)
-            child = q_sign_key(child)
-            if child not in visited:
-                visited.add(child)
-                next_frontier.append((child, (i,) + word))
-        if truncated:
-            break
-        depth_done = n
-        frontier = next_frontier
-        if not frontier:
-            break
+
+    def step(g, q):
+        child = q_sign_key(_image(q, g))
+        return child, child
+
+    word, _, expanded, done, truncated = breadth_first(
+        Q_IDENTITY, Q_IDENTITY, letters, step, max_depth, node_budget
+    )
+    if word is not None:
+        return _found_outcome(gens, "structured", word[::-1], expanded)
     return MembershipOutcome(
-        EXHAUSTED,
-        "structured",
-        depth_reached=depth_done,
-        nodes_expanded=expanded,
-        truncated=truncated,
+        EXHAUSTED, "structured", depth_reached=done, nodes_expanded=expanded, truncated=truncated
     )
 
 
@@ -398,9 +380,7 @@ class DiffOutcome(Report):
     truncated: bool = False
 
 
-def _closure(
-    channels: Sequence[ChannelElement], max_depth: int, node_budget: int
-):
+def _closure(channels: Sequence[ChannelElement], max_depth: int, node_budget: int):
     """All channels that words of length <= max_depth realize, with the
     shortest word kept.  A channel is keyed as (sign keys of its quaternions,
     damping numerator, damping denominator): the damping is carried as a
@@ -408,39 +388,32 @@ def _closure(
     through extra calls and whose hash computes a modular inverse on every
     call.  A word extends on the right: a unitary channel by an E letter
     multiplies the pairs, by a reset (g) it becomes the reset onto M g, and
-    a reset absorbs any letter, so only unitary channels are expanded.
+    a reset absorbs any letter, so only unitary channels are expanded, each
+    from its key: the maps of (+-q1, +-q2) are one.
 
     Returns the channels, the expansion count, whether the budget cut the
-    search, and the deepest level that was fully enumerated."""
+    search, and the deepest level fully enumerated: max_depth unless the
+    budget cut it, as a closure with no children left holds every word."""
     if not channels:
         raise ValueError("need at least one channel")
     letters = [
-        (ch.quaternions, ch.reset, ch.label, ch.damping.numerator, ch.damping.denominator)
+        (ch.label, (ch.quaternions, ch.reset, ch.damping.numerator, ch.damping.denominator))
         for ch in channels
     ]
-    ident = (Q_IDENTITY, Q_IDENTITY)
-    elems = {(ident, 1, 1): ((), 0)}
-    frontier = [(ident, (), 1, 1)]
-    expanded = 0
-    for depth in range(1, max_depth + 1):
-        pairs, truncated = level_pairs(frontier, letters, node_budget - expanded)
-        nxt = []
-        for (q, word, p, r), (u, reset, label, dp, dr) in pairs:
-            expanded += 1
-            child = (_image(q, u[0]),) if reset else _pair_mul(q, u)
-            p, r = p * dp, r * dr
-            g = gcd(p, r)
-            p, r = p // g, r // g
-            key = (_sign_key(child), p, r)
-            if key not in elems:
-                child_word = word + (label,)
-                elems[key] = (child_word, depth)
-                if not reset:
-                    nxt.append((child, child_word, p, r))
-        if truncated:
-            return elems, expanded, True, depth - 1
-        frontier = nxt
-    return elems, expanded, False, max_depth
+
+    def step(node, letter):
+        (q, p, r), (u, reset, dp, dr) = node, letter
+        child = (_image(q, u[0]),) if reset else _pair_mul(q, u)
+        p, r = p * dp, r * dr
+        g = gcd(p, r)
+        key = (_sign_key(child), p // g, r // g)
+        return key, None if reset else key
+
+    root = ((Q_IDENTITY, Q_IDENTITY), 1, 1)
+    _, elems, expanded, done, truncated = breadth_first(
+        root, None, letters, step, max_depth, node_budget
+    )
+    return elems, expanded, truncated, done if truncated else max_depth
 
 
 def theory_diff(

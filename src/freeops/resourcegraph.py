@@ -33,7 +33,7 @@ from .exact import (
     key_has_unit_trace,
     matrix_units,
 )
-from .util import Report, combine, level_cut
+from .util import Report, breadth_first, combine, level_cut
 
 
 class NotCPTPError(ValueError):
@@ -115,14 +115,6 @@ class ReachGraph:
         edges = tuple((ids[u], ids[v], lab) for u, v, lab in self.edges)
         return ReachGraph(tuple(ids), edges, tuple(ids[s] for s in self.seeds), self.truncated)
 
-    def adjacency(self) -> Dict[object, List[tuple]]:
-        adj: Dict[object, List[tuple]] = {n: [] for n in self.nodes}
-        for u, v, lab in self.edges:
-            adj[u].append((lab, v))
-        for n in adj:
-            adj[n].sort()
-        return adj
-
     def to_dot(self) -> str:
         g = self.named()
         lines = ["digraph reach {"]
@@ -170,8 +162,10 @@ def explore(
     dim = channels[0].dim
     if any(ch.dim != dim for ch in channels):
         raise ShapeError("all channels must act on the same dimension")
-    maps = [certify_cptp(ch).choi_key_map(dim) for ch in channels]
     labels = [ch.label for ch in channels]
+    if len(set(labels)) != len(labels):
+        raise ValueError("channel labels must be distinct: a path is a word of labels")
+    maps = [certify_cptp(ch).choi_key_map(dim) for ch in channels]
     if any(s.dim != dim for s in seeds):
         raise ShapeError("seed dimension does not match the channels")
 
@@ -226,6 +220,8 @@ def reach(g: ReachGraph, source, target) -> ReachOutcome:
     The negative answer is bound-relative: a target outside the explored
     closure is reported as not reachable within the bound, never as
     unreachable outright.  States are found by Hermitian key (g.index).
+    The search is util.breadth_first on edges keyed by (state, label), the
+    labels in sorted order; no state is stepped twice by one label.
     """
     index = g.index or {}
     src = index.get(source.mat.hermitian_key())
@@ -236,26 +232,11 @@ def reach(g: ReachGraph, source, target) -> ReachOutcome:
         return ReachOutcome(NOT_REACHABLE, None)
     if src == dst:
         return ReachOutcome(REACHABLE, ())
-    adj = g.adjacency()
-    parents = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for lab, v in adj[u]:
-                if v in parents:
-                    continue
-                parents[v] = (u, lab)
-                if v == dst:
-                    path = []
-                    node = v
-                    while parents[node] is not None:
-                        node, lab2 = parents[node]
-                        path.append(lab2)
-                    return ReachOutcome(REACHABLE, tuple(reversed(path)))
-                nxt.append(v)
-        frontier = nxt
-    return ReachOutcome(NOT_REACHABLE, None)
+    succ = {(u, lab): (v, v) for u, v, lab in g.edges}
+    labels = [(lab, lab) for lab in sorted({lab for _, _, lab in g.edges})]
+    n = len(g.nodes)
+    path = breadth_first(src, dst, labels, lambda u, lab: succ.get((u, lab)), n, n * len(labels))[0]
+    return ReachOutcome(NOT_REACHABLE if path is None else REACHABLE, path)
 
 
 def _tarjan_scc(nodes: Sequence[str], adj: Dict[str, List[str]]) -> List[List[str]]:

@@ -1,5 +1,5 @@
-"""Small shared helpers: the report JSON rule, canonical JSON,
-the breadth-first level loop of every bounded search and its column form."""
+"""Small shared helpers: the report JSON rule, canonical JSON, the budget
+rule of every bounded search, its breadth-first level loop and column form."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import islice, product, repeat
 from operator import add, mul
-from typing import Iterator, Sized, Tuple
+from typing import Callable, Iterator, Sequence, Sized, Tuple
 
 
 def report_json(value):
@@ -56,6 +56,43 @@ def level_pairs(frontier: Sized, letters: Sized, budget: int) -> Tuple[Iterator,
     in that order, cut by level_cut, and whether the cut dropped any."""
     kept, truncated = level_cut(len(frontier), len(letters), budget)
     return islice(product(frontier, letters), kept), truncated
+
+
+def breadth_first(root, goal, letters: Sequence, step: Callable, max_depth: int, budget: int):
+    """The visited-set level loop over words of the (symbol, letter) pairs in
+    letters, from the empty word at the key root, its own node.  Each level
+    goes through level_pairs with the budget left; step(node, letter) gives
+    None or (key, child), the first word at a key is kept with its length,
+    and a child that is not None joins the next frontier.  Ends at the first
+    word whose key is goal, after max_depth levels, a truncated one or one
+    that leaves no child.  Returns the goal word or None, the kept {key:
+    (word, length)}, the expansions, the last full level and the truncation."""
+    kept = {root: ((), 0)}
+    frontier = [(root, ())]
+    expanded = done = 0
+    truncated = False
+    for depth in range(1, max_depth + 1):
+        pairs, truncated = level_pairs(frontier, letters, budget - expanded)
+        frontier = []
+        for (node, word), (symbol, letter) in pairs:
+            expanded += 1
+            out = step(node, letter)
+            if out is None:
+                continue
+            key, child = out
+            if key == goal:
+                return word + (symbol,), kept, expanded, done, False
+            if key not in kept:
+                child_word = word + (symbol,)
+                kept[key] = child_word, depth
+                if child is not None:
+                    frontier.append((child, child_word))
+        if truncated:
+            break
+        done = depth
+        if not frontier:
+            break
+    return None, kept, expanded, done, truncated
 
 
 def combine(row, cols, stop: int) -> list:

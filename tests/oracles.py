@@ -17,7 +17,14 @@ from math import lcm
 
 from freeops.exact import ExactMatrix, GaussianRational, ShapeError, rat_from_str
 from freeops.freerot import Collision, CollisionReport
-from freeops.resourcegraph import ReachGraph, certify_cptp
+from freeops.resourcegraph import (
+    NOT_REACHABLE,
+    REACHABLE,
+    ReachGraph,
+    ReachOutcome,
+    UnknownStateError,
+    certify_cptp,
+)
 from freeops.util import level_pairs
 
 ZERO = GaussianRational(Fraction(0))
@@ -236,6 +243,11 @@ def quaternion_matrix(q) -> ExactMatrix:
     return ExactMatrix.from_rows([list(r) for r in _block(q)])
 
 
+def q_is_scalar(q) -> bool:
+    """Whether the matrix of the quaternion q is c * I: q is real."""
+    return not (q[1] or q[2] or q[3])
+
+
 def coordinates(x: ExactMatrix) -> tuple:
     """The quaternion (Re alpha, Im alpha, Re beta, Im beta) of a 2x2 matrix
     ((alpha, beta), (-conj(beta), conj(alpha)))."""
@@ -396,3 +408,34 @@ def reference_states(channels, seeds, max_depth: int, node_budget: int = 100_000
 
 def reference_explore(channels, seeds, max_depth: int, node_budget: int = 100_000) -> ReachGraph:
     return reference_states(channels, seeds, max_depth, node_budget)[0]
+
+
+def reference_reach(g: ReachGraph, source, target) -> ReachOutcome:
+    """The reach query as a parent walk: each node's (label, successor) pairs
+    sorted, every level done in full, each node's first parent edge
+    recorded, and the path read back from the target."""
+    index = g.index or {}
+    src = index.get(source.mat.hermitian_key())
+    if src is None:
+        raise UnknownStateError("source state is not a node of the graph")
+    dst = index.get(target.mat.hermitian_key())
+    adj = {n: [] for n in g.nodes}
+    for u, v, lab in g.edges:
+        adj[u].append((lab, v))
+    parents = {src: None}
+    frontier = [src]
+    while frontier and dst not in parents:
+        next_frontier = []
+        for u in frontier:
+            for lab, v in sorted(adj[u]):
+                if v not in parents:
+                    parents[v] = (u, lab)
+                    next_frontier.append(v)
+        frontier = next_frontier
+    if dst not in parents:
+        return ReachOutcome(NOT_REACHABLE, None)
+    path = []
+    while parents[dst] is not None:
+        dst, lab = parents[dst]
+        path.append(lab)
+    return ReachOutcome(REACHABLE, tuple(reversed(path)))

@@ -16,6 +16,7 @@ from oracles import (
     gr,
     is_unitary,
     mat_pow,
+    q_is_scalar,
     quaternion_matrix,
     reference_scan,
     trace,
@@ -36,7 +37,6 @@ from freeops.freerot import (
     hamilton,
     make_free_pair,
     q_adjoint,
-    q_is_scalar,
     q_mul,
     q_sign_key,
     rotation_quaternion,

@@ -127,10 +127,13 @@ def test_solve_trivial_tile():
 
 
 def test_solve_impossible_tile():
+    """The one tile mismatches at once, so level 1 leaves no configuration
+    and the search reports that level, not the depth it was given."""
     for depth in (1, 5, 12):
         out = solve_bounded(PCPInstance((("0", "1"),)), depth)
         assert out.status == EXHAUSTED
         assert out.witness is None
+        assert out.depth_reached == 1
 
 
 def test_solve_classic():

@@ -39,11 +39,14 @@ from freeops.exact import (
 )
 from freeops.freerot import (
     Q_IDENTITY,
+    FreePair,
     RotationParams,
+    encode_word,
     freeness_certificate,
     freeness_scan,
     make_free_pair,
     q_sign_key,
+    rotation_quaternion,
 )
 from freeops.pcp import parse_instance, solve_bounded, verify_solution
 from freeops.reduction import (
@@ -725,6 +728,26 @@ def test_diff_solvable_realizes_target():
     by_label = {ch.word[0]: ch for ch in f1}
     channel = compose(by_label["E1"], by_label["R1"])
     assert choi(channel) == choi(make_target(Fraction(1, 4)))
+
+
+def test_diff_closure_without_children_reports_depth_bound():
+    """E1 = (a, a), a = psi("0") = i for the forced cos 0 / sin 1 pair about
+    z and x: E1 E1 is the identity channel again, so the closure runs out of
+    children after two expansions.  It then holds every word, and diff
+    reports the depth bound, unlike solve-pcp and structured membership,
+    which report the level where they ran out."""
+    z, x = (0, 0, 1), (1, 0, 0)
+    params = RotationParams(Fraction(0), Fraction(1), z, x)
+    pair = FreePair(*(rotation_quaternion(params.cos, params.sin, axis) for axis in (z, x)), params)
+    a = encode_word(pair, "0")
+    e1 = ChannelElement((a, a), Fraction(1), ("E1",))
+    psi = labeled(make_target(Fraction(1, 4)), "PSI")
+    for depth in (2, 3, 4, 6, 9):
+        out = theory_diff((e1,), (psi,), depth)
+        assert out.status == DISTINCT and out.witness["label"] == "PSI"
+        assert out.nodes_expanded == 2
+        assert out.depth_reached == depth
+        assert not out.truncated
 
 
 def test_diff_truncated_reports_completed_depth():

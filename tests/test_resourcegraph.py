@@ -23,6 +23,7 @@ from oracles import (
     quaternion_matrix,
     reference_choi,
     reference_explore,
+    reference_reach,
 )
 from freeops import cli, resourcegraph
 from freeops.exact import ExactDensityMatrix, ExactMatrix
@@ -138,6 +139,13 @@ def test_explore_rejects_non_cptp():
     with pytest.raises(NotCPTPError, match="channel lossy: map is not trace preserving") as err:
         explore([lossy], [seed], 1)
     assert err.value.choi_matrix == reference_choi(lossy)
+
+
+def test_explore_rejects_a_repeated_label():
+    """A reach path is a word of labels, so no two channels share one."""
+    seed = ExactDensityMatrix.basis_state(2, 0)
+    with pytest.raises(ValueError, match="channel labels must be distinct"):
+        explore([ID2, KrausChannel(X2.ops, "id")], [seed], 1)
 
 
 class Transpose:
@@ -345,6 +353,20 @@ def test_explore_equals_reference_at_every_budget():
 
 
 # --- reach queries -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", EXPLORE_CASES)
+def test_reach_equals_reference(case):
+    """reach gives the parent walk's answer from each seed to every node,
+    each target built from its key: the same shortest word, ties broken by
+    discovery order and then by label."""
+    channels, seeds, depth = EXPLORE_CASES[case]
+    channels, seeds = channels(), [s() for s in seeds]
+    g = explore(channels, seeds, depth)
+    for key in g.index:
+        target = ExactDensityMatrix(ExactMatrix.from_hermitian_key(key))
+        for source in seeds:
+            assert reach(g, source, target) == reference_reach(g, source, target)
 
 
 def test_reach_same_state_empty_path():
