@@ -123,11 +123,9 @@ def _target_state(selector: str, source: ExactDensityMatrix) -> ExactDensityMatr
 def _config(args, resolved: dict) -> dict:
     """A report's config: the subcommand, every parsed option that has a
     value and is not in NOT_CONFIG, and the values the handler resolved
-    (which replace an option of the same name), each in its report form,
-    and the package version."""
+    (which replace an option of the same name), and the package version."""
     given = {n: v for n, v in vars(args).items() if v is not None and n not in NOT_CONFIG}
-    entries = {"subcommand": args.command, **given, **resolved, "version": __version__}
-    return {name: report_json(value) for name, value in entries.items()}
+    return {"subcommand": args.command, **given, **resolved, "version": __version__}
 
 
 def _cmd_verify_free(args):
@@ -139,7 +137,7 @@ def _cmd_verify_free(args):
         code = EXIT_EXHAUSTED  # no collision, but only up to scanned_max_len
     else:
         code = EXIT_OK
-    outcome = {**report.to_json_dict(), "certificate": report_json(freeness_certificate(pair))}
+    outcome = {**report_json(report), "certificate": freeness_certificate(pair)}
     return code, {"rotation": pair.params}, {}, outcome, {}
 
 
@@ -147,12 +145,12 @@ def _cmd_solve_pcp(args):
     inst, hashes = _load_instance(args)
     outcome = pcp.solve_bounded(inst, args.depth, node_budget=args.budget)
     code = EXIT_OK if outcome.status == pcp.FOUND else EXIT_EXHAUSTED
-    return code, {}, hashes, outcome.to_json_dict(), {}
+    return code, {}, hashes, outcome, {}
 
 
 def _cmd_compile(args):
     gens, resolved, hashes = _compiled(args)
-    return EXIT_OK, resolved, hashes, gens.to_json_dict(), {}
+    return EXIT_OK, resolved, hashes, gens, {}
 
 
 def _cmd_membership(args):
@@ -165,11 +163,7 @@ def _cmd_membership(args):
     agree = (result.status == reduction.FOUND) == (oracle.status == pcp.FOUND)
     if not agree and (result.truncated or oracle.truncated):
         agree = None  # a budget cut, not a disagreement
-    outcome = {
-        "membership": result.to_json_dict(),
-        "oracle": oracle.to_json_dict(),
-        "statuses_agree": agree,
-    }
+    outcome = {"membership": result, "oracle": oracle, "statuses_agree": agree}
     if agree is False:
         code = EXIT_MISMATCH
     elif agree and result.status == reduction.FOUND:
@@ -188,7 +182,7 @@ def _cmd_reach(args):
     )
     outcome_obj = resourcegraph.reach(graph, source, target)
     outcome = {
-        "reach": outcome_obj.to_json_dict(),
+        "reach": outcome_obj,
         "graph_nodes": len(graph.nodes),
         "graph_edges": len(graph.edges),
         "truncated": graph.truncated,
@@ -222,22 +216,22 @@ def _cmd_monotones(args):
         ).named()
     q = resourcegraph.quotient(graph)
     family = resourcegraph.monotone_family(q)
-    compatible = resourcegraph.check_compatible(graph, family)
-    complete = resourcegraph.check_complete(family)
+    incompatible = resourcegraph.check_compatible(graph, family)
+    incomplete = resourcegraph.check_complete(family)
     outcome = {
-        "classes": q.to_json_dict(),
+        "classes": q,
         "table_summary": family.summary_json(),
-        "compatible": compatible.ok,
-        "complete": complete.ok,
-        "compatible_counterexample": compatible.counterexample,
-        "complete_counterexample": complete.counterexample,
+        "compatible": incompatible is None,
+        "complete": incomplete is None,
+        "compatible_counterexample": incompatible,
+        "complete_counterexample": incomplete,
         "graph_nodes": len(graph.nodes),
         "truncated": graph.truncated,
     }
     extra = {args.dot: q.to_dot()} if args.dot else {}
     if args.tables:
-        extra[args.tables] = family.to_json_dict()
-    code = EXIT_OK if compatible.ok and complete.ok else EXIT_MISMATCH
+        extra[args.tables] = family
+    code = EXIT_OK if incompatible is None and incomplete is None else EXIT_MISMATCH
     return code, resolved, hashes, outcome, extra
 
 
@@ -257,13 +251,13 @@ def _cmd_diff(args):
             target_damping = damping ** (2 * len(probe.witness))
         else:
             target_damping = damping ** 2
-    psi = reduction.labeled(reduction.make_target(target_damping), "PSI")
+    psi = reduction.make_target(target_damping, "PSI")
     outcome_obj = reduction.theory_diff(
         gens.channels(), (psi,), args.depth, node_budget=args.budget
     )
     code = EXIT_OK if outcome_obj.status == reduction.DISTINCT else EXIT_EXHAUSTED
     resolved = {**resolved, "target_damping": target_damping}
-    return code, resolved, hashes, outcome_obj.to_json_dict(), {}
+    return code, resolved, hashes, outcome_obj, {}
 
 
 def _add_rotation_args(p, defaults=ROTATION_DEFAULTS):
@@ -408,16 +402,17 @@ def main(argv=None) -> int:
             "wall_time_s": round(time.perf_counter() - start, 6),
         }
         # The report goes last: a run that fails to write an extra file leaves
-        # no report.  Text (DOT) is written as it is, data as canonical JSON.
+        # no report.  Text (DOT) is written as it is, data as the canonical
+        # JSON of its report form.
         files = {**extra, args.out: report} if args.out else extra
         for path, content in files.items():
             with open(path, "w") as fp:
                 if isinstance(content, str):
                     fp.write(content)
                 else:
-                    canonical_json(content, fp)
+                    canonical_json(report_json(content), fp)
         if not args.out:
-            canonical_json(report, sys.stdout)
+            canonical_json(report_json(report), sys.stdout)
     except (ValueError, OSError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR

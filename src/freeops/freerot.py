@@ -29,7 +29,7 @@ from operator import ne
 from struct import Struct
 from typing import Dict, Optional, Tuple
 
-from .util import Report, level_cut
+from .util import level_cut
 
 Axis = Tuple[Fraction, Fraction, Fraction]
 # Four integer numerators, then one positive denominator.
@@ -58,7 +58,7 @@ class PythagoreanError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class RotationParams(Report):
+class RotationParams:
     """Angle (as an exact cosine/sine pair) and the two rotation axes."""
 
     cos: Fraction
@@ -162,7 +162,7 @@ def q_sign_key(x: Quaternion) -> Quaternion:
 
 
 @dataclass(frozen=True, slots=True)
-class Collision(Report):
+class Collision:
     """Two distinct words with exactly equal products, the earlier first."""
 
     word_a: str
@@ -170,7 +170,7 @@ class Collision(Report):
 
 
 @dataclass(frozen=True, slots=True)
-class CollisionReport(Report):
+class CollisionReport:
     """Outcome of an exhaustive word scan up to a length bound."""
 
     scanned_max_len: int
@@ -270,7 +270,7 @@ def freeness_scan(
 
 
 @dataclass(frozen=True, slots=True)
-class FreenessCertificate(Report):
+class FreenessCertificate:
     """A prime p and, per two-letter reduced word over a, A = a^dag, b and
     B = b^dag, the product of the letters' numerators mod p."""
 

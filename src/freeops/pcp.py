@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .util import Report, breadth_first
+from .util import breadth_first
 
 TileWord = Tuple[int, ...]
 
@@ -32,7 +32,7 @@ class DegenerateTileError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class PCPInstance(Report):
+class PCPInstance:
     """Ordered tiles; tile i (1-based) is the i-th letter of the alphabet."""
 
     tiles: Tuple[Tuple[str, str], ...]
@@ -96,7 +96,7 @@ EXHAUSTED = "exhausted_to_depth"
 
 
 @dataclass(frozen=True, slots=True)
-class SearchOutcome(Report):
+class SearchOutcome:
     status: str
     witness: Optional[TileWord]
     depth_reached: int

@@ -46,7 +46,6 @@ generates.  theory_diff therefore looks up both sides in that one closure.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,7 +66,7 @@ from .freerot import (
     q_sign_key,
 )
 from .pcp import EXHAUSTED, FOUND, PCPInstance, TileWord
-from .util import Report, breadth_first, level_pairs
+from .util import breadth_first, level_pairs
 
 DISTINCT = "distinct"
 INDISTINGUISHABLE = "indistinguishable_up_to_depth"
@@ -116,11 +115,12 @@ class ChannelElement:
     """A unitary channel rho -> p M rho M^T + (1 - p) tr(rho) I/4, M the map
     x -> q1 x q2^dag of the quaternion pair (q1, q2), or a reset, the
     channel rho -> tr(rho) (p |g><g| + (1 - p) I/4) of the one unit
-    quaternion (g,); p is the damping."""
+    quaternion (g,); p is the damping.  The label names the channel in
+    reports, graph edges and words: E1, R1, PSI."""
 
     quaternions: Quaternions
     damping: Fraction
-    word: Tuple[str, ...] = ()
+    label: str = ""
     dim = 4
 
     def __post_init__(self):
@@ -133,12 +133,6 @@ class ChannelElement:
     @property
     def reset(self) -> bool:
         return len(self.quaternions) == 1
-
-    @property
-    def label(self) -> str:
-        if self.word:
-            return "*".join(self.word)
-        return f"target({self.damping})" if self.reset else f"unitary({self.damping})"
 
     def operator(self) -> ExactMatrix:
         """The 4x4 matrix of M, its column e the image of the unit quaternion
@@ -158,16 +152,11 @@ class ChannelElement:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))
 
 
-def make_target(damping: Fraction) -> ChannelElement:
+def make_target(damping: Fraction, label: str = "") -> ChannelElement:
     """T_damping: the reset onto damping |1><1| + (1 - damping) I/4."""
     if not (0 < damping < 1):
         raise ValueError("target damping must lie strictly inside (0, 1)")
-    return ChannelElement((Q_IDENTITY,), damping)
-
-
-def labeled(channel: ChannelElement, label: str) -> ChannelElement:
-    """Copy of a channel carrying the given single-letter word label."""
-    return dataclasses.replace(channel, word=(label,))
+    return ChannelElement((Q_IDENTITY,), damping, label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,11 +173,11 @@ class GeneratorSet:
 
     def to_json_dict(self) -> dict:
         return {
-            "instance": self.instance.to_json_dict(),
+            "instance": self.instance,
             "instance_text": self.instance.to_text(),
-            "rotation": self.pair.params.to_json_dict(),
-            "damping": {ch.word[0]: str(ch.damping) for ch in self.channels()},
-            "operators": {ch.word[0]: ch.operator().to_json_dict() for ch in self.channels()},
+            "rotation": self.pair.params,
+            "damping": {ch.label: ch.damping for ch in self.channels()},
+            "operators": {ch.label: ch.operator() for ch in self.channels()},
         }
 
 
@@ -202,8 +191,8 @@ def compile_generators(
     r_gens = []
     for i, (top, bottom) in enumerate(inst.tiles, start=1):
         q1, q2 = encode_word(pair, top), encode_word(pair, bottom)
-        e_gens.append(ChannelElement((q1, q2), damping, (f"E{i}",)))
-        r_gens.append(ChannelElement((q_mul(q1, q_adjoint(q2)),), damping, (f"R{i}",)))
+        e_gens.append(ChannelElement((q1, q2), damping, f"E{i}"))
+        r_gens.append(ChannelElement((q_mul(q1, q_adjoint(q2)),), damping, f"R{i}"))
     return GeneratorSet(
         instance=inst, pair=pair, e_gens=tuple(e_gens), r_gens=tuple(r_gens)
     )
@@ -225,7 +214,7 @@ def phase_canonical(m: ExactMatrix) -> ExactMatrix:
 
 
 @dataclass(frozen=True, slots=True)
-class MembershipOutcome(Report):
+class MembershipOutcome:
     status: str
     mode: str
     depth_reached: int
@@ -238,12 +227,6 @@ class MembershipOutcome(Report):
 
 class WitnessMismatchError(RuntimeError):
     """A witness that a search found is not the target channel."""
-
-
-def _extract_tile_word(inst: PCPInstance, witness: Tuple[str, ...]) -> Optional[TileWord]:
-    """The tile indices of the witness labels, when they solve the instance."""
-    candidate = tuple(int(lab[1:]) for lab in witness)
-    return candidate if pcp.verify_solution(inst, candidate) else None
 
 
 def _found_outcome(
@@ -267,13 +250,12 @@ def _found_outcome(
         images = [image_of[m] for m in images]
     if images != [target.apply_to_matrix(unit) for unit in units]:
         raise WitnessMismatchError("witness channel is not the target")
-    witness = tuple(ch.word[0] for ch in letters)
     return MembershipOutcome(
         status=FOUND,
         mode=mode,
-        witness=witness,
+        witness=tuple(ch.label for ch in letters),
         witness_damping=damping,
-        extracted=_extract_tile_word(gens.instance, witness),
+        extracted=tiles if pcp.verify_solution(gens.instance, tiles) else None,
         depth_reached=len(tiles),
         nodes_expanded=expanded,
     )
@@ -371,7 +353,7 @@ def membership_search(
 
 
 @dataclass(frozen=True, slots=True)
-class DiffOutcome(Report):
+class DiffOutcome:
     status: str
     witness: Optional[dict]
     matches: Dict[str, dict]

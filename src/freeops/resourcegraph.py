@@ -33,7 +33,7 @@ from .exact import (
     key_has_unit_trace,
     matrix_units,
 )
-from .util import Report, breadth_first, combine, level_cut
+from .util import breadth_first, combine, level_cut
 
 
 class NotCPTPError(ValueError):
@@ -209,7 +209,7 @@ NOT_REACHABLE = "not_reachable_within_bound"
 
 
 @dataclass(frozen=True, slots=True)
-class ReachOutcome(Report):
+class ReachOutcome:
     status: str
     path: Optional[Tuple[str, ...]]
 
@@ -467,15 +467,10 @@ def monotone_family(q: QuotientDAG) -> MonotoneFamily:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
-    ok: bool
-    counterexample: Optional[dict] = None
-
-
-def check_compatible(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
+def check_compatible(g: ReachGraph, family: MonotoneFamily) -> Optional[dict]:
     """Every table must be non-increasing along every edge of the graph,
-    that is, its distance must not drop along an edge.
+    that is, its distance must not drop along an edge.  Returns the first
+    counterexample, or None when every table passes.
 
     An edge breaks that exactly when its source class does not dominate its
     target class; only then are the tables scanned, for the first one whose
@@ -490,16 +485,13 @@ def check_compatible(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
             continue
         for table in family.tables:
             if table.dist[cv] < table.dist[cu]:
-                return CheckResult(
-                    False,
-                    {
-                        "edge": [u, v, lab],
-                        "base": family.quotient.representative(table.base),
-                        "value_from": str(table.value(cu)),
-                        "value_to": str(table.value(cv)),
-                    },
-                )
-    return CheckResult(True)
+                return {
+                    "edge": [u, v, lab],
+                    "base": family.quotient.representative(table.base),
+                    "value_from": str(table.value(cu)),
+                    "value_to": str(table.value(cv)),
+                }
+    return None
 
 
 def _closure_bitsets(q: QuotientDAG) -> List[int]:
@@ -524,12 +516,12 @@ def _closure_bitsets(q: QuotientDAG) -> List[int]:
     return rows
 
 
-def check_complete(family: MonotoneFamily) -> CheckResult:
+def check_complete(family: MonotoneFamily) -> Optional[dict]:
     """Dominance in every table must coincide with reachability, where
     reachability comes from an independent transitive-closure oracle.
 
-    Dominance is MonotoneFamily.dominance.  The first mismatch is reported
-    in (r, s) order.
+    Dominance is MonotoneFamily.dominance.  Returns the first mismatch in
+    (r, s) order, or None when there is none.
     """
     q = family.quotient
     dominated = family.dominance
@@ -538,16 +530,13 @@ def check_complete(family: MonotoneFamily) -> CheckResult:
         diff = dominated[r] ^ closure[r]
         if diff:
             s = (diff & -diff).bit_length() - 1
-            return CheckResult(
-                False,
-                {
-                    "from": q.representative(r),
-                    "to": q.representative(s),
-                    "dominated": bool(dominated[r] >> s & 1),
-                    "reachable": bool(closure[r] >> s & 1),
-                },
-            )
-    return CheckResult(True)
+            return {
+                "from": q.representative(r),
+                "to": q.representative(s),
+                "dominated": bool(dominated[r] >> s & 1),
+                "reachable": bool(closure[r] >> s & 1),
+            }
+    return None
 
 
 def generic_seed(dim: int = 4) -> ExactDensityMatrix:

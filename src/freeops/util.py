@@ -13,27 +13,21 @@ from typing import Callable, Iterator, Sequence, Sized, Tuple
 
 
 def report_json(value):
-    """The report form of a result: a dataclass becomes a dict of its fields
-    by name, a dict keeps its keys, a tuple becomes a list, and a Fraction
-    its canonical string, str(value); anything else is kept."""
+    """The report form of a result: an object with its own to_json_dict
+    becomes the report form of what that returns, another dataclass a dict
+    of its fields by name, a dict keeps its keys, a tuple becomes a list,
+    and a Fraction its canonical string, str(value); anything else is kept."""
     if isinstance(value, Fraction):
         return str(value)
-    if dataclasses.is_dataclass(value):
-        return {f.name: report_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {k: report_json(v) for k, v in value.items()}
     if isinstance(value, tuple):
         return [report_json(v) for v in value]
+    if hasattr(value, "to_json_dict"):
+        return report_json(value.to_json_dict())
+    if dataclasses.is_dataclass(value):
+        return {f.name: report_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value
-
-
-class Report:
-    """Base of the results whose report keys are their field names."""
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return report_json(self)
 
 
 def canonical_json(data, fp) -> None:

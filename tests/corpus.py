@@ -23,7 +23,7 @@ from freeops.exact import ExactDensityMatrix, ExactMatrix, GaussianRational
 from freeops.freerot import make_free_pair, q_adjoint, q_mul
 from freeops.pcp import PCPInstance
 from freeops.reduction import ChannelElement
-from freeops.resourcegraph import CheckResult, MonotoneFamily, ReachGraph, _closure_bitsets
+from freeops.resourcegraph import MonotoneFamily, ReachGraph, _closure_bitsets
 
 
 # The pair every subcommand builds by default (3-4-5 about +z and +x), read
@@ -32,19 +32,20 @@ DEFAULT_PAIR = make_free_pair(cli._rotation_params(SimpleNamespace(**cli.ROTATIO
 
 
 def compose(x: ChannelElement, y: ChannelElement) -> ChannelElement:
-    """(x compose y)(rho) = x(y(rho)), words concatenated.  A reset x
-    absorbs y; two unitary channels multiply their pairs and dampings; a
-    unitary x = (q1, q2) on a reset y onto g resets onto q1 g q2^dag, the
-    dampings multiplied.  The searches form these products inline."""
-    word = x.word + y.word
+    """(x compose y)(rho) = x(y(rho)), the nonempty labels joined by "*".
+    A reset x absorbs y; two unitary channels multiply their pairs and
+    dampings; a unitary x = (q1, q2) on a reset y onto g resets onto
+    q1 g q2^dag, the dampings multiplied.  The searches form these products
+    inline."""
+    label = "*".join(lab for lab in (x.label, y.label) if lab)
     if x.reset:
-        return ChannelElement(x.quaternions, x.damping, word)
+        return ChannelElement(x.quaternions, x.damping, label)
     q1, q2 = x.quaternions
     if not y.reset:
         r1, r2 = y.quaternions
-        return ChannelElement((q_mul(q1, r1), q_mul(q2, r2)), x.damping * y.damping, word)
+        return ChannelElement((q_mul(q1, r1), q_mul(q2, r2)), x.damping * y.damping, label)
     (g,) = y.quaternions
-    return ChannelElement((q_mul(q_mul(q1, g), q_adjoint(q2)),), x.damping * y.damping, word)
+    return ChannelElement((q_mul(q_mul(q1, g), q_adjoint(q2)),), x.damping * y.damping, label)
 
 
 @dataclass(frozen=True)
@@ -378,11 +379,11 @@ def mutual_reachability_classes(graph: ReachGraph):
     return classes
 
 
-def check_complete_pairwise(family: MonotoneFamily) -> CheckResult:
+def check_complete_pairwise(family: MonotoneFamily) -> Optional[dict]:
     """Reference completeness check: every class pair against every table,
     O(n^2 T).  r dominates s when no table's distance at s is below its
     distance at r; the first (r, s) where dominance and closure
-    reachability differ is the counterexample."""
+    reachability differ is the counterexample, None when there is none."""
     q = family.quotient
     closure = _closure_bitsets(q)
     by_base = {t.base: t.dist for t in family.tables}
@@ -400,35 +401,29 @@ def check_complete_pairwise(family: MonotoneFamily) -> CheckResult:
                         break
             reachable = bool(closure[r] & (1 << s))
             if dominated != reachable:
-                return CheckResult(
-                    False,
-                    {
-                        "from": q.representative(r),
-                        "to": q.representative(s),
-                        "dominated": dominated,
-                        "reachable": reachable,
-                    },
-                )
-    return CheckResult(True)
+                return {
+                    "from": q.representative(r),
+                    "to": q.representative(s),
+                    "dominated": dominated,
+                    "reachable": reachable,
+                }
+    return None
 
 
-def check_compatible_pairwise(g: ReachGraph, family: MonotoneFamily) -> CheckResult:
+def check_compatible_pairwise(g: ReachGraph, family: MonotoneFamily) -> Optional[dict]:
     """Reference compatibility check: every graph edge against every table,
     O(E T); the first (edge, table) whose distance drops along the edge is
-    the counterexample."""
+    the counterexample, None when there is none."""
     class_of = family.quotient.class_of
     for u, v, lab in g.edges:
         cu = class_of[u]
         cv = class_of[v]
         for table in family.tables:
             if table.dist[cv] < table.dist[cu]:
-                return CheckResult(
-                    False,
-                    {
-                        "edge": [u, v, lab],
-                        "base": family.quotient.representative(table.base),
-                        "value_from": str(table.value(cu)),
-                        "value_to": str(table.value(cv)),
-                    },
-                )
-    return CheckResult(True)
+                return {
+                    "edge": [u, v, lab],
+                    "base": family.quotient.representative(table.base),
+                    "value_from": str(table.value(cu)),
+                    "value_to": str(table.value(cv)),
+                }
+    return None

@@ -31,7 +31,6 @@ from freeops.reduction import (
     INDISTINGUISHABLE,
     FOUND,
     compile_generators,
-    labeled,
     make_target,
     membership_search,
     theory_diff,
@@ -113,9 +112,9 @@ def test_criterion_3_cptp_certification():
         for ch in gens.channels():
             j = choi(ch)
             if not j.is_psd():
-                failures.append((entry.name, ch.word, "choi not PSD"))
+                failures.append((entry.name, ch.label, "choi not PSD"))
             if j.partial_trace_first(4, 4) != ExactMatrix.identity(4):
-                failures.append((entry.name, ch.word, "not trace preserving"))
+                failures.append((entry.name, ch.label, "not trace preserving"))
             checked += 1
     ok = not failures and len(CORPUS) >= 20
     _line(
@@ -211,9 +210,9 @@ def test_criterion_5_monotone_correctness():
         if q.size > 200:
             failures.append((kind, "too many classes"))
         family = monotone_family(q)
-        if not check_compatible(graph, family).ok:
+        if check_compatible(graph, family) is not None:
             failures.append((kind, "compatibility"))
-        if not check_complete(family).ok:
+        if check_complete(family) is not None:
             failures.append((kind, "completeness"))
         if len(graph.nodes) <= 60:
             # extra independence: dominance against plain pairwise BFS
@@ -295,7 +294,7 @@ def test_criterion_7_distinguishability():
             target_damping = HALF ** 2
         gens = compile_generators(entry.instance, PAIR, HALF)
         f1 = gens.channels()
-        out = theory_diff(f1, (labeled(make_target(target_damping), "PSI"),), depth)
+        out = theory_diff(f1, (make_target(target_damping, "PSI"),), depth)
         statuses.add(out.status)
         if out.status != expect:
             failures.append((entry.name, out.status, expect))

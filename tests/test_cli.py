@@ -243,12 +243,12 @@ def test_two_tile_sweep_agrees_with_the_tile_oracle(tmp_path):
             )
             code, _, _, outcome, _ = cli.handler(args.command)(args)
             result = outcome["membership"]
-            assert not (result["truncated"] or outcome["oracle"]["truncated"])
+            assert not (result.truncated or outcome["oracle"].truncated)
             assert outcome["statuses_agree"] is True, (tiles, mode)
             assert code == (10 if shortest is None else 0), (tiles, mode)
             if shortest is not None:
-                assert len(result["witness"]) == result["depth_reached"] == shortest, (tiles, mode)
-                assert verify_solution(PCPInstance(tiles), tuple(result["extracted"]))
+                assert len(result.witness) == result.depth_reached == shortest, (tiles, mode)
+                assert verify_solution(PCPInstance(tiles), result.extracted)
     assert 0 < solvable < 2304
 
 
@@ -378,7 +378,7 @@ def _one_wrong_unit_image(monkeypatch):
     e00, e01 = matrix_units(4)[:2]
 
     def corrupted(ch, m):
-        return real(ch, e00 if ch.reset and ch.word and m == e01 else m)
+        return real(ch, e00 if ch.reset and ch.label and m == e01 else m)
 
     monkeypatch.setattr(reduction.ChannelElement, "apply_to_matrix", corrupted)
 

@@ -42,7 +42,7 @@ from freeops.freerot import (
     rotation_quaternion,
 )
 from freeops.reduction import compile_generators, phase_canonical
-from freeops.util import level_pairs
+from freeops.util import level_pairs, report_json
 
 PAIR = DEFAULT_PAIR
 A = quaternion_matrix(PAIR.a)
@@ -325,7 +325,7 @@ def test_scan_worker_counts_agree():
 
 def test_report_json_shape():
     report = freeness_scan(_inverse_pair(), 2)
-    data = report.to_json_dict()
+    data = report_json(report)
     assert data["scanned_max_len"] == 2
     assert data["word_count"] == 6
     assert {"word_a": "01", "word_b": "10"} in data["collisions"]

@@ -51,13 +51,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import random_graphs
+from corpus import DEFAULT_PAIR, random_graphs
 from freeops import cli
 from freeops.exact import GaussianRational
 from freeops.freerot import FreePair, RotationParams, freeness_scan, rotation_quaternion
 from freeops.pcp import PCPInstance, SearchOutcome
-from freeops.reduction import DiffOutcome, MembershipOutcome
-from freeops.resourcegraph import ReachOutcome, monotone_family, quotient
+from freeops.reduction import DiffOutcome, MembershipOutcome, compile_generators
+from freeops.resourcegraph import ReachOutcome, demo_graph, monotone_family, quotient
 from freeops.util import canonical_json, report_json
 
 CLASSIC = "1|101\n10|00\n011|11\n"
@@ -341,7 +341,9 @@ def test_canonical_json_rejects_what_stdlib_rejects(data):
 
 
 # Each result next to the dict that its own hand-written to_json_dict
-# returned before util.report_json replaced those methods.
+# returned before util.report_json replaced those methods, and the classic3
+# generator set and the demo quotient, which keep a to_json_dict of their
+# own, next to the dict that method returned before report_json read it.
 DIGEST = "ab" * 16
 ZERO, ONE = Fraction(0), Fraction(1)
 Z, X = (ZERO, ZERO, ONE), (ONE, ZERO, ZERO)
@@ -431,6 +433,43 @@ RULE_PINS = [
             "truncated": False,
         },
     ),
+    (
+        compile_generators(PCPInstance((("1", "101"), ("10", "00"), ("011", "11"))), DEFAULT_PAIR, ONE / 2),
+        {
+            "instance": {"tiles": [["1", "101"], ["10", "00"], ["011", "11"]]},
+            "instance_text": CLASSIC,
+            "rotation": {"cos": "3/5", "sin": "4/5", "axis_a": ["0", "0", "1"], "axis_b": ["1", "0", "0"]},
+            "damping": {label: "1/2" for label in ("E1", "E2", "E3", "R1", "R2", "R3")},
+            "operators": {
+                label: {"rows": 4, "cols": cols, "entries": entries.split()}
+                for label, cols, entries in [
+                    ("E1", 4, "9/25 12/25 -16/25 12/25 -12/25 -351/625 -132/625 16/25"
+                              " -16/25 132/625 -351/625 -12/25 -12/25 16/25 12/25 9/25"),
+                    ("E2", 4, "9/25 12/25 -176/625 468/625 -12/25 9/25 468/625 176/625"
+                              " -16/25 12/25 -351/625 -132/625 12/25 16/25 132/625 -351/625"),
+                    ("E3", 4, "3/5 2108/3125 -1344/3125 0 4/5 -1581/3125 1008/3125 0"
+                              " 0 -1008/3125 -1581/3125 -4/5 0 -1344/3125 -2108/3125 3/5"),
+                    ("R1", 1, "9/25 -12/25 -16/25 -12/25"),
+                    ("R2", 1, "9/25 -12/25 -16/25 12/25"),
+                    ("R3", 1, "3/5 4/5 0 0"),
+                ]
+            },
+        },
+    ),
+    (
+        quotient(demo_graph()),
+        {
+            "classes": {
+                **{n: [n] for n in ("a", "b", "c", "d", "e", "omega", "rho", "sigma")},
+                "g1": ["g1", "g2"],
+            },
+            "edges": [
+                [u, v, "1"]
+                for u, v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "sigma"),
+                             ("omega", "a"), ("rho", "a"), ("rho", "sigma"), ("sigma", "g1")]
+            ],
+        },
+    ),
 ]
 
 
@@ -439,12 +478,12 @@ RULE_PINS = [
     RULE_PINS,
     ids=[
         "membership-found", "membership-cut", "search", "diff", "reach", "reach-none",
-        "instance", "rotation-y-axis", "collisions-forced-cos-1-2",
+        "instance", "rotation-y-axis", "collisions-forced-cos-1-2", "generators-classic3",
+        "quotient-demo",
     ],
 )
 def test_report_json_rule_matches_hand_written_exports(result, expected):
     assert report_json(result) == expected
-    assert result.to_json_dict() == expected
     assert written(report_json(result)) == stdlib_json(expected)
 
 
@@ -466,16 +505,19 @@ def test_report_json_rule_matches_hand_written_exports(result, expected):
     ids=lambda argv: "-".join(a for a in argv if a != "@"),
 )
 def test_handler_reports_encode_as_stdlib(tmp_path, argv):
-    """The in-memory report, as cli.main builds it, not a parsed copy, and
-    the data of the extra files (the --tables family)."""
+    """The in-memory report, as cli.main builds it and takes to its report
+    form, not a parsed copy, and the data of the extra files (the --tables
+    family)."""
     path = tmp_path / "classic.pcp"
     path.write_text(CLASSIC)
     args = cli.build_parser().parse_args([str(path) if a == "@" else a for a in argv])
     _, resolved, hashes, outcome, extra = cli.handler(args.command)(args)
     config = cli._config(args, resolved)
-    report = {"config": config, "input_hashes": hashes, "outcome": outcome, "wall_time_s": 0.5}
+    report = report_json(
+        {"config": config, "input_hashes": hashes, "outcome": outcome, "wall_time_s": 0.5}
+    )
     assert written(report) == stdlib_json(report)
-    data = [content for content in extra.values() if not isinstance(content, str)]
+    data = [report_json(content) for content in extra.values() if not isinstance(content, str)]
     assert len(data) == ("--tables" in argv)
     for content in data:
         assert written(content) == stdlib_json(content)

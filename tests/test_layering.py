@@ -13,8 +13,10 @@ with what they check.
 Every non-dunder function, method and class in the package must be reached
 from a module-level statement or a `[project.scripts]` entry point.
 Test-only helpers belong in tests/oracles.py.  The guard matches names, so
-it does not see operators: a dunder is never reported.  The package
-`__init__` binds only `__version__`: a name has one import path, its module.
+it does not see operators: a dunder is never reported.  Nor does it see
+through a name that two definitions share, as a load of either reaches both,
+so the shared names are pinned.  The package `__init__` binds only
+`__version__`: a name has one import path, its module.
 """
 
 import ast
@@ -167,6 +169,48 @@ def test_every_source_definition_is_reached():
     assert script_entry_points() == ["entry"]
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert unreached(sources, script_entry_points()) == []
+
+
+# Names that more than one module or class defines; the reachability guard
+# counts a load of any of them as reaching every one.  entry: cli.entry and
+# ExactMatrix.entry; to_dot: ReachGraph and QuotientDAG; to_json_dict:
+# ExactMatrix, GeneratorSet, QuotientDAG, MonotoneTable and MonotoneFamily.
+SHARED_NAMES = {"entry", "to_dot", "to_json_dict"}
+
+
+def shared_names(sources):
+    """The non-dunder names that two or more owners define: a module its
+    module-level functions and classes, a class its methods and properties."""
+    owners = {}
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, DEFINITIONS):
+                continue
+            owners.setdefault(node.name, set()).add(module)
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, DEFINITIONS):
+                        owners.setdefault(member.name, set()).add(f"{module}.{node.name}")
+    return {name for name, where in owners.items() if len(where) > 1 and not _is_dunder(name)}
+
+
+def test_shared_definition_names_are_pinned():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert shared_names(sources) == SHARED_NAMES
+
+
+def test_shared_names_catch_a_new_method_of_an_existing_name():
+    """A `size` method on ReachGraph would share QuotientDAG.size's name."""
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    anchor = "    def named(self)"
+    assert sources["resourcegraph"].count(anchor) == 1
+    sources["resourcegraph"] = sources["resourcegraph"].replace(
+        anchor, "    def size(self):\n        return len(self.nodes)\n\n" + anchor
+    )
+    assert shared_names(sources) == SHARED_NAMES | {"size"}
+    two = {"a": "def f():\n    pass\n", "b": "class K:\n    def f(self):\n        pass\n"}
+    assert shared_names(two) == {"f"}
+    assert shared_names({"a": two["a"], "b": "class K:\n    def __init__(self):\n        pass\n"}) == set()
 
 
 def test_guard_flags_an_uncalled_function():

@@ -15,6 +15,7 @@ from freeops.pcp import (
     solve_bounded,
     verify_solution,
 )
+from freeops.util import report_json
 
 CLASSIC = PCPInstance((("1", "101"), ("10", "00"), ("011", "11")))
 
@@ -188,7 +189,7 @@ def test_budget_truncation_flagged():
 
 def test_search_outcome_json():
     out = solve_bounded(CLASSIC, 6)
-    data = out.to_json_dict()
+    data = report_json(out)
     assert data["status"] == "found"
     assert data["witness"] == [1, 3, 2, 3]
     assert data["truncated"] is False

@@ -57,7 +57,6 @@ from freeops.reduction import (
     ChannelElement,
     _closure,
     compile_generators,
-    labeled,
     make_target,
     membership_search,
     phase_canonical,
@@ -125,9 +124,9 @@ def test_compile_matches_matrix_construction():
         for entry in CORPUS:
             gens = compile_generators(entry.instance, pair, HALF)
             expected = reference_operators(entry.instance, a, b)
-            assert sorted(ch.word[0] for ch in gens.channels()) == sorted(expected)
+            assert sorted(ch.label for ch in gens.channels()) == sorted(expected)
             for ch in gens.channels():
-                assert ch.operator() == expected[ch.word[0]], (entry.name, ch.word)
+                assert ch.operator() == expected[ch.label], (entry.name, ch.label)
 
 
 def test_compile_rejects_bad_damping():
@@ -160,7 +159,7 @@ def test_matching_tile_telescopes():
 
 def test_generator_set_json_bundle():
     gens = compiled("0|100")
-    data = gens.to_json_dict()
+    data = report_json(gens)
     assert data["instance"]["tiles"] == [["0", "100"]]
     assert data["damping"] == {"E1": "1/2", "R1": "1/2"}
     assert list(data["operators"]) == ["E1", "R1"]
@@ -187,7 +186,7 @@ def test_compose_damping_and_words():
     r1 = gens.r_gens[0]
     assert compose(e1, e2).damping == Fraction(1, 9) and not compose(e1, e2).reset
     w = compose(e1, r1)
-    assert w.word == ("E1", "R1") and w.reset and w.damping == Fraction(1, 9)
+    assert w.label == "E1*R1" and w.reset and w.damping == Fraction(1, 9)
     assert compose(r1, e2).damping == Fraction(1, 3) and compose(r1, e2).reset
 
 
@@ -286,8 +285,14 @@ def test_target_domain():
     for bad in (Fraction(0), Fraction(1), Fraction(5, 4)):
         with pytest.raises(ValueError):
             make_target(bad)
-    assert make_target(HALF).word == ()
-    assert make_target(HALF).label == "target(1/2)"
+    assert make_target(HALF, "PSI").label == "PSI"
+
+
+def test_compiled_labels():
+    for entry in CORPUS[:8]:
+        k = len(entry.instance.tiles)
+        labels = [ch.label for ch in compile_generators(entry.instance, PAIR, HALF).channels()]
+        assert labels == [f"E{i}" for i in range(1, k + 1)] + [f"R{i}" for i in range(1, k + 1)]
 
 
 # --- Choi certification ---------------------------------------------------------------
@@ -345,7 +350,7 @@ def test_choi_matches_kraus_definition():
     mixing = [_matrix_unit(a, b).scale(Fraction(2, 5)) for a in range(4) for b in range(4)]
     expected = reference_operators(gens.instance, A, B)
     for ch in gens.channels():
-        op = expected[ch.word[0]]
+        op = expected[ch.label]
         if ch.reset:
             main = [op @ column([int(k == b) for k in range(4)]).dagger() for b in range(4)]
         else:
@@ -539,7 +544,7 @@ def test_budget_boundary_table(tmp_path, search, depth, budget, expected):
         out = tmp_path / "r.json"
         argv = ["verify-free", "--max-len", str(depth), "--budget", str(budget)]
         code = cli.main(argv + ["--out", str(out)])
-        want = {**r.to_json_dict(), "certificate": report_json(freeness_certificate(PAIR))}
+        want = {**report_json(r), "certificate": report_json(freeness_certificate(PAIR))}
         assert json.loads(out.read_text())["outcome"] == want
         assert (r.scanned_max_len, r.word_count, r.truncated, code) == expected
         return
@@ -549,7 +554,7 @@ def test_budget_boundary_table(tmp_path, search, depth, budget, expected):
         assert (len(g.nodes), len(g.edges), g.truncated) == expected
         return
     if search == "diff":
-        psi = labeled(make_target(Fraction(1, 16)), "PSI")
+        psi = make_target(Fraction(1, 16), "PSI")
         out = theory_diff(gens.channels(), (psi,), depth, node_budget=budget)
     elif search == "solve":
         out = solve_bounded(gens.instance, depth, node_budget=budget)
@@ -574,7 +579,7 @@ def _bfs_target_word(gens, max_depth):
     P M and R (g) to the reset onto P g, and a reset absorbs every later
     letter; the channel is a target when it resets onto +-1."""
     expected = reference_operators(gens.instance, A, B)
-    letters = [(ch.word[0], ch.reset, expected[ch.word[0]]) for ch in gens.channels()]
+    letters = [(ch.label, ch.reset, expected[ch.label]) for ch in gens.channels()]
     level = [((), False, ExactMatrix.identity(4))]
     for _ in range(max_depth):
         nxt = []
@@ -607,7 +612,7 @@ def test_generic_witness_matches_bruteforce_bfs():
 
 def test_channel_element_construction_check():
     good = compiled("0|100").e_gens[0].quaternions
-    ch = ChannelElement(good, HALF, ("E1",))
+    ch = ChannelElement(good, HALF, "E1")
     assert ch.quaternions == good and ch.dim == 4 and not ch.reset
     one = Q_IDENTITY
     malformed = [
@@ -645,7 +650,7 @@ def test_witness_channel_acts_like_target():
     gens = compiled("01|0\n1|11")
     out = membership_search(gens, 4, mode="generic")
     assert out.status == FOUND
-    by_label = {ch.word[0]: ch for ch in gens.channels()}
+    by_label = {ch.label: ch for ch in gens.channels()}
     channel = by_label[out.witness[0]]
     for lab in out.witness[1:]:
         channel = compose(channel, by_label[lab])
@@ -699,7 +704,7 @@ def test_phase_canonical_identifies_phase_multiples():
 def test_diff_unsolvable_distinct_at_depth_one():
     gens = compiled("0|1")
     f1 = gens.channels()
-    psi = labeled(make_target(Fraction(1, 4)), "PSI")
+    psi = make_target(Fraction(1, 4), "PSI")
     for depth in (1, 2, 4, 6):
         out = theory_diff(f1, (psi,), depth)
         assert out.status == DISTINCT
@@ -720,12 +725,12 @@ def test_diff_identical_sets():
 def test_diff_solvable_realizes_target():
     gens = compiled("0|0")
     f1 = gens.channels()
-    psi = labeled(make_target(Fraction(1, 4)), "PSI")
+    psi = make_target(Fraction(1, 4), "PSI")
     out = theory_diff(f1, (psi,), 2)
     assert out.status == INDISTINGUISHABLE
     realized = out.matches["f2:PSI"]
     assert realized == {"realized_by": ["E1", "R1"], "at_depth": 2}
-    by_label = {ch.word[0]: ch for ch in f1}
+    by_label = {ch.label: ch for ch in f1}
     channel = compose(by_label["E1"], by_label["R1"])
     assert choi(channel) == choi(make_target(Fraction(1, 4)))
 
@@ -740,8 +745,8 @@ def test_diff_closure_without_children_reports_depth_bound():
     params = RotationParams(Fraction(0), Fraction(1), z, x)
     pair = FreePair(*(rotation_quaternion(params.cos, params.sin, axis) for axis in (z, x)), params)
     a = encode_word(pair, "0")
-    e1 = ChannelElement((a, a), Fraction(1), ("E1",))
-    psi = labeled(make_target(Fraction(1, 4)), "PSI")
+    e1 = ChannelElement((a, a), Fraction(1), "E1")
+    psi = make_target(Fraction(1, 4), "PSI")
     for depth in (2, 3, 4, 6, 9):
         out = theory_diff((e1,), (psi,), depth)
         assert out.status == DISTINCT and out.witness["label"] == "PSI"
@@ -753,7 +758,7 @@ def test_diff_closure_without_children_reports_depth_bound():
 def test_diff_truncated_reports_completed_depth():
     gens = compiled("0|1")
     f1 = gens.channels()
-    extra = (labeled(make_target(Fraction(1, 4)), "PSI"),)
+    extra = (make_target(Fraction(1, 4), "PSI"),)
     full = theory_diff(f1, extra, 4)
     assert not full.truncated and full.depth_reached == 4
     # f1's closure (2 letters) expands one unitary channel per level, so it
@@ -837,7 +842,7 @@ def test_one_closure_diff_matches_two_closures():
             continue
         f1 = compile_generators(entry.instance, PAIR, HALF).channels()
         for target in (Fraction(1, 4), Fraction(1, 16), Fraction(1, 256)):
-            extra = (labeled(make_target(target), "PSI"),)
+            extra = (make_target(target, "PSI"),)
             for depth in range(1, 5):
                 out = theory_diff(f1, extra, depth)
                 assert not out.truncated
@@ -849,7 +854,7 @@ def test_one_closure_diff_matches_two_closures():
 
 def test_diff_rejects_depth_below_one():
     gens = compiled(CLASSIC3)
-    psi = labeled(make_target(Fraction(1, 16)), "PSI")
+    psi = make_target(Fraction(1, 16), "PSI")
     for depth in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
             theory_diff(gens.channels(), (psi,), depth)

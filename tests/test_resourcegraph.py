@@ -511,8 +511,8 @@ def test_family_compatible_and_complete_on_demo():
     g = demo_graph()
     q = quotient(g)
     family = monotone_family(q)
-    assert check_compatible(g, family).ok
-    assert check_complete(family).ok
+    assert check_compatible(g, family) is None
+    assert check_complete(family) is None
 
 
 def test_compatibility_catches_injected_violation():
@@ -530,9 +530,8 @@ def test_compatibility_catches_injected_violation():
             for t in family.tables
         ),
     )
-    result = check_compatible(g, tampered)
-    assert not result.ok
-    assert result.counterexample["edge"] == ["rho", "a", "s1"]
+    counterexample = check_compatible(g, tampered)
+    assert counterexample["edge"] == ["rho", "a", "s1"]
 
 
 def test_completeness_needs_every_base():
@@ -541,23 +540,22 @@ def test_completeness_needs_every_base():
     )
     q = quotient(g)
     family = monotone_family(q)
-    assert check_complete(family).ok
+    assert check_complete(family) is None
     dropped = MonotoneFamily(
         quotient=q,
         tables=tuple(t for t in family.tables if t.base != q.class_of["a"]),
     )
-    result = check_complete(dropped)
-    assert not result.ok
-    assert result.counterexample["dominated"] is True
-    assert result.counterexample["reachable"] is False
+    counterexample = check_complete(dropped)
+    assert counterexample["dominated"] is True
+    assert counterexample["reachable"] is False
 
 
 def test_single_node_graph_vacuous_checks():
     g = ReachGraph.synthetic(["only"], [])
     q = quotient(g)
     family = monotone_family(q)
-    assert check_compatible(g, family).ok
-    assert check_complete(family).ok
+    assert check_compatible(g, family) is None
+    assert check_complete(family) is None
 
 
 def test_monotone_values_strictly_decrease_in_reachable_region():
@@ -584,8 +582,8 @@ def test_family_checks_on_random_graphs():
         g = random_digraph(rng, n, rng.randint(n // 2, 3 * n))
         q = quotient(g)
         family = monotone_family(q)
-        assert check_compatible(g, family).ok
-        assert check_complete(family).ok
+        assert check_compatible(g, family) is None
+        assert check_complete(family) is None
 
 
 def test_family_checks_on_explored_graph():
@@ -594,8 +592,8 @@ def test_family_checks_on_explored_graph():
     g = explore(gens.channels(), [seed], 4)
     q = quotient(g)
     family = monotone_family(q)
-    assert check_compatible(g, family).ok
-    assert check_complete(family).ok
+    assert check_compatible(g, family) is None
+    assert check_complete(family) is None
     base = q.class_of[seed.mat.digest()]
     table = monotone_family(q).tables[base]
     assert table.value(base) == 1
@@ -653,7 +651,7 @@ def test_check_complete_matches_pairwise_oracle():
             for family in family_variants(rng, monotone_family(quotient(g))):
                 want = check_complete_pairwise(family)
                 assert check_complete(family) == want
-                oks.add(want.ok)
+                oks.add(want is None)
     assert oks == {True, False}
 
 
@@ -677,7 +675,7 @@ def test_check_compatible_matches_pairwise_oracle():
             for family in family_variants(rng, monotone_family(q)):
                 want = check_compatible_pairwise(g, family)
                 assert check_compatible(g, family) == want
-                oks.add(want.ok)
+                oks.add(want is None)
     assert oks == {True, False}
 
 
