@@ -7,15 +7,16 @@ anywhere in this package.
 A matrix keeps its entries as Gaussian-integer numerators over a single
 positive denominator with gcd(numerators, denominator) = 1.  That canonical
 form makes structural equality exact and lets the hot operations run on
-plain integers: the positive-semidefinite test is a fraction-free (Bareiss)
-symmetric-pivot elimination of the numerator matrix that updates only the
-upper triangle, O(n^3) with exact divisions, and unit trace compares the
-diagonal numerators with the denominator.  A depolarising channel's action
-(`depolarised`) and the assembly of a Choi operator from the images of the
-matrix units (`choi_from_images`) each take one common denominator.
-A Hermitian matrix is also a reduced integer key (`hermitian_key`), and a
-Choi operator gives its channel's integer map on keys (`choi_key_map`),
-which the state exploration applies, checking unit trace on the key.
+plain integers: the positive-semidefinite test is one fraction-free
+(Bareiss) symmetric-pivot elimination of the numerators' real symmetric
+form, upper triangle only, O(n^3) with exact divisions, and unit trace
+compares the diagonal numerators with the denominator.  A depolarising
+channel's action (`depolarised`) and the assembly of a Choi operator from
+the images of the matrix units (`choi_from_images`) each take one common
+denominator.  A Hermitian matrix is also a reduced integer key
+(`hermitian_key`), and a Choi operator gives its channel's integer map on
+keys (`choi_key_map`, read through an index table cached per d), which the
+state exploration applies, checking unit trace on the key.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
-from operator import itemgetter, neg
+from operator import add, itemgetter, neg
 from typing import Iterator, Sequence, Union
 
 EntryLike = Union["GaussianRational", Fraction, int]
@@ -141,6 +142,31 @@ def _key_slots(d: int) -> tuple:
     for t, (i, j) in enumerate(upper):  # the lower triangle
         spread[2 * (j * d + i)], spread[2 * (j * d + i) + 1] = d + t, d * d + 1 + t
     return tuple(slots), itemgetter(*spread)
+
+
+@lru_cache(maxsize=8)
+def _key_map_slots(d: int) -> tuple:
+    """Two getters of ExactMatrix.choi_key_map's rows, row-major, from a
+    d^2 x d^2 Choi operator's _num followed by its negation, a zero and the
+    denominator: each entry is the sum of its two picks."""
+    n = d * d
+    size = 2 * n * n  # the length of _num; a pick past it is negated
+    zero = 2 * size
+
+    def at(i, j, s, flip=0):  # Phi(E_ij) at key slot s, or at its other part
+        e, part = divmod(s, 2)
+        return 2 * ((e // d * d + i) * n + e % d * d + j) + (part ^ flip)
+
+    slots = _key_slots(d)[0]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    cols = [[(at(i, i, s), zero) for s in slots] for i in range(d)]
+    cols += [[(at(i, j, s), at(j, i, s)) for s in slots] for i, j in pairs]
+    # Im z_ij enters as i E_ij - i E_ji; times i, a real part is -Im and an imaginary Re
+    cols += [[(at(i, j, s, 1) + size * (1 - s % 2), at(j, i, s, 1) + size * (s % 2))
+              for s in slots] for i, j in pairs]
+    picks = [p for row in zip(*cols) for p in (*row, (zero, zero))]
+    picks += [(zero, zero)] * n + [(zero + 1, zero)]  # the denominator's row
+    return itemgetter(*(p for p, _ in picks)), itemgetter(*(q for _, q in picks))
 
 
 def key_has_unit_trace(d: int, key: Sequence[int]) -> bool:
@@ -336,19 +362,9 @@ class ExactMatrix:
             raise ShapeError("a Choi operator of a d-dimensional channel is d^2 x d^2")
         if not self.is_hermitian():
             raise ValueError("Choi operator is not Hermitian")
-        slots, num = _key_slots(d)[0], self._num
-
-        def at(i, j, s, flip=0):  # Phi(E_ij) at key slot s, or at its other part
-            e, part = divmod(s, 2)
-            return num[2 * ((e // d * d + i) * n + e % d * d + j) + (part ^ flip)]
-
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        cols = [[at(i, i, s) for s in slots] for i in range(d)]
-        cols += [[at(i, j, s) + at(j, i, s) for s in slots] for i, j in pairs]
-        # Im z_ij enters as i E_ij - i E_ji; times i, a real part is -Im and an imaginary Re
-        cols += [[(s % 2 * 2 - 1) * (at(i, j, s, 1) - at(j, i, s, 1)) for s in slots]
-                 for i, j in pairs]
-        return (*((*row, 0) for row in zip(*cols)), (0,) * n + (self._den,))
+        first, second = _key_map_slots(d)
+        ext = (*self._num, *map(neg, self._num), 0, self._den)
+        return tuple(zip(*[iter(map(add, first(ext), second(ext)))] * (n + 1)))
 
     def partial_trace_first(self, dim_first: int, dim_second: int) -> "ExactMatrix":
         """Trace out the first tensor factor of a (d1*d2)-dimensional operator."""
@@ -393,20 +409,22 @@ class ExactMatrix:
     def is_psd(self) -> bool:
         """Exact positive-semidefiniteness for Hermitian matrices.
 
-        Fraction-free symmetric-pivot elimination (Bareiss 1968) on the
-        Gaussian-integer numerator matrix; the positive common denominator
-        only rescales the spectrum.  Each step takes the first positive
+        Fraction-free symmetric-pivot elimination (Bareiss 1968) on a real
+        symmetric integer matrix; the positive common denominator only
+        rescales the spectrum.  With numerators A + iB, that matrix is A when
+        B = 0, and otherwise [[A, -B], [B, A]], which is PSD exactly when
+        A + iB is: it is the real form of A + iB, and each eigenvalue of
+        A + iB appears in it twice.  Each step takes the first positive
         remaining diagonal entry p as pivot and updates the remainder by
         x <- (p*x - a*b) / prev, where prev is the previous pivot (1 at the
-        start).  Every entry then stays a Gaussian-integer minor, and the
+        start).  Every entry then stays an integer minor, and the
         remainder is prev times the Schur complement of the pivots taken so
         far, whose leading block is positive definite.  So a negative
         remaining diagonal entry means the matrix is not PSD, and when every
         remaining diagonal entry is zero the matrix is PSD exactly when the
-        whole remainder is zero.  The Schur complement of a Hermitian matrix
-        is Hermitian, so each step computes only the entries (i, j) with
-        j >= i and mirrors their conjugates to (j, i).  O(n^3) integer
-        operations.
+        whole remainder is zero.  The Schur complement of a symmetric
+        matrix is symmetric, so each step computes only the entries (i, j)
+        with j >= i and mirrors them to (j, i).  O(n^3) integer operations.
         """
         if self.rows != self.cols:
             raise ShapeError("is_psd requires a square matrix")
@@ -414,38 +432,33 @@ class ExactMatrix:
             raise ValueError("is_psd requires a Hermitian matrix")
         n = self.rows
         num = self._num
-        re = [list(num[2 * i * n : 2 * (i + 1) * n : 2]) for i in range(n)]
-        im = [list(num[2 * i * n + 1 : 2 * (i + 1) * n : 2]) for i in range(n)]
-        rest = list(range(n))
+        rows = [list(num[2 * i * n : 2 * (i + 1) * n : 2]) for i in range(n)]
+        if any(num[1::2]):  # the real form [[A, -B], [B, A]]
+            im = [list(num[2 * i * n + 1 : 2 * (i + 1) * n : 2]) for i in range(n)]
+            rows = [a + [*map(neg, b)] for a, b in zip(rows, im)] + list(map(add, im, rows))
+        rest = list(range(len(rows)))
         prev = 1
         while rest:
             k = -1
             for i in rest:
-                d = re[i][i]
+                d = rows[i][i]
                 if d < 0:
                     return False
                 if d > 0 and k < 0:
                     k = i
             if k < 0:
-                return not any(re[i][j] or im[i][j] for i in rest for j in rest)
+                return not any(rows[i][j] for i in rest for j in rest)
             rest.remove(k)
-            p = re[k][k]
-            kre = re[k]
-            kim = im[k]
+            p = rows[k][k]
+            krow = rows[k]
             for t, i in enumerate(rest):
-                ire = re[i]
-                iim = im[i]
-                ar = ire[k]
-                ai = iim[k]
+                irow = rows[i]
+                a = irow[k]
                 for j in rest[t:]:
-                    br = kre[j]
-                    bi = kim[j]
-                    xr, rr = divmod(p * ire[j] - ar * br + ai * bi, prev)
-                    xi, ri = divmod(p * iim[j] - ar * bi - ai * br, prev)
-                    if rr or ri:
+                    x, r = divmod(p * irow[j] - a * krow[j], prev)
+                    if r:
                         raise ArithmeticError("inexact division in Bareiss elimination")
-                    ire[j] = re[j][i] = xr
-                    iim[j], im[j][i] = xi, -xi
+                    irow[j] = rows[j][i] = x
             prev = p
         return True
 

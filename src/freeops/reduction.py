@@ -32,8 +32,9 @@ pair (psi(u_i), psi(v_i)), so that composing E channels multiplies pairs
 memberwise, and R_i the one unit vector (f_i,).  The maps of (+-q1, +-q2)
 are +-M, one channel, and g and -g give one reset: a channel is keyed by
 the sign key of each of its quaternions.  A channel acts on an operator
-(the matrix units choi reads, a target's source) by its own definition,
-through the 4x4 matrix of M or the column g (ChannelElement.operator).
+(a witness's matrix units, a target's source) by its own definition,
+through the 4x4 matrix of M or the column g (ChannelElement.operator), and
+its Choi operator has a closed form in the same integer columns.
 The structured search and the closure run util.breadth_first, the generic
 search its own level loop, all cut by util.level_cut: a node budget counts
 expansions in each.
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, prod
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -74,19 +74,14 @@ INDISTINGUISHABLE = "indistinguishable_up_to_depth"
 Quaternions = Tuple[Quaternion, ...]
 
 
-@lru_cache(maxsize=256)
-def _operator(qs: Quaternions) -> Tuple[ExactMatrix, ExactMatrix]:
-    """ChannelElement.operator and its conjugate transpose, read off hamilton
-    on UNIT_QUATERNIONS for a pair; cached, as choi applies a channel 16 times."""
+def _columns(qs: Quaternions) -> Quaternions:
+    """ChannelElement.operator's integer columns over one denominator: a
+    pair's images q1 e q2^dag of the UNIT_QUATERNIONS e, unreduced, or (g,)."""
     if len(qs) == 1:
-        (g,) = qs
-        op = ExactMatrix.from_integers(4, 1, g[:4], g[4])
-    else:
-        q1, q2 = qs
-        right = q_adjoint(q2)
-        cols = [hamilton(hamilton(q1, e), right) for e in UNIT_QUATERNIONS]
-        op = ExactMatrix.from_integers(4, 4, [col[i] for i in range(4) for col in cols], cols[0][4])
-    return op, op.dagger()
+        return qs
+    q1, q2 = qs
+    right = q_adjoint(q2)
+    return tuple(hamilton(hamilton(q1, e), right) for e in UNIT_QUATERNIONS)
 
 
 def _image(pair: Quaternions, x: Quaternion) -> Quaternion:
@@ -116,7 +111,12 @@ class ChannelElement:
     x -> q1 x q2^dag of the quaternion pair (q1, q2), or a reset, the
     channel rho -> tr(rho) (p |g><g| + (1 - p) I/4) of the one unit
     quaternion (g,); p is the damping.  The label names the channel in
-    reports, graph edges and words: E1, R1, PSI."""
+    reports, graph edges and words: E1, R1, PSI.
+
+    The Choi operator J[4a + i, 4b + j] = Phi(E_ij)[a, b] has a closed form
+    over 4 pd D^2, for p = pn/pd and M or g integer over D: the numerator
+    4 pn M[a, i] M[b, j] + (pd - pn) D^2 delta_ij delta_ab, or for a reset
+    delta_ij (4 pn g_a g_b + (pd - pn) D^2 delta_ab)."""
 
     quaternions: Quaternions
     damping: Fraction
@@ -137,16 +137,30 @@ class ChannelElement:
     def operator(self) -> ExactMatrix:
         """The 4x4 matrix of M, its column e the image of the unit quaternion
         e, or for a reset the column g."""
-        return _operator(self.quaternions)[0]
+        cols = _columns(self.quaternions)
+        values = [c[i] for i in range(4) for c in cols]
+        return ExactMatrix.from_integers(4, len(cols), values, cols[0][4])
+
+    def choi_operator(self) -> ExactMatrix:
+        """J in the closed form above, from row 4a + i's factor M[a, i] or g_a
+        of the product term and its block for delta_ij, 0 or i."""
+        cols = _columns(self.quaternions)
+        den = cols[0][4]
+        x = [(cols[0][a], i) if self.reset else (cols[i][a], 0) for a in range(4) for i in range(4)]
+        pn, pd = self.damping.numerator, self.damping.denominator
+        f, mix = 4 * pn, (pd - pn) * den * den
+        values = [f * u * w * (k == l) + mix * (r == c)
+                  for r, (u, k) in enumerate(x) for c, (w, l) in enumerate(x)]
+        return ExactMatrix.from_integers(16, 16, values, 4 * pd * den * den)
 
     def apply_to_matrix(self, m: ExactMatrix) -> ExactMatrix:
         """p K(m) + (1 - p) tr(m) I/4, with K(m) = M m M^T or tr(m) |g><g|:
         linear on any 4x4 operator, not only on states."""
         if (m.rows, m.cols) != (4, 4):
             raise ShapeError("a channel acts on 4x4 operators")
-        op, op_dagger = _operator(self.quaternions)
+        op = self.operator()
         x = m.partial_trace_first(4, 1) if self.reset else m  # a reset reads tr(m), 1x1
-        return m.depolarised(self.damping, op @ x @ op_dagger)
+        return m.depolarised(self.damping, op @ x @ op.dagger())
 
     def apply(self, state: ExactDensityMatrix) -> ExactDensityMatrix:
         return ExactDensityMatrix(self.apply_to_matrix(state.mat))
@@ -234,21 +248,22 @@ def _found_outcome(
 ) -> MembershipOutcome:
     """Report the witness E_{t1} .. E_{t(n-1)} R_{tn} of the tile word t
     with its damping monomial, after checking, apart from the search, that
-    its Choi operator is the target's at that damping: block (i, j) of a
-    Choi operator is the image of the matrix unit E_ij (see choi), here
-    through each letter's own definition, the last letter first, once per
-    distinct image, and all 16 images are compared with the target's.  The
-    reset maps the 12 off-diagonal units to 0 and the 4 diagonal ones to
-    one state, so a witness of n letters takes 16 + 2(n - 1) letter
-    applications."""
+    its Choi operator is the target's at that damping.  Block (i, j) of a
+    Choi operator is the image of the matrix unit E_ij (see choi): the
+    witness's are composed through each letter's own definition, the last
+    letter first, once per distinct image, and their assembly is compared
+    with the target's closed form, a route that shares no letter
+    application.  The reset maps the 12 off-diagonal units to 0 and the 4
+    diagonal ones to one state, so a witness of n letters takes
+    16 + 2(n - 1) letter applications."""
     letters = tuple(gens.e_gens[i - 1] for i in tiles[:-1]) + (gens.r_gens[tiles[-1] - 1],)
     damping = prod(ch.damping for ch in letters)
     target = make_target(damping)
-    images = units = matrix_units(4)
+    images = matrix_units(4)
     for ch in reversed(letters):
         image_of = {m: ch.apply_to_matrix(m) for m in dict.fromkeys(images)}
         images = [image_of[m] for m in images]
-    if images != [target.apply_to_matrix(unit) for unit in units]:
+    if ExactMatrix.choi_from_images(images) != target.choi_operator():
         raise WitnessMismatchError("witness channel is not the target")
     return MembershipOutcome(
         status=FOUND,

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from corpus import (
     CORPUS,
@@ -280,6 +280,28 @@ def test_psd_agrees_with_sturm_oracle_on_explored_states():
             for bad in (a.scale(-1), mat_sub(a, b)):
                 assert not bad.is_psd()
                 assert k % 8 or not sturm_is_psd(bad)
+
+
+@st.composite
+def complex_hermitian_st(draw):
+    """G G^dag for an n x r Gaussian-integer G, singular when r < n, plus
+    shift * I: PSD for shift >= 0, and for a negative shift on a singular
+    Gram matrix just below PSD.  Only matrices with a nonzero imaginary part."""
+    n = draw(st.integers(2, 5))
+    r = draw(st.integers(1, n))
+    parts = st.integers(-3, 3)
+    g = ExactMatrix(n, r, draw(st.lists(st.builds(GaussianRational, parts, parts),
+                                        min_size=n * r, max_size=n * r)))
+    just_below = st.integers(1, 10**6).map(lambda k: Fraction(-1, k))
+    shift = draw(st.sampled_from([0, 0, 1, -1]) | just_below)
+    m = mat_add(g @ g.dagger(), ExactMatrix.identity(n).scale(shift))
+    assume(any(z.im for z in m.entries()))
+    return m
+
+
+@given(complex_hermitian_st())
+def test_psd_agrees_with_sturm_oracle_on_complex_matrices(m):
+    assert m.is_psd() == sturm_is_psd(m)
 
 
 def test_psd_zero_pivot_cases():

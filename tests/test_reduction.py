@@ -62,7 +62,7 @@ from freeops.reduction import (
     phase_canonical,
     theory_diff,
 )
-from freeops.resourcegraph import choi, explore
+from freeops.resourcegraph import certify_cptp, choi, explore
 from freeops.util import report_json
 
 PAIR = DEFAULT_PAIR
@@ -397,6 +397,43 @@ def test_choi_equals_reference(name):
     ch = ACTION_CHANNELS[name]
     by_reference = SimpleNamespace(dim=4, apply_to_matrix=lambda m: reference_apply(ch, m))
     assert choi(ch) == reference_choi(ch) == reference_choi(by_reference)
+
+
+def corpus_channels(pair, damping):
+    """Every distinct E and R channel the corpus instances compile to under
+    the pair, and the target, at the damping; at 1, which compile_generators
+    and make_target reject, the same quaternions built directly."""
+    base = Fraction(1, 2) if damping == 1 else damping
+    channels = {}
+    for entry in CORPUS:
+        for ch in compile_generators(entry.instance, pair, base).channels():
+            channels.setdefault(ch.quaternions, ch)
+    channels[(Q_IDENTITY,)] = ChannelElement((Q_IDENTITY,), base, "T")
+    return [ChannelElement(q, damping, ch.label) for q, ch in channels.items()]
+
+
+@pytest.mark.parametrize("damping", ["1/2", "1/3", "7/9", "1"])
+@pytest.mark.parametrize("pair", [PAIR, Y_AXIS_PAIR], ids=["default", "y-axis"])
+def test_closed_form_choi_equals_reference(pair, damping):
+    """The closed form against the entry-by-entry assembly of the channel's
+    own action, over 4 pd D^2 with D = 5^k for the default pair and 13^k
+    for the y-axis one."""
+    channels = corpus_channels(pair, Fraction(damping))
+    assert any(ch.reset for ch in channels) and not all(ch.reset for ch in channels)
+    for ch in channels:
+        assert ch.choi_operator() == reference_choi(ch), ch.label
+
+
+def test_choi_of_a_compiled_channel_applies_no_matrix_unit(monkeypatch):
+    """choi and certify_cptp read a compiled channel's closed form, not its
+    action on the matrix units."""
+    def refuse(ch, m):
+        raise AssertionError("apply_to_matrix called")
+
+    ch = compiled(CLASSIC3).e_gens[0]
+    expected = reference_choi(ch)
+    monkeypatch.setattr(ChannelElement, "apply_to_matrix", refuse)
+    assert choi(ch) == certify_cptp(ch) == expected
 
 
 # --- pair products -----------------------------------------------------------------------
