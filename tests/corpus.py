@@ -108,6 +108,11 @@ UNSOLVABLE = [
 
 CORPUS = SOLVABLE + UNSOLVABLE
 
+# Every tile whose words have at most 2 bits, apart from the empty tile: the
+# two-tile sweeps run all 2,304 ordered pairs of them.
+SHORT_WORDS = ["", "0", "1", "00", "01", "10", "11"]
+SHORT_TILES = [(top, bottom) for top in SHORT_WORDS for bottom in SHORT_WORDS if top or bottom]
+
 # The solvable instance whose shortest scalar word under the former
 # index-block encoding (length 6) was shorter than 2 x its solution length.
 MIXED_CANCELLATION = next(e for e in SOLVABLE if e.name == "textbook3")

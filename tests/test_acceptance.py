@@ -9,10 +9,12 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 from corpus import (
     CORPUS,
     DEFAULT_PAIR,
+    SHORT_TILES,
     SOLVABLE,
     UNSOLVABLE,
     bfs_reachable,
@@ -25,7 +27,7 @@ from freeops import cli
 from freeops.exact import ExactDensityMatrix, ExactMatrix
 from freeops.freerot import freeness_scan
 from freeops.pcp import FOUND as PCP_FOUND
-from freeops.pcp import solve_bounded, verify_solution
+from freeops.pcp import PCPInstance, solve_bounded, verify_solution
 from freeops.reduction import (
     DISTINCT,
     INDISTINGUISHABLE,
@@ -395,3 +397,50 @@ def test_reach_agrees_with_membership_on_target_pair():
         if outcome.status == "reachable":
             assert len(outcome.path) == depth
         assert (member.status == FOUND) == solvable
+
+
+def test_four_answers_agree_on_the_two_tile_sweep():
+    """One question, four answers.  On each of the 2,304 two-tile instances
+    at p = 1/2 and n = 4, with L the set of solution lengths <= n found by
+    enumeration: the tile search finds a solution of length min L;
+    membership at depth n finds a witness of length min L at damping
+    p^(min L); diff realizes T_(p^k) at depth k; and reach from basis:0
+    finds the state T_(p^k)(basis:0) at path length k within an explore to
+    depth n, the last two exactly for the k in L.  Each side answers None
+    where it finds nothing, and "cut" where its budget cut it; a solution
+    of length m, repeated, is one of length 2m, so each answer is compared
+    with L, not with its minimum."""
+    n = 4
+    source = ExactDensityMatrix.basis_state(4, 0)
+    targets = {k: make_target(HALF**k, "PSI") for k in range(1, n + 1)}
+    target_states = {k: t.apply(source) for k, t in targets.items()}
+    mismatches = []
+
+    def check(tiles, question, got, want):
+        if got != want:
+            mismatches.append(f"{tiles}: {question} answers {got}, enumeration {want}")
+
+    for tiles in product(SHORT_TILES, repeat=2):
+        inst = PCPInstance(tiles)
+        lengths = {len(w) for w in enumerate_solutions(tiles, n)}
+        shortest = min(lengths, default=None)
+        gens = compile_generators(inst, PAIR, HALF)
+        solved = solve_bounded(inst, n)
+        got = "cut" if solved.truncated else solved.witness and len(solved.witness)
+        check(tiles, "solve_bounded", got, shortest)
+        member = membership_search(gens, n)
+        got = "cut" if member.truncated else member.witness and (
+            len(member.witness), member.witness_damping
+        )
+        check(tiles, "membership_search", got, shortest and (shortest, HALF**shortest))
+        graph = explore(gens.channels(), [source], n)
+        check(tiles, "explore", graph.truncated, False)
+        for k, target in targets.items():
+            want = k if k in lengths else None
+            out = theory_diff(gens.channels(), (target,), k)
+            realized = out.matches.get("f2:PSI")
+            got = "cut" if out.truncated else realized and realized["at_depth"]
+            check(tiles, f"theory_diff T_(p^{k})", got, want)
+            path = reach(graph, source, target_states[k]).path
+            check(tiles, f"reach T_(p^{k})(basis:0)", path and len(path), want)
+    assert not mismatches, mismatches[:20]

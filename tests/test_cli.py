@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from corpus import enumerate_solutions
+from corpus import SHORT_TILES, enumerate_solutions
 from freeops import cli
 from freeops import reduction, resourcegraph
 from freeops.exact import matrix_units
@@ -217,11 +217,6 @@ def test_membership_unsolvable_cancelling_pair_is_exhausted(tmp_path):
         outcome = load(out)["outcome"]
         assert outcome["statuses_agree"] is True
         assert outcome["membership"]["depth_reached"] == 8
-
-
-# Every tile whose words have at most 2 bits, apart from the empty tile.
-SHORT_WORDS = ["", "0", "1", "00", "01", "10", "11"]
-SHORT_TILES = [(top, bottom) for top in SHORT_WORDS for bottom in SHORT_WORDS if top or bottom]
 
 
 def test_two_tile_sweep_agrees_with_the_tile_oracle(tmp_path):
