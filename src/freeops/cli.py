@@ -252,9 +252,7 @@ def _cmd_diff(args):
         else:
             target_damping = damping ** 2
     psi = reduction.make_target(target_damping, "PSI")
-    outcome_obj = reduction.theory_diff(
-        gens.channels(), (psi,), args.depth, node_budget=args.budget
-    )
+    outcome_obj = reduction.theory_diff(gens, psi, args.depth, node_budget=args.budget)
     code = EXIT_OK if outcome_obj.status == reduction.DISTINCT else EXIT_EXHAUSTED
     resolved = {**resolved, "target_damping": target_damping}
     return code, resolved, hashes, outcome_obj, {}

@@ -108,8 +108,8 @@ def _step(config: Tuple[int, str], tile: Tuple[str, str]):
     """Extend a configuration (sign, over) by one tile (top, bottom).
 
     sign +1 means the top string is ahead by `over`, -1 the bottom, 0
-    balanced.  Returns the successor as its own key and child, (0, "") on a
-    match, or None when neither string remains a prefix of the other.
+    balanced.  Returns the successor, (0, "") on a match, or None when
+    neither string remains a prefix of the other.
     """
     (sign, over), (top, bottom) = config, tile
     if sign >= 0:
@@ -119,14 +119,12 @@ def _step(config: Tuple[int, str], tile: Tuple[str, str]):
         p = top
         q = over + bottom
     if p == q:
-        child = (0, "")
-    elif p.startswith(q):
-        child = (1, p[len(q):])
-    elif q.startswith(p):
-        child = (-1, q[len(p):])
-    else:
-        return None
-    return child, child
+        return (0, "")
+    if p.startswith(q):
+        return (1, p[len(q):])
+    if q.startswith(p):
+        return (-1, q[len(p):])
+    return None
 
 
 def solve_bounded(
@@ -149,7 +147,7 @@ def solve_bounded(
                 f"tile {idx} has both sides empty; any word using it alone is a"
                 " trivial solution"
             )
-    word, _, expanded, done, truncated = breadth_first(
+    word, expanded, done, truncated = breadth_first(
         (0, ""), (0, ""), list(enumerate(inst.tiles, start=1)), _step, max_depth, node_budget
     )
     if word is not None:

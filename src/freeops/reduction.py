@@ -35,14 +35,15 @@ the sign key of each of its quaternions.  A channel acts on an operator
 (a witness's matrix units, a target's source) by its own definition,
 through the 4x4 matrix of M or the column g (ChannelElement.operator), and
 its Choi operator has a closed form in the same integer columns.
-The structured search and the closure run util.breadth_first, the generic
-search its own level loop, all cut by util.level_cut: a node budget counts
-expansions in each.
+The structured search runs util.breadth_first, the generic search its own
+level loop, both cut by util.level_cut: a node budget counts expansions in
+each.
 
-Comparing a generator set F with F + {T} needs only F's closure.  Every
-generator of F lies in both sets and realizes itself in either closure, so
-the two span the same theory exactly when T lies in the semigroup that F
-generates.  theory_diff therefore looks up both sides in that one closure.
+Comparing a generator set F with F + {T_lam} is membership at one length.
+Every generator of F lies in both sets, so the two span the same theory
+exactly when T_lam lies in the semigroup that F generates, and by 3 and 4
+only a word of length n with lam = p^n can realize it: theory_diff runs
+the generic search at that one length n, or none when lam is no such power.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import pcp
 from .exact import ExactDensityMatrix, ExactMatrix, ShapeError, matrix_units
@@ -93,11 +94,6 @@ def _image(pair: Quaternions, x: Quaternion) -> Quaternion:
 def _pair_mul(x: Quaternions, y: Quaternions) -> Quaternions:
     """The pair of the composed unitary channel: memberwise products."""
     return q_mul(x[0], y[0]), q_mul(x[1], y[1])
-
-
-def _sign_key(qs: Quaternions) -> Quaternions:
-    """A channel's key: the sign key of each quaternion."""
-    return tuple(map(q_sign_key, qs))
 
 
 def _is_unit(q: Quaternion) -> bool:
@@ -277,9 +273,10 @@ def _found_outcome(
 
 
 def _generic_search(
-    gens: GeneratorSet, max_depth: int, node_budget: int
+    gens: GeneratorSet, max_depth: int, node_budget: int, min_depth: int = 1
 ) -> MembershipOutcome:
-    """Shortest witness by meeting in the middle.
+    """Shortest witness of min_depth to max_depth letters by meeting in the
+    middle.
 
     A witness splits into an E-prefix of at most half the depth, with pair
     (q1, q2), and a reset-ended suffix onto g; the word resets onto
@@ -292,7 +289,8 @@ def _generic_search(
     of its prefix up to its first reset, so a shortest word that realizes a
     target has one reset, last: the witness is the shortest,
     lexicographically least among equals, that a breadth-first scan over
-    all generator words finds.
+    all generator words finds.  Lengths below min_depth are built but not
+    checked.
     """
     letters = [(i, ch.quaternions) for i, ch in enumerate(gens.e_gens, start=1)]
     level = {(Q_IDENTITY, Q_IDENTITY): ()}
@@ -311,7 +309,7 @@ def _generic_search(
         if truncated:
             break
         for m, prefixes in ((2 * s - 1, level), (2 * s, new_level)):
-            if m > max_depth:
+            if not min_depth <= m <= max_depth:
                 continue
             for (q1, q2), word in prefixes.items():
                 hit = suffixes.get(q_sign_key(q_mul(q_adjoint(q1), q2)))
@@ -335,10 +333,9 @@ def _structured_search(gens: GeneratorSet, max_depth: int, node_budget: int) -> 
     letters = [(i, ch.quaternions) for i, ch in enumerate(gens.e_gens, start=1)]
 
     def step(g, q):
-        child = q_sign_key(_image(q, g))
-        return child, child
+        return q_sign_key(_image(q, g))
 
-    word, _, expanded, done, truncated = breadth_first(
+    word, expanded, done, truncated = breadth_first(
         Q_IDENTITY, Q_IDENTITY, letters, step, max_depth, node_budget
     )
     if word is not None:
@@ -377,82 +374,58 @@ class DiffOutcome:
     truncated: bool = False
 
 
-def _closure(channels: Sequence[ChannelElement], max_depth: int, node_budget: int):
-    """All channels that words of length <= max_depth realize, with the
-    shortest word kept.  A channel is keyed as (sign keys of its quaternions,
-    damping numerator, damping denominator): the damping is carried as a
-    reduced integer pair, not as a Fraction, whose product normalises
-    through extra calls and whose hash computes a modular inverse on every
-    call.  A word extends on the right: a unitary channel by an E letter
-    multiplies the pairs, by a reset (g) it becomes the reset onto M g, and
-    a reset absorbs any letter, so only unitary channels are expanded, each
-    from its key: the maps of (+-q1, +-q2) are one.
-
-    Returns the channels, the expansion count, whether the budget cut the
-    search, and the deepest level fully enumerated: max_depth unless the
-    budget cut it, as a closure with no children left holds every word."""
-    if not channels:
-        raise ValueError("need at least one channel")
-    letters = [
-        (ch.label, (ch.quaternions, ch.reset, ch.damping.numerator, ch.damping.denominator))
-        for ch in channels
-    ]
-
-    def step(node, letter):
-        (q, p, r), (u, reset, dp, dr) = node, letter
-        child = (_image(q, u[0]),) if reset else _pair_mul(q, u)
-        p, r = p * dp, r * dr
-        g = gcd(p, r)
-        key = (_sign_key(child), p // g, r // g)
-        return key, None if reset else key
-
-    root = ((Q_IDENTITY, Q_IDENTITY), 1, 1)
-    _, elems, expanded, done, truncated = breadth_first(
-        root, None, letters, step, max_depth, node_budget
-    )
-    return elems, expanded, truncated, done if truncated else max_depth
-
-
 def theory_diff(
-    f1: Sequence[ChannelElement],
-    extra: Sequence[ChannelElement],
+    gens: GeneratorSet,
+    target: ChannelElement,
     max_depth: int,
     node_budget: int = 500_000,
 ) -> DiffOutcome:
-    """Bounded refuter for "do f1 and f2 = f1 + extra span the same theory".
+    """Bounded refuter for "do F, the compiled generators, and F + {T} span
+    the same theory", T the reset onto lam |1><1| + (1 - lam) I/4.
 
-    Each generator of f2 is looked up, as an exact channel, in f1's bounded
-    closure, and each generator of f1 in f2's.  A generator absent from a
-    fully enumerated closure witnesses bounded distinctness; if every
-    generator is realized both ways the sets are indistinguishable up to
-    the depth bound.  No outcome ever claims unconditional equality.
+    Every generator of F realizes itself, so the two span the same theory
+    exactly when T lies in the semigroup that F generates.  A word's channel
+    is that of its prefix up to its first reset: a unitary channel, or a
+    reset of damping p^k, k the position of that reset.  So T has a word of
+    at most max_depth letters only if lam = p^n for some n <= max_depth,
+    and then exactly when a tile word of length n is a solution (steps 1-5
+    above): _generic_search checks that one length, and its witness goes
+    through the same Choi cross-check as a membership witness.  An
+    unrealized T witnesses bounded distinctness; a realized one leaves the
+    sets indistinguishable up to the depth bound.  No outcome ever claims
+    unconditional equality.
 
-    Only f1's closure is built, and it stands in for f2's: f1 is a prefix
-    of f2, so a generator of f1 has the same shortest word in both (the
-    empty word, or the first equal letter at depth 1).  The reported depth,
-    expansion count and truncation are that one closure's.
+    depth_reached is max_depth, or n - 1 when the budget cut the search:
+    every length but n is decided by the damping alone.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    elems, expanded, truncated, done = _closure(f1, max_depth, node_budget)
-    matches: Dict[str, dict] = {}
+    if not target.reset or q_sign_key(target.quaternions[0]) != Q_IDENTITY:
+        raise ValueError("a diff target must be a reset onto |1>")
+    p = gens.r_gens[0].damping
+    n, power = 1, p
+    while power > target.damping and n < max_depth:
+        n, power = n + 1, power * p
+    expanded, truncated, matches = 0, False, {}
+    if power == target.damping:
+        found = _generic_search(gens, n, node_budget, min_depth=n)
+        expanded, truncated = found.nodes_expanded, found.truncated
+        if found.status == FOUND:
+            matches[f"f2:{target.label}"] = {"realized_by": list(found.witness), "at_depth": n}
     witness = None
-    for side, own in ((2, tuple(f1) + tuple(extra)), (1, f1)):
-        for ch in own:
-            damp = ch.damping
-            hit = elems.get((_sign_key(ch.quaternions), damp.numerator, damp.denominator))
-            if hit is not None:
-                matches.setdefault(
-                    f"f{side}:{ch.label}", {"realized_by": list(hit[0]), "at_depth": hit[1]}
-                )
-            elif witness is None and not truncated:
-                witness = {
-                    "side": side,
-                    "label": ch.label,
-                    "damping": str(ch.damping),
-                    "digest": phase_canonical(ch.operator()).digest(),
-                }
+    if not (matches or truncated):
+        witness = {
+            "side": 2,
+            "label": target.label,
+            "damping": str(target.damping),
+            "digest": phase_canonical(target.operator()).digest(),
+        }
     status = DISTINCT if witness is not None else INDISTINGUISHABLE
     return DiffOutcome(
-        status, witness, matches, depth_reached=done, nodes_expanded=expanded, truncated=truncated
+        status,
+        witness,
+        matches,
+        depth_reached=n - 1 if truncated else max_depth,
+        nodes_expanded=expanded,
+        truncated=truncated,
     )

@@ -31,7 +31,6 @@ from .exact import (
     GaussianRational,
     ShapeError,
     key_has_unit_trace,
-    matrix_units,
 )
 from .util import breadth_first, combine, level_cut
 
@@ -53,21 +52,15 @@ def choi(channel) -> ExactMatrix:
     """Choi operator sum_ij Phi(E_ij) (x) E_ij of a channel with `dim`, output
     factor first, so trace preservation reads as partial_trace_first(...) ==
     identity: the channel's own `choi_operator` (a compiled ChannelElement's
-    closed form) if it has one, else its linear `apply_to_matrix` on each E_ij."""
-    if hasattr(channel, "choi_operator"):
-        return channel.choi_operator()
-    return ExactMatrix.choi_from_images(
-        [channel.apply_to_matrix(unit) for unit in matrix_units(channel.dim)]
-    )
+    closed form)."""
+    return channel.choi_operator()
 
 
 def certify_cptp(channel) -> ExactMatrix:
     """Choi certification: positive semidefinite and trace preserving.
 
-    A channel has `dim`, `label` and a `choi_operator` or an
-    `apply_to_matrix` (see choi); every check runs on J however it was built.
-    Returns the Choi operator; raises NotCPTPError with it as witness
-    otherwise.
+    A channel has `dim`, `label` and a `choi_operator` (see choi).  Returns
+    the Choi operator; raises NotCPTPError with it as witness otherwise.
     """
     j = choi(channel)
     if not j.is_hermitian():
@@ -140,15 +133,14 @@ def explore(
 ) -> ReachGraph:
     """Breadth-first closure of the seeds under the channels.
 
-    A channel is any object with `dim`, `label` and, for choi, either a
-    closed-form `choi_operator` or an `apply_to_matrix`.  A state is kept
-    as its Hermitian key and numbered when it is found; ReachGraph.named
-    spells digests.  The budget counts expansions (one channel applied to
-    one stored state), so at most node_budget states join the seeds.  A
-    level is one integer column per key coordinate; each channel's children
-    of the kept parents are its key map on the columns (util.combine),
-    reduced by their gcd, and taken in the frontier-major order that
-    util.level_cut keeps.
+    A channel is any object with `dim`, `label` and a `choi_operator` (see
+    choi).  A state is kept as its Hermitian key and numbered when it is
+    found; ReachGraph.named spells digests.  The budget counts expansions
+    (one channel applied to one stored state), so at most node_budget
+    states join the seeds.  A level is one integer column per key
+    coordinate; each channel's children of the kept parents are its key map
+    on the columns (util.combine), reduced by their gcd, and taken in the
+    frontier-major order that util.level_cut keeps.
 
     No child is put through the PSD test, by proof: a child is its parent
     under Phi_J(X) = sum_ij X_ij Phi(E_ij), Phi(E_ij)[a, b] = J[a*d + i,
@@ -238,7 +230,7 @@ def reach(g: ReachGraph, source, target) -> ReachOutcome:
         return ReachOutcome(NOT_REACHABLE, None)
     if src == dst:
         return ReachOutcome(REACHABLE, ())
-    succ = {(u, lab): (v, v) for u, v, lab in g.edges}
+    succ = {(u, lab): v for u, v, lab in g.edges}
     labels = [(lab, lab) for lab in sorted({lab for _, _, lab in g.edges})]
     n = len(g.nodes)
     path = breadth_first(src, dst, labels, lambda u, lab: succ.get((u, lab)), n, n * len(labels))[0]

@@ -54,14 +54,13 @@ def level_pairs(frontier: Sized, letters: Sized, budget: int) -> Tuple[Iterator,
 
 def breadth_first(root, goal, letters: Sequence, step: Callable, max_depth: int, budget: int):
     """The visited-set level loop over words of the (symbol, letter) pairs in
-    letters, from the empty word at the key root, its own node.  Each level
-    goes through level_pairs with the budget left; step(node, letter) gives
-    None or (key, child), the first word at a key is kept with its length,
-    and a child that is not None joins the next frontier.  Ends at the first
-    word whose key is goal, after max_depth levels, a truncated one or one
-    that leaves no child.  Returns the goal word or None, the kept {key:
-    (word, length)}, the expansions, the last full level and the truncation."""
-    kept = {root: ((), 0)}
+    letters, from the empty word at the key root.  Each level goes through
+    level_pairs with the budget left; step(node, letter) gives the child's
+    key or None, and a key seen for the first time joins the next frontier.
+    Ends at the first word whose key is goal, after max_depth levels, a
+    truncated one or one that leaves no child.  Returns the goal word or
+    None, the expansions, the last full level and the truncation."""
+    seen = {root}
     frontier = [(root, ())]
     expanded = done = 0
     truncated = False
@@ -70,23 +69,20 @@ def breadth_first(root, goal, letters: Sequence, step: Callable, max_depth: int,
         frontier = []
         for (node, word), (symbol, letter) in pairs:
             expanded += 1
-            out = step(node, letter)
-            if out is None:
+            child = step(node, letter)
+            if child is None:
                 continue
-            key, child = out
-            if key == goal:
-                return word + (symbol,), kept, expanded, done, False
-            if key not in kept:
-                child_word = word + (symbol,)
-                kept[key] = child_word, depth
-                if child is not None:
-                    frontier.append((child, child_word))
+            if child == goal:
+                return word + (symbol,), expanded, done, False
+            if child not in seen:
+                seen.add(child)
+                frontier.append((child, word + (symbol,)))
         if truncated:
             break
         done = depth
         if not frontier:
             break
-    return None, kept, expanded, done, truncated
+    return None, expanded, done, truncated
 
 
 def combine(row, cols, stop: int) -> list:

@@ -16,7 +16,7 @@ from itertools import product
 from math import lcm
 
 from freeops.exact import ExactMatrix, GaussianRational, ShapeError, rat_from_str
-from freeops.freerot import Collision, CollisionReport
+from freeops.freerot import Q_IDENTITY, Collision, CollisionReport, q_adjoint, q_mul, q_sign_key
 from freeops.resourcegraph import (
     NOT_REACHABLE,
     REACHABLE,
@@ -310,10 +310,10 @@ def matrix_from_json(data: dict) -> ExactMatrix:
 class KrausChannel:
     """The channel rho -> sum_k K rho K^dag of a finite Kraus list.
 
-    The state layer takes any object with `dim`, `label` and a linear
-    `apply_to_matrix`; the program itself only builds quaternion channels,
-    so this one lives with the oracles and drives the small explore and
-    Choi tests.
+    The state layer takes any object with `dim`, `label` and a
+    `choi_operator`, here reference_choi of the linear `apply_to_matrix`;
+    the program itself only builds quaternion channels, so this one lives
+    with the oracles and drives the small explore and Choi tests.
     """
 
     def __init__(self, ops, label: str):
@@ -327,6 +327,9 @@ class KrausChannel:
     def apply_to_matrix(self, m: ExactMatrix) -> ExactMatrix:
         terms = [list(_product(_product(k, m), k.dagger()).entries()) for k in self.ops]
         return ExactMatrix(self.dim, self.dim, [add(*zs) for zs in zip(*terms)])
+
+    def choi_operator(self) -> ExactMatrix:
+        return reference_choi(self)
 
 
 def _scaled(m: ExactMatrix, z: GaussianRational) -> ExactMatrix:
@@ -439,3 +442,35 @@ def reference_reach(g: ReachGraph, source, target) -> ReachOutcome:
         dst, lab = parents[dst]
         path.append(lab)
     return ReachOutcome(REACHABLE, tuple(reversed(path)))
+
+
+def reference_closure(channels, max_depth: int):
+    """Every channel that a word of at most max_depth letters realizes, keyed
+    as (sign keys of its quaternions, damping numerator, damping
+    denominator), with the first word that realizes it in breadth-first
+    order and that word's length; the empty word realizes the identity.  A
+    word extends on the right: a unitary channel (q1, q2) by a unitary
+    letter (u1, u2) becomes (q1 u1, q2 u2), by a reset onto g the reset onto
+    q1 g q2^dag, and a reset absorbs every later letter, so only unitary
+    channels are extended.  Returns the closure and the number of
+    (channel, letter) extensions made."""
+    closure = {((Q_IDENTITY, Q_IDENTITY), 1, 1): ((), 0)}
+    frontier = [((Q_IDENTITY, Q_IDENTITY), Fraction(1), ())]
+    expanded = 0
+    for depth in range(1, max_depth + 1):
+        next_frontier = []
+        for (q1, q2), damping, word in frontier:
+            for ch in channels:
+                expanded += 1
+                if ch.reset:
+                    child = (q_mul(q_mul(q1, ch.quaternions[0]), q_adjoint(q2)),)
+                else:
+                    child = tuple(map(q_mul, (q1, q2), ch.quaternions))
+                p = damping * ch.damping
+                key = (tuple(map(q_sign_key, child)), p.numerator, p.denominator)
+                if key not in closure:
+                    closure[key] = word + (ch.label,), depth
+                    if not ch.reset:
+                        next_frontier.append((child, p, word + (ch.label,)))
+        frontier = next_frontier
+    return closure, expanded

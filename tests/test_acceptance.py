@@ -295,8 +295,7 @@ def test_criterion_7_distinguishability():
             expect = DISTINCT
             target_damping = HALF ** 2
         gens = compile_generators(entry.instance, PAIR, HALF)
-        f1 = gens.channels()
-        out = theory_diff(f1, (make_target(target_damping, "PSI"),), depth)
+        out = theory_diff(gens, make_target(target_damping, "PSI"), depth)
         statuses.add(out.status)
         if out.status != expect:
             failures.append((entry.name, out.status, expect))
@@ -304,7 +303,8 @@ def test_criterion_7_distinguishability():
             failures.append((entry.name, "truncated"))
         if out.status == DISTINCT and out.witness is None:
             failures.append((entry.name, "missing witness"))
-        if out.status == INDISTINGUISHABLE and "f2:PSI" not in out.matches:
+        realized = out.matches.get("f2:PSI")
+        if out.status == INDISTINGUISHABLE and (realized is None or realized["at_depth"] != depth):
             failures.append((entry.name, "missing realization"))
     ok = (
         not failures
@@ -437,7 +437,7 @@ def test_four_answers_agree_on_the_two_tile_sweep():
         check(tiles, "explore", graph.truncated, False)
         for k, target in targets.items():
             want = k if k in lengths else None
-            out = theory_diff(gens.channels(), (target,), k)
+            out = theory_diff(gens, target, k)
             realized = out.matches.get("f2:PSI")
             got = "cut" if out.truncated else realized and realized["at_depth"]
             check(tiles, f"theory_diff T_(p^{k})", got, want)

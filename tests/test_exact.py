@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from corpus import (
     CORPUS,
@@ -32,6 +32,7 @@ from oracles import (
     matrix_from_json,
     mul,
     neg,
+    reference_choi,
     reference_states,
     trace,
     zeros,
@@ -343,6 +344,8 @@ def test_psd_agrees_with_sturm_oracle_on_choi_operators():
         def apply_to_matrix(self, m):
             return ExactMatrix(4, 4, [m.entry(c, r) for r in range(4) for c in range(4)])
 
+        choi_operator = reference_choi
+
     j = choi(Transpose())
     assert j.is_hermitian()
     assert not j.is_psd()
@@ -526,6 +529,9 @@ def key_map_channels():
 KEY_MAP_CHANNELS = key_map_channels()
 
 
+# No shrinking, as in test_apply_to_matrix_equals_reference: shrinking runs
+# through apply_to_matrix for minutes before a failure is reported.
+@settings(phases=[p for p in Phase if p is not Phase.shrink])
 @given(
     st.sampled_from(KEY_MAP_CHANNELS).flatmap(
         lambda ch: st.tuples(st.just(ch), hermitian_st(ch.dim))

@@ -35,7 +35,13 @@ and a reset channel R_i in place of the H_i and G_i that carried a
 tile-index block; the `verify-free` and `monotones --graph demo` pins did
 not move.  The `solve-pcp` pins and the `reach` pins of a printed path and
 of the maximally mixed seed were taken before a channel came to carry a
-tuple of separately reduced quaternions in place of one flat tuple.
+tuple of separately reduced quaternions in place of one flat tuple.  The
+`diff` pins were re-taken when `diff` came to run the generic membership
+search at the one length its target's damping names, in place of building
+a closure: `matches` kept only the target's entry and `nodes_expanded`
+fell, while status, exit code and witness stayed.  The budget-500 pin no
+longer cut its search, so it was re-pointed at a query that the one-length
+search does cut.
 
 The pins hash a re-encoding of the parsed outcome, so the report writer
 itself is checked separately: the raw `--out` bytes, every subcommand's
@@ -146,13 +152,15 @@ PINS = {
     "diff-classic3-depth4": (
         ["diff", "--instance", "@", "--depth", "4"],
         0,
-        "f3dbe31ff878da2d35f461e1fb10318de992cd4c86da77d339fac3172f568b23",
+        "911e2b8cbcfb3d1c164669b619cd4eb5dcbbf1ccefca0ccbd465d3471ca507c1",
         None,
     ),
-    "diff-classic3-depth6-budget500": (
-        ["diff", "--instance", "@", "--depth", "6", "--budget", "500"],
+    # Length 8 takes 3 + 9 + 27 + 81 expansions, so 40 cuts the fourth level:
+    # inconclusive (exit 10), with lengths up to 7 decided by the damping.
+    "diff-classic3-depth8-budget40": (
+        ["diff", "--instance", "@", "--depth", "8", "--target-damping", "1/256", "--budget", "40"],
         10,
-        "0621a7f5f279df5a16171fd794bc393793d6c021ef7d7f50b24482a206ca683e",
+        "48169693e9dcc2cb7081f76e735bebe43c7150751dd31b8450da0e7021545894",
         None,
     ),
     # A rotation with a y axis, so the sin * n_y term of the rotation is
@@ -202,8 +210,8 @@ PINS = {
         "81ddcd40bca1bbfc5e7814168d506a6d8f960d266226f25a82272dceafd374b8",
     ),
     # The benchmark's three semigroup-search bounds that no pin above covers:
-    # 65,534 words, a 14-deep exhausted meet-in-the-middle and 726 closure
-    # expansions.
+    # 65,534 words, a 14-deep exhausted meet-in-the-middle and a diff whose
+    # target p^2 takes 3 expansions.
     "verify-free-len15": (
         ["verify-free", "--max-len", "15"],
         0,
@@ -219,7 +227,7 @@ PINS = {
     "diff-classic3-depth5": (
         ["diff", "--instance", "@", "--depth", "5"],
         0,
-        "c00293dec54ac75c9a024d0c76655dd7a0bd784f1f577e935443b8a8768efbd6",
+        "5a5a682a44fcbf5b1eca3098a8a0a1e59ceb22badda900d0fac7b8277b874dab",
         None,
     ),
     # The tile search and the reach paths that no pin above runs: a found
@@ -344,7 +352,8 @@ def test_canonical_json_rejects_what_stdlib_rejects(data):
 # returned before util.report_json replaced those methods, and the classic3
 # generator set and the demo quotient, which keep a to_json_dict of their
 # own, next to the dict that method returned before report_json read it.
-DIGEST = "ab" * 16
+# The diff outcome holds the one target's entry that `matches` keeps since
+# diff came to search one length.
 ZERO, ONE = Fraction(0), Fraction(1)
 Z, X = (ZERO, ZERO, ONE), (ONE, ZERO, ZERO)
 HALF_I = rotation_quaternion(ONE / 2, ZERO, Z)
@@ -388,18 +397,18 @@ RULE_PINS = [
     ),
     (
         DiffOutcome(
-            "distinct",
-            {"side": 2, "label": "PSI", "damping": "1/16", "digest": DIGEST},
-            {"f1:E1": {"realized_by": ["E1"], "at_depth": 1}},
+            "indistinguishable_up_to_depth",
+            None,
+            {"f2:PSI": {"realized_by": ("E1", "R1"), "at_depth": 2}},
             2,
-            30,
+            3,
         ),
         {
-            "status": "distinct",
-            "witness": {"side": 2, "label": "PSI", "damping": "1/16", "digest": DIGEST},
-            "matches": {"f1:E1": {"realized_by": ["E1"], "at_depth": 1}},
+            "status": "indistinguishable_up_to_depth",
+            "witness": None,
+            "matches": {"f2:PSI": {"realized_by": ["E1", "R1"], "at_depth": 2}},
             "depth_reached": 2,
-            "nodes_expanded": 30,
+            "nodes_expanded": 3,
             "truncated": False,
         },
     ),

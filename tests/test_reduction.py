@@ -27,6 +27,7 @@ from oracles import (
     quaternion_matrix,
     reference_apply,
     reference_choi,
+    reference_closure,
     trace,
     zeros,
 )
@@ -55,7 +56,6 @@ from freeops.reduction import (
     FOUND,
     INDISTINGUISHABLE,
     ChannelElement,
-    _closure,
     compile_generators,
     make_target,
     membership_search,
@@ -527,10 +527,12 @@ def test_membership_budget_truncation():
 # length 4 after 12 expansions) or cut a level short.  The rows after them
 # sit at the current boundaries: on classic3, generic level s expands
 # 3^(s-1) words by 3 letters and checks witness lengths 2s - 1 and 2s;
-# structured level n keeps all 3^n vectors; the closure expands only its
-# unitary channels, 3^(d-1) at depth d, by 6 letters; and explore from
-# basis:0 finds 3 states at depth 1 (E_i and R_i give the same one) and 9
-# at depth 2.
+# structured level n keeps all 3^n vectors; and explore from basis:0 finds
+# 3 states at depth 1 (E_i and R_i give the same one) and 9 at depth 2.
+# The diff rows ask for the target 1/16 = p^4, which only a word of length
+# 4 can realize: below depth 4 the damping decides it with no search, and
+# from depth 4 on diff runs the generic search at length 4 alone, its
+# boundary rows last.
 BUDGET_BOUNDARY = [
     # (search, depth or max_len, budget, expected)
     # scan: (scanned_max_len, words, truncated, verify-free exit code)
@@ -543,9 +545,9 @@ BUDGET_BOUNDARY = [
     ("structured", 4, 12, (EXHAUSTED, 2, 12, True)),
     ("structured", 4, 11, (EXHAUSTED, 1, 11, True)),
     ("structured", 6, 12, (EXHAUSTED, 2, 12, True)),
-    ("diff", 2, 42, (DISTINCT, 2, 24, False)),
-    ("diff", 2, 41, (DISTINCT, 2, 24, False)),
-    ("diff", 3, 56, (INDISTINGUISHABLE, 2, 56, True)),
+    ("diff", 2, 42, (DISTINCT, 2, 0, False)),
+    ("diff", 2, 41, (DISTINCT, 2, 0, False)),
+    ("diff", 3, 56, (DISTINCT, 3, 0, False)),
     # explore: (stored states, edges = expansions, truncated)
     ("explore", 2, 36, (13, 24, False)),
     ("explore", 2, 35, (13, 24, False)),
@@ -564,12 +566,18 @@ BUDGET_BOUNDARY = [
     ("structured", 3, 39, (EXHAUSTED, 3, 39, False)),
     ("structured", 3, 38, (EXHAUSTED, 2, 38, True)),
     ("structured", 4, 39, (EXHAUSTED, 3, 39, True)),
-    ("diff", 2, 24, (DISTINCT, 2, 24, False)),
-    ("diff", 2, 23, (INDISTINGUISHABLE, 1, 23, True)),
-    ("diff", 3, 24, (INDISTINGUISHABLE, 2, 24, True)),
+    ("diff", 2, 24, (DISTINCT, 2, 0, False)),
+    ("diff", 2, 23, (DISTINCT, 2, 0, False)),
+    ("diff", 3, 24, (DISTINCT, 3, 0, False)),
     ("explore", 2, 24, (13, 24, False)),
     ("explore", 2, 23, (13, 23, True)),
     ("explore", 3, 24, (13, 24, True)),
+    # diff: a cut reports depth 3, as every length but 4 is decided by the
+    # damping; a deeper bound searches length 4 all the same
+    ("diff", 4, 12, (INDISTINGUISHABLE, 4, 12, False)),
+    ("diff", 4, 11, (INDISTINGUISHABLE, 3, 11, True)),
+    ("diff", 4, 3, (INDISTINGUISHABLE, 3, 3, True)),
+    ("diff", 6, 12, (INDISTINGUISHABLE, 6, 12, False)),
 ]
 
 
@@ -592,7 +600,7 @@ def test_budget_boundary_table(tmp_path, search, depth, budget, expected):
         return
     if search == "diff":
         psi = make_target(Fraction(1, 16), "PSI")
-        out = theory_diff(gens.channels(), (psi,), depth, node_budget=budget)
+        out = theory_diff(gens, psi, depth, node_budget=budget)
     elif search == "solve":
         out = solve_bounded(gens.instance, depth, node_budget=budget)
     else:
@@ -709,6 +717,8 @@ def test_found_witness_is_cross_checked(monkeypatch):
     )
     with pytest.raises(reduction.WitnessMismatchError, match="not the target"):
         membership_search(gens, 2)
+    with pytest.raises(reduction.WitnessMismatchError, match="not the target"):
+        theory_diff(gens, make_target(HALF, "PSI"), 2)
 
 
 def test_mixed_cancellation_shortcut():
@@ -740,10 +750,9 @@ def test_phase_canonical_identifies_phase_multiples():
 
 def test_diff_unsolvable_distinct_at_depth_one():
     gens = compiled("0|1")
-    f1 = gens.channels()
     psi = make_target(Fraction(1, 4), "PSI")
     for depth in (1, 2, 4, 6):
-        out = theory_diff(f1, (psi,), depth)
+        out = theory_diff(gens, psi, depth)
         assert out.status == DISTINCT
         assert out.witness["label"] == "PSI"
         assert out.witness["side"] == 2
@@ -752,98 +761,71 @@ def test_diff_unsolvable_distinct_at_depth_one():
 
 
 def test_diff_identical_sets():
-    gens = compiled("0|1")
+    """On 0|0, R1 is the reset onto |1> at damping p, so F + {T_p} is F
+    itself: its generator realizes the target at depth 1."""
+    gens = compiled("0|0")
+    psi = make_target(HALF, "PSI")
+    assert choi(psi) == choi(gens.r_gens[0])
     for depth in (1, 3):
-        out = theory_diff(gens.channels(), (), depth)
+        out = theory_diff(gens, psi, depth)
         assert out.status == INDISTINGUISHABLE
         assert out.witness is None
+        assert out.matches == {"f2:PSI": {"realized_by": ["R1"], "at_depth": 1}}
 
 
 def test_diff_solvable_realizes_target():
     gens = compiled("0|0")
-    f1 = gens.channels()
     psi = make_target(Fraction(1, 4), "PSI")
-    out = theory_diff(f1, (psi,), 2)
+    out = theory_diff(gens, psi, 2)
     assert out.status == INDISTINGUISHABLE
     realized = out.matches["f2:PSI"]
     assert realized == {"realized_by": ["E1", "R1"], "at_depth": 2}
-    by_label = {ch.label: ch for ch in f1}
+    by_label = {ch.label: ch for ch in gens.channels()}
     channel = compose(by_label["E1"], by_label["R1"])
     assert choi(channel) == choi(make_target(Fraction(1, 4)))
 
 
-def test_diff_closure_without_children_reports_depth_bound():
-    """E1 = (a, a), a = psi("0") = i for the forced cos 0 / sin 1 pair about
-    z and x: E1 E1 is the identity channel again, so the closure runs out of
-    children after two expansions.  It then holds every word, and diff
-    reports the depth bound, unlike solve-pcp and structured membership,
-    which report the level where they ran out."""
-    z, x = (0, 0, 1), (1, 0, 0)
-    params = RotationParams(Fraction(0), Fraction(1), z, x)
-    pair = FreePair(*(rotation_quaternion(params.cos, params.sin, axis) for axis in (z, x)), params)
-    a = encode_word(pair, "0")
-    e1 = ChannelElement((a, a), Fraction(1), "E1")
-    psi = make_target(Fraction(1, 4), "PSI")
-    for depth in (2, 3, 4, 6, 9):
-        out = theory_diff((e1,), (psi,), depth)
-        assert out.status == DISTINCT and out.witness["label"] == "PSI"
-        assert out.nodes_expanded == 2
-        assert out.depth_reached == depth
-        assert not out.truncated
+def test_diff_uncut_reports_the_depth_bound():
+    """Unless the budget cuts its search, diff reports the depth bound,
+    whether the damping alone decided the target or a search at one length
+    did, unlike solve-pcp and structured membership, which report the level
+    where they ran out."""
+    gens = compiled("0|1")
+    for depth in (1, 2, 3, 4, 6, 9):
+        for target in (HALF, HALF**3, HALF**5, Fraction(1, 3)):
+            out = theory_diff(gens, make_target(target, "PSI"), depth)
+            assert out.status == DISTINCT and out.witness["label"] == "PSI"
+            assert out.depth_reached == depth
+            assert not out.truncated
+            searched = any(target == HALF**n for n in range(1, depth + 1))
+            assert (out.nodes_expanded > 0) == searched, (depth, target)
 
 
 def test_diff_truncated_reports_completed_depth():
     gens = compiled("0|1")
-    f1 = gens.channels()
-    extra = (make_target(Fraction(1, 4), "PSI"),)
-    full = theory_diff(f1, extra, 4)
+    psi = make_target(HALF**4, "PSI")
+    full = theory_diff(gens, psi, 4)
     assert not full.truncated and full.depth_reached == 4
-    # f1's closure (2 letters) expands one unitary channel per level, so it
-    # completes depth 3 within 6 expansions; its fourth level is cut after one
-    out = theory_diff(f1, extra, 4, node_budget=7)
-    assert out.truncated
-    assert out.depth_reached == 3
-    assert out.nodes_expanded == 7
-    assert out.status == INDISTINGUISHABLE and out.witness is None
-    # a budget that cuts level 1 completes nothing
-    assert theory_diff(f1, extra, 4, node_budget=1).depth_reached == 0
+    assert full.nodes_expanded == 2
+    # 0|1 has one letter, so length 4 takes two levels of one expansion each;
+    # a cut leaves length 4 open, and every shorter length is decided by the
+    # damping
+    for budget in (1, 0):
+        out = theory_diff(gens, psi, 4, node_budget=budget)
+        assert out.truncated
+        assert out.depth_reached == 3
+        assert out.nodes_expanded == budget
+        assert out.status == INDISTINGUISHABLE and out.witness is None
 
 
 def _key(ch):
     return (tuple(map(q_sign_key, ch.quaternions)), ch.damping.numerator, ch.damping.denominator)
 
 
-def _two_closure_diff(f1, extra, depth):
-    """Oracle: the comparison with f2 = f1 + extra given its own closure,
-    each side's generators looked up in the other side's closure."""
-    f2 = tuple(f1) + tuple(extra)
-    e1, _, t1, done1 = _closure(f1, depth, 500_000)
-    e2, _, t2, done2 = _closure(f2, depth, 500_000)
-    assert not (t1 or t2)
-    matches, witness = {}, None
-    for side, own, other in ((2, f2, e1), (1, f1, e2)):
-        for ch in own:
-            hit = other.get(_key(ch))
-            if hit is not None:
-                matches.setdefault(
-                    f"f{side}:{ch.label}",
-                    {"realized_by": list(hit[0]), "at_depth": hit[1]},
-                )
-            elif witness is None:
-                witness = {
-                    "side": side,
-                    "label": ch.label,
-                    "damping": str(ch.damping),
-                    "digest": phase_canonical(ch.operator()).digest(),
-                }
-    status = DISTINCT if witness is not None else INDISTINGUISHABLE
-    return status, witness, matches, min(done1, done2)
-
-
 def test_closure_damping_keys_are_reduced_letter_products():
-    """Every closure element's key is that of its word's composed channel
-    (corpus.compose), its damping the Fraction product of the word's letter
-    dampings in lowest terms.  The letters mix 1/2, 2/3 and 3/4 (given as
+    """Every element of the oracle's closure has the key of its word's
+    composed channel (corpus.compose), its damping the Fraction product of
+    the word's letter dampings in lowest terms.  The letters mix 1/2, 2/3 and 3/4 (given as
     6/8), so that products such as 2/3 * 3/4 = 6/12 need reducing.  A word
     ends at its first reset, and only unitary channels are expanded."""
     dampings = [HALF, Fraction(2, 3), Fraction(6, 8)]
@@ -853,8 +835,8 @@ def test_closure_damping_keys_are_reduced_letter_products():
         for k, ch in enumerate(gens.channels())
     ]
     by_label = {ch.label: ch for ch in letters}
-    elems, expanded, truncated, done = _closure(letters, 3, 500_000)
-    assert (expanded, truncated, done) == (6 + 18 + 54, False, 3)
+    elems, expanded = reference_closure(letters, 3)
+    assert expanded == 6 + 18 + 54
     unreduced = resets = 0
     for key, (word, depth) in elems.items():
         assert depth == len(word)
@@ -872,19 +854,30 @@ def test_closure_damping_keys_are_reduced_letter_products():
     assert unreduced > 0 and resets > 0
 
 
-def test_one_closure_diff_matches_two_closures():
+def test_diff_matches_reference_closure():
+    """diff against a lookup of the target in the oracle's closure of F:
+    realized by the closure's first word, at its length, or distinct with
+    the target's digest as the witness."""
     statuses = set()
     for entry in CORPUS:
         if entry.size > 3:
             continue
-        f1 = compile_generators(entry.instance, PAIR, HALF).channels()
-        for target in (Fraction(1, 4), Fraction(1, 16), Fraction(1, 256)):
-            extra = (make_target(target, "PSI"),)
-            for depth in range(1, 5):
-                out = theory_diff(f1, extra, depth)
-                assert not out.truncated
-                got = (out.status, out.witness, out.matches, out.depth_reached)
-                assert got == _two_closure_diff(f1, extra, depth), (entry.name, target, depth)
+        gens = compile_generators(entry.instance, PAIR, HALF)
+        for depth in range(1, 5):
+            closure, _ = reference_closure(gens.channels(), depth)
+            for target in (Fraction(1, 4), Fraction(1, 16), Fraction(1, 256)):
+                psi = make_target(target, "PSI")
+                out = theory_diff(gens, psi, depth)
+                hit = closure.get(_key(psi))
+                if hit is None:
+                    digest = phase_canonical(psi.operator()).digest()
+                    witness = {"side": 2, "label": "PSI", "damping": str(target), "digest": digest}
+                    want = (DISTINCT, witness, {})
+                else:
+                    realized = {"realized_by": list(hit[0]), "at_depth": hit[1]}
+                    want = (INDISTINGUISHABLE, None, {"f2:PSI": realized})
+                assert (out.status, out.witness, out.matches) == want, (entry.name, target, depth)
+                assert (out.depth_reached, out.truncated) == (depth, False)
                 statuses.add(out.status)
     assert statuses == {DISTINCT, INDISTINGUISHABLE}
 
@@ -894,11 +887,24 @@ def test_diff_rejects_depth_below_one():
     psi = make_target(Fraction(1, 16), "PSI")
     for depth in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
-            theory_diff(gens.channels(), (psi,), depth)
+            theory_diff(gens, psi, depth)
+
+
+def test_diff_rejects_a_target_other_than_a_reset_onto_one():
+    """Only the reset onto |1> (or -|1>, the same channel) has the damping
+    rule: a reset onto another vector, such as R1 of classic3, can be
+    realized at any length."""
+    gens = compiled(CLASSIC3)
+    for target in (gens.r_gens[0], gens.e_gens[0], IDENTITY):
+        with pytest.raises(ValueError, match="reset onto"):
+            theory_diff(gens, target, 4)
+    minus_one = ChannelElement(((-1, 0, 0, 0, 1),), Fraction(1, 16), "PSI")
+    assert theory_diff(gens, minus_one, 4).matches["f2:PSI"]["at_depth"] == 4
 
 
 def test_diff_statuses_never_claim_equality():
     gens = compiled("0|0")
-    out = theory_diff(gens.channels(), (), 2)
-    assert out.status in (DISTINCT, INDISTINGUISHABLE)
-    assert "equal" not in out.status
+    for target in (HALF, HALF**2, Fraction(1, 3)):
+        out = theory_diff(gens, make_target(target, "PSI"), 2)
+        assert out.status in (DISTINCT, INDISTINGUISHABLE)
+        assert "equal" not in out.status

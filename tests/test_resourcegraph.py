@@ -17,9 +17,12 @@ from corpus import (
 )
 from oracles import (
     KrausChannel,
+    add,
+    conj,
     coordinates,
     gr,
     mat_add,
+    mul,
     quaternion_matrix,
     reference_choi,
     reference_explore,
@@ -159,6 +162,8 @@ class Transpose:
     def apply_to_matrix(self, m):
         return ExactMatrix(2, 2, [m.entry(c, r) for r in range(2) for c in range(2)])
 
+    choi_operator = reference_choi
+
 
 def test_explore_rejects_non_positive():
     seed = ExactDensityMatrix.maximally_mixed(2)
@@ -178,6 +183,8 @@ class LeftMultiply:
     def apply_to_matrix(self, m):
         return self.K @ m
 
+    choi_operator = reference_choi
+
 
 def test_explore_rejects_non_hermitian():
     seed = ExactDensityMatrix.maximally_mixed(2)
@@ -188,7 +195,14 @@ def test_explore_rejects_non_hermitian():
 
 @pytest.mark.parametrize("channel", [ID2, X2, ROTATION2, DAMP2], ids=lambda ch: ch.label)
 def test_choi_of_kraus_channels_equals_reference(channel):
-    assert choi(channel) == reference_choi(channel)
+    """The matrix-unit assembly of a Kraus channel's Choi operator against
+    the one read off its Kraus list: sum_k |K_k>><<K_k|, with K[a, i] at
+    entry a*d + i of |K>>."""
+    d = channel.dim
+    vecs = [[k.entry(a, i) for a in range(d) for i in range(d)] for k in channel.ops]
+    side = range(d * d)
+    entries = [add(*(mul(v[r], conj(v[c])) for v in vecs)) for r in side for c in side]
+    assert choi(channel) == ExactMatrix(d * d, d * d, entries)
 
 
 def test_certify_accepts_unitary_kraus():
